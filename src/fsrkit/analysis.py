@@ -4,8 +4,10 @@ Everything here decides by enumeration plus pruning, independently of how
 an instance was constructed:
 
 * sub-register search: every smaller register whose cycles are a subset of
-  the analyzed register's cycles, found by subset-sum pruning over cycle
-  periods followed by the window-injectivity realizability check;
+  the analyzed register's cycles, found by a subset DFS pruned by subset
+  sums over cycle periods and by window overlap (per-stage bitmasks of
+  each cycle's windows; no two chosen cycles may share one), followed by
+  the window-injectivity realizability check;
 * cascade decomposition: brute force over small inner factors, or the
   guided search that only tries sub-registers containing the zero cycle
   (complete whenever the register maps the all-zero state to zero);
@@ -26,6 +28,10 @@ BRUTE_INNER_STAGE_BOUND = 3
 _ZERO_CYCLE = Cycle([0])
 
 
+class InvariantError(RuntimeError):
+    """An internal result failed the check that must always hold for it."""
+
+
 # ---------------------------------------------------------------------------
 # sub-register enumeration
 
@@ -38,26 +44,42 @@ class SubFsr:
     fsr: Fsr
 
 
-def _subset_dfs(cys, periods, reach, i, remaining, chosen):
+def _window_mask(c: Cycle, m: int):
+    """Bit w set for each m-window w of c; None when c repeats an m-window,
+    since such a cycle lies on no m-stage register."""
+    wins = c.window_ints(m)
+    if len(wins) != c.period:
+        return None
+    return sum(1 << w for w in wins)
+
+
+def _subset_dfs(cys, periods, masks, reach, i, remaining, acc, chosen):
     if remaining == 0:
         yield tuple(chosen)
         return
     if i >= len(cys) or not (reach[i] >> remaining) & 1:
         return
-    if periods[i] <= remaining:
+    mask = masks[i]
+    if periods[i] <= remaining and mask is not None and not acc & mask:
         chosen.append(cys[i])
-        yield from _subset_dfs(cys, periods, reach, i + 1,
-                               remaining - periods[i], chosen)
+        yield from _subset_dfs(cys, periods, masks, reach, i + 1,
+                               remaining - periods[i], acc | mask, chosen)
         chosen.pop()
-    yield from _subset_dfs(cys, periods, reach, i + 1, remaining, chosen)
+    yield from _subset_dfs(cys, periods, masks, reach, i + 1, remaining, acc,
+                           chosen)
 
 
 def iter_subfsrs(f: Fsr, cycles: CycleStructure = None):
     """Yield every sub-register of f, smallest stage first.
 
     For each stage m < n, candidate cycle subsets must sum to 2^m; a
-    subset-sum reachability mask over the period list prunes the search
-    before the exact window check.
+    subset-sum reachability mask over the period list prunes the search.
+    The search also carries the union of the chosen cycles' m-windows as a
+    bitmask and adds a cycle only when its m-windows are distinct and miss
+    that union: on an m-stage register every m-window occurs once across
+    all positions of all cycles, so this drops only subsets the exact
+    window check (`realizable_as_fsr`, still run on every subset yielded)
+    would reject, and the yield order is unchanged.
     """
     if f.stage > SUBFSR_STAGE_BOUND:
         raise ValueError(f"stage {f.stage} exceeds sub-register bound "
@@ -75,7 +97,10 @@ def iter_subfsrs(f: Fsr, cycles: CycleStructure = None):
             reach[i] = (r | (r << periods[i])) & cap
         if not (reach[0] >> target) & 1:
             continue
-        for subset in _subset_dfs(cys, periods, reach, 0, target, []):
+        masks = [_window_mask(c, m) if c.period <= target else None
+                 for c in cys]
+        for subset in _subset_dfs(cys, periods, masks, reach, 0, target, 0,
+                                  []):
             if realizable_as_fsr(subset, m):
                 yield SubFsr(stage=m, cycles=frozenset(subset),
                              fsr=fsr_from_cycles(subset, m))
@@ -100,7 +125,8 @@ def decompose_with_inner(f: Fsr, g: Fsr):
     Propagates the constraint h(window image of x under g) = f(x) over all
     x, then completes h to characteristic form.  Returns (h, free) where
     free counts outer feedback entries no constraint reached (defaulted to
-    0), or None on any conflict.
+    0), or None on any conflict.  Raises InvariantError if the solved h
+    does not give back f as h-product-g.
     """
     n, k = f.stage, g.stage
     if not 1 <= k < n:
@@ -138,7 +164,8 @@ def decompose_with_inner(f: Fsr, g: Fsr):
         else:
             h1[y] = a
     h = Fsr(hn, table=h1)
-    assert product_fsr(h, g) == f
+    if product_fsr(h, g) != f:
+        raise InvariantError("solved outer factor does not reproduce f")
     return h, free
 
 
@@ -348,8 +375,9 @@ def cycle_join_graph(base: Fsr, toggled: Fsr, lam) -> CycleJoinGraph:
     cs = cycle_structure(base)
     cycles = cs.sorted()
     state_cycle = {}
+    windows = {}
     for c in cycles:
-        wins = c.window_ints(m)
+        wins = windows[c] = c.window_ints(m)
         marked = sum(lam[v] for v in wins)
         if marked > 1:
             raise ValueError("predicate marks a cycle more than once")
@@ -360,7 +388,7 @@ def cycle_join_graph(base: Fsr, toggled: Fsr, lam) -> CycleJoinGraph:
             raise ValueError("live toggle window carries no mark")
     arcs = []
     for c in cycles:
-        for v in sorted(c.window_ints(m)):
+        for v in sorted(windows[c]):
             if f3[v >> 1] and lam[v]:
                 arcs.append(Arc(tail=c, head=state_cycle[v ^ 1], witness=v))
     arcs.sort(key=lambda a: (a.tail.sort_key(), a.head.sort_key(), a.witness))

@@ -101,12 +101,16 @@ class Cycle:
         """All k-windows (wrapping modulo the period) as integers."""
         if k < 1:
             raise ValueError("window width must be >= 1")
-        p = len(self.bits)
-        out = set()
-        for i in range(p):
-            w = 0
-            for t in range(k):
-                w |= self.bits[(i + t) % p] << t
+        bits = self.bits
+        p = len(bits)
+        top = k - 1
+        w = 0
+        for t in range(top, -1, -1):
+            w = (w << 1) | bits[t % p]
+        out = {w}
+        # slide by one: drop bit 0, bring in the bit k positions on
+        for i in range(k, k + p - 1):
+            w = (w >> 1) | (bits[i % p] << top)
             out.add(w)
         return out
 

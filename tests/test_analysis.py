@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fsrkit import analysis as A
+from fsrkit import circuit as C
 from fsrkit import fsr as F
 from fsrkit import lfsr as L
 from fsrkit import reduction as R
@@ -53,6 +54,40 @@ def test_every_subfsr_cycle_set_is_a_subset():
             assert sub.stage < f.stage
 
 
+def _subfsrs_by_every_subset(f):
+    """Reference: sort the cycles as iter_subfsrs does, then try every
+    index subset of each stage in lexicographic order."""
+    cys = sorted(F.cycle_structure(f).cycles, key=lambda c: (-c.period, c.bits))
+
+    def subsets(start):
+        for i in range(start, len(cys)):
+            yield (i,)
+            for rest in subsets(i + 1):
+                yield (i,) + rest
+
+    out = []
+    for m in range(1, f.stage):
+        for idx in subsets(0):
+            cycles = [cys[i] for i in idx]
+            if (sum(c.period for c in cycles) == 1 << m
+                    and F.realizable_as_fsr(cycles, m)):
+                out.append((m, frozenset(cycles)))
+    return out
+
+
+def test_find_subfsrs_is_complete_and_ordered():
+    rng = random.Random(11)
+    regs = [random_nonsingular(rng, n, fix_zero)
+            for n in range(2, 7) for fix_zero in (False, True)
+            for _ in range(4)]
+    regs += [R.build_indecomposability_fsr(C.from_bits(bits),
+                                           build_circuit=False).fsr
+             for bits in ([0, 0], [0, 1])]
+    for f in regs:
+        got = [(s.stage, s.cycles) for s in A.find_subfsrs(f)]
+        assert got == _subfsrs_by_every_subset(f)
+
+
 def test_decompose_with_inner_examples():
     f = F.Fsr(2, table=[0, 1, 0, 1])     # x2 + x0
     one = lin("x + 1")
@@ -62,6 +97,13 @@ def test_decompose_with_inner_examples():
     assert h == lin("x^2 + x + 1") and free == 0
     with pytest.raises(ValueError):
         A.decompose_with_inner(one, one)
+
+
+def test_decompose_with_inner_checks_the_product(monkeypatch):
+    f = F.Fsr(2, table=[0, 1, 0, 1])
+    monkeypatch.setattr(A, "product_fsr", lambda h, g: lin("x^2 + x + 1"))
+    with pytest.raises(A.InvariantError):
+        A.decompose_with_inner(f, lin("x + 1"))
 
 
 def test_brute_decomposition():

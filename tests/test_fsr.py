@@ -94,13 +94,16 @@ def test_windows():
     assert c.windows(2) == frozenset(map(BitVec.parse, ["01", "11", "10"]))
     assert c.windows(3) == frozenset(map(BitVec.parse, ["011", "110", "101"]))
     assert F.Cycle([0]).windows(2) == frozenset({BitVec.parse("00")})
-    # window count never exceeds the period
+    # window count never exceeds the period; the sets match the definition
     rng = random.Random(0)
     for _ in range(50):
         bits = [rng.randint(0, 1) for _ in range(rng.randint(1, 9))]
         c = F.Cycle(bits)
-        for k in range(1, 8):
+        for k in range(1, 12):
             assert len(c.windows(k)) <= c.period
+            assert c.window_ints(k) == {
+                sum(c.bits[(i + t) % c.period] << t for t in range(k))
+                for i in range(c.period)}
 
 
 def test_ell_sampling():
