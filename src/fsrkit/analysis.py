@@ -19,17 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fsr import (Cycle, CycleStructure, Fsr, cycle_structure, fsr_from_cycles,
-                  is_nonsingular, product_fsr, realizable_as_fsr)
+from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, cycle_structure,
+                  fsr_from_cycles, is_nonsingular, orbit_cycle, product_fsr,
+                  realizable_as_fsr, state_orbits)
 
 SUBFSR_STAGE_BOUND = 12
 BRUTE_INNER_STAGE_BOUND = 3
 
 _ZERO_CYCLE = Cycle([0])
-
-
-class InvariantError(RuntimeError):
-    """An internal result failed the check that must always hold for it."""
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +299,7 @@ class CycleJoinGraph:
         """Each toggled-register cycle's window set must be exactly the
         union over one weakly connected component, one-to-one."""
         m = self.base.stage
-        target = {frozenset(c.window_ints(m)): c
-                  for c in cycle_structure(self.toggled)}
+        target = {frozenset(o) for o in state_orbits(self.toggled)}
         comps = self.components()
         if len(comps) != len(target):
             return False
@@ -372,17 +368,18 @@ def cycle_join_graph(base: Fsr, toggled: Fsr, lam) -> CycleJoinGraph:
     for v in range(0, n, 2):
         if lam[v] and lam[v + 1]:
             raise ValueError("predicate marks a conjugate state pair")
-    cs = cycle_structure(base)
-    cycles = cs.sorted()
-    state_cycle = {}
+    # each base orbit's states are exactly its cycle's m-windows
+    state_cycle = [None] * n
     windows = {}
-    for c in cycles:
-        wins = windows[c] = c.window_ints(m)
-        marked = sum(lam[v] for v in wins)
-        if marked > 1:
-            raise ValueError("predicate marks a cycle more than once")
-        for v in wins:
+    for orbit in state_orbits(base):
+        c = orbit_cycle(orbit)
+        windows[c] = orbit
+        for v in orbit:
             state_cycle[v] = c
+    cycles = sorted(windows, key=Cycle.sort_key)
+    for c in cycles:
+        if sum(lam[v] for v in windows[c]) > 1:
+            raise ValueError("predicate marks a cycle more than once")
     for u in range(n >> 1):
         if f3[u] and not (lam[2 * u] or lam[2 * u + 1]):
             raise ValueError("live toggle window carries no mark")

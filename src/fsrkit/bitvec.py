@@ -5,9 +5,39 @@ a0 + 2*a1 + ... + 2^{m-1}*a_{m-1}, so a0 is the least significant bit
 and the order relation on vectors of equal width is plain integer order.
 Internally everything is an int plus a width; hot loops elsewhere in the
 package work on raw ints and only wrap results at API boundaries.
+
+The same encoding turns an integer mask into per-index bits: bit i of the
+mask is entry i.  `mask_to_bits` and `bits_to_mask` convert between the
+two in time linear in the width, which matters for feedback tables of 2^n
+entries.
 """
 
 from __future__ import annotations
+
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def mask_to_bits(mask: int, n: int) -> bytes:
+    """The n entries of a mask as bytes of 0/1; entry i is bit i."""
+    if mask < 0 or mask.bit_length() > n:
+        raise ValueError(f"mask out of range for {n} entries")
+    # the top sentinel bit keeps leading zeros; [:0:-1] reverses and drops it
+    return format(mask | (1 << n), "b")[:0:-1].encode("ascii").translate(
+        _FROM_DIGITS)
+
+
+def bits_to_mask(bits) -> int:
+    """The mask whose bit i is entry i of a sequence of 0/1 values."""
+    if isinstance(bits, int):   # bytes(n) would read as n zero entries
+        raise TypeError("bits must be a sequence, not an int")
+    try:
+        data = bytes(bits)
+    except (TypeError, ValueError):
+        raise ValueError("bits must be 0 or 1") from None
+    if data.translate(None, b"\x00\x01"):
+        raise ValueError("bits must be 0 or 1")
+    return int(b"0" + data[::-1].translate(_TO_DIGITS), 2)
 
 
 class BitVec:
@@ -30,12 +60,7 @@ class BitVec:
     def from_bits(cls, bits) -> "BitVec":
         """Build from an iterable of bits given in (a0, a1, ...) order."""
         bits = list(bits)
-        value = 0
-        for j, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << j
-        return cls(value, len(bits))
+        return cls(bits_to_mask(bits), len(bits))
 
     @classmethod
     def parse(cls, text: str) -> "BitVec":
@@ -65,7 +90,7 @@ class BitVec:
     __getitem__ = bit
 
     def bits(self) -> tuple:
-        return tuple((self.value >> j) & 1 for j in range(self.width))
+        return tuple(mask_to_bits(self.value, self.width))
 
     def __len__(self) -> int:
         return self.width

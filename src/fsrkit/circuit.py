@@ -18,7 +18,7 @@ input counts this package deals with.
 
 from __future__ import annotations
 
-from .bitvec import BitVec
+from .bitvec import BitVec, bits_to_mask, mask_to_bits
 
 #: inputs beyond this are refused by the exhaustive operations
 SAT_ARITY_BOUND = 24
@@ -56,12 +56,7 @@ class TruthTable:
         arity = n.bit_length() - 1
         if n != (1 << arity) or n < 2:
             raise ValueError("bit count must be a power of two >= 2")
-        mask = 0
-        for j, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("table entries must be 0 or 1")
-            mask |= b << j
-        return cls(arity, mask)
+        return cls(arity, bits_to_mask(bits))
 
     def __getitem__(self, j: int) -> int:
         if not 0 <= j < (1 << self.arity):
@@ -69,7 +64,7 @@ class TruthTable:
         return (self.mask >> j) & 1
 
     def bits(self) -> list:
-        return [(self.mask >> j) & 1 for j in range(1 << self.arity)]
+        return list(mask_to_bits(self.mask, 1 << self.arity))
 
     def __eq__(self, other):
         if not isinstance(other, TruthTable):
@@ -236,22 +231,6 @@ class Circuit:
             return None
         least = (mask & -mask).bit_length() - 1
         return BitVec(least, self.arity)
-
-
-def evaluate(circuit: Circuit, x) -> int:
-    return circuit.evaluate(x)
-
-
-def size(circuit: Circuit) -> int:
-    return circuit.size
-
-
-def is_satisfiable(circuit: Circuit, bound: int = SAT_ARITY_BOUND):
-    return circuit.is_satisfiable(bound)
-
-
-def truth_table(circuit: Circuit, bound: int = SAT_ARITY_BOUND) -> TruthTable:
-    return circuit.truth_table(bound)
 
 
 class Builder:

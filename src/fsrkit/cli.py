@@ -14,8 +14,9 @@ import time
 from dataclasses import dataclass
 
 from . import analysis, reduction, verify
-from .circuit import CircuitParseError, parse_circuit, write_circuit
-from .fsr import FsrParseError, cycle_structure, parse_fsr, write_fsr
+from .circuit import CircuitParseError, parse_circuit
+from .fsr import (Fsr, FsrParseError, cycle_structure, parse_fsr, write_fsr,
+                  write_fsr_circuit)
 from .lfsr import LfsrFamily, lfsr_of
 
 
@@ -73,8 +74,7 @@ def cmd_reduce(args) -> int:
         if inst.f1_circuit is None:
             print("error: no circuit form was built", file=sys.stderr)
             return 2
-        text = ("STAGE %d\nFEEDBACK CIRCUIT\n" % inst.stage
-                + write_circuit(inst.f1_circuit))
+        text = write_fsr_circuit(Fsr(inst.stage, circuit=inst.f1_circuit))
     with open(out, "w") as fh:
         fh.write(text)
     print(f"stage={inst.stage} ell={inst.ell} k={inst.k} r={inst.r}")

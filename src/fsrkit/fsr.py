@@ -9,19 +9,27 @@ States are integers under the low-bit-first encoding, so one step is
 (s >> 1) | (f1(s) << (n-1)) and the bit shifted out (s & 1) is the output.
 Periodic output sequences are kept as Cycle values: the minimal-period bit
 string in its lexicographically least rotation.
+
+Every orbit walk in the package goes through `orbits`, which splits a
+permutation of range(n) into its orbits; an orbit's cycle is the low bit of
+each of its states in turn (`orbit_cycle`).
 """
 
 from __future__ import annotations
 
 import os
 
-from .bitvec import BitVec
-from .circuit import Circuit
+from .bitvec import BitVec, mask_to_bits
+from .circuit import Circuit, parse_circuit, write_circuit
 
 
 def state_bound() -> int:
     """Stage cap for full state-space sweeps (env FSRKIT_STATE_BOUND)."""
     return int(os.environ.get("FSRKIT_STATE_BOUND", "24"))
+
+
+class InvariantError(RuntimeError):
+    """An internal result failed the check that must always hold for it."""
 
 
 class FsrParseError(ValueError):
@@ -135,10 +143,6 @@ class Cycle:
         return f"Cycle('{self}')"
 
 
-def windows(cycle: Cycle, k: int) -> frozenset:
-    return cycle.windows(k)
-
-
 def ell_sampling(cycle, ell: int, offset: int = 0) -> BitVec:
     """The stride-ell subsequence of a cyclic bit string, starting at offset.
 
@@ -180,9 +184,6 @@ class CycleStructure:
 
     def sorted(self) -> list:
         return sorted(self.cycles, key=Cycle.sort_key)
-
-    def periods(self) -> list:
-        return sorted(c.period for c in self.cycles)
 
     def __iter__(self):
         return iter(self.sorted())
@@ -263,25 +264,13 @@ class Fsr:
         if isinstance(table, int):
             if not 0 <= table < (1 << n):
                 raise ValueError("table mask out of range")
-            return bytes((table >> i) & 1 for i in range(n))
+            return mask_to_bits(table, n)
         data = bytes(table)
         if len(data) != n:
             raise ValueError(f"table needs {n} entries, got {len(data)}")
         if any(b not in (0, 1) for b in data):
             raise ValueError("table entries must be 0 or 1")
         return data
-
-    @classmethod
-    def from_table(cls, stage: int, table) -> "Fsr":
-        return cls(stage, table=table)
-
-    @classmethod
-    def from_circuit(cls, circuit: Circuit) -> "Fsr":
-        return cls(circuit.arity, circuit=circuit)
-
-    @classmethod
-    def from_fn(cls, stage: int, fn) -> "Fsr":
-        return cls(stage, fn=fn)
 
     @property
     def table(self) -> bytes:
@@ -291,19 +280,13 @@ class Fsr:
                 raise ValueError(
                     f"stage {self.stage} exceeds state bound {state_bound()}")
             if self.circuit is not None:
-                mask = self.circuit.output_masks(bound=state_bound())[0]
-                self._table = bytes(
-                    (mask >> i) & 1 for i in range(1 << self.stage))
+                self._table = mask_to_bits(
+                    self.circuit.output_masks(bound=state_bound())[0],
+                    1 << self.stage)
             else:
                 self._table = bytes(
                     self._fn(s) & 1 for s in range(1 << self.stage))
         return self._table
-
-    def table_mask(self) -> int:
-        mask = 0
-        for i, b in enumerate(self.table):
-            mask |= b << i
-        return mask
 
     def feedback_bit(self, s: int) -> int:
         if self._table is not None:
@@ -314,10 +297,6 @@ class Fsr:
 
     def step_int(self, s: int) -> int:
         return (s >> 1) | (self.feedback_bit(s) << (self.stage - 1))
-
-    def char_bit(self, y: int) -> int:
-        """The characteristic function on y in B^{stage+1}."""
-        return ((y >> self.stage) & 1) ^ self.feedback_bit(y & ((1 << self.stage) - 1))
 
     def complement(self) -> "Fsr":
         """The register whose characteristic function is flipped."""
@@ -364,28 +343,44 @@ def is_nonsingular(f: Fsr) -> bool:
     return bijective
 
 
-def cycle_structure(f: Fsr) -> CycleStructure:
-    """Partition all 2^n states of a nonsingular register into cycles."""
+def orbits(succ, n: int):
+    """Yield the orbits of a permutation succ of range(n), each as the list
+    of its states in stepping order.  Seeds ascend, so each orbit starts at
+    its least state.  On a map that is not a permutation the lists are not
+    orbits: callers check bijectivity first."""
+    visited = bytearray(n)
+    for seed in range(n):
+        if visited[seed]:
+            continue
+        orbit = []
+        s = seed
+        while not visited[s]:
+            visited[s] = 1
+            orbit.append(s)
+            s = succ(s)
+        yield orbit
+
+
+def orbit_cycle(orbit) -> Cycle:
+    """The output cycle of an orbit: the low bit of each state in turn."""
+    return Cycle(s & 1 for s in orbit)
+
+
+def state_orbits(f: Fsr):
+    """The orbits of a nonsingular register's state map (see `orbits`);
+    each orbit's states are exactly the stage-windows of its cycle."""
     if f.stage > state_bound():
         raise ValueError(f"stage {f.stage} exceeds state bound {state_bound()}")
     if not is_nonsingular(f):
         raise ValueError("singular register has no cycle partition")
     tbl = f.table
-    n = 1 << f.stage
     top = f.stage - 1
-    visited = bytearray(n)
-    cycles = []
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        s = seed
-        bits = []
-        while not visited[s]:
-            visited[s] = 1
-            bits.append(s & 1)
-            s = (s >> 1) | (tbl[s] << top)
-        cycles.append(Cycle(bits))
-    return CycleStructure(cycles)
+    return orbits(lambda s: (s >> 1) | (tbl[s] << top), 1 << f.stage)
+
+
+def cycle_structure(f: Fsr) -> CycleStructure:
+    """Partition all 2^n states of a nonsingular register into cycles."""
+    return CycleStructure(orbit_cycle(o) for o in state_orbits(f))
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +485,16 @@ def simulate_cascade(f: Fsr, g: Fsr) -> CycleStructure:
     g1 = g.table
     top_f = n - 1
     top_g = m - 1
-    total = 1 << (n + m)
-    visited = bytearray(total)
-    cycles = set()
-    for seed in range(total):
-        if visited[seed]:
-            continue
-        j = seed
-        bits = []
-        while not visited[j]:
-            visited[j] = 1
-            x, y = j >> m, j & ((1 << m) - 1)
-            bits.append(y & 1)
-            y2 = (y >> 1) | ((g1[y] ^ (x & 1)) << top_g)
-            x2 = (x >> 1) | (f1[x] << top_f)
-            j = (x2 << m) | y2
-        cycles.add(Cycle(bits))
-    return CycleStructure(cycles)
+    mask_m = (1 << m) - 1
+
+    def succ(j):
+        # joint state (x << m) | y; the output is y's low bit, j's low bit
+        x, y = j >> m, j & mask_m
+        y2 = (y >> 1) | ((g1[y] ^ (x & 1)) << top_g)
+        x2 = (x >> 1) | (f1[x] << top_f)
+        return (x2 << m) | y2
+
+    return CycleStructure(orbit_cycle(o) for o in orbits(succ, 1 << (n + m)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +508,6 @@ def write_fsr(f: Fsr) -> str:
 
 def write_fsr_circuit(f: Fsr) -> str:
     """STAGE header plus the feedback circuit inline."""
-    from .circuit import write_circuit
     if f.circuit is None:
         raise ValueError("register has no circuit form")
     return f"STAGE {f.stage}\nFEEDBACK CIRCUIT\n" + write_circuit(f.circuit)
@@ -533,8 +520,6 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
     one 0/1 digit per state, index order, or ``FEEDBACK CIRCUIT [path]``;
     with no path the circuit text follows inline until end of file.
     """
-    from .circuit import parse_circuit
-
     lines = text.splitlines()
     idx = 0
     stage = None
@@ -571,9 +556,11 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
             if len(toks) != 3:
                 raise FsrParseError("FEEDBACK TABLE takes one digit string", lineno)
             digits = toks[2]
-            if len(digits) != (1 << stage):
+            # compare lengths without building 2^stage from an untrusted stage
+            size = len(digits)
+            if size & (size - 1) or size.bit_length() - 1 != stage:
                 raise FsrParseError(
-                    f"table needs {1 << stage} digits, got {len(digits)}", lineno)
+                    f"table needs 2^{stage} digits, got {size}", lineno)
             if any(ch not in "01" for ch in digits):
                 raise FsrParseError("table digits must be 0 or 1", lineno)
             return Fsr(stage, table=[int(ch) for ch in digits])

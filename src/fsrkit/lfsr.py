@@ -10,17 +10,24 @@ builders: for ell a power of three,
     p2 = x^(4*ell) + x^(2*ell) + 1    which equals p0 squared
 
 and the exactly known cycle counts of the corresponding linear registers.
+
+A linear register's state map has one encoding, `linear_step`, built from
+the polynomial's tap mask (the mask `lfsr_of` XORs for its feedback): a
+table lookup up to degree LINEAR_TABLE_DEGREE_BOUND, computed per step
+above it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bitvec import BitVec
-from .fsr import Fsr, cycle_structure
+from .fsr import Fsr, InvariantError, cycle_structure
 
 IRREDUCIBILITY_DEGREE_BOUND = 36
+LINEAR_TABLE_DEGREE_BOUND = 18
 
 
 class GF2Poly:
@@ -48,9 +55,6 @@ class GF2Poly:
         if self.value == 0:
             raise ValueError("zero polynomial has no degree")
         return self.value.bit_length() - 1
-
-    def is_monic(self) -> bool:
-        return self.value != 0
 
     def __mul__(self, other: "GF2Poly") -> "GF2Poly":
         a, b = self.value, other.value
@@ -144,30 +148,53 @@ def parse_poly(text: str) -> GF2Poly:
     return GF2Poly(v)
 
 
+def tap_mask(p: GF2Poly) -> int:
+    """For p = x^n + c_{n-1} x^{n-1} + ... + c_0, the mask with bit i set
+    when c_i = 1: the state bits whose parity is the linear feedback."""
+    if p.value == 0 or p.degree < 1:
+        raise ValueError("need a monic polynomial of degree >= 1")
+    return p.value & ((1 << p.degree) - 1)
+
+
 def lfsr_of(p: GF2Poly) -> Fsr:
     """The linear register whose characteristic polynomial is p.
 
     For p = x^n + c_{n-1} x^{n-1} + ... + c_0 the feedback is the parity
     of the tapped state bits c_i * x_i.
     """
-    if p.value == 0 or p.degree < 1:
-        raise ValueError("need a monic polynomial of degree >= 1")
-    n = p.degree
-    taps = p.value & ((1 << n) - 1)
+    taps = tap_mask(p)
 
-    def feedback(s: int, taps=taps) -> int:
+    def feedback(s: int) -> int:
         return (s & taps).bit_count() & 1
 
-    return Fsr(n, fn=feedback)
+    return Fsr(p.degree, fn=feedback)
+
+
+@lru_cache(maxsize=8)
+def linear_step(p: GF2Poly):
+    """The state map of lfsr_of(p) on integer states, as a callable.
+
+    Up to degree LINEAR_TABLE_DEGREE_BOUND it looks the state up in a
+    table; above, it computes the tap parity on each call.  The last few
+    maps built are cached.
+    """
+    taps = tap_mask(p)
+    top = p.degree - 1
+
+    def step(s: int) -> int:
+        return (s >> 1) | (((s & taps).bit_count() & 1) << top)
+
+    if p.degree > LINEAR_TABLE_DEGREE_BOUND:
+        return step
+    return list(map(step, range(1 << p.degree))).__getitem__
 
 
 # -- powers of the linear state map -----------------------------------------
 
 def _step_matrix(p: GF2Poly) -> list:
     """Column masks of the state map: entry j is the image of basis state 2^j."""
-    f = lfsr_of(p)
-    n = p.degree
-    return [f.step_int(1 << j) for j in range(n)]
+    step = linear_step(p)
+    return [step(1 << j) for j in range(p.degree)]
 
 
 def _mat_apply(cols: list, s: int) -> int:
@@ -198,10 +225,10 @@ def transform_pow(p: GF2Poly, t: int, s: BitVec, method: str = "auto") -> BitVec
     if method == "auto":
         method = "step" if t <= 8 * p.degree else "matrix"
     if method == "step":
-        f = lfsr_of(p)
+        step = linear_step(p)
         v = s.value
         for _ in range(t):
-            v = f.step_int(v)
+            v = step(v)
         return BitVec(v, s.width)
     if method == "matrix":
         acc = [1 << j for j in range(p.degree)]  # identity
@@ -240,10 +267,10 @@ class LfsrFamily:
         p0 = GF2Poly.from_terms(2 * ell, ell, 0)
         p1 = GF2Poly.from_terms(1, 0) * p0
         p2 = GF2Poly.from_terms(4 * ell, 2 * ell, 0)
-        fam = cls(ell, p0, p1, p2)
-        assert p0.degree == 2 * ell and p1.degree == 2 * ell + 1
-        assert p2 == p0 * p0
-        return fam
+        if not (p0.degree == 2 * ell and p1.degree == 2 * ell + 1
+                and p2 == p0 * p0):
+            raise InvariantError(f"trinomial family for ell={ell} is malformed")
+        return cls(ell, p0, p1, p2)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 from .bitvec import BitVec
 from .circuit import Builder, Circuit, TruthTable
-from .fsr import Cycle, CycleStructure, Fsr, is_nonsingular
-from .lfsr import LfsrFamily
+from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
+                  orbit_cycle, orbits)
+from .lfsr import GF2Poly, LfsrFamily, linear_step
 
 EXHAUSTIVE_ELL_BOUND = 3
 
@@ -42,52 +43,9 @@ def ell_for(r: int) -> tuple:
     while 2 * ell < r:
         k += 1
         ell *= 3
+    if not r <= 2 * ell <= 3 * r - 1:
+        raise InvariantError(f"ell={ell} out of range for r={r}")
     return k, ell
-
-
-# ---------------------------------------------------------------------------
-# linear-map tables
-
-_lstep_cache = {}
-
-
-def _lstep_table(width: int, tap: int) -> list:
-    """Step table of the one-tap-plus-low-bit linear register x^w+x^tap+1."""
-    key = (width, tap)
-    tbl = _lstep_cache.get(key)
-    if tbl is None:
-        top = width - 1
-        tbl = [(s >> 1) | (((s & 1) ^ ((s >> tap) & 1)) << top)
-               for s in range(1 << width)]
-        _lstep_cache[key] = tbl
-    return tbl
-
-
-def _p2_step(ell: int):
-    """State map of x^(4*ell) + x^(2*ell) + 1, as table or arithmetic."""
-    m = 4 * ell
-    if ell <= EXHAUSTIVE_ELL_BOUND:
-        return _lstep_table(m, 2 * ell).__getitem__
-    top = m - 1
-    tap = 2 * ell
-
-    def step(s):
-        return (s >> 1) | (((s & 1) ^ ((s >> tap) & 1)) << top)
-
-    return step
-
-
-def _p0_step(ell: int):
-    """State map of x^(2*ell) + x^ell + 1."""
-    m = 2 * ell
-    if ell <= 9:
-        return _lstep_table(m, ell).__getitem__
-    top = m - 1
-
-    def step(s, ell=ell):
-        return (s >> 1) | (((s & 1) ^ ((s >> ell) & 1)) << top)
-
-    return step
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +75,8 @@ def f2_transform(f0: Circuit) -> Circuit:
     else:
         out = b.AND(b.AND(nz, b.NOT(b.and_chain(b.inputs()))), f0x)
     circ = b.build(out)
-    assert circ.truth_table() == f2_table(tt)
+    if circ.truth_table() != f2_table(tt):
+        raise InvariantError("normalization circuit disagrees with its table")
     return circ
 
 
@@ -131,7 +90,7 @@ def alg1_f3_semantic(ell: int, f0_tt: TruthTable):
     shift_r = m - r
     span = 6 * ell
     half = 3 * ell
-    L = _p2_step(ell)
+    L = linear_step(LfsrFamily.for_ell(ell).p2)
     f0b = f0_tt.bits()
 
     def orbit_flag(s):
@@ -191,7 +150,7 @@ def alg2_f3_semantic(ell: int, f2_tt: TruthTable):
     m2 = 2 * ell
     shift_r = m2 - r
     span = 3 * ell
-    L = _p0_step(ell)
+    L = linear_step(LfsrFamily.for_ell(ell).p0)
     f2b = f2_tt.bits()
     low = (1 << (m2 - 1)) - 1
 
@@ -407,33 +366,36 @@ def alg2_size_bound(f0_size: int) -> int:
     return 264 * f0_size ** 3
 
 
+def _toggled_linear(p: GF2Poly, f3, tabulate: bool) -> tuple:
+    """(register, f3 table or None): the register whose feedback is the
+    linear feedback of p XOR the toggle field f3 on the state's upper
+    bits (x1..x_{n-1}).  Tabulated, f3 is evaluated once per window and
+    the register is checked to be nonsingular; otherwise both are lazy."""
+    n = p.degree
+    top = n - 1
+    L = linear_step(p)
+    if not tabulate:
+        return Fsr(n, fn=lambda s: (L(s) >> top) ^ f3(s >> 1)), None
+    f3_tab = tuple(f3(x) for x in range(1 << top))
+    fsr = Fsr(n, table=bytes((L(s) >> top) ^ f3_tab[s >> 1]
+                             for s in range(1 << n)))
+    if not is_nonsingular(fsr):
+        raise InvariantError("toggled linear register is singular")
+    return fsr, f3_tab
+
+
 def build_irreducibility_fsr(f0: Circuit, build_circuit: bool = None
                              ) -> ReductionInstance:
     """The 4*ell-stage register that is irreducible iff f0 is satisfiable."""
     r = f0.arity
     k, ell = ell_for(r)
-    assert r <= 2 * ell <= 3 * r - 1
     m = 4 * ell
     f0_tt = f0.truth_table()
     f3 = alg1_f3_semantic(ell, f0_tt)
     if build_circuit is None:
         build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
-
-    if ell <= EXHAUSTIVE_ELL_BOUND:
-        f3_tab = tuple(f3(x) for x in range(1 << (m - 1)))
-        tap = 2 * ell
-        table = bytes(((s & 1) ^ ((s >> tap) & 1) ^ f3_tab[s >> 1])
-                      for s in range(1 << m))
-        fsr = Fsr(m, table=table)
-        assert is_nonsingular(fsr)
-    else:
-        f3_tab = None
-        tap = 2 * ell
-
-        def feedback(s, tap=tap, f3=f3):
-            return (s & 1) ^ ((s >> tap) & 1) ^ f3(s >> 1)
-
-        fsr = Fsr(m, fn=feedback)
+    fsr, f3_tab = _toggled_linear(LfsrFamily.for_ell(ell).p2, f3,
+                                  ell <= EXHAUSTIVE_ELL_BOUND)
 
     f3c = f1c = report = None
     if build_circuit:
@@ -457,30 +419,13 @@ def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
     of (x+1) * (x^(2*ell) + x^ell + 1)."""
     r = f0.arity
     k, ell = ell_for(r)
-    assert r <= 2 * ell <= 3 * r - 1
     stage = 2 * ell + 1
     f2t = f2_table(f0.truth_table())
     f3 = alg2_f3_semantic(ell, f2t)
     if build_circuit is None:
         build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
-
-    if ell <= EXHAUSTIVE_ELL_BOUND:
-        f3_tab = tuple(f3(x) for x in range(1 << (stage - 1)))
-        table = bytes(((s & 1) ^ ((s >> 1) & 1) ^ ((s >> ell) & 1)
-                       ^ ((s >> (ell + 1)) & 1) ^ ((s >> (2 * ell)) & 1)
-                       ^ f3_tab[s >> 1])
-                      for s in range(1 << stage))
-        fsr = Fsr(stage, table=table)
-        assert is_nonsingular(fsr)
-    else:
-        f3_tab = None
-
-        def feedback(s, ell=ell, f3=f3):
-            return ((s & 1) ^ ((s >> 1) & 1) ^ ((s >> ell) & 1)
-                    ^ ((s >> (ell + 1)) & 1) ^ ((s >> (2 * ell)) & 1)
-                    ^ f3(s >> 1))
-
-        fsr = Fsr(stage, fn=feedback)
+    fsr, f3_tab = _toggled_linear(LfsrFamily.for_ell(ell).p1, f3,
+                                  ell <= EXHAUSTIVE_ELL_BOUND)
 
     f2c = f2_transform(f0)
     f3c = f1c = report = None
@@ -518,25 +463,17 @@ class Alg1Oracle:
         self.family = LfsrFamily.for_ell(ell)
         m = self.m = 4 * ell
         N = 1 << m
-        L = _lstep_table(m, 2 * ell)
-        cycle_id = [-1] * N
-        windows = []   # id -> list of states
-        for seed in range(N):
-            if cycle_id[seed] >= 0:
-                continue
-            cid = len(windows)
-            orbit = []
-            s = seed
-            while cycle_id[s] < 0:
+        L = linear_step(self.family.p2)
+        windows = list(orbits(L, N))   # id -> list of states
+        cycle_id = [0] * N
+        for cid, orbit in enumerate(windows):
+            for s in orbit:
                 cycle_id[s] = cid
-                orbit.append(s)
-                s = L[s]
-            windows.append(orbit)
         self._cycle_id = cycle_id
         self._windows = windows
         self._period = [len(o) for o in windows]
         self._minw = [min(o) for o in windows]
-        self._cycle_obj = [Cycle(s & 1 for s in o) for o in windows]
+        self._cycle_obj = [orbit_cycle(o) for o in windows]
         self._obj_to_id = {c: i for i, c in enumerate(self._cycle_obj)}
         long_period = 6 * ell
 
@@ -561,7 +498,7 @@ class Alg1Oracle:
             v = self._minw[cid]
             if cid in d_ids:
                 for _ in range(5 * ell):
-                    v = L[v]
+                    v = L(v)
             rho.append(v)
         self._rho = rho
         rho_set = set(rho)
@@ -599,14 +536,8 @@ class Alg1Oracle:
     def cycle_of(self, v) -> Cycle:
         return self._cycle_obj[self._cycle_id[int(v)]]
 
-    def in_d(self, c: Cycle) -> bool:
-        return self._obj_to_id[c] in self._d_ids
-
     def rho(self, c: Cycle) -> BitVec:
         return BitVec(self._rho[self._obj_to_id[c]], self.m)
-
-    def rho_int(self, c: Cycle) -> int:
-        return self._rho[self._obj_to_id[c]]
 
     def lam(self, v) -> int:
         return self._lam[int(v)]
@@ -657,7 +588,9 @@ def f3_reference_irr(ell: int, f0: Circuit, oracle: Alg1Oracle = None):
 
 class Alg2Maps:
     """The window-difference map, the three-tap parity, and the marking
-    predicate for the indecomposability form, over (2*ell+1)-bit states."""
+    predicate for the indecomposability form, over (2*ell+1)-bit states;
+    p0_step and p1_step are the state maps of the family's linear
+    registers on 2*ell and 2*ell+1 bits."""
 
     def __init__(self, ell: int):
         if ell > EXHAUSTIVE_ELL_BOUND:
@@ -666,13 +599,12 @@ class Alg2Maps:
         self.ell = ell
         self.stage = 2 * ell + 1
         self._pi_mask = (1 << (2 * ell)) - 1
-        self._L = _lstep_table(2 * ell, ell)
+        fam = LfsrFamily.for_ell(ell)
+        self.p0_step = linear_step(fam.p0)
+        self.p1_step = linear_step(fam.p1)
 
     def pi_int(self, v: int) -> int:
         return (v ^ (v >> 1)) & self._pi_mask
-
-    def pi(self, v) -> BitVec:
-        return BitVec(self.pi_int(int(v)), 2 * self.ell)
 
     def chi(self, v) -> int:
         v = int(v)
@@ -686,20 +618,13 @@ class Alg2Maps:
         t = w
         mn = None
         for _ in range(3 * self.ell):
-            t = self._L[t]
+            t = self.p0_step(t)
             if mn is None or t < mn:
                 mn = t
         return 1 if w == mn else 0
 
     def lam_table(self) -> list:
         return [self.lam(v) for v in range(1 << self.stage)]
-
-    def p1_step(self, v: int) -> int:
-        """State map of the (2*ell+1)-stage linear register."""
-        ell = self.ell
-        fb = ((v ^ (v >> 1) ^ (v >> ell) ^ (v >> (ell + 1))
-               ^ (v >> (2 * ell))) & 1)
-        return (v >> 1) | (fb << (2 * ell))
 
 
 def f3_reference_dec(ell: int, f2_tt: TruthTable, maps: Alg2Maps = None):

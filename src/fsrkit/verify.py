@@ -90,11 +90,11 @@ def suite_conjprop(ell: int) -> SuiteResult:
     total = 1 << n
     ones = total - 1
     pi, chi = maps.pi_int, maps.chi
-    ltab = reduction._lstep_table(2 * ell, ell)
+    p0_step = maps.p0_step
 
     ok = _line(lines, ok, all(
         chi(v ^ 1) == chi(v) ^ 1 and chi(v ^ ones) == chi(v) ^ 1
-        and pi(v ^ 1) == pi(v) ^ 1 and ltab[pi(v)] == pi(maps.p1_step(v))
+        and pi(v ^ 1) == pi(v) ^ 1 and p0_step(pi(v)) == pi(maps.p1_step(v))
         for v in range(total)), "(i) conjugate/complement parity and map commutation")
 
     good = True
@@ -126,7 +126,7 @@ def suite_conjprop(ell: int) -> SuiteResult:
                "(iv) conjugation crosses to the complement family")
     w0_shift = 2 * ell - 1
     ok = _line(lines, ok, all(
-        (maps.p1_step(v) >> 1) == ltab[v >> 1] ^ (chi(v) << w0_shift)
+        (maps.p1_step(v) >> 1) == p0_step(v >> 1) ^ (chi(v) << w0_shift)
         for v in range(total)), "(v) window of the long step is the short step plus parity")
     return SuiteResult(f"conjprop ell={ell}", lines, ok)
 
@@ -138,7 +138,7 @@ def all_small_circuits(r: int) -> list:
     """Every r-input truth table as a circuit, r <= 2."""
     if r > 2:
         raise ValueError("exhaustive population is for r <= 2")
-    return [circuit.from_bits([(t >> v) & 1 for v in range(1 << r)])
+    return [circuit.from_truth_table(circuit.TruthTable(r, t))
             for t in range(1 << (1 << r))]
 
 
@@ -179,13 +179,20 @@ def sample_circuits(r: int, count: int, seed: int) -> list:
             c = table(bits)
         out.append(c)
     out = out[:count]
-    # make sure both verdicts are represented
-    assert any(c.is_satisfiable() is not None for c in out)
-    assert any(c.is_satisfiable() is None for c in out)
+    if not (any(c.is_satisfiable() is not None for c in out)
+            and any(c.is_satisfiable() is None for c in out)):
+        raise ValueError(f"a population of {count} r={r} circuits does not "
+                         f"hold both verdicts; take a count of at least 3")
     return out
 
 
 def population(r: int, count: int, seed: int) -> list:
+    """The suites' inputs: every r-input circuit for r <= 2, else a sample.
+    r is checked before any 2^r work: past 2 * EXHAUSTIVE_ELL_BOUND the
+    builders give stage-19 and stage-36 registers the oracles refuse."""
+    r_max = 2 * reduction.EXHAUSTIVE_ELL_BOUND
+    if not 1 <= r <= r_max:
+        raise ValueError(f"input count r={r} is outside 1..{r_max}")
     return all_small_circuits(r) if r <= 2 else sample_circuits(r, count, seed)
 
 

@@ -96,6 +96,12 @@ def test_analyze_subfsr(workdir, capsys):
     assert "subfsr-count=3" in out
 
 
+def test_analyze_huge_stage_exit_2(workdir, capsys):
+    path = write(workdir / "big.fsr", "STAGE 100000\nFEEDBACK TABLE 0101\n")
+    assert main(["analyze", "cycles", path]) == 2
+    assert "table needs 2^100000 digits" in capsys.readouterr().err
+
+
 def test_analyze_bounds_exit_2(workdir, capsys, monkeypatch):
     monkeypatch.setenv("FSRKIT_STATE_BOUND", "2")
     p1 = write(workdir / "p1.fsr", "STAGE 3\nFEEDBACK TABLE 01010101\n")
@@ -154,6 +160,20 @@ def test_verify_biconditional_irr_r2(capsys):
 def test_verify_conjprop(capsys):
     assert main(["verify", "conjprop", "--ell", "1"]) == 0
     assert "conjprop ell=1: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", ["biconditional-irr", "biconditional-dec"])
+def test_verify_population_with_one_verdict_exit_2(capsys, suite):
+    assert main(["verify", suite, "--r", "3", "--count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "both verdicts" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("r", ["0", "7", "-1"])
+def test_verify_input_count_out_of_range_exit_2(capsys, r):
+    assert main(["verify", "biconditional-irr", "--r", r]) == 2
+    err = capsys.readouterr().err
+    assert f"r={r} is outside 1..6" in err and "Traceback" not in err
 
 
 def test_console_script_subprocess(workdir):

@@ -304,3 +304,27 @@ def test_state_bound_env(monkeypatch):
     f = F.Fsr(4, table=[s & 1 for s in range(16)])
     with pytest.raises(ValueError):
         F.cycle_structure(f)
+
+
+def test_parse_checks_the_table_length_without_building_2_to_the_stage():
+    import tracemalloc
+    # 2^100000 has too many decimal digits to print; the parser must
+    # still raise its own error, naming the power instead
+    with pytest.raises(F.FsrParseError, match=r"2\^100000 digits"):
+        F.parse_fsr("STAGE 100000\nFEEDBACK TABLE 0101\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(F.FsrParseError):
+            F.parse_fsr("STAGE 100000000\nFEEDBACK TABLE 0101\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20      # 2^100000000 alone would take 12.5 MB
+    # circuit-backed registers above the state bound still parse
+    stage = 30
+    text = (f"STAGE {stage}\nFEEDBACK CIRCUIT\n"
+            + "".join(f"v{i} INPUT {i}\n" for i in range(stage)) + "SINK v0\n")
+    f = F.parse_fsr(text)
+    assert f.stage == stage and f.feedback_bit(5) == 1
+    with pytest.raises(ValueError):
+        f.table
