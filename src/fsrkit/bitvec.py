@@ -8,8 +8,9 @@ package work on raw ints and only wrap results at API boundaries.
 
 The same encoding turns an integer mask into per-index bits: bit i of the
 mask is entry i.  `mask_to_bits` and `bits_to_mask` convert between the
-two in time linear in the width, which matters for feedback tables of 2^n
-entries.
+two, and `bits_to_digits` and `digits_to_bits` between bits and the 0/1
+digit strings of the text formats, all in time linear in the width, which
+matters for feedback tables of 2^n entries.
 """
 
 from __future__ import annotations
@@ -18,17 +19,17 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def mask_to_bits(mask: int, n: int) -> bytes:
-    """The n entries of a mask as bytes of 0/1; entry i is bit i."""
-    if mask < 0 or mask.bit_length() > n:
-        raise ValueError(f"mask out of range for {n} entries")
-    # the top sentinel bit keeps leading zeros; [:0:-1] reverses and drops it
-    return format(mask | (1 << n), "b")[:0:-1].encode("ascii").translate(
-        _FROM_DIGITS)
+def digits_to_bits(digits: str) -> bytes:
+    """A string of 0/1 digits as bytes of 0/1; entry i is character i."""
+    data = digits.encode("ascii", "replace")
+    if data.translate(None, b"01"):
+        raise ValueError("digits must be 0 or 1")
+    return data.translate(_FROM_DIGITS)
 
 
-def bits_to_mask(bits) -> int:
-    """The mask whose bit i is entry i of a sequence of 0/1 values."""
+def bits_to_digits(bits) -> str:
+    """A sequence of 0/1 values as a string of 0/1 digits; character i is
+    entry i."""
     if isinstance(bits, int):   # bytes(n) would read as n zero entries
         raise TypeError("bits must be a sequence, not an int")
     try:
@@ -37,7 +38,20 @@ def bits_to_mask(bits) -> int:
         raise ValueError("bits must be 0 or 1") from None
     if data.translate(None, b"\x00\x01"):
         raise ValueError("bits must be 0 or 1")
-    return int(b"0" + data[::-1].translate(_TO_DIGITS), 2)
+    return data.translate(_TO_DIGITS).decode("ascii")
+
+
+def mask_to_bits(mask: int, n: int) -> bytes:
+    """The n entries of a mask as bytes of 0/1; entry i is bit i."""
+    if mask < 0 or mask.bit_length() > n:
+        raise ValueError(f"mask out of range for {n} entries")
+    # the top sentinel bit keeps leading zeros; [:0:-1] reverses and drops it
+    return digits_to_bits(format(mask | (1 << n), "b")[:0:-1])
+
+
+def bits_to_mask(bits) -> int:
+    """The mask whose bit i is entry i of a sequence of 0/1 values."""
+    return int("0" + bits_to_digits(bits)[::-1], 2)
 
 
 class BitVec:

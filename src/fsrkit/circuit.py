@@ -13,15 +13,28 @@ the convention the rest of the package relies on for gadget bookkeeping.
 
 Satisfiability and truth tables are computed by exhaustive scan, batched
 as bitmask integers (one bit per assignment), which is plenty for the
-input counts this package deals with.
+input counts this package deals with.  A vertex's lane is needed only up
+to its last reader; when keeping every lane to the end would hold more
+than LIVE_LANE_BYTES, the pass drops each lane once it is dead, so it
+holds only the live frontier.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .bitvec import BitVec, bits_to_mask, mask_to_bits
 
 #: inputs beyond this are refused by the exhaustive operations
 SAT_ARITY_BOUND = 24
+
+#: a lane pass that would keep more bytes of lanes than this (vertices times
+#: lane bits / 8) frees each lane after its last reader; below it finding
+#: the last readers costs more time than the freed memory saves
+LIVE_LANE_BYTES = 1 << 26
+
+#: the vertex kinds; parsed circuits share these strings
+IN, AND, OR, NOT = "IN", "AND", "OR", "NOT"
 
 
 class CircuitParseError(ValueError):
@@ -76,6 +89,24 @@ class TruthTable:
 
     def __repr__(self):
         return f"TruthTable.from_bits({self.bits()})"
+
+
+def input_lanes(r: int) -> list:
+    """Lane i holds input i over all 2^r assignments: bit j is (j >> i) & 1.
+
+    Each lane repeats 2^i zeros then 2^i ones; the pattern is doubled up to
+    2^r bits, so building a lane is linear in its width.
+    """
+    total = 1 << r
+    lanes = []
+    for i in range(r):
+        width = 2 << i
+        lane = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < total:
+            lane |= lane << width
+            width <<= 1
+        lanes.append(lane)
+    return lanes
 
 
 class Circuit:
@@ -136,24 +167,66 @@ class Circuit:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _run(self, in_vals, full):
+    def _run(self, in_vals, full) -> list:
         """One topological pass; in_vals[i] is the value fed to input i.
 
         Values are integers treated as bit-parallel lanes; ``full`` is the
-        all-ones lane mask used for NOT.
+        all-ones lane mask used for NOT.  Returns the output wires' values.
         """
+        if len(self.nodes) * full.bit_length() > 8 * LIVE_LANE_BYTES:
+            return self._run_live(in_vals, full)
+        return self._run_all(in_vals, full)
+
+    def _run_all(self, in_vals, full) -> list:
+        """The plain pass: every lane is kept until the pass ends."""
         vals = [0] * len(self.nodes)
         for k, node in enumerate(self.nodes):
             op = node[0]
-            if op == "IN":
+            if op == IN:
                 vals[k] = in_vals[node[1]]
-            elif op == "AND":
+            elif op == AND:
                 vals[k] = vals[node[1]] & vals[node[2]]
-            elif op == "OR":
+            elif op == OR:
                 vals[k] = vals[node[1]] | vals[node[2]]
             else:
                 vals[k] = vals[node[1]] ^ full
-        return vals
+        return [vals[o] for o in self.outputs]
+
+    def _run_live(self, in_vals, full) -> list:
+        """The freeing pass: a lane is dropped right after its last reader,
+        so only the live frontier is held.  Output wires are kept."""
+        nodes = self.nodes
+        n = len(nodes)
+        last = list(range(n))   # a vertex nobody reads dies where it is made
+        for k, node in enumerate(nodes):
+            if node[0] != IN:
+                last[node[1]] = k
+                if len(node) == 3:
+                    last[node[2]] = k
+        for o in self.outputs:
+            last[o] = n
+        vals = [None] * n
+        for k, node in enumerate(nodes):
+            op = node[0]
+            if op == IN:
+                vals[k] = in_vals[node[1]]
+            else:
+                a = node[1]
+                if op == NOT:
+                    vals[k] = vals[a] ^ full
+                else:
+                    b = node[2]
+                    if op == AND:
+                        vals[k] = vals[a] & vals[b]
+                    else:
+                        vals[k] = vals[a] | vals[b]
+                    if last[b] == k:
+                        vals[b] = None
+                if last[a] == k:
+                    vals[a] = None
+            if last[k] == k:
+                vals[k] = None
+        return [vals[o] for o in self.outputs]
 
     def evaluate_outputs(self, x) -> tuple:
         """Evaluate all output wires on one input vector."""
@@ -169,8 +242,7 @@ class Circuit:
             for j, b in enumerate(bits):
                 xi |= (b & 1) << j
         in_vals = [(xi >> i) & 1 for i in range(self.arity)]
-        vals = self._run(in_vals, 1)
-        return tuple(vals[o] for o in self.outputs)
+        return tuple(self._run(in_vals, 1))
 
     def evaluate(self, x) -> int:
         """Evaluate the (single) sink on one input vector."""
@@ -187,20 +259,7 @@ class Circuit:
         r = self.arity
         if r > bound:
             raise ValueError(f"arity {r} exceeds exhaustive bound {bound}")
-        total = 1 << r
-        full = (1 << total) - 1
-        in_vals = []
-        for i in range(r):
-            block = (1 << (1 << i)) - 1
-            step = 1 << (i + 1)
-            m = 0
-            pos = 1 << i
-            while pos < total:
-                m |= block << pos
-                pos += step
-            in_vals.append(m)
-        vals = self._run(in_vals, full)
-        return [vals[o] for o in self.outputs]
+        return self._run(input_lanes(r), (1 << (1 << r)) - 1)
 
     def evaluate_batch(self, assignments) -> list:
         """Evaluate the circuit on a list of input vectors in one pass.
@@ -208,16 +267,9 @@ class Circuit:
         Returns, per output wire, an integer whose bit j is the output on
         assignments[j] (each assignment an integer-encoded vector).
         """
-        n = len(assignments)
-        full = (1 << n) - 1
-        in_vals = []
-        for i in range(self.arity):
-            m = 0
-            for j, a in enumerate(assignments):
-                m |= ((a >> i) & 1) << j
-            in_vals.append(m)
-        vals = self._run(in_vals, full)
-        return [vals[o] for o in self.outputs]
+        in_vals = [bits_to_mask(bytes((a >> i) & 1 for a in assignments))
+                   for i in range(self.arity)]
+        return self._run(in_vals, (1 << len(assignments)) - 1)
 
     def truth_table(self, bound: int = SAT_ARITY_BOUND) -> TruthTable:
         if len(self.outputs) != 1:
@@ -473,10 +525,17 @@ def _vertex_ref(tok: str, limit: int, lineno: int) -> int:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format; rejects forward references and double SINKs."""
+    return parse_circuit_lines(text.splitlines())
+
+
+def parse_circuit_lines(lines, start: int = 0) -> Circuit:
+    """Parse lines[start:] as circuit text.  Errors carry 1-based line
+    numbers within ``lines``, so a circuit inside a larger file reports
+    the file's line numbers."""
     nodes = []
     sink = None
     max_input = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(islice(lines, start, None), start=start + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -507,23 +566,23 @@ def parse_circuit(text: str) -> Circuit:
             if i < 0:
                 raise CircuitParseError("negative input index", lineno)
             max_input = max(max_input, i)
-            nodes.append(("IN", i))
-        elif op in ("AND", "OR"):
+            nodes.append((IN, i))
+        elif op in (AND, OR):
             if len(toks) != 4:
                 raise CircuitParseError(f"{op} takes two operands", lineno)
             a = _vertex_ref(toks[2], k, lineno)
             b2 = _vertex_ref(toks[3], k, lineno)
-            nodes.append((op, a, b2))
-        elif op == "NOT":
+            nodes.append((AND if op == AND else OR, a, b2))
+        elif op == NOT:
             if len(toks) != 3:
                 raise CircuitParseError("NOT takes one operand", lineno)
-            nodes.append(("NOT", _vertex_ref(toks[2], k, lineno)))
+            nodes.append((NOT, _vertex_ref(toks[2], k, lineno)))
         else:
             raise CircuitParseError(f"unknown vertex kind {op!r}", lineno)
     if not nodes:
-        raise CircuitParseError("empty circuit", 1)
+        raise CircuitParseError("empty circuit", start + 1)
     if sink is None:
-        raise CircuitParseError("missing SINK line", len(text.splitlines()) or 1)
+        raise CircuitParseError("missing SINK line", len(lines) or 1)
     if max_input < 0:
-        raise CircuitParseError("circuit has no INPUT vertex", 1)
+        raise CircuitParseError("circuit has no INPUT vertex", start + 1)
     return Circuit(max_input + 1, nodes, (sink,))

@@ -14,8 +14,9 @@ import time
 from dataclasses import dataclass
 
 from . import analysis, reduction, verify
-from .circuit import CircuitParseError, parse_circuit
-from .fsr import (Fsr, FsrParseError, cycle_structure, parse_fsr, write_fsr,
+from .bitvec import bits_to_digits
+from .circuit import parse_circuit
+from .fsr import (Fsr, InvariantError, cycle_structure, parse_fsr, write_fsr,
                   write_fsr_circuit)
 from .lfsr import LfsrFamily, lfsr_of
 
@@ -69,7 +70,7 @@ def cmd_reduce(args) -> int:
     if args.emit == "fsr":
         text = write_fsr(inst.fsr)
     elif args.emit == "table":
-        text = "".join(str(b) for b in inst.fsr.table) + "\n"
+        text = bits_to_digits(inst.fsr.table) + "\n"
     else:
         if inst.f1_circuit is None:
             print("error: no circuit form was built", file=sys.stderr)
@@ -97,7 +98,7 @@ def cmd_analyze(args) -> int:
     if args.mode == "subfsr":
         subs = analysis.find_subfsrs(f)
         for s in subs:
-            table = "".join(str(b) for b in s.fsr.table)
+            table = bits_to_digits(s.fsr.table)
             cyc = ",".join(str(c) for c in sorted(s.cycles, key=lambda c: c.sort_key()))
             print(f"stage={s.stage} table={table} cycles={cyc}")
         print(f"subfsr-count={len(subs)}")
@@ -111,8 +112,8 @@ def cmd_analyze(args) -> int:
         rep = analysis.is_decomposable(f, args.strategy, args.max_inner_stage)
         witness = None
         if rep.decomposable:
-            inner = "".join(str(b) for b in rep.inner.table)
-            outer = "".join(str(b) for b in rep.outer.table)
+            inner = bits_to_digits(rep.inner.table)
+            outer = bits_to_digits(rep.outer.table)
             witness = [f"inner stage={rep.inner.stage} table={inner}",
                        f"outer stage={rep.outer.stage} table={outer}",
                        f"free-entries={rep.free_entries}"]
@@ -223,11 +224,14 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CircuitParseError, FsrParseError) as e:
+    except (ValueError, OSError) as e:   # parse errors are ValueErrors too
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except InvariantError as e:
+        print(f"error: internal check failed: {e}", file=sys.stderr)
+        return 2
+    except RecursionError as e:
+        print(f"error: input nested too deeply: {e}", file=sys.stderr)
         return 2
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import os
 
-from .bitvec import BitVec, mask_to_bits
-from .circuit import Circuit, parse_circuit, write_circuit
+from .bitvec import BitVec, bits_to_digits, digits_to_bits, mask_to_bits
+from .circuit import Circuit, parse_circuit, parse_circuit_lines, write_circuit
 
 
 def state_bound() -> int:
@@ -137,7 +137,7 @@ class Cycle:
         return hash(self.bits)
 
     def __str__(self):
-        return "".join(str(b) for b in self.bits)
+        return bits_to_digits(self.bits)
 
     def __repr__(self):
         return f"Cycle('{self}')"
@@ -268,7 +268,7 @@ class Fsr:
         data = bytes(table)
         if len(data) != n:
             raise ValueError(f"table needs {n} entries, got {len(data)}")
-        if any(b not in (0, 1) for b in data):
+        if data.translate(None, b"\x00\x01"):
             raise ValueError("table entries must be 0 or 1")
         return data
 
@@ -502,8 +502,7 @@ def simulate_cascade(f: Fsr, g: Fsr) -> CycleStructure:
 
 def write_fsr(f: Fsr) -> str:
     """STAGE header plus the feedback table as one 0/1 digit per state."""
-    digits = "".join(str(b) for b in f.table)
-    return f"STAGE {f.stage}\nFEEDBACK TABLE {digits}\n"
+    return f"STAGE {f.stage}\nFEEDBACK TABLE {bits_to_digits(f.table)}\n"
 
 
 def write_fsr_circuit(f: Fsr) -> str:
@@ -561,9 +560,11 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
             if size & (size - 1) or size.bit_length() - 1 != stage:
                 raise FsrParseError(
                     f"table needs 2^{stage} digits, got {size}", lineno)
-            if any(ch not in "01" for ch in digits):
-                raise FsrParseError("table digits must be 0 or 1", lineno)
-            return Fsr(stage, table=[int(ch) for ch in digits])
+            try:
+                table = digits_to_bits(digits)
+            except ValueError:
+                raise FsrParseError("table digits must be 0 or 1", lineno) from None
+            return Fsr(stage, table=table)
         if toks[1] == "CIRCUIT":
             if len(toks) == 3:
                 path = os.path.join(base_dir, toks[2])
@@ -574,7 +575,7 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
                     raise FsrParseError(f"cannot read circuit {toks[2]!r}: {e}",
                                         lineno) from None
             elif len(toks) == 2:
-                circ = parse_circuit("\n".join(lines[idx:]))
+                circ = parse_circuit_lines(lines, idx)
             else:
                 raise FsrParseError("FEEDBACK CIRCUIT takes at most one path", lineno)
             if circ.arity != stage:

@@ -1,8 +1,9 @@
 import pytest
 
+from fsrkit import analysis
 from fsrkit.cli import main
 from fsrkit.circuit import from_bits, write_circuit
-from fsrkit.fsr import Fsr, parse_fsr, write_fsr
+from fsrkit.fsr import Fsr, InvariantError, parse_fsr, write_fsr
 
 
 @pytest.fixture
@@ -106,6 +107,20 @@ def test_analyze_bounds_exit_2(workdir, capsys, monkeypatch):
     monkeypatch.setenv("FSRKIT_STATE_BOUND", "2")
     p1 = write(workdir / "p1.fsr", "STAGE 3\nFEEDBACK TABLE 01010101\n")
     assert main(["analyze", "cycles", p1]) == 2
+
+
+@pytest.mark.parametrize("error", [InvariantError("outer factor mismatch"),
+                                   RecursionError("maximum recursion depth")])
+def test_internal_failures_exit_2_with_a_message(workdir, capsys, monkeypatch,
+                                                 error):
+    def fail(f):
+        raise error
+    monkeypatch.setattr(analysis, "is_irreducible", fail)
+    p0 = write(workdir / "p0.fsr", "STAGE 2\nFEEDBACK TABLE 0110\n")
+    assert main(["analyze", "irreducible", p0]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(error) in err
+    assert "Traceback" not in err
 
 
 def test_graph_command(workdir, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from fsrkit import fsr as F
 from fsrkit.bitvec import BitVec
+from fsrkit.circuit import CircuitParseError
 
 
 def pure_cycling(n):
@@ -281,6 +282,35 @@ def test_text_format():
               "v4 NOT v0\nv5 AND v4 v1\nv6 OR v3 v5\nSINK v6\n")
     g = F.parse_fsr(inline)
     assert list(g.table) == [0, 1, 1, 0]
+
+
+def test_inline_circuit_errors_carry_file_line_numbers(tmp_path):
+    body = "v0 INPUT 0\nv1 INPUT 1\nv2 AND v0 v7\nSINK v2\n"
+    with pytest.raises(CircuitParseError,
+                       match=r"^line 5: forward reference to v7$") as err:
+        F.parse_fsr("STAGE 2\nFEEDBACK CIRCUIT\n" + body)
+    assert err.value.lineno == 5
+    with pytest.raises(CircuitParseError, match=r"^line 8: forward reference"):
+        F.parse_fsr("# a register\n\nSTAGE 2\n\nFEEDBACK CIRCUIT\n" + body)
+    with pytest.raises(CircuitParseError, match=r"^line 4: missing SINK line"):
+        F.parse_fsr("STAGE 1\nFEEDBACK CIRCUIT\nv0 INPUT 0\nv1 NOT v0\n")
+    # a referenced circuit file reports its own line numbers
+    (tmp_path / "fb.ckt").write_text(body)
+    with pytest.raises(CircuitParseError, match=r"^line 3: forward reference"):
+        F.parse_fsr("STAGE 2\nFEEDBACK CIRCUIT fb.ckt\n", base_dir=str(tmp_path))
+
+
+def test_table_digits_round_trip_through_the_text_format():
+    rng = random.Random(7)
+    for stage in (1, 2, 5, 10):
+        table = bytes(rng.randrange(2) for _ in range(1 << stage))
+        text = F.write_fsr(F.Fsr(stage, table=table))
+        assert text == (f"STAGE {stage}\nFEEDBACK TABLE "
+                        + "".join(str(b) for b in table) + "\n")
+        assert F.parse_fsr(text).table == table
+    for bad in ("0\uff1101", "01a1", "-101", "0.01"):
+        with pytest.raises(F.FsrParseError):
+            F.parse_fsr(f"STAGE 2\nFEEDBACK TABLE {bad}\n")
 
 
 def test_cycle_listing_round_trip():

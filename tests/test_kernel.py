@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsrkit
-from fsrkit.bitvec import bits_to_mask, mask_to_bits
+from fsrkit.bitvec import bits_to_digits, bits_to_mask, digits_to_bits, mask_to_bits
 from fsrkit.fsr import orbits
 from fsrkit.lfsr import LINEAR_TABLE_DEGREE_BOUND, GF2Poly, lfsr_of, linear_step
 
@@ -61,6 +61,29 @@ def test_mask_conversions_reject_bad_arguments():
             mask_to_bits(mask, n)
     with pytest.raises(TypeError):
         bits_to_mask(5)
+
+
+@FIXED
+@given(st.lists(st.integers(0, 1), max_size=3000))
+def test_digit_strings_match_the_per_character_definition(bits):
+    digits = "".join(str(b) for b in bits)
+    assert bits_to_digits(bits) == bits_to_digits(bytes(bits)) == digits
+    assert digits_to_bits(digits) == bytes(int(ch) for ch in digits)
+
+
+@FIXED
+@given(st.text(max_size=40).filter(lambda t: set(t) - set("01")))
+def test_digits_to_bits_rejects_characters_other_than_0_and_1(text):
+    with pytest.raises(ValueError):
+        digits_to_bits(text)
+
+
+def test_bits_to_digits_rejects_entries_other_than_0_and_1():
+    for bad in ([0, 2], [1, -1], "01", [0.5]):
+        with pytest.raises(ValueError):
+            bits_to_digits(bad)
+    with pytest.raises(TypeError):
+        bits_to_digits(3)
 
 
 @st.composite
