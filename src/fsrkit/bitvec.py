@@ -10,7 +10,8 @@ The same encoding turns an integer mask into per-index bits: bit i of the
 mask is entry i.  `mask_to_bits` and `bits_to_mask` convert between the
 two, and `bits_to_digits` and `digits_to_bits` between bits and the 0/1
 digit strings of the text formats, all in time linear in the width, which
-matters for feedback tables of 2^n entries.
+matters for feedback tables of 2^n entries.  Feedback tables and cycles
+hold the bytes of 0/1 that `as_bits` checks and returns.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ def digits_to_bits(digits: str) -> bytes:
     return data.translate(_FROM_DIGITS)
 
 
-def bits_to_digits(bits) -> str:
-    """A sequence of 0/1 values as a string of 0/1 digits; character i is
-    entry i."""
-    if isinstance(bits, int):   # bytes(n) would read as n zero entries
+def as_bits(bits) -> bytes:
+    """A sequence of 0/1 values as bytes of 0/1; an entry other than 0 or 1
+    raises ValueError."""
+    if hasattr(bits, "__index__"):   # bytes(n) would read as n zero entries
         raise TypeError("bits must be a sequence, not an int")
     try:
         data = bytes(bits)
@@ -38,7 +39,13 @@ def bits_to_digits(bits) -> str:
         raise ValueError("bits must be 0 or 1") from None
     if data.translate(None, b"\x00\x01"):
         raise ValueError("bits must be 0 or 1")
-    return data.translate(_TO_DIGITS).decode("ascii")
+    return data
+
+
+def bits_to_digits(bits) -> str:
+    """A sequence of 0/1 values as a string of 0/1 digits; character i is
+    entry i."""
+    return as_bits(bits).translate(_TO_DIGITS).decode("ascii")
 
 
 def mask_to_bits(mask: int, n: int) -> bytes:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from .bitvec import BitVec, bits_to_digits, digits_to_bits, mask_to_bits
+from .bitvec import BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
 from .circuit import Circuit, parse_circuit, parse_circuit_lines, write_circuit
 
 
@@ -43,51 +43,41 @@ class FsrParseError(ValueError):
 # ---------------------------------------------------------------------------
 # cycles
 
-def _least_rotation_index(s) -> int:
-    """Booth's algorithm: start of the lexicographically least rotation."""
-    n = len(s)
-    s2 = s + s
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s2[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s2[k + i + 1]:
-            if sj < s2[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != s2[k + i + 1]:
-            if sj < s2[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
-def _minimal_period(bits) -> int:
-    p = len(bits)
-    for d in range(1, p):
-        if p % d == 0 and all(bits[i] == bits[i % d] for i in range(p)):
-            return d
-    return p
+def _least_rotation_index(b: bytes) -> int:
+    """Start of the least rotation of b: the last start below len(b) of a
+    factor in the Lyndon factorisation of b + b (Duval's scan; O(p) steps
+    and no per-position list)."""
+    p = len(b)
+    bb = b + b
+    i = 0
+    while True:
+        j, k = i + 1, i
+        while j < 2 * p and bb[k] <= bb[j]:
+            k = i if bb[k] < bb[j] else k + 1
+            j += 1
+        nxt = i + (j - k) * ((k - i) // (j - k) + 1)
+        if nxt >= p:
+            return i
+        i = nxt
 
 
 class Cycle:
     """A cyclic bit sequence in canonical form.
 
     Canonical form is the minimal period's lexicographically least
-    rotation; construction reduces and rotates, so equal cyclic sequences
-    compare equal.
+    rotation, held as bytes of 0/1; construction reduces and rotates, so
+    equal cyclic sequences compare equal.  An entry other than 0 or 1
+    raises ValueError.
     """
 
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        bits = tuple(int(b) & 1 for b in bits)
+        bits = as_bits(bits)
         if not bits:
             raise ValueError("empty cycle")
-        bits = bits[:_minimal_period(bits)]
+        # bits first recurs in bits + bits at an offset of its minimal period
+        bits = bits[:(bits + bits).find(bits, 1)]
         k = _least_rotation_index(bits)
         object.__setattr__(self, "bits", bits[k:] + bits[:k])
 
@@ -96,7 +86,7 @@ class Cycle:
 
     @classmethod
     def parse(cls, text: str) -> "Cycle":
-        return cls(int(ch) for ch in text.strip())
+        return cls(digits_to_bits(text.strip()))
 
     @property
     def period(self) -> int:
@@ -151,18 +141,14 @@ def ell_sampling(cycle, ell: int, offset: int = 0) -> BitVec:
     multiple of the stride.
     """
     if isinstance(cycle, Cycle):
-        bits = cycle.bits
-    elif isinstance(cycle, str):
-        bits = tuple(int(ch) for ch in cycle)
-    else:
-        bits = tuple(int(b) & 1 for b in cycle)
+        cycle = cycle.bits
+    bits = digits_to_bits(cycle) if isinstance(cycle, str) else as_bits(cycle)
     p = len(bits)
     if ell < 1 or p % ell != 0:
         raise ValueError(f"length {p} is not a multiple of stride {ell}")
     if not 0 <= offset < p:
         raise ValueError("offset out of range")
-    k = p // ell
-    return BitVec.from_bits(bits[(offset + j * ell) % p] for j in range(k))
+    return BitVec.from_bits((bits + bits)[offset:offset + p:ell])
 
 
 class CycleStructure:
@@ -212,18 +198,25 @@ class CycleStructure:
     @classmethod
     def parse_listing(cls, text: str) -> "CycleStructure":
         cycles = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        lines = text.splitlines()
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             toks = line.split()
             if len(toks) != 2:
                 raise FsrParseError("expected 'period bits'", lineno)
-            c = Cycle.parse(toks[1])
-            if c.period != int(toks[0]):
+            try:
+                period, c = int(toks[0]), Cycle.parse(toks[1])
+            except ValueError:
+                raise FsrParseError("expected an integer period and 0/1 bits",
+                                    lineno) from None
+            if c.period != period:
                 raise FsrParseError(
                     f"stated period {toks[0]} != minimal period {c.period}", lineno)
             cycles.append(c)
+        if not cycles:
+            raise FsrParseError("empty cycle structure", len(lines) or 1)
         return cls(cycles)
 
     def __repr__(self):
@@ -265,11 +258,9 @@ class Fsr:
             if not 0 <= table < (1 << n):
                 raise ValueError("table mask out of range")
             return mask_to_bits(table, n)
-        data = bytes(table)
+        data = as_bits(table)
         if len(data) != n:
             raise ValueError(f"table needs {n} entries, got {len(data)}")
-        if data.translate(None, b"\x00\x01"):
-            raise ValueError("table entries must be 0 or 1")
         return data
 
     @property
@@ -339,7 +330,7 @@ def is_nonsingular(f: Fsr) -> bool:
         seen[t] = 1
     criterion = all(tbl[s] ^ tbl[s ^ 1] == 1 for s in range(0, n, 2))
     if bijective != criterion:
-        raise AssertionError("bijectivity and feedback criterion disagree")
+        raise InvariantError("bijectivity and feedback criterion disagree")
     return bijective
 
 
@@ -570,10 +561,11 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
                 path = os.path.join(base_dir, toks[2])
                 try:
                     with open(path) as fh:
-                        circ = parse_circuit(fh.read())
-                except OSError as e:
+                        body = fh.read()
+                except (OSError, ValueError) as e:   # ValueError: NUL, bad UTF-8
                     raise FsrParseError(f"cannot read circuit {toks[2]!r}: {e}",
                                         lineno) from None
+                circ = parse_circuit(body)
             elif len(toks) == 2:
                 circ = parse_circuit_lines(lines, idx)
             else:

@@ -293,16 +293,13 @@ def expected_family_counts(ell: int) -> dict:
     }
 
 
-def family_cycle_counts(ell: int, include_p2: bool = None) -> FamilyCycleReport:
+def family_cycle_counts(ell: int) -> FamilyCycleReport:
     """Enumerate the family's cycle structures and compare with the exact
-    period counts.  p2's sweep is 4*ell stages, so it is limited to
+    period counts.  p2's sweep is 4*ell stages, so it is included only for
     ell <= 3; p0 and p1 run up to ell = 9."""
     if ell not in (1, 3, 9):
         raise ValueError("ell must be 1, 3 or 9")
-    if include_p2 is None:
-        include_p2 = ell <= 3
-    if include_p2 and ell > 3:
-        raise ValueError("p2 sweep needs ell <= 3")
+    include_p2 = ell <= 3
     fam = LfsrFamily.for_ell(ell)
     expected = expected_family_counts(ell)
     names = [("p0", fam.p0), ("p1", fam.p1)] + ([("p2", fam.p2)] if include_p2 else [])

@@ -509,14 +509,14 @@ class Alg1Oracle:
         e1_cid = cycle_id[1]
         for cid in d_ids:
             if short(cid):
-                raise AssertionError("deferred set contains a short cycle")
+                raise InvariantError("deferred set contains a short cycle")
             tgt = cycle_id[rho[cid] ^ 1]
             if short(tgt) or tgt in d_ids:
-                raise AssertionError("deferred representative's conjugate "
+                raise InvariantError("deferred representative's conjugate "
                                      "does not reach a plain long cycle")
         for cid in range(len(windows)):
             if (rho[cid] ^ 1) in rho_set and cid not in (cycle_id[0], e1_cid):
-                raise AssertionError("conjugate of a representative is a "
+                raise InvariantError("conjugate of a representative is a "
                                      "representative off the zero/unit cycles")
 
     # -- queries -------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsrkit import fsr as F
 from fsrkit.bitvec import BitVec
@@ -88,6 +90,57 @@ def test_cycle_canonical_form():
     assert str(F.Cycle([0, 1, 0, 1])) == "01"  # minimal period
     assert F.Cycle([0]).period == 1
     assert F.Cycle([1, 0]).complement() == F.Cycle([0, 1])
+
+
+def least_rotation_of_minimal_period(bits):
+    """The canonical form by its definition: the shortest prefix whose
+    repetition gives the sequence, then the least of its rotations."""
+    p = next(d for d in range(1, len(bits) + 1)
+             if len(bits) % d == 0 and bits == bits[:d] * (len(bits) // d))
+    word = bits[:p]
+    return min(word[k:] + word[:k] for k in range(p))
+
+
+@st.composite
+def cyclic_sequences(draw):
+    # a random block repeated, so short periods occur often
+    block = draw(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+    return block * draw(st.integers(1, 6))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cyclic_sequences())
+def test_cycle_is_the_least_rotation_of_the_minimal_period(bits):
+    c = F.Cycle(bits)
+    assert c.bits == bytes(least_rotation_of_minimal_period(bits))
+    assert F.Cycle(bytes(bits)) == c
+    assert F.Cycle.parse("".join(map(str, bits))) == c
+
+
+def test_cycle_rejects_entries_other_than_0_and_1():
+    for bad in ([2], [0, 1, 3], [-1]):
+        with pytest.raises(ValueError):
+            F.Cycle(bad)
+    for text in ("2", "012", "0x1"):
+        with pytest.raises(ValueError):
+            F.Cycle.parse(text)
+    with pytest.raises(ValueError):
+        F.ell_sampling([2, 0], 1)
+    with pytest.raises(ValueError):
+        F.ell_sampling("20", 1)
+
+
+def test_building_a_long_cycle_allocates_no_per_bit_objects():
+    rng = random.Random(3)
+    bits = [rng.randrange(2) for _ in range(1 << 20)]
+    tracemalloc.start()
+    try:
+        c = F.Cycle(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.period == 1 << 20
+    assert peak < 8 << 20      # a tuple of 2^20 bits alone takes 8 MB
 
 
 def test_windows():
@@ -320,6 +373,19 @@ def test_cycle_listing_round_trip():
         F.CycleStructure.parse_listing("2 011\n")   # stated period is wrong
     with pytest.raises(F.FsrParseError):
         F.CycleStructure.parse_listing("abc\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("1 0\nx 01\n", 2),          # the period is not a number
+    ("1 2\n", 1),                 # a bit is not 0 or 1
+    ("1 0\n# 1 1\n3 0a1\n", 3),
+    ("", 1),                      # no cycle at all
+    ("# only a comment\n\n", 2),
+])
+def test_cycle_listing_errors_carry_a_line_number(text, lineno):
+    with pytest.raises(F.FsrParseError) as info:
+        F.CycleStructure.parse_listing(text)
+    assert info.value.lineno == lineno
 
 
 def test_fsr_circuit_file_reference(tmp_path):

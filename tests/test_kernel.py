@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsrkit
-from fsrkit.bitvec import bits_to_digits, bits_to_mask, digits_to_bits, mask_to_bits
+from fsrkit.bitvec import BitVec, bits_to_digits, bits_to_mask, digits_to_bits, mask_to_bits
 from fsrkit.fsr import orbits
 from fsrkit.lfsr import LINEAR_TABLE_DEGREE_BOUND, GF2Poly, lfsr_of, linear_step
 
@@ -59,8 +59,9 @@ def test_mask_conversions_reject_bad_arguments():
     for mask, n in ((-1, 4), (16, 4), (1 << 100, 100)):
         with pytest.raises(ValueError):
             mask_to_bits(mask, n)
-    with pytest.raises(TypeError):
-        bits_to_mask(5)
+    for not_a_sequence in (5, True, BitVec(5, 3)):
+        with pytest.raises(TypeError):   # bytes(n) would be n zero entries
+            bits_to_mask(not_a_sequence)
 
 
 @FIXED
@@ -129,11 +130,14 @@ def test_orbits_partition_a_permutation(perm):
 
 
 def test_no_bare_asserts_in_the_package():
-    # `python -O` strips assert statements; invariants must raise instead
+    # `python -O` strips assert statements, and the CLI reports only
+    # InvariantError as an internal failure: invariants raise that, and
+    # no code names AssertionError
     root = pathlib.Path(fsrkit.__file__).parent
     offenders = []
     for path in sorted(root.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Assert):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders

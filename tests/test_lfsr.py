@@ -81,7 +81,7 @@ def test_family_cycle_counts(ell):
 
 
 def test_family_cycle_counts_ell9_without_p2():
-    rep = L.family_cycle_counts(9, include_p2=False)
+    rep = L.family_cycle_counts(9)
     assert rep.ok
     assert rep.counts["p0"] == {1: 1, 27: ((1 << 18) - 1) // 27}
 
