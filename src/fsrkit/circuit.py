@@ -6,6 +6,12 @@ inputs) followed by gates with fan-in 2 (AND, OR) or 1 (NOT).  Most
 circuits have a single designated sink; gadget blocks such as the
 integer-minimum block expose several output wires instead.
 
+The vertices are stored column-wise (see Circuit): a bytes of kind codes
+and two unsigned int arrays of operands.  The reductions build circuits
+of hundreds of thousands of vertices, so the layers that handle whole
+circuits (counting, the minimum blocks, the text format) work on whole
+columns with C-level operations rather than one Python step per vertex.
+
 Size convention: ``size`` counts every vertex including inputs, which is
 the convention the rest of the package relies on for gadget bookkeeping.
 ``gate_count`` counts non-input vertices only; claims quoted in "gates"
@@ -21,7 +27,12 @@ holds only the live frontier.
 
 from __future__ import annotations
 
-from itertools import islice
+import re
+from array import array
+from collections.abc import Sequence
+from functools import lru_cache
+from itertools import chain, compress
+from operator import eq, lt
 
 from .bitvec import BitVec, bits_to_mask, mask_to_bits
 
@@ -33,8 +44,16 @@ SAT_ARITY_BOUND = 24
 #: the last readers costs more time than the freed memory saves
 LIVE_LANE_BYTES = 1 << 26
 
+#: the bulk passes over a circuit (writing and parsing its text, viewing its
+#: vertices as tuples) take this many vertices, or lines, at a time, so
+#: their temporaries stay small next to the circuit
+BLOCK_VERTICES = 1 << 12
+
 #: the vertex kinds; parsed circuits share these strings
 IN, AND, OR, NOT = "IN", "AND", "OR", "NOT"
+
+#: their codes in Circuit.kinds
+_IN, _AND, _OR, _NOT = range(4)
 
 
 class CircuitParseError(ValueError):
@@ -109,55 +128,131 @@ def input_lanes(r: int) -> list:
     return lanes
 
 
+class NodeView(Sequence):
+    """A circuit's vertices as read-only tuples: ("IN", i), ("AND", a, b),
+    ("OR", a, b) or ("NOT", a), kinds being the shared IN/AND/OR/NOT
+    strings.  Built on demand from the circuit's columns, BLOCK_VERTICES
+    at a time."""
+
+    __slots__ = ("_circuit",)
+
+    def __init__(self, circuit: "Circuit"):
+        self._circuit = circuit
+
+    def __len__(self):
+        return len(self._circuit.kinds)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = range(len(self))[k]
+        return self._tuples(k, k + 1)[0]
+
+    def __iter__(self):
+        return chain.from_iterable(self._tuples(lo, lo + BLOCK_VERTICES)
+                                   for lo in range(0, len(self), BLOCK_VERTICES))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def _tuples(self, lo: int, hi: int) -> list:
+        c = self._circuit
+        return [(AND, x, y) if op == _AND else
+                (NOT, x) if op == _NOT else
+                (OR, x, y) if op == _OR else
+                (IN, x)
+                for op, x, y in zip(c.kinds[lo:hi], c.a[lo:hi].tolist(),
+                                    c.b[lo:hi].tolist())]
+
+
 class Circuit:
     """A DAG of INPUT/AND/OR/NOT vertices in topological order.
 
-    ``nodes`` is a list of tuples: ("IN", i), ("AND", a, b), ("OR", a, b)
-    or ("NOT", a), where a, b are indices of earlier nodes.  ``outputs``
-    holds one node index per output wire; a plain circuit has exactly one.
+    The vertices are stored as three columns: ``kinds`` (bytes, one kind
+    code per vertex: 0 IN, 1 AND, 2 OR, 3 NOT) and the operand arrays
+    ``a`` and ``b``.  A gate's operands are indices of earlier vertices;
+    an IN vertex holds its input index.  IN and NOT vertices have one
+    operand and store it in both columns, so shifting both columns moves
+    every vertex alike.  ``nodes`` views the columns as tuples (see
+    NodeView); the constructor takes any such sequence of tuples.
+    ``outputs`` holds one vertex index per output wire; a plain circuit has
+    exactly one.
+
+    A circuit is valid by construction: the constructor checks each tuple,
+    the Builder each operand it is given, and the parser each line or block
+    of text, so no pass over a whole circuit checks it again.
     """
 
-    __slots__ = ("arity", "nodes", "outputs")
+    __slots__ = ("arity", "kinds", "a", "b", "outputs")
 
-    def __init__(self, arity: int, nodes: list, outputs: tuple):
-        self.arity = arity
-        self.nodes = nodes
-        self.outputs = tuple(outputs)
-        self._validate()
-
-    def _validate(self):
-        if self.arity < 1:
+    def __init__(self, arity: int, nodes, outputs: tuple):
+        if arity < 1:
             raise ValueError("arity must be >= 1")
-        if not self.outputs:
-            raise ValueError("circuit needs at least one output")
-        for k, node in enumerate(self.nodes):
+        kinds, a, b = [], [], []
+        for k, node in enumerate(nodes):
             op = node[0]
-            if op == "IN":
-                if not 0 <= node[1] < self.arity:
-                    raise ValueError(f"input index {node[1]} >= arity {self.arity}")
-            elif op in ("AND", "OR"):
-                if not (0 <= node[1] < k and 0 <= node[2] < k):
+            if op == AND or op == OR:
+                x, y = node[1], node[2]
+                if not (0 <= x < k and 0 <= y < k):
                     raise ValueError(f"operand of node {k} is not an earlier node")
-            elif op == "NOT":
-                if not 0 <= node[1] < k:
+                kinds.append(_AND if op == AND else _OR)
+            elif op == NOT:
+                x = y = node[1]
+                if not 0 <= x < k:
                     raise ValueError(f"operand of node {k} is not an earlier node")
+                kinds.append(_NOT)
+            elif op == IN:
+                x = y = node[1]
+                if not 0 <= x < arity:
+                    raise ValueError(f"input index {x} >= arity {arity}")
+                kinds.append(_IN)
             else:
                 raise ValueError(f"unknown vertex kind {op!r}")
+            a.append(x)
+            b.append(y)
+        self._set(arity, bytes(kinds), array("I", a), array("I", b), outputs)
+
+    @classmethod
+    def _from_columns(cls, arity: int, kinds: bytes, a: array, b: array,
+                      outputs: tuple) -> "Circuit":
+        """A circuit over columns that are already a valid vertex list: the
+        Builder checks every operand it is given, and the parser checks
+        every block it reads in bulk."""
+        c = cls.__new__(cls)
+        c._set(arity, kinds, a, b, outputs)
+        return c
+
+    def _set(self, arity, kinds, a, b, outputs):
+        self.arity = arity
+        self.kinds = kinds
+        self.a = a
+        self.b = b
+        self.outputs = tuple(outputs)
+        if not self.outputs:
+            raise ValueError("circuit needs at least one output")
         for o in self.outputs:
-            if not 0 <= o < len(self.nodes):
+            if not 0 <= o < len(kinds):
                 raise ValueError("output reference out of range")
+
+    @property
+    def nodes(self) -> NodeView:
+        return NodeView(self)
 
     # -- accounting ---------------------------------------------------------
 
     @property
     def size(self) -> int:
         """Vertex count, inputs included."""
-        return len(self.nodes)
+        return len(self.kinds)
 
     @property
     def gate_count(self) -> int:
         """Non-input vertex count."""
-        return sum(1 for n in self.nodes if n[0] != "IN")
+        return len(self.kinds) - self.kinds.count(_IN)
 
     @property
     def sink(self) -> int:
@@ -173,57 +268,54 @@ class Circuit:
         Values are integers treated as bit-parallel lanes; ``full`` is the
         all-ones lane mask used for NOT.  Returns the output wires' values.
         """
-        if len(self.nodes) * full.bit_length() > 8 * LIVE_LANE_BYTES:
+        if len(self.kinds) * full.bit_length() > 8 * LIVE_LANE_BYTES:
             return self._run_live(in_vals, full)
         return self._run_all(in_vals, full)
 
     def _run_all(self, in_vals, full) -> list:
         """The plain pass: every lane is kept until the pass ends."""
-        vals = [0] * len(self.nodes)
-        for k, node in enumerate(self.nodes):
-            op = node[0]
-            if op == IN:
-                vals[k] = in_vals[node[1]]
-            elif op == AND:
-                vals[k] = vals[node[1]] & vals[node[2]]
-            elif op == OR:
-                vals[k] = vals[node[1]] | vals[node[2]]
+        vals = []
+        put = vals.append
+        for op, x, y in zip(self.kinds, self.a, self.b):
+            if op == _AND:
+                put(vals[x] & vals[y])
+            elif op == _OR:
+                put(vals[x] | vals[y])
+            elif op == _NOT:
+                put(vals[x] ^ full)
             else:
-                vals[k] = vals[node[1]] ^ full
+                put(in_vals[x])
         return [vals[o] for o in self.outputs]
 
     def _run_live(self, in_vals, full) -> list:
         """The freeing pass: a lane is dropped right after its last reader,
         so only the live frontier is held.  Output wires are kept."""
-        nodes = self.nodes
-        n = len(nodes)
-        last = list(range(n))   # a vertex nobody reads dies where it is made
-        for k, node in enumerate(nodes):
-            if node[0] != IN:
-                last[node[1]] = k
-                if len(node) == 3:
-                    last[node[2]] = k
+        kinds, a, b = self.kinds, self.a, self.b
+        n = len(kinds)
+        ids = range(n)
+        last = list(ids)    # a vertex nobody reads dies where it is made
+        for k, op, x, y in zip(ids, kinds, a, b):
+            if op:
+                last[x] = k
+                last[y] = k
         for o in self.outputs:
             last[o] = n
         vals = [None] * n
-        for k, node in enumerate(nodes):
-            op = node[0]
-            if op == IN:
-                vals[k] = in_vals[node[1]]
+        for k, op, x, y in zip(ids, kinds, a, b):
+            if op == _IN:
+                vals[k] = in_vals[x]
             else:
-                a = node[1]
-                if op == NOT:
-                    vals[k] = vals[a] ^ full
+                if op == _NOT:
+                    vals[k] = vals[x] ^ full
                 else:
-                    b = node[2]
-                    if op == AND:
-                        vals[k] = vals[a] & vals[b]
+                    if op == _AND:
+                        vals[k] = vals[x] & vals[y]
                     else:
-                        vals[k] = vals[a] | vals[b]
-                    if last[b] == k:
-                        vals[b] = None
-                if last[a] == k:
-                    vals[a] = None
+                        vals[k] = vals[x] | vals[y]
+                    if last[y] == k:
+                        vals[y] = None
+                if last[x] == k:
+                    vals[x] = None
             if last[k] == k:
                 vals[k] = None
         return [vals[o] for o in self.outputs]
@@ -288,17 +380,26 @@ class Circuit:
 class Builder:
     """Incremental circuit construction with structural sharing.
 
-    Identical (op, operands) gates are merged by default; pass fresh=True
-    to force a distinct vertex (the integer-minimum block does this so its
-    vertex count matches the closed-form size exactly).  All ``arity``
-    input vertices are created up front, ids 0..arity-1.
+    Builds the three columns of a Circuit directly.  Identical (kind,
+    operands) gates are merged by default; pass fresh=True to force a
+    distinct vertex.  All ``arity`` input vertices are created up front,
+    ids 0..arity-1.  A gate whose operand is not an earlier vertex raises
+    ValueError when it is added, so build() has nothing left to check but
+    the outputs.
+
+    The integer-minimum block is all fresh gates, so its layout depends
+    only on its width m: it is recorded once per m (``_min_template``)
+    and each ``min_word`` stamps a copy by mapping the recorded operand
+    slots onto the copy's wires, a few C-level calls per block.
     """
 
     def __init__(self, arity: int):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         self.arity = arity
-        self.nodes = [("IN", i) for i in range(arity)]
+        self.kinds = bytearray(arity)            # all IN
+        self.a = array("I", range(arity))
+        self.b = array("I", range(arity))
         self._cache = {}
 
     def inp(self, i: int) -> int:
@@ -309,25 +410,30 @@ class Builder:
     def inputs(self) -> list:
         return list(range(self.arity))
 
-    def _add(self, node, fresh: bool) -> int:
+    def _add(self, op: int, x: int, y: int, fresh: bool) -> int:
         if not fresh:
-            hit = self._cache.get(node)
+            key = (op, x, y)
+            hit = self._cache.get(key)
             if hit is not None:
                 return hit
-        self.nodes.append(node)
-        k = len(self.nodes) - 1
+        k = len(self.kinds)
+        if not (0 <= x < k and 0 <= y < k):
+            raise ValueError(f"operand of node {k} is not an earlier node")
+        self.kinds.append(op)
+        self.a.append(x)
+        self.b.append(y)
         if not fresh:
-            self._cache[node] = k
+            self._cache[key] = k
         return k
 
     def AND(self, a: int, b: int, fresh: bool = False) -> int:
-        return self._add(("AND", a, b), fresh)
+        return self._add(_AND, a, b, fresh)
 
     def OR(self, a: int, b: int, fresh: bool = False) -> int:
-        return self._add(("OR", a, b), fresh)
+        return self._add(_OR, a, b, fresh)
 
     def NOT(self, a: int, fresh: bool = False) -> int:
-        return self._add(("NOT", a), fresh)
+        return self._add(_NOT, a, a, fresh)
 
     def xor(self, a: int, b: int, fresh: bool = False) -> int:
         """x ^ y as ((~x & y) | (~y & x)): five gates."""
@@ -348,7 +454,7 @@ class Builder:
             raise ValueError("empty chain")
         acc = wires[0]
         for w in wires[1:]:
-            acc = self.AND(acc, w)
+            acc = self._add(_AND, acc, w, False)
         return acc
 
     def or_chain(self, wires) -> int:
@@ -357,7 +463,7 @@ class Builder:
             raise ValueError("empty chain")
         acc = wires[0]
         for w in wires[1:]:
-            acc = self.OR(acc, w)
+            acc = self._add(_OR, acc, w, False)
         return acc
 
     def equal(self, xs, ys) -> int:
@@ -379,48 +485,70 @@ class Builder:
         minimum of the low words extended by x's top bit, or x, or y.  Every
         gate is fresh, so the block costs exactly 13m + 12 vertices over the
         (m-1)-bit block, i.e. (13m^2 + 37m - 44)/2 total with its 2m inputs.
+        Stamped from the block recorded for width m.
         """
         xs, ys = list(xs), list(ys)
         m = len(xs)
         if m != len(ys) or m < 1:
             raise ValueError("word widths differ")
-        if m == 1:
-            return [self.AND(xs[0], ys[0], fresh=True)]
-        z = self.min_word(xs[:-1], ys[:-1]) + [xs[-1]]
-        t = self.xor(xs[-1], ys[-1], fresh=True)
-        nt = self.NOT(t, fresh=True)
-        nx = self.NOT(xs[-1], fresh=True)
-        ny = self.NOT(ys[-1], fresh=True)
-        s1 = self.AND(t, nx, fresh=True)
-        s2 = self.AND(t, ny, fresh=True)
-        pz = self.mul_bit(nt, z)
-        px = self.mul_bit(s1, xs)
-        py = self.mul_bit(s2, ys)
-        return [self.xor(self.xor(a, b, fresh=True), c, fresh=True)
-                for a, b, c in zip(pz, px, py)]
+        kinds, sa, sb, outs = _min_template(m)
+        base = len(self.kinds)
+        look = xs + ys
+        if not 0 <= min(look) <= max(look) < base:
+            raise ValueError("a word wire is not a vertex")
+        look += range(base, base + len(kinds))
+        self.kinds += kinds
+        self.a.extend(map(look.__getitem__, sa))
+        self.b.extend(map(look.__getitem__, sb))
+        return list(map(look.__getitem__, outs))
 
     def embed(self, circ: Circuit, input_wires) -> list:
         """Splice another circuit in, feeding its inputs from given wires."""
         input_wires = list(input_wires)
         if len(input_wires) != circ.arity:
             raise ValueError("wire count != embedded circuit arity")
-        wmap = {}
-        for k, node in enumerate(circ.nodes):
-            op = node[0]
-            if op == "IN":
-                wmap[k] = input_wires[node[1]]
-            elif op == "NOT":
-                wmap[k] = self.NOT(wmap[node[1]])
-            elif op == "AND":
-                wmap[k] = self.AND(wmap[node[1]], wmap[node[2]])
-            else:
-                wmap[k] = self.OR(wmap[node[1]], wmap[node[2]])
+        wmap = []
+        put = wmap.append
+        add = self._add
+        for op, x, y in zip(circ.kinds, circ.a, circ.b):
+            put(add(op, wmap[x], wmap[y], False) if op else input_wires[x])
         return [wmap[o] for o in circ.outputs]
 
     def build(self, outputs) -> Circuit:
         if isinstance(outputs, int):
             outputs = (outputs,)
-        return Circuit(self.arity, self.nodes, tuple(outputs))
+        return Circuit._from_columns(self.arity, bytes(self.kinds), self.a[:],
+                                    self.b[:], tuple(outputs))
+
+
+@lru_cache(maxsize=64)
+def _min_template(m: int) -> tuple:
+    """The m-bit minimum block, recorded on the wires of gadget_min(m):
+    (gate kinds, a slots, b slots, output slots).  Slot s is wire s of
+    xs + ys followed by the block's own gates.  One entry per width.
+
+    The recursion of the construction is unrolled: the w-bit block is the
+    (w-1)-bit block's gates followed by the gates of step w."""
+    b = Builder(2 * m)
+    xs, ys = list(range(m)), list(range(m, 2 * m))
+    out = [b.AND(xs[0], ys[0], fresh=True)]
+    for w in range(1, m):
+        x, y = xs[w], ys[w]
+        z = out + [x]
+        t = b.xor(x, y, fresh=True)
+        nt = b.NOT(t, fresh=True)
+        nx = b.NOT(x, fresh=True)
+        ny = b.NOT(y, fresh=True)
+        s1 = b.AND(t, nx, fresh=True)
+        s2 = b.AND(t, ny, fresh=True)
+        pz = b.mul_bit(nt, z)
+        px = b.mul_bit(s1, xs[:w + 1])
+        py = b.mul_bit(s2, ys[:w + 1])
+        out = [b.xor(b.xor(p, q, fresh=True), r, fresh=True)
+               for p, q, r in zip(pz, px, py)]
+    gates = slice(2 * m, None)
+    return (bytes(b.kinds[gates]), tuple(b.a[gates]), tuple(b.b[gates]),
+            tuple(out))
 
 
 # -- gadgets ---------------------------------------------------------------
@@ -455,21 +583,10 @@ def compose(outer: Circuit, inners) -> Circuit:
     inners = list(inners)
     if len(inners) != outer.arity:
         raise ValueError(f"need {outer.arity} inner circuits, got {len(inners)}")
-    bus = max(c.arity for c in inners)
-    b = Builder(bus)
+    outer.sink                  # raises unless outer has a single output
+    b = Builder(max(c.arity for c in inners))
     feeds = [b.embed(c, range(c.arity))[0] for c in inners]
-    wmap = {}
-    for k, node in enumerate(outer.nodes):
-        op = node[0]
-        if op == "IN":
-            wmap[k] = feeds[node[1]]
-        elif op == "NOT":
-            wmap[k] = b.NOT(wmap[node[1]])
-        elif op == "AND":
-            wmap[k] = b.AND(wmap[node[1]], wmap[node[2]])
-        else:
-            wmap[k] = b.OR(wmap[node[1]], wmap[node[2]])
-    return b.build(wmap[outer.sink])
+    return b.build(b.embed(outer, feeds)[0])
 
 
 def from_truth_table(t: TruthTable) -> Circuit:
@@ -477,10 +594,9 @@ def from_truth_table(t: TruthTable) -> Circuit:
     r = t.arity
     b = Builder(r)
     terms = []
-    for v in range(1 << r):
-        if t[v]:
-            lits = [(i if (v >> i) & 1 else b.NOT(i)) for i in range(r)]
-            terms.append(b.and_chain(lits))
+    for v in compress(range(1 << r), mask_to_bits(t.mask, 1 << r)):
+        lits = [(i if (v >> i) & 1 else b.NOT(i)) for i in range(r)]
+        terms.append(b.and_chain(lits))
     if not terms:
         return b.build(b.const0())
     return b.build(b.or_chain(terms))
@@ -492,21 +608,41 @@ def from_bits(bits) -> Circuit:
 
 # -- text format -----------------------------------------------------------
 
+#: the text's kind words; INPUT is the text's name for IN
+_WORD_CODE = {"INPUT": _IN, AND: _AND, OR: _OR, NOT: _NOT}
+#: a vertex line as write_circuit writes it: single spaces, ASCII digits,
+#: and an id without leading zeros
+_PLAIN_LINE = ("v(?:0|[1-9][0-9]*) "
+               "(?:INPUT [0-9]+|NOT v[0-9]+|(?:AND|OR) v[0-9]+ v[0-9]+)")
+_PLAIN_LINES = re.compile(f"{_PLAIN_LINE}(?:\n{_PLAIN_LINE})*")
+#: replacements that turn plain vertex lines into numbers, kind words into
+#: their codes (one-operand kinds with a 0 for a)
+_WORD_NUMBERS = ((" INPUT ", " 0 0 "), (" AND ", " 1 "), (" OR ", " 2 "),
+                 (" NOT ", " 3 0 "), ("v", ""))
+#: kind code -> 1 for IN and NOT, else 0
+_ONE_OPERAND = bytes([1, 0, 0, 1]) + bytes(252)
+#: kind code -> 1 for IN, else 0
+_IS_IN = bytes([1]) + bytes(255)
+#: the largest input index an operand column holds
+_INDEX_MAX = (1 << (8 * array("I").itemsize)) - 1
+
+
 def write_circuit(circ: Circuit) -> str:
     """One vertex per line, 0-based ids in topological order."""
     if len(circ.outputs) != 1:
         raise ValueError("text format holds single-sink circuits only")
-    lines = []
-    for k, node in enumerate(circ.nodes):
-        op = node[0]
-        if op == "IN":
-            lines.append(f"v{k} INPUT {node[1]}")
-        elif op == "NOT":
-            lines.append(f"v{k} NOT v{node[1]}")
-        else:
-            lines.append(f"v{k} {op} v{node[1]} v{node[2]}")
-    lines.append(f"SINK v{circ.sink}")
-    return "\n".join(lines) + "\n"
+    kinds, a, b = circ.kinds, circ.a, circ.b
+    blocks = []
+    for lo in range(0, len(kinds), BLOCK_VERTICES):
+        hi = lo + BLOCK_VERTICES
+        blocks.append("".join([
+            f"v{k} AND v{x} v{y}\n" if op == _AND else
+            f"v{k} NOT v{x}\n" if op == _NOT else
+            f"v{k} OR v{x} v{y}\n" if op == _OR else
+            f"v{k} INPUT {x}\n"
+            for k, op, x, y in zip(range(lo, hi), kinds[lo:hi], a[lo:hi], b[lo:hi])]))
+    blocks.append(f"SINK v{circ.sink}\n")
+    return "".join(blocks)
 
 
 def _vertex_ref(tok: str, limit: int, lineno: int) -> int:
@@ -531,58 +667,129 @@ def parse_circuit(text: str) -> Circuit:
 def parse_circuit_lines(lines, start: int = 0) -> Circuit:
     """Parse lines[start:] as circuit text.  Errors carry 1-based line
     numbers within ``lines``, so a circuit inside a larger file reports
-    the file's line numbers."""
-    nodes = []
-    sink = None
-    max_input = -1
-    for lineno, raw in enumerate(islice(lines, start, None), start=start + 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "SINK":
-            if sink is not None:
-                raise CircuitParseError("multiple SINK lines", lineno)
-            if len(toks) != 2:
-                raise CircuitParseError("SINK takes one vertex", lineno)
-            sink = _vertex_ref(toks[1], len(nodes), lineno)
-            continue
-        if sink is not None:
-            raise CircuitParseError("vertex after SINK line", lineno)
-        k = len(nodes)
-        if toks[0] != f"v{k}":
-            raise CircuitParseError(
-                f"expected id v{k} in topological order, got {toks[0]!r}", lineno)
-        if len(toks) < 2:
-            raise CircuitParseError("missing vertex kind", lineno)
-        op = toks[1]
-        if op == "INPUT":
-            if len(toks) != 3:
-                raise CircuitParseError("INPUT takes one index", lineno)
-            try:
-                i = int(toks[2])
-            except ValueError:
-                raise CircuitParseError(f"bad input index {toks[2]!r}", lineno) from None
-            if i < 0:
-                raise CircuitParseError("negative input index", lineno)
-            max_input = max(max_input, i)
-            nodes.append((IN, i))
-        elif op in (AND, OR):
-            if len(toks) != 4:
-                raise CircuitParseError(f"{op} takes two operands", lineno)
-            a = _vertex_ref(toks[2], k, lineno)
-            b2 = _vertex_ref(toks[3], k, lineno)
-            nodes.append((AND if op == AND else OR, a, b2))
-        elif op == NOT:
-            if len(toks) != 3:
-                raise CircuitParseError("NOT takes one operand", lineno)
-            nodes.append((NOT, _vertex_ref(toks[2], k, lineno)))
-        else:
-            raise CircuitParseError(f"unknown vertex kind {op!r}", lineno)
-    if not nodes:
-        raise CircuitParseError("empty circuit", start + 1)
-    if sink is None:
-        raise CircuitParseError("missing SINK line", len(lines) or 1)
-    if max_input < 0:
-        raise CircuitParseError("circuit has no INPUT vertex", start + 1)
-    return Circuit(max_input + 1, nodes, (sink,))
+    the file's line numbers.
+
+    The lines go in blocks of BLOCK_VERTICES.  A block of plain vertex
+    lines, as write_circuit writes them, is read column by column; any
+    other block (a comment, a blank line, other spacing, the SINK line,
+    an error) goes through the line loop, which alone reports errors."""
+    rd = _TextReader(lines)
+    for lo in range(start, len(lines), BLOCK_VERTICES):
+        hi = min(lo + BLOCK_VERTICES, len(lines))
+        if rd.sink is not None or not rd.bulk(lo, hi):
+            rd.loop(lo, hi)
+    return rd.circuit(start)
+
+
+def _operands_earlier(kinds, col, k0: int) -> bool:
+    """Whether each gate's entry in col names a vertex before the gate;
+    the vertices' ids start at k0."""
+    ids = range(k0, k0 + len(kinds))
+    return all(map(lt, compress(col, kinds), compress(ids, kinds)))
+
+
+class _TextReader:
+    """The columns read so far from circuit text, with its SINK and its
+    widest input index."""
+
+    def __init__(self, lines):
+        self.lines = lines
+        self.kinds = bytearray()
+        self.a = array("I")
+        self.b = array("I")
+        self.sink = None
+        self.max_input = -1
+
+    def bulk(self, lo: int, hi: int) -> bool:
+        """Read lines[lo:hi] column by column if all of them are plain
+        vertex lines that the line loop would accept; otherwise read
+        nothing and return False."""
+        text = "\n".join(self.lines[lo:hi])
+        if not _PLAIN_LINES.fullmatch(text):
+            return False
+        # each line becomes four numbers: id, kind code, a, b; a one-operand
+        # line gets a 0 for a, mended below
+        for word, numbers in _WORD_NUMBERS:
+            text = text.replace(word, numbers)
+        try:
+            nums = array("I", map(int, text.split()))
+        except (ValueError, OverflowError):     # digits past int's limits
+            return False
+        k0 = len(self.kinds)
+        kinds = bytes(nums[1::4].tolist())
+        a, b = nums[2::4], nums[3::4]
+        if not (nums[0::4] == array("I", range(k0, k0 + len(kinds)))
+                and _operands_earlier(kinds, a, k0)
+                and _operands_earlier(kinds, b, k0)):
+            return False
+        for k in compress(range(len(kinds)), kinds.translate(_ONE_OPERAND)):
+            a[k] = b[k]
+        self.kinds += kinds
+        self.a += a
+        self.b += b
+        self.max_input = max(self.max_input,
+                             max(compress(a, kinds.translate(_IS_IN)), default=-1))
+        return True
+
+    def loop(self, lo: int, hi: int) -> None:
+        """Read lines[lo:hi] one line at a time."""
+        kinds, a, b = self.kinds, self.a, self.b
+        for lineno, raw in enumerate(self.lines[lo:hi], start=lo + 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            toks = line.split()
+            if toks[0] == "SINK":
+                if self.sink is not None:
+                    raise CircuitParseError("multiple SINK lines", lineno)
+                if len(toks) != 2:
+                    raise CircuitParseError("SINK takes one vertex", lineno)
+                self.sink = _vertex_ref(toks[1], len(kinds), lineno)
+                continue
+            if self.sink is not None:
+                raise CircuitParseError("vertex after SINK line", lineno)
+            k = len(kinds)
+            if toks[0] != f"v{k}":
+                raise CircuitParseError(
+                    f"expected id v{k} in topological order, got {toks[0]!r}", lineno)
+            if len(toks) < 2:
+                raise CircuitParseError("missing vertex kind", lineno)
+            op = toks[1]
+            if op == "INPUT":
+                if len(toks) != 3:
+                    raise CircuitParseError("INPUT takes one index", lineno)
+                try:
+                    i = int(toks[2])
+                except ValueError:
+                    raise CircuitParseError(f"bad input index {toks[2]!r}", lineno) from None
+                if i < 0:
+                    raise CircuitParseError("negative input index", lineno)
+                if i > _INDEX_MAX:
+                    raise CircuitParseError(f"input index {i} too large", lineno)
+                self.max_input = max(self.max_input, i)
+                x = y = i
+            elif op in (AND, OR):
+                if len(toks) != 4:
+                    raise CircuitParseError(f"{op} takes two operands", lineno)
+                x = _vertex_ref(toks[2], k, lineno)
+                y = _vertex_ref(toks[3], k, lineno)
+            elif op == NOT:
+                if len(toks) != 3:
+                    raise CircuitParseError("NOT takes one operand", lineno)
+                x = y = _vertex_ref(toks[2], k, lineno)
+            else:
+                raise CircuitParseError(f"unknown vertex kind {op!r}", lineno)
+            kinds.append(_WORD_CODE[op])
+            a.append(x)
+            b.append(y)
+
+    def circuit(self, start: int) -> Circuit:
+        if not self.kinds:
+            raise CircuitParseError("empty circuit", start + 1)
+        if self.sink is None:
+            raise CircuitParseError("missing SINK line", len(self.lines) or 1)
+        if self.max_input < 0:
+            raise CircuitParseError("circuit has no INPUT vertex", start + 1)
+        return Circuit._from_columns(self.max_input + 1, bytes(self.kinds),
+                                    self.a, self.b, (self.sink,))
+

@@ -197,7 +197,7 @@ class CycleStructure:
 
     @classmethod
     def parse_listing(cls, text: str) -> "CycleStructure":
-        cycles = []
+        cycles = {}     # cycle -> the line that lists it
         lines = text.splitlines()
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -214,7 +214,9 @@ class CycleStructure:
             if c.period != period:
                 raise FsrParseError(
                     f"stated period {toks[0]} != minimal period {c.period}", lineno)
-            cycles.append(c)
+            if c in cycles:
+                raise FsrParseError(f"repeats the cycle of line {cycles[c]}", lineno)
+            cycles[c] = lineno
         if not cycles:
             raise FsrParseError("empty cycle structure", len(lines) or 1)
         return cls(cycles)

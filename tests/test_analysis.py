@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fsrkit import analysis as A
 from fsrkit import circuit as C
@@ -143,6 +144,38 @@ def test_brute_and_guided_agree_exhaustively():
             assert b.decomposable == g.decomposable, (n, gmask)
             if g.decomposable:
                 assert F.product_fsr(g.outer, g.inner) == f
+
+
+@st.composite
+def zero_fixing_registers(draw):
+    """A nonsingular register of stage <= 6 that fixes the zero state:
+    a random one, or a product of two random ones, so that decomposable
+    registers of stages 5 and 6 are drawn too."""
+    def register(n):
+        gmask = draw(st.integers(0, (1 << (1 << (n - 1))) - 1)) & ~1
+        return F.Fsr(n, table=[(s & 1) ^ ((gmask >> (s >> 1)) & 1)
+                               for s in range(1 << n)])
+    if draw(st.booleans()):
+        return register(draw(st.integers(2, 6)))
+    f = F.product_fsr(register(draw(st.integers(1, 3))),
+                      register(draw(st.integers(1, 3))))
+    assume(F.is_nonsingular(f))
+    return f
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(zero_fixing_registers())
+def test_brute_and_guided_agree_on_random_registers(f):
+    # brute tries inner stages up to 3, which is every stage only for n <= 4
+    brute = A.is_decomposable(f, "brute", max_inner_stage=3)
+    guided = A.is_decomposable(f, "guided")
+    if f.stage <= 4 or guided.decomposable and guided.inner.stage <= 3:
+        assert brute.decomposable == guided.decomposable
+    if brute.decomposable:
+        assert guided.decomposable
+    for rep in (brute, guided):
+        if rep.decomposable:
+            assert F.product_fsr(rep.outer, rep.inner) == f
 
 
 def test_product_of_zero_fixing_registers_is_reducible():

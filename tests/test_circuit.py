@@ -158,6 +158,15 @@ def test_builder_sharing_and_fresh():
     assert a3 != a1
 
 
+def test_builder_rejects_operands_that_are_not_earlier_vertices():
+    b = C.Builder(2)
+    for bad in (lambda: b.AND(0, 2), lambda: b.NOT(-1),
+                lambda: b.OR(5, 0, fresh=True), lambda: b.min_word([0], [2])):
+        with pytest.raises(ValueError):
+            bad()
+    assert b.build(b.AND(0, 1)).size == 3       # nothing was added
+
+
 def test_gadget_rejects_zero_width():
     with pytest.raises(ValueError):
         C.gadget_min(0)

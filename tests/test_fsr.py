@@ -381,11 +381,18 @@ def test_cycle_listing_round_trip():
     ("1 0\n# 1 1\n3 0a1\n", 3),
     ("", 1),                      # no cycle at all
     ("# only a comment\n\n", 2),
+    ("1 0\n1 0\n", 2),           # a cycle listed twice
+    ("2 01\n# c\n2 10\n", 3),     # the same cycle from another start
 ])
 def test_cycle_listing_errors_carry_a_line_number(text, lineno):
     with pytest.raises(F.FsrParseError) as info:
         F.CycleStructure.parse_listing(text)
     assert info.value.lineno == lineno
+
+
+def test_cycle_listing_repeat_names_the_first_listing():
+    with pytest.raises(F.FsrParseError, match="line 3: repeats the cycle of line 1"):
+        F.CycleStructure.parse_listing("2 01\n1 1\n2 10\n")
 
 
 def test_fsr_circuit_file_reference(tmp_path):

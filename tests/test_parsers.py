@@ -1,6 +1,9 @@
 """Properties of the three text parsers: each reads back what its writer
 wrote, and on any other text raises only its own parse error."""
 
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +51,104 @@ def test_circuit_text_round_trip(c):
     back = C.parse_circuit(C.write_circuit(c))
     assert back.nodes == c.nodes
     assert back.outputs == c.outputs
+
+
+def columns(c):
+    return c.arity, c.kinds, c.a, c.b, c.outputs
+
+
+def parse_line_by_line(lines):
+    """The parser with every block sent through its line loop."""
+    with mock.patch.object(C._TextReader, "bulk", lambda rd, lo, hi: False):
+        return C.parse_circuit_lines(lines)
+
+
+@st.composite
+def small_blocks(draw):
+    """A circuit's text lines and a parse block size that splits them into
+    several blocks."""
+    c = draw(circuits())
+    return c, C.write_circuit(c).splitlines(), draw(st.integers(1, 6))
+
+
+@FIXED
+@given(small_blocks())
+def test_bulk_read_and_line_loop_give_equal_columns(case):
+    c, lines, block = case
+    real = C._TextReader.bulk
+    read = []
+
+    def bulk(rd, lo, hi):
+        read.append(real(rd, lo, hi))
+        return read[-1]
+
+    with mock.patch.object(C, "BLOCK_VERTICES", block):
+        with mock.patch.object(C._TextReader, "bulk", bulk):
+            by_blocks = C.parse_circuit_lines(lines)
+        by_lines = parse_line_by_line(lines)
+    assert columns(by_blocks) == columns(by_lines) == columns(c)
+    # every block before the one holding SINK is plain vertex lines
+    assert read.count(True) == c.size // block
+
+
+@FIXED
+@given(small_blocks(), st.data())
+def test_comments_and_blank_lines_leave_the_circuit_alone(case, data):
+    c, lines, block = case
+    i = data.draw(st.integers(0, len(lines)))
+    extra = data.draw(st.sampled_from(["", "   ", "# note", "\t# note"]))
+    if data.draw(st.booleans()) or i == len(lines):
+        lines[i:i] = [extra]
+    else:
+        lines[i] += " # note"
+    with mock.patch.object(C, "BLOCK_VERTICES", block):
+        assert columns(C.parse_circuit_lines(lines)) == columns(c)
+
+
+DAMAGE = ["v0 AND v1 v1", "v9 NOT v0", "v1 NOT v1", "v2 AND v0 v7", "SINK v0",
+          "v1 INPUT -1", "v1 INPUT 99999999999", "v1 OR v0", "v01 NOT v0",
+          "v1 NOT v٠", "v1 AND v0 v+0", "v1  NOT v0"]
+
+
+@FIXED
+@given(small_blocks(), st.data())
+def test_damaged_text_gives_the_line_loop_error(case, data):
+    _, lines, block = case
+    i = data.draw(st.integers(0, len(lines) - 1))
+    bad = data.draw(st.one_of(st.sampled_from(DAMAGE), fuzzed_text()))
+    lines[i:i + data.draw(st.integers(0, 1))] = bad.split("\n")
+
+    def outcome(read):
+        try:
+            return columns(read())
+        except C.CircuitParseError as e:
+            return str(e), e.lineno
+
+    with mock.patch.object(C, "BLOCK_VERTICES", block):
+        assert (outcome(lambda: C.parse_circuit_lines(lines))
+                == outcome(lambda: parse_line_by_line(lines)))
+
+
+def test_parse_holds_little_beyond_the_line_list():
+    b = C.Builder(8)
+    w = b.inputs()
+    for k in range(100_000):
+        w.append(b.AND(w[-1], w[-3], fresh=True) if k % 3
+                 else b.NOT(w[-2], fresh=True))
+    text = C.write_circuit(b.build(w[-1]))
+    tracemalloc.start()
+    try:
+        lines = text.splitlines()
+        split = tracemalloc.get_traced_memory()[1]
+        del lines
+        tracemalloc.reset_peak()
+        c = C.parse_circuit(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.size == 100_008
+    # the columns take 9 B per vertex; node tuples took over 100 B
+    assert peak - split < 40 * c.size, (peak, split)
 
 
 @FIXED

@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsrkit import analysis as A
 from fsrkit import circuit as C
@@ -268,3 +271,59 @@ def test_oracle_ell_bound():
         R.Alg1Oracle(9)
     with pytest.raises(ValueError):
         R.Alg2Maps(9)
+
+
+# ---------------------------------------------------------------------------
+# the three toggle-field forms on random circuits
+
+FIXED = settings(derandomize=True, deadline=None)
+
+
+@st.composite
+def circuits(draw, arities):
+    """A random AND/OR/NOT DAG over one of the given input counts."""
+    b = C.Builder(draw(st.sampled_from(arities)))
+    wires = b.inputs()
+    for _ in range(draw(st.integers(0, 12))):
+        x = draw(st.sampled_from(wires))
+        op = draw(st.sampled_from(["AND", "OR", "NOT"]))
+        wires.append(b.NOT(x) if op == "NOT"
+                     else getattr(b, op)(x, draw(st.sampled_from(wires))))
+    return b.build(wires[-1])
+
+
+@functools.lru_cache(maxsize=None)
+def alg1_oracle(ell):
+    return R.Alg1Oracle(ell)
+
+
+def assert_three_forms_agree(inst, ref):
+    width = inst.stage - 1
+    semantic = tuple(inst.f3_semantic(x) for x in range(1 << width))
+    assert semantic == inst.f3_table
+    assert tuple(inst.f3_circuit.truth_table().bits()) == semantic
+    assert tuple(ref(x) for x in range(1 << width)) == semantic
+
+
+@settings(FIXED, max_examples=40)
+@given(circuits([1, 2, 3, 4, 5, 6]))
+def test_dec_toggle_forms_agree(f0):
+    inst = R.build_indecomposability_fsr(f0)       # ell = 1 for r <= 2, else 3
+    assert inst.ell in (1, 3)
+    assert_three_forms_agree(
+        inst, R.f3_reference_dec(inst.ell, inst.f2_table, R.Alg2Maps(inst.ell)))
+
+
+@settings(FIXED, max_examples=30)
+@given(circuits([1, 2]))
+def test_irr_toggle_forms_agree_at_ell_1(f0):
+    inst = R.build_irreducibility_fsr(f0)
+    assert_three_forms_agree(inst, R.f3_reference_irr(1, f0, alg1_oracle(1)))
+
+
+@settings(FIXED, max_examples=3)
+@given(circuits([5, 6]))
+def test_irr_toggle_forms_agree_at_ell_3(f0):
+    # about a second each: the gate-level circuit has some 722k vertices
+    inst = R.build_irreducibility_fsr(f0)
+    assert_three_forms_agree(inst, R.f3_reference_irr(3, f0, alg1_oracle(3)))
