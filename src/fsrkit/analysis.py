@@ -253,9 +253,10 @@ class CycleJoinGraph:
         self.f3_table = f3_table
         self.lam = lam
         self._index = {c: i for i, c in enumerate(cycles)}
+        self._joined = {c for a in arcs for c in (a.tail, a.head)}
 
     def isolated(self, c: Cycle) -> bool:
-        return all(a.tail != c and a.head != c for a in self.arcs)
+        return c not in self._joined
 
     def is_acyclic(self) -> bool:
         k = len(self.cycles)

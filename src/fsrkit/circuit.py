@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from operator import eq, lt
 
-from .bitvec import BitVec, bits_to_mask, mask_to_bits
+from .bitvec import BitVec, as_bits, bits_to_mask, mask_to_bits
 
 #: inputs beyond this are refused by the exhaustive operations
 SAT_ARITY_BOUND = 24
@@ -325,15 +325,12 @@ class Circuit:
         if isinstance(x, BitVec):
             if x.width != self.arity:
                 raise ValueError(f"input width {x.width} != arity {self.arity}")
-            xi = x.value
+            in_vals = [(x.value >> i) & 1 for i in range(self.arity)]
         else:
-            bits = list(x)
-            if len(bits) != self.arity:
-                raise ValueError(f"input width {len(bits)} != arity {self.arity}")
-            xi = 0
-            for j, b in enumerate(bits):
-                xi |= (b & 1) << j
-        in_vals = [(xi >> i) & 1 for i in range(self.arity)]
+            in_vals = list(as_bits(x))
+            if len(in_vals) != self.arity:
+                raise ValueError(
+                    f"input width {len(in_vals)} != arity {self.arity}")
         return tuple(self._run(in_vals, 1))
 
     def evaluate(self, x) -> int:
@@ -357,8 +354,12 @@ class Circuit:
         """Evaluate the circuit on a list of input vectors in one pass.
 
         Returns, per output wire, an integer whose bit j is the output on
-        assignments[j] (each assignment an integer-encoded vector).
+        assignments[j] (each assignment an integer-encoded vector).  An
+        assignment outside [0, 2^arity) raises ValueError.
         """
+        if assignments and not (0 <= min(assignments)
+                                and max(assignments) < 1 << self.arity):
+            raise ValueError(f"assignment out of range for arity {self.arity}")
         in_vals = [bits_to_mask(bytes((a >> i) & 1 for a in assignments))
                    for i in range(self.arity)]
         return self._run(in_vals, (1 << len(assignments)) - 1)

@@ -282,6 +282,8 @@ class Fsr:
         return self._table
 
     def feedback_bit(self, s: int) -> int:
+        if not 0 <= s < 1 << self.stage:
+            raise ValueError(f"state {s} out of range for stage {self.stage}")
         if self._table is not None:
             return self._table[s]
         if self._fn is not None:

@@ -95,51 +95,45 @@ def alg1_f3_semantic(ell: int, f0_tt: TruthTable):
     L = linear_step(LfsrFamily.for_ell(ell).p2)
     f0b = f0_tt.bits()
 
+    def chain(s):
+        # [s, L(s), ..., L^span(s)]
+        out = [s]
+        for _ in range(span):
+            s = L(s)
+            out.append(s)
+        return out
+
     def orbit_flag(s):
         # the c/d test for the conjugate of chain state s
-        w = s ^ 1
-        t = w
-        mn = None
-        w_half = None
-        for j in range(1, span + 1):
+        c = chain(s ^ 1)
+        return c[half] == c[0] or c[span] != min(c[1:])
+
+    def q(c, mn):
+        # each term only once the cheaper ones before it hold
+        if c[ell] != mn:
+            return False
+        t = conj = mn ^ 1
+        for _ in range(half):
             t = L(t)
-            if j == half:
-                w_half = t
-            if mn is None or t < mn:
-                mn = t
-        return 1 if (w_half == w or t != mn) else 0
+        return t == conj and all(map(orbit_flag, c[1:]))
 
     def f3(x: int) -> int:
-        u = x << 1
-        v = u | 1
-        us = [u]
-        vs = [v]
-        for _ in range(span):
-            us.append(L(us[-1]))
-            vs.append(L(vs[-1]))
-        a_hit = any(f0b[us[i] >> shift_r] for i in range(1, span + 1))
-        b_hit = any(f0b[vs[i] >> shift_r] for i in range(1, span + 1))
-        cs = [orbit_flag(us[i]) for i in range(1, span + 1)]
-        ds = [orbit_flag(vs[i]) for i in range(1, span + 1)]
+        # terms are evaluated lazily, in the order the three cases read them
+        us = chain(x << 1)
+        vs = chain(x << 1 | 1)
         u_min = min(us[1:])
         v_min = min(vs[1:])
-
-        def q(chain, mn, flags):
-            if not all(flags) or chain[ell] != mn:
-                return 0
-            t = mn ^ 1
-            for _ in range(half):
-                t = L(t)
-            return 1 if t == mn ^ 1 else 0
-
-        qu = q(us, u_min, cs)
-        qv = q(vs, v_min, ds)
-        if us[0] == us[half] and us[span] == u_min and a_hit:
+        u_ret = us[0] == us[half]
+        v_ret = vs[0] == vs[half]
+        if u_ret and us[span] == u_min and any(
+                f0b[s >> shift_r] for s in us[1:]):
             return 1
-        if vs[0] == vs[half] and vs[span] == v_min and b_hit:
+        if v_ret and vs[span] == v_min and any(
+                f0b[s >> shift_r] for s in vs[1:]):
             return 1
-        if us[0] != us[half] and vs[0] != vs[half] and (
-                us[span] == u_min or vs[span] == v_min or qu or qv):
+        if not u_ret and not v_ret and (
+                us[span] == u_min or vs[span] == v_min
+                or q(us, u_min) or q(vs, v_min)):
             return 1
         return 0
 

@@ -278,3 +278,16 @@ def test_dot_export():
     assert dot.count("->") == len(graph.arcs) >= 1
     # at least one arc leaves a short (base-family) cycle
     assert any(a.tail.period in (1, 3) for a in graph.arcs)
+
+
+def test_isolated_matches_the_arc_scan():
+    base = L.lfsr_of(L.LfsrFamily.for_ell(1).p2)
+    oracle = R.Alg1Oracle(1)
+    stray = F.Cycle([1, 1, 0, 1, 0])        # no cycle of the stage-4 base
+    for bits in ([0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0]):
+        inst = R.build_irreducibility_fsr(C.from_bits(bits))
+        graph = A.cycle_join_graph(base, inst.fsr, oracle.lam_table())
+        assert graph.arcs
+        for c in graph.cycles + [stray]:
+            scan = all(a.tail != c and a.head != c for a in graph.arcs)
+            assert graph.isolated(c) == scan

@@ -39,6 +39,25 @@ def test_evaluate_arity_mismatch():
         C.gadget_xor().evaluate([1, 0, 0])
 
 
+def test_evaluate_rejects_non_bits():
+    for x in ([2, 1], [1, -1], [0, 3]):
+        with pytest.raises(ValueError):
+            C.gadget_xor().evaluate(x)
+    with pytest.raises(ValueError):
+        C.gadget_xor().evaluate_outputs([1, 2])
+    assert C.gadget_xor().evaluate((True, False)) == 1
+
+
+def test_evaluate_batch_rejects_out_of_range_assignments():
+    b = C.Builder(2)
+    g = b.build(b.AND(*b.inputs()))
+    for assignments in ([3, 7, -1], [4], [0, -1]):
+        with pytest.raises(ValueError):
+            g.evaluate_batch(assignments)
+    assert g.evaluate_batch([0, 1, 2, 3]) == [0b1000]
+    assert g.evaluate_batch([]) == [0]
+
+
 @pytest.mark.parametrize("m", range(1, 17))
 def test_min_size_closed_form(m):
     assert C.gadget_min(m).size == min_size(m)

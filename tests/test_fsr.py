@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fsrkit import circuit as C
 from fsrkit import fsr as F
 from fsrkit.bitvec import BitVec
 from fsrkit.circuit import CircuitParseError
@@ -431,3 +432,16 @@ def test_parse_checks_the_table_length_without_building_2_to_the_stage():
     assert f.stage == stage and f.feedback_bit(5) == 1
     with pytest.raises(ValueError):
         f.table
+
+
+def test_feedback_bit_rejects_states_out_of_range():
+    table = F.Fsr(3, table=[0, 1, 1, 0, 1, 0, 0, 1])
+    assert table.feedback_bit(7) == 1
+    b = C.Builder(3)
+    circ = F.Fsr(3, circuit=b.build(b.xor(*b.inputs()[:2])))
+    assert circ.feedback_bit(3) == 0
+    for f in (table, circ):
+        for s in (-1, 8, 1 << 40):
+            with pytest.raises(ValueError):
+                f.feedback_bit(s)
+

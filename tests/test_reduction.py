@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +267,16 @@ def test_large_ell_semantic_only_build():
     assert inst2.f3_semantic(1) in (0, 1)
 
 
+def test_lazy_register_feedback_bit_rejects_states_out_of_range():
+    b = C.Builder(7)
+    inst = R.build_irreducibility_fsr(b.build(b.and_chain(b.inputs())))
+    f = inst.fsr                         # stage 36, backed by a callable
+    assert f.stage == 36 and f.feedback_bit((1 << 36) - 1) in (0, 1)
+    for s in (-1, 1 << 36, (1 << 40) + 3):
+        with pytest.raises(ValueError):
+            f.feedback_bit(s)
+
+
 def test_oracle_ell_bound():
     with pytest.raises(ValueError):
         R.Alg1Oracle(9)
@@ -327,3 +338,132 @@ def test_irr_toggle_forms_agree_at_ell_3(f0):
     # about a second each: the gate-level circuit has some 722k vertices
     inst = R.build_irreducibility_fsr(f0)
     assert_three_forms_agree(inst, R.f3_reference_irr(3, f0, alg1_oracle(3)))
+
+
+# ---------------------------------------------------------------------------
+# the lazy semantic irr field against the eager transcription
+
+def eager_alg1_f3(ell, f0_tt):
+    """The irreducibility toggle field with every term computed up front."""
+    m, span, half = 4 * ell, 6 * ell, 3 * ell
+    shift_r = m - f0_tt.arity
+    step = L.linear_step(L.LfsrFamily.for_ell(ell).p2)
+    f0b = f0_tt.bits()
+
+    def orbit_flag(s):
+        w = t = s ^ 1
+        mn = w_half = None
+        for j in range(1, span + 1):
+            t = step(t)
+            if j == half:
+                w_half = t
+            if mn is None or t < mn:
+                mn = t
+        return 1 if (w_half == w or t != mn) else 0
+
+    def f3(x):
+        us, vs = [x << 1], [(x << 1) | 1]
+        for _ in range(span):
+            us.append(step(us[-1]))
+            vs.append(step(vs[-1]))
+        a_hit = any(f0b[s >> shift_r] for s in us[1:])
+        b_hit = any(f0b[s >> shift_r] for s in vs[1:])
+        cs = [orbit_flag(s) for s in us[1:]]
+        ds = [orbit_flag(s) for s in vs[1:]]
+        u_min, v_min = min(us[1:]), min(vs[1:])
+
+        def q(chain, mn, flags):
+            if not all(flags) or chain[ell] != mn:
+                return 0
+            t = mn ^ 1
+            for _ in range(half):
+                t = step(t)
+            return 1 if t == mn ^ 1 else 0
+
+        qu, qv = q(us, u_min, cs), q(vs, v_min, ds)
+        if us[0] == us[half] and us[span] == u_min and a_hit:
+            return 1
+        if vs[0] == vs[half] and vs[span] == v_min and b_hit:
+            return 1
+        if us[0] != us[half] and vs[0] != vs[half] and (
+                us[span] == u_min or vs[span] == v_min or qu or qv):
+            return 1
+        return 0
+
+    return f3
+
+
+@settings(FIXED, max_examples=25)
+@given(circuits([1, 2]))
+def test_lazy_irr_field_matches_eager_at_ell_1(f0):
+    tt = f0.truth_table()
+    lazy, eager = R.alg1_f3_semantic(1, tt), eager_alg1_f3(1, tt)
+    assert all(lazy(x) == eager(x) for x in range(1 << 3))
+
+
+@settings(FIXED, max_examples=3)
+@given(circuits([5, 6]))
+def test_lazy_irr_field_matches_eager_at_ell_3(f0):
+    tt = f0.truth_table()
+    lazy, eager = R.alg1_f3_semantic(3, tt), eager_alg1_f3(3, tt)
+    assert all(lazy(x) == eager(x) for x in range(1 << 11))
+
+
+def period_27_states(rng, count):
+    """Stage-36 states of x^36 + x^18 + 1 that return after 27 steps: the
+    windows of sparse sequences a of period 27 with
+    a_t + a_(t+9) + a_(t+18) = 0."""
+    for _ in range(count):
+        a = [int(rng.random() < 0.25) for _ in range(18)]
+        a += [a[t] ^ a[t + 9] for t in range(9)]
+        yield sum(a[i % 27] << i for i in range(36))
+
+
+def test_lazy_irr_field_matches_eager_at_ell_9():
+    rng = random.Random(9)
+    full = (1 << 36) - 1
+    step = L.linear_step(L.LfsrFamily.for_ell(9).p2)
+
+    def back(s):   # the inverse of step
+        return ((s << 1) & full) | (((s >> 35) ^ (s >> 17)) & 1)
+
+    xs = [rng.getrandbits(35) for _ in range(150)]
+    for w in period_27_states(rng, 60):
+        xs.append(w >> 1)               # returns: cases 1 and 2
+        for _ in range(27):
+            # the chain nine steps back from w's conjugate, kept when that
+            # conjugate is the chain's least state: case 3 reaches q's flags
+            chain = [w ^ 1]
+            for _ in range(9):
+                chain.insert(0, back(chain[0]))
+            while len(chain) < 55:
+                chain.append(step(chain[-1]))
+            if min(chain[1:]) == w ^ 1:
+                xs.append(chain[0] >> 1)
+            w = step(w)
+    dense = [rng.getrandbits(1) for _ in range(512)]
+    for f0 in (C.from_bits([0] * 255 + [1]), C.from_bits(dense)):
+        tt = f0.truth_table()
+        lazy, eager = R.alg1_f3_semantic(9, tt), eager_alg1_f3(9, tt)
+        assert [lazy(x) for x in xs] == [eager(x) for x in xs]
+
+
+def test_lazy_irr_field_step_count(monkeypatch):
+    # an eager tabulation at ell = 3 takes 1,401,759 linear steps
+    steps = [0]
+    real = R.linear_step
+
+    def counting(p):
+        step = real(p)
+
+        def counted(s):
+            steps[0] += 1
+            return step(s)
+        return counted
+
+    monkeypatch.setattr(R, "linear_step", counting)
+    f0 = C.from_bits([(i * 37 >> 3) & 1 for i in range(64)])
+    f3 = R.alg1_f3_semantic(3, f0.truth_table())
+    for x in range(1 << 11):
+        f3(x)
+    assert 0 < steps[0] < 150_000
