@@ -186,10 +186,13 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
     brute: enumerate every inner register of each admissible stage and
     constraint-solve the outer; inner stages above 3 are refused unless
     max_inner_stage caps the search (the result is then one-sided).
+    Under either strategy a max_inner_stage below 1 raises ValueError.
     guided: try exactly the sub-registers of f containing the zero cycle,
     and their complements; complete whenever f sends the all-zero state to
     zero and is nonsingular.
     """
+    if max_inner_stage is not None and max_inner_stage < 1:
+        raise ValueError(f"max_inner_stage must be >= 1, got {max_inner_stage}")
     n = f.stage
     tried = 0
     if strategy == "brute":

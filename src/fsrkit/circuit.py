@@ -32,7 +32,7 @@ from array import array
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, compress
-from operator import eq, lt
+from operator import eq, itemgetter, lt
 
 from .bitvec import BitVec, as_bits, bits_to_mask, mask_to_bits
 
@@ -660,26 +660,54 @@ def _vertex_ref(tok: str, limit: int, lineno: int) -> int:
     return k
 
 
-def parse_circuit(text: str) -> Circuit:
-    """Parse the text format; rejects forward references and double SINKs."""
-    return parse_circuit_lines(text.splitlines())
+def parse_circuit(text: str, start: int = 0, first_line: int = 1) -> Circuit:
+    """Parse the text format from offset ``start``, the start of line
+    ``first_line``, so a circuit inside a larger file reports the file's
+    line numbers; rejects forward references and double SINKs.
+
+    The text is read where it lies, in blocks (see _text_blocks).  A block
+    of plain vertex lines, as write_circuit writes them, is read column by
+    column; any other block (a comment, a blank line, other spacing or
+    line breaks, the SINK line, an error) goes through the line loop,
+    which alone reports errors."""
+    rd = _TextReader(first_line)
+    for block in _text_blocks(text, start):
+        if rd.sink is not None or not rd.bulk(block):
+            rd.loop(block)
+    if not rd.kinds:
+        raise CircuitParseError("empty circuit", first_line)
+    if rd.sink is None:
+        raise CircuitParseError("missing SINK line", rd.lineno - 1)
+    max_input = max(compress(rd.a, rd.kinds.translate(_IS_IN)), default=-1)
+    if max_input < 0:
+        raise CircuitParseError("circuit has no INPUT vertex", first_line)
+    return Circuit._from_columns(max_input + 1, bytes(rd.kinds), rd.a, rd.b,
+                                (rd.sink,))
 
 
-def parse_circuit_lines(lines, start: int = 0) -> Circuit:
-    """Parse lines[start:] as circuit text.  Errors carry 1-based line
-    numbers within ``lines``, so a circuit inside a larger file reports
-    the file's line numbers.
+def _text_blocks(text: str, start: int = 0):
+    """The text from offset ``start`` in blocks of at most BLOCK_VERTICES
+    lines, each ending right after a "\\n" (never inside "\\r\\n") or at
+    the end of the text, so the blocks' splitlines() are the text's own."""
+    cut = re.compile(rf"(?:[^\n]*\n){{1,{BLOCK_VERTICES}}}|[^\n]+")
+    return map(itemgetter(0), cut.finditer(text, start))
 
-    The lines go in blocks of BLOCK_VERTICES.  A block of plain vertex
-    lines, as write_circuit writes them, is read column by column; any
-    other block (a comment, a blank line, other spacing, the SINK line,
-    an error) goes through the line loop, which alone reports errors."""
-    rd = _TextReader(lines)
-    for lo in range(start, len(lines), BLOCK_VERTICES):
-        hi = min(lo + BLOCK_VERTICES, len(lines))
-        if rd.sink is not None or not rd.bulk(lo, hi):
-            rd.loop(lo, hi)
-    return rd.circuit(start)
+
+def significant_lines(text: str, lineno: int = 1):
+    """Yield (line number, tokens, end offset) for each line of ``text``
+    with a token outside its '#' comment: lines as str.splitlines cuts
+    them, numbered from ``lineno``, each ending past its line break.  Last
+    comes (the text's last line number, or lineno - 1 if it has no line,
+    [], len(text)).  The text is read in blocks, never split whole."""
+    end = 0
+    for block in _text_blocks(text):
+        for line in block.splitlines(keepends=True):
+            end += len(line)
+            toks = line.split("#", 1)[0].split()
+            if toks:
+                yield lineno, toks, end
+            lineno += 1
+    yield lineno - 1, [], end
 
 
 def _operands_earlier(kinds, col, k0: int) -> bool:
@@ -690,30 +718,29 @@ def _operands_earlier(kinds, col, k0: int) -> bool:
 
 
 class _TextReader:
-    """The columns read so far from circuit text, with its SINK and its
-    widest input index."""
+    """The columns read so far from circuit text, with its SINK and the
+    number of the next line to read."""
 
-    def __init__(self, lines):
-        self.lines = lines
+    def __init__(self, lineno: int):
         self.kinds = bytearray()
         self.a = array("I")
         self.b = array("I")
         self.sink = None
-        self.max_input = -1
+        self.lineno = lineno
 
-    def bulk(self, lo: int, hi: int) -> bool:
-        """Read lines[lo:hi] column by column if all of them are plain
+    def bulk(self, block: str) -> bool:
+        """Read the block column by column if all its lines are plain
         vertex lines that the line loop would accept; otherwise read
         nothing and return False."""
-        text = "\n".join(self.lines[lo:hi])
-        if not _PLAIN_LINES.fullmatch(text):
+        end = len(block) - block.endswith("\n")
+        if not _PLAIN_LINES.fullmatch(block, 0, end):
             return False
         # each line becomes four numbers: id, kind code, a, b; a one-operand
         # line gets a 0 for a, mended below
         for word, numbers in _WORD_NUMBERS:
-            text = text.replace(word, numbers)
+            block = block.replace(word, numbers)
         try:
-            nums = array("I", map(int, text.split()))
+            nums = array("I", map(int, block.split()))
         except (ValueError, OverflowError):     # digits past int's limits
             return False
         k0 = len(self.kinds)
@@ -728,18 +755,16 @@ class _TextReader:
         self.kinds += kinds
         self.a += a
         self.b += b
-        self.max_input = max(self.max_input,
-                             max(compress(a, kinds.translate(_IS_IN)), default=-1))
+        self.lineno += len(kinds)
         return True
 
-    def loop(self, lo: int, hi: int) -> None:
-        """Read lines[lo:hi] one line at a time."""
+    def loop(self, block: str) -> None:
+        """Read the block one line at a time."""
         kinds, a, b = self.kinds, self.a, self.b
-        for lineno, raw in enumerate(self.lines[lo:hi], start=lo + 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
+        for lineno, toks, _ in significant_lines(block, self.lineno):
+            if not toks:                # past the block's last line
+                self.lineno = lineno + 1
+                break
             if toks[0] == "SINK":
                 if self.sink is not None:
                     raise CircuitParseError("multiple SINK lines", lineno)
@@ -767,7 +792,6 @@ class _TextReader:
                     raise CircuitParseError("negative input index", lineno)
                 if i > _INDEX_MAX:
                     raise CircuitParseError(f"input index {i} too large", lineno)
-                self.max_input = max(self.max_input, i)
                 x = y = i
             elif op in (AND, OR):
                 if len(toks) != 4:
@@ -783,14 +807,4 @@ class _TextReader:
             kinds.append(_WORD_CODE[op])
             a.append(x)
             b.append(y)
-
-    def circuit(self, start: int) -> Circuit:
-        if not self.kinds:
-            raise CircuitParseError("empty circuit", start + 1)
-        if self.sink is None:
-            raise CircuitParseError("missing SINK line", len(self.lines) or 1)
-        if self.max_input < 0:
-            raise CircuitParseError("circuit has no INPUT vertex", start + 1)
-        return Circuit._from_columns(self.max_input + 1, bytes(self.kinds),
-                                    self.a, self.b, (self.sink,))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 
 from .bitvec import BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
-from .circuit import Circuit, parse_circuit, parse_circuit_lines, write_circuit
+from .circuit import Circuit, parse_circuit, significant_lines, write_circuit
 
 
 def state_bound() -> int:
@@ -198,12 +198,9 @@ class CycleStructure:
     @classmethod
     def parse_listing(cls, text: str) -> "CycleStructure":
         cycles = {}     # cycle -> the line that lists it
-        lines = text.splitlines()
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
+        for lineno, toks, _ in significant_lines(text):
+            if not toks:                # past the last line
+                break
             if len(toks) != 2:
                 raise FsrParseError("expected 'period bits'", lineno)
             try:
@@ -218,7 +215,7 @@ class CycleStructure:
                 raise FsrParseError(f"repeats the cycle of line {cycles[c]}", lineno)
             cycles[c] = lineno
         if not cycles:
-            raise FsrParseError("empty cycle structure", len(lines) or 1)
+            raise FsrParseError("empty cycle structure", lineno or 1)
         return cls(cycles)
 
     def __repr__(self):
@@ -514,69 +511,55 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
     one 0/1 digit per state, index order, or ``FEEDBACK CIRCUIT [path]``;
     with no path the circuit text follows inline until end of file.
     """
-    lines = text.splitlines()
-    idx = 0
-    stage = None
-    lineno = 0
-    while idx < len(lines):
-        lineno = idx + 1
-        line = lines[idx].split("#", 1)[0].strip()
-        idx += 1
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] != "STAGE" or len(toks) != 2:
-            raise FsrParseError("expected 'STAGE n'", lineno)
-        try:
-            stage = int(toks[1])
-        except ValueError:
-            raise FsrParseError(f"bad stage {toks[1]!r}", lineno) from None
-        if stage < 1:
-            raise FsrParseError("stage must be >= 1", lineno)
-        break
-    if stage is None:
+    lines = significant_lines(text)
+    lineno, toks, _ = next(lines)
+    if not toks:
         raise FsrParseError("missing STAGE line", lineno or 1)
+    if toks[0] != "STAGE" or len(toks) != 2:
+        raise FsrParseError("expected 'STAGE n'", lineno)
+    try:
+        stage = int(toks[1])
+    except ValueError:
+        raise FsrParseError(f"bad stage {toks[1]!r}", lineno) from None
+    if stage < 1:
+        raise FsrParseError("stage must be >= 1", lineno)
 
-    while idx < len(lines):
-        lineno = idx + 1
-        line = lines[idx].split("#", 1)[0].strip()
-        idx += 1
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] != "FEEDBACK" or len(toks) < 2:
-            raise FsrParseError("expected a FEEDBACK line", lineno)
-        if toks[1] == "TABLE":
-            if len(toks) != 3:
-                raise FsrParseError("FEEDBACK TABLE takes one digit string", lineno)
-            digits = toks[2]
-            # compare lengths without building 2^stage from an untrusted stage
-            size = len(digits)
-            if size & (size - 1) or size.bit_length() - 1 != stage:
-                raise FsrParseError(
-                    f"table needs 2^{stage} digits, got {size}", lineno)
+    lineno, toks, end = next(lines)
+    lines.close()       # frees the block it holds before a circuit is read
+    if not toks:
+        raise FsrParseError("missing FEEDBACK line", lineno)
+    if toks[0] != "FEEDBACK" or len(toks) < 2:
+        raise FsrParseError("expected a FEEDBACK line", lineno)
+    if toks[1] == "TABLE":
+        if len(toks) != 3:
+            raise FsrParseError("FEEDBACK TABLE takes one digit string", lineno)
+        digits = toks[2]
+        # compare lengths without building 2^stage from an untrusted stage
+        size = len(digits)
+        if size & (size - 1) or size.bit_length() - 1 != stage:
+            raise FsrParseError(
+                f"table needs 2^{stage} digits, got {size}", lineno)
+        try:
+            table = digits_to_bits(digits)
+        except ValueError:
+            raise FsrParseError("table digits must be 0 or 1", lineno) from None
+        return Fsr(stage, table=table)
+    if toks[1] == "CIRCUIT":
+        if len(toks) == 3:
+            path = os.path.join(base_dir, toks[2])
             try:
-                table = digits_to_bits(digits)
-            except ValueError:
-                raise FsrParseError("table digits must be 0 or 1", lineno) from None
-            return Fsr(stage, table=table)
-        if toks[1] == "CIRCUIT":
-            if len(toks) == 3:
-                path = os.path.join(base_dir, toks[2])
-                try:
-                    with open(path) as fh:
-                        body = fh.read()
-                except (OSError, ValueError) as e:   # ValueError: NUL, bad UTF-8
-                    raise FsrParseError(f"cannot read circuit {toks[2]!r}: {e}",
-                                        lineno) from None
-                circ = parse_circuit(body)
-            elif len(toks) == 2:
-                circ = parse_circuit_lines(lines, idx)
-            else:
-                raise FsrParseError("FEEDBACK CIRCUIT takes at most one path", lineno)
-            if circ.arity != stage:
-                raise FsrParseError(
-                    f"feedback arity {circ.arity} != stage {stage}", lineno)
-            return Fsr(stage, circuit=circ)
-        raise FsrParseError(f"unknown feedback kind {toks[1]!r}", lineno)
-    raise FsrParseError("missing FEEDBACK line", len(lines) or 1)
+                with open(path) as fh:
+                    body = fh.read()
+            except (OSError, ValueError) as e:   # ValueError: NUL, bad UTF-8
+                raise FsrParseError(f"cannot read circuit {toks[2]!r}: {e}",
+                                    lineno) from None
+            circ = parse_circuit(body)
+        elif len(toks) == 2:
+            circ = parse_circuit(text, end, lineno + 1)
+        else:
+            raise FsrParseError("FEEDBACK CIRCUIT takes at most one path", lineno)
+        if circ.arity != stage:
+            raise FsrParseError(
+                f"feedback arity {circ.arity} != stage {stage}", lineno)
+        return Fsr(stage, circuit=circ)
+    raise FsrParseError(f"unknown feedback kind {toks[1]!r}", lineno)

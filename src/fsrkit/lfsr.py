@@ -28,6 +28,9 @@ from .fsr import Fsr, InvariantError, cycle_structure
 
 IRREDUCIBILITY_DEGREE_BOUND = 36
 LINEAR_TABLE_DEGREE_BOUND = 18
+#: parse_poly refuses a polynomial of higher degree; the package builds
+#: none above 36 (p2 at ell = 9)
+POLY_DEGREE_BOUND = 64
 
 
 class GF2Poly:
@@ -127,10 +130,15 @@ def poly_is_irreducible(p: GF2Poly) -> bool:
 
 
 def parse_poly(text: str) -> GF2Poly:
-    """Accepts 'x^a + x^b + ... + 1' (also x, 0) or a hex mask '0x...'."""
+    """Accepts 'x^a + x^b + ... + 1' (also x, 0) or a hex mask '0x...'.
+    A degree above POLY_DEGREE_BOUND raises ValueError before any power
+    of x is built."""
     s = text.strip().lower()
     if s.startswith("0x"):
-        return GF2Poly(int(s, 16))
+        v = int(s, 16)
+        if v.bit_length() - 1 > POLY_DEGREE_BOUND:
+            raise ValueError(f"degree {v.bit_length() - 1} above {POLY_DEGREE_BOUND}")
+        return GF2Poly(v)
     v = 0
     for term in s.split("+"):
         term = term.strip()
@@ -144,7 +152,10 @@ def parse_poly(text: str) -> GF2Poly:
             m = re.fullmatch(r"x\^(\d+)", term)
             if not m:
                 raise ValueError(f"bad polynomial term {term!r}")
-            v ^= 1 << int(m.group(1))
+            e = int(m.group(1))
+            if e > POLY_DEGREE_BOUND:
+                raise ValueError(f"degree {e} above {POLY_DEGREE_BOUND}")
+            v ^= 1 << e
     return GF2Poly(v)
 
 

@@ -124,6 +124,15 @@ def test_brute_refuses_wide_inner():
     assert rep.decomposable  # pure cycling register factors readily
 
 
+def test_inner_stage_cap_below_one_is_refused():
+    f = F.Fsr(3, table=[0, 1] * 4)      # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    for strategy in ("brute", "guided"):
+        assert A.is_decomposable(f, strategy, max_inner_stage=1).decomposable
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="max_inner_stage must be >= 1"):
+                A.is_decomposable(f, strategy, max_inner_stage=cap)
+
+
 def test_guided_preconditions():
     f = F.Fsr(2, table=[1, 0, 0, 1])  # f1(0) = 1
     with pytest.raises(ValueError):

@@ -88,6 +88,12 @@ def test_analyze_decompose(workdir, capsys):
     assert "decomposable=True" in out and "inner stage=1" in out
     p0 = write(workdir / "p0.fsr", "STAGE 2\nFEEDBACK TABLE 0110\n")
     assert main(["analyze", "decompose", p0]) == 1
+    # a cap below 1 once searched nothing and answered "no"
+    x3 = write(workdir / "x3.fsr", "STAGE 3\nFEEDBACK TABLE 01010101\n")
+    for cap in ("0", "-3"):
+        assert main(["analyze", "decompose", x3, "--strategy", "brute",
+                     "--max-inner-stage", cap]) == 2
+        assert "max_inner_stage must be >= 1" in capsys.readouterr().err
 
 
 def test_analyze_subfsr(workdir, capsys):
@@ -158,6 +164,8 @@ def test_lfsr_command(workdir, capsys):
     assert main(["lfsr", "0x7", "--cycles"]) == 0
     assert "3 011" in capsys.readouterr().out
     assert main(["lfsr", "x^2 +"]) == 2
+    assert main(["lfsr", "x^1000000 + 1"]) == 2
+    assert "degree 1000000 above 64" in capsys.readouterr().err
 
 
 def test_verify_family_counts_suite(capsys):

@@ -17,6 +17,18 @@ def test_poly_parse_and_str():
         L.parse_poly("x^2 + y")
 
 
+def test_poly_degree_bound():
+    bound = L.POLY_DEGREE_BOUND
+    assert L.parse_poly(f"x^{bound} + 1").degree == bound
+    assert L.parse_poly(hex(3 << (bound - 1))).degree == bound
+    # refused before a power of x is built: x^(2^70) does not fit a shift
+    # count, and str() of x^1000000 once took 28 s
+    for text in (f"x^{bound + 1}", "x^1000000 + 1", f"x^{2 ** 70} + x",
+                 "0x1" + "0" * 250_000):
+        with pytest.raises(ValueError, match=f"above {bound}"):
+            L.parse_poly(text)
+
+
 def test_poly_mul():
     one_plus_x = L.parse_poly("x + 1")
     p0 = L.parse_poly("x^2 + x + 1")

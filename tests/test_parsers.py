@@ -57,35 +57,55 @@ def columns(c):
     return c.arity, c.kinds, c.a, c.b, c.outputs
 
 
-def parse_line_by_line(lines):
-    """The parser with every block sent through its line loop."""
-    with mock.patch.object(C._TextReader, "bulk", lambda rd, lo, hi: False):
-        return C.parse_circuit_lines(lines)
+def outcome(read):
+    """The columns of the circuit read() gives, or its error's class, text
+    and line number."""
+    try:
+        return columns(read())
+    except (C.CircuitParseError, F.FsrParseError) as e:
+        return type(e).__name__, str(e), e.lineno
+
+
+def reference(lines, first_line=1):
+    """parse_circuit with the given lines, none holding a line break, sent
+    through its line loop one at a time."""
+    with mock.patch.object(C, "BLOCK_VERTICES", 1):
+        with mock.patch.object(C._TextReader, "bulk", lambda rd, block: False):
+            return C.parse_circuit("".join(s + "\n" for s in lines), 0, first_line)
+
+
+def reference_fsr(text, stage):
+    """The inline circuit of register text whose first two lines are its
+    STAGE and FEEDBACK CIRCUIT lines, read by reference()."""
+    circ = reference(text.splitlines()[2:], 3)
+    if circ.arity != stage:
+        raise F.FsrParseError(f"feedback arity {circ.arity} != stage {stage}", 2)
+    return circ
 
 
 @st.composite
 def small_blocks(draw):
-    """A circuit's text lines and a parse block size that splits them into
-    several blocks."""
+    """A circuit, its text and a parse block size that splits the text
+    into several blocks."""
     c = draw(circuits())
-    return c, C.write_circuit(c).splitlines(), draw(st.integers(1, 6))
+    return c, C.write_circuit(c), draw(st.integers(1, 6))
 
 
 @FIXED
 @given(small_blocks())
 def test_bulk_read_and_line_loop_give_equal_columns(case):
-    c, lines, block = case
+    c, text, block = case
     real = C._TextReader.bulk
     read = []
 
-    def bulk(rd, lo, hi):
-        read.append(real(rd, lo, hi))
+    def bulk(rd, block):
+        read.append(real(rd, block))
         return read[-1]
 
     with mock.patch.object(C, "BLOCK_VERTICES", block):
         with mock.patch.object(C._TextReader, "bulk", bulk):
-            by_blocks = C.parse_circuit_lines(lines)
-        by_lines = parse_line_by_line(lines)
+            by_blocks = C.parse_circuit(text)
+        by_lines = reference(text.splitlines())
     assert columns(by_blocks) == columns(by_lines) == columns(c)
     # every block before the one holding SINK is plain vertex lines
     assert read.count(True) == c.size // block
@@ -94,7 +114,8 @@ def test_bulk_read_and_line_loop_give_equal_columns(case):
 @FIXED
 @given(small_blocks(), st.data())
 def test_comments_and_blank_lines_leave_the_circuit_alone(case, data):
-    c, lines, block = case
+    c, text, block = case
+    lines = text.splitlines()
     i = data.draw(st.integers(0, len(lines)))
     extra = data.draw(st.sampled_from(["", "   ", "# note", "\t# note"]))
     if data.draw(st.booleans()) or i == len(lines):
@@ -102,7 +123,7 @@ def test_comments_and_blank_lines_leave_the_circuit_alone(case, data):
     else:
         lines[i] += " # note"
     with mock.patch.object(C, "BLOCK_VERTICES", block):
-        assert columns(C.parse_circuit_lines(lines)) == columns(c)
+        assert columns(C.parse_circuit("\n".join(lines))) == columns(c)
 
 
 DAMAGE = ["v0 AND v1 v1", "v9 NOT v0", "v1 NOT v1", "v2 AND v0 v7", "SINK v0",
@@ -113,42 +134,69 @@ DAMAGE = ["v0 AND v1 v1", "v9 NOT v0", "v1 NOT v1", "v2 AND v0 v7", "SINK v0",
 @FIXED
 @given(small_blocks(), st.data())
 def test_damaged_text_gives_the_line_loop_error(case, data):
-    _, lines, block = case
+    _, text, block = case
+    lines = text.splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))
     bad = data.draw(st.one_of(st.sampled_from(DAMAGE), fuzzed_text()))
     lines[i:i + data.draw(st.integers(0, 1))] = bad.split("\n")
-
-    def outcome(read):
-        try:
-            return columns(read())
-        except C.CircuitParseError as e:
-            return str(e), e.lineno
-
+    text = "\n".join(lines)
     with mock.patch.object(C, "BLOCK_VERTICES", block):
-        assert (outcome(lambda: C.parse_circuit_lines(lines))
-                == outcome(lambda: parse_line_by_line(lines)))
+        assert (outcome(lambda: C.parse_circuit(text))
+                == outcome(lambda: reference(text.splitlines())))
 
 
-def test_parse_holds_little_beyond_the_line_list():
+#: line breaks str.splitlines knows, "\n" among them
+BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028"]
+
+
+@FIXED
+@given(small_blocks(), st.data())
+def test_blocks_read_the_lines_of_splitlines(case, data):
+    """Whatever the line breaks, blank or comment lines and damage, the
+    block reader gives what the line loop gives over text.splitlines(),
+    alone and inline in register text."""
+    c, text, block = case
+    lines = text.splitlines()
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(lines)))
+        bad = data.draw(st.one_of(st.sampled_from(DAMAGE + ["", "# note"]),
+                                  fuzzed_text()))
+        lines[i:i + data.draw(st.integers(0, 1))] = bad.split("\n")
+    lines = [f"STAGE {c.arity}", "FEEDBACK CIRCUIT"] + lines
+    breaks = data.draw(st.lists(st.sampled_from(BREAKS), min_size=len(lines) - 1,
+                                max_size=len(lines) - 1))
+    breaks.append(data.draw(st.sampled_from(BREAKS + [""])))
+    register = "".join(map(str.__add__, lines, breaks))
+    body = "".join(map(str.__add__, lines[2:], breaks[2:]))
+    with mock.patch.object(C, "BLOCK_VERTICES", block):
+        assert (outcome(lambda: C.parse_circuit(body))
+                == outcome(lambda: reference(body.splitlines())))
+        assert (outcome(lambda: F.parse_fsr(register).circuit)
+                == outcome(lambda: reference_fsr(register, c.arity)))
+
+
+def test_parse_holds_under_40_bytes_per_vertex():
     b = C.Builder(8)
     w = b.inputs()
     for k in range(100_000):
         w.append(b.AND(w[-1], w[-3], fresh=True) if k % 3
                  else b.NOT(w[-2], fresh=True))
     text = C.write_circuit(b.build(w[-1]))
+    register = "STAGE 8\nFEEDBACK CIRCUIT\n" + text
     tracemalloc.start()
     try:
-        lines = text.splitlines()
-        split = tracemalloc.get_traced_memory()[1]
-        del lines
-        tracemalloc.reset_peak()
         c = C.parse_circuit(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        alone = tracemalloc.get_traced_memory()[1]
+        del c
+        tracemalloc.reset_peak()
+        c = F.parse_fsr(register).circuit
+        inline = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert c.size == 100_008
-    # the columns take 9 B per vertex; node tuples took over 100 B
-    assert peak - split < 40 * c.size, (peak, split)
+    # the columns take 9 B per vertex; node tuples took over 100 B, and a
+    # line list of the text about 75 B
+    assert alone < 40 * c.size and inline < 40 * c.size, (alone, inline)
 
 
 @FIXED
