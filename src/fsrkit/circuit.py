@@ -27,12 +27,13 @@ holds only the live frontier.
 
 from __future__ import annotations
 
+import json
 import re
 from array import array
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, compress
-from operator import eq, itemgetter, lt
+from operator import eq, getitem, lt
 
 from .bitvec import BitVec, as_bits, bits_to_mask, mask_to_bits
 
@@ -615,11 +616,14 @@ _WORD_CODE = {"INPUT": _IN, AND: _AND, OR: _OR, NOT: _NOT}
 #: and an id without leading zeros
 _PLAIN_LINE = ("v(?:0|[1-9][0-9]*) "
                "(?:INPUT [0-9]+|NOT v[0-9]+|(?:AND|OR) v[0-9]+ v[0-9]+)")
-_PLAIN_LINES = re.compile(f"{_PLAIN_LINE}(?:\n{_PLAIN_LINE})*")
-#: replacements that turn plain vertex lines into numbers, kind words into
-#: their codes (one-operand kinds with a 0 for a)
-_WORD_NUMBERS = ((" INPUT ", " 0 0 "), (" AND ", " 1 "), (" OR ", " 2 "),
-                 (" NOT ", " 3 0 "), ("v", ""))
+#: what turns plain vertex lines into the body of a JSON array, four
+#: numbers per line: id, kind code, a, b.  The one-operand kinds are
+#: replaced, with a 0 for a; then one character map takes AND to 1 and OR
+#: to 2 (their other letters dropped), drops the "v" prefixes and makes
+#: spaces and line breaks commas
+_ONE_OPERAND_WORDS = ((" INPUT ", ",0,0,"), (" NOT ", ",3,0,"))
+_JSON_CHARS = str.maketrans({"A": "1", "N": None, "D": None, "O": "2",
+                             "R": None, "v": None, " ": ",", "\n": ","})
 #: kind code -> 1 for IN and NOT, else 0
 _ONE_OPERAND = bytes([1, 0, 0, 1]) + bytes(252)
 #: kind code -> 1 for IN, else 0
@@ -646,17 +650,26 @@ def write_circuit(circ: Circuit) -> str:
     return "".join(blocks)
 
 
+def decimal(tok: str) -> int:
+    """The value of a number field of any text format: ASCII digits only,
+    so no sign, no underscore and no other script's digits.  ValueError
+    otherwise, or past int's digit limit."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"not a decimal number: {tok!r}")
+    return int(tok)
+
+
 def _vertex_ref(tok: str, limit: int, lineno: int) -> int:
     if not tok.startswith("v"):
         raise CircuitParseError(f"expected vertex reference, got {tok!r}", lineno)
     try:
-        k = int(tok[1:])
+        k = decimal(tok[1:])
     except ValueError:
+        if tok[1:2] == "-" and tok[2:].isascii() and tok[2:].isdigit():
+            raise CircuitParseError(f"negative vertex reference {tok!r}", lineno) from None
         raise CircuitParseError(f"bad vertex reference {tok!r}", lineno) from None
     if k >= limit:
         raise CircuitParseError(f"forward reference to v{k}", lineno)
-    if k < 0:
-        raise CircuitParseError(f"negative vertex reference {tok!r}", lineno)
     return k
 
 
@@ -665,15 +678,25 @@ def parse_circuit(text: str, start: int = 0, first_line: int = 1) -> Circuit:
     ``first_line``, so a circuit inside a larger file reports the file's
     line numbers; rejects forward references and double SINKs.
 
-    The text is read where it lies, in blocks (see _text_blocks).  A block
-    of plain vertex lines, as write_circuit writes them, is read column by
-    column; any other block (a comment, a blank line, other spacing or
-    line breaks, the SINK line, an error) goes through the line loop,
-    which alone reports errors."""
+    The text is read where it lies.  One anchored match finds up to
+    BLOCK_VERTICES plain vertex lines, as write_circuit writes them, and
+    they are decoded column by column (see _TextReader.bulk).  Where no
+    plain line starts (a comment, a blank line, other spacing or line
+    breaks, the SINK line) or the decoder declines the run, a block of up
+    to BLOCK_VERTICES lines (see _line_block) goes through the line loop
+    instead, which alone reports errors."""
     rd = _TextReader(first_line)
-    for block in _text_blocks(text, start):
-        if rd.sink is not None or not rd.bulk(block):
-            rd.loop(block)
+    run = _plain_run(BLOCK_VERTICES).match
+    cut = _line_block(BLOCK_VERTICES).match
+    pos = start
+    while pos < len(text):
+        m = rd.sink is None and run(text, pos)
+        if m and rd.bulk(m.group()):
+            pos = m.end() + 1           # past the "\n" that ends the run
+        else:
+            m = cut(text, pos)
+            rd.loop(m.group())
+            pos = m.end()
     if not rd.kinds:
         raise CircuitParseError("empty circuit", first_line)
     if rd.sink is None:
@@ -685,12 +708,19 @@ def parse_circuit(text: str, start: int = 0, first_line: int = 1) -> Circuit:
                                 (rd.sink,))
 
 
-def _text_blocks(text: str, start: int = 0):
-    """The text from offset ``start`` in blocks of at most BLOCK_VERTICES
-    lines, each ending right after a "\\n" (never inside "\\r\\n") or at
-    the end of the text, so the blocks' splitlines() are the text's own."""
-    cut = re.compile(rf"(?:[^\n]*\n){{1,{BLOCK_VERTICES}}}|[^\n]+")
-    return map(itemgetter(0), cut.finditer(text, start))
+@lru_cache(maxsize=8)
+def _plain_run(n: int) -> re.Pattern:
+    """Matches 1 to n plain vertex lines, each ending at a "\\n" or at the
+    end of the text; a last line that ends otherwise is left out."""
+    return re.compile(rf"{_PLAIN_LINE}(?:\n{_PLAIN_LINE}){{0,{n - 1}}}(?=\n|\Z)")
+
+
+@lru_cache(maxsize=8)
+def _line_block(n: int) -> re.Pattern:
+    """Matches 1 to n lines, ending right after a "\\n" (never inside
+    "\\r\\n") or at the end of the text, so their splitlines() are the
+    text's own."""
+    return re.compile(rf"(?:[^\n]*\n){{1,{n}}}|[^\n]+")
 
 
 def significant_lines(text: str, lineno: int = 1):
@@ -700,21 +730,14 @@ def significant_lines(text: str, lineno: int = 1):
     comes (the text's last line number, or lineno - 1 if it has no line,
     [], len(text)).  The text is read in blocks, never split whole."""
     end = 0
-    for block in _text_blocks(text):
-        for line in block.splitlines(keepends=True):
+    for block in _line_block(BLOCK_VERTICES).finditer(text):
+        for line in block.group().splitlines(keepends=True):
             end += len(line)
             toks = line.split("#", 1)[0].split()
             if toks:
                 yield lineno, toks, end
             lineno += 1
     yield lineno - 1, [], end
-
-
-def _operands_earlier(kinds, col, k0: int) -> bool:
-    """Whether each gate's entry in col names a vertex before the gate;
-    the vertices' ids start at k0."""
-    ids = range(k0, k0 + len(kinds))
-    return all(map(lt, compress(col, kinds), compress(ids, kinds)))
 
 
 class _TextReader:
@@ -729,29 +752,28 @@ class _TextReader:
         self.lineno = lineno
 
     def bulk(self, block: str) -> bool:
-        """Read the block column by column if all its lines are plain
-        vertex lines that the line loop would accept; otherwise read
-        nothing and return False."""
-        end = len(block) - block.endswith("\n")
-        if not _PLAIN_LINES.fullmatch(block, 0, end):
-            return False
-        # each line becomes four numbers: id, kind code, a, b; a one-operand
-        # line gets a 0 for a, mended below
-        for word, numbers in _WORD_NUMBERS:
+        """Read plain vertex lines (a _plain_run match) column by column if
+        the line loop would accept them; otherwise read nothing and return
+        False."""
+        for word, numbers in _ONE_OPERAND_WORDS:
             block = block.replace(word, numbers)
         try:
-            nums = array("I", map(int, block.split()))
-        except (ValueError, OverflowError):     # digits past int's limits
+            nums = json.loads(f"[{block.translate(_JSON_CHARS)}]")
+        except ValueError:      # leading zeros, or digits past int's limit
             return False
         k0 = len(self.kinds)
-        kinds = bytes(nums[1::4].tolist())
-        a, b = nums[2::4], nums[3::4]
-        if not (nums[0::4] == array("I", range(k0, k0 + len(kinds)))
-                and _operands_earlier(kinds, a, k0)
-                and _operands_earlier(kinds, b, k0)):
+        ids, kinds, a, b = nums[0::4], bytes(nums[1::4]), nums[2::4], nums[3::4]
+        gates = list(compress(ids, kinds))
+        if not (ids == list(range(k0, k0 + len(ids)))
+                and all(map(lt, compress(a, kinds), gates))
+                and all(map(lt, compress(b, kinds), gates))):
             return False
-        for k in compress(range(len(kinds)), kinds.translate(_ONE_OPERAND)):
-            a[k] = b[k]
+        try:
+            # a one-operand vertex stores its operand in both columns
+            a = array("I", map(getitem, zip(a, b), kinds.translate(_ONE_OPERAND)))
+            b = array("I", b)
+        except OverflowError:   # an input index past the columns' range
+            return False
         self.kinds += kinds
         self.a += a
         self.b += b
@@ -785,11 +807,9 @@ class _TextReader:
                 if len(toks) != 3:
                     raise CircuitParseError("INPUT takes one index", lineno)
                 try:
-                    i = int(toks[2])
+                    i = decimal(toks[2])
                 except ValueError:
                     raise CircuitParseError(f"bad input index {toks[2]!r}", lineno) from None
-                if i < 0:
-                    raise CircuitParseError("negative input index", lineno)
                 if i > _INDEX_MAX:
                     raise CircuitParseError(f"input index {i} too large", lineno)
                 x = y = i

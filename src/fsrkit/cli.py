@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import analysis, reduction, verify
 from .bitvec import bits_to_digits
-from .circuit import parse_circuit
+from .circuit import decimal, parse_circuit
 from .fsr import (Fsr, InvariantError, cycle_structure, parse_fsr, write_fsr,
                   write_fsr_circuit)
 from .lfsr import LfsrFamily, lfsr_of
@@ -135,7 +135,7 @@ def _base_predicate(spec: str):
     marking predicate, or a register file with the all-zero predicate."""
     if "@" in spec:
         name, _, ells = spec.partition("@")
-        ell = int(ells)
+        ell = decimal(ells)
         if name == "p2":
             oracle = reduction.Alg1Oracle(ell)
             return lfsr_of(oracle.family.p2), oracle.lam_table()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 
 from .bitvec import BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
-from .circuit import Circuit, parse_circuit, significant_lines, write_circuit
+from .circuit import Circuit, decimal, parse_circuit, significant_lines, write_circuit
 
 
 def state_bound() -> int:
@@ -204,7 +204,7 @@ class CycleStructure:
             if len(toks) != 2:
                 raise FsrParseError("expected 'period bits'", lineno)
             try:
-                period, c = int(toks[0]), Cycle.parse(toks[1])
+                period, c = decimal(toks[0]), Cycle.parse(toks[1])
             except ValueError:
                 raise FsrParseError("expected an integer period and 0/1 bits",
                                     lineno) from None
@@ -518,7 +518,7 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
     if toks[0] != "STAGE" or len(toks) != 2:
         raise FsrParseError("expected 'STAGE n'", lineno)
     try:
-        stage = int(toks[1])
+        stage = decimal(toks[1])
     except ValueError:
         raise FsrParseError(f"bad stage {toks[1]!r}", lineno) from None
     if stage < 1:

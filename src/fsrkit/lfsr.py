@@ -135,6 +135,8 @@ def parse_poly(text: str) -> GF2Poly:
     of x is built."""
     s = text.strip().lower()
     if s.startswith("0x"):
+        if not re.fullmatch("0x[0-9a-f]+", s):
+            raise ValueError(f"bad hex mask {text!r}")
         v = int(s, 16)
         if v.bit_length() - 1 > POLY_DEGREE_BOUND:
             raise ValueError(f"degree {v.bit_length() - 1} above {POLY_DEGREE_BOUND}")
@@ -149,7 +151,7 @@ def parse_poly(text: str) -> GF2Poly:
         elif term == "x":
             v ^= 2
         else:
-            m = re.fullmatch(r"x\^(\d+)", term)
+            m = re.fullmatch(r"x\^([0-9]+)", term)
             if not m:
                 raise ValueError(f"bad polynomial term {term!r}")
             e = int(m.group(1))

@@ -154,6 +154,13 @@ def test_graph_mismatched_base_exit_2(workdir, capsys):
     assert main(["graph", f, "p2@1"]) == 2
 
 
+@pytest.mark.parametrize("base", ["p2@٣", "p2@+1", "p1@1_0", "p2@-1"])
+def test_graph_base_ell_is_ascii_decimal_exit_2(workdir, capsys, base):
+    f = write(workdir / "f.fsr", "STAGE 4\nFEEDBACK TABLE 0110100110010110\n")
+    assert main(["graph", f, base]) == 2
+    assert "not a decimal number" in capsys.readouterr().err
+
+
 def test_lfsr_command(workdir, capsys):
     out = str(workdir / "p0.fsr")
     assert main(["lfsr", "x^2 + x + 1", "--out", out, "--cycles"]) == 0

@@ -17,6 +17,13 @@ def test_poly_parse_and_str():
         L.parse_poly("x^2 + y")
 
 
+@pytest.mark.parametrize("text", ["x^٣ + 1", "x^+3 + 1", "x^1_0 + 1",
+                                  "0x1_1", "0x+7", "0x", "0x٣"])
+def test_poly_numbers_are_ascii(text):
+    with pytest.raises(ValueError):
+        L.parse_poly(text)
+
+
 def test_poly_degree_bound():
     bound = L.POLY_DEGREE_BOUND
     assert L.parse_poly(f"x^{bound} + 1").degree == bound

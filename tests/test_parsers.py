@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fsrkit import circuit as C
 from fsrkit import fsr as F
+from fsrkit import reduction, verify
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -107,8 +108,9 @@ def test_bulk_read_and_line_loop_give_equal_columns(case):
             by_blocks = C.parse_circuit(text)
         by_lines = reference(text.splitlines())
     assert columns(by_blocks) == columns(by_lines) == columns(c)
-    # every block before the one holding SINK is plain vertex lines
-    assert read.count(True) == c.size // block
+    # every vertex line is read in bulk, block lines at a time; only the
+    # SINK line goes through the line loop
+    assert read == [True] * -(-c.size // block)
 
 
 @FIXED
@@ -126,9 +128,13 @@ def test_comments_and_blank_lines_leave_the_circuit_alone(case, data):
         assert columns(C.parse_circuit("\n".join(lines))) == columns(c)
 
 
+#: damaged lines; the last three are plain lines that int() and json read
+#: differently (a leading zero, a value past the columns' range, digits
+#: past int's default limit), so the decoder hands them to the line loop
+DECLINED = ["v2 AND v0 v01", "v1 INPUT 4294967296", "v1 NOT v1" + "0" * 4999]
 DAMAGE = ["v0 AND v1 v1", "v9 NOT v0", "v1 NOT v1", "v2 AND v0 v7", "SINK v0",
           "v1 INPUT -1", "v1 INPUT 99999999999", "v1 OR v0", "v01 NOT v0",
-          "v1 NOT v٠", "v1 AND v0 v+0", "v1  NOT v0"]
+          "v1 NOT v٠", "v1 AND v0 v+0", "v1  NOT v0"] + DECLINED
 
 
 @FIXED
@@ -143,6 +149,85 @@ def test_damaged_text_gives_the_line_loop_error(case, data):
     with mock.patch.object(C, "BLOCK_VERTICES", block):
         assert (outcome(lambda: C.parse_circuit(text))
                 == outcome(lambda: reference(text.splitlines())))
+
+
+@pytest.mark.parametrize("bad", DECLINED)
+def test_declined_plain_lines_give_the_line_loop_outcome(bad):
+    """Each declined line, at the line of its id, is read or refused by the
+    line loop alone, whether it opens, ends or sits inside a block."""
+    lines = ["v0 INPUT 0", "v1 INPUT 1", "v2 INPUT 2", "v3 AND v1 v2"]
+    k = int(bad.split()[0][1:])
+    lines[k] = bad
+    lines.append("SINK v3")
+    read = []
+    real = C._TextReader.bulk
+
+    def bulk(rd, block):
+        read.append(real(rd, block))
+        return read[-1]
+
+    for block in (1, 2, 4):
+        read.clear()
+        with mock.patch.object(C, "BLOCK_VERTICES", block):
+            with mock.patch.object(C._TextReader, "bulk", bulk):
+                got = outcome(lambda: C.parse_circuit("\n".join(lines)))
+        assert got == outcome(lambda: reference(lines))
+        assert False in read
+    # the line loop reads a leading zero and refuses the other two
+    assert (got[3][2] == 1 if bad == DECLINED[0]
+            else got[0] == "CircuitParseError")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v0 INPUT 0\nv1 INPUT 1\nv2 AND v0 v+1\nSINK v2", "line 3: bad vertex reference 'v+1'"),
+    ("v0 INPUT 0\nv1 NOT v-0\nSINK v1", "line 2: negative vertex reference 'v-0'"),
+    ("v0 INPUT 0\nv1 NOT v-1\nSINK v1", "line 2: negative vertex reference 'v-1'"),
+    ("v0 INPUT 0\nv1 INPUT 1_0\nSINK v1", "line 2: bad input index '1_0'"),
+    ("v0 INPUT 0\nv1 INPUT ٣\nSINK v1", "line 2: bad input index '٣'"),
+    ("v0 INPUT 0\nv1 INPUT -1\nSINK v1", "line 2: bad input index '-1'"),
+    ("v0 INPUT 0\nSINK v+0", "line 2: bad vertex reference 'v+0'"),
+])
+def test_circuit_numbers_are_ascii_decimal(text, message):
+    with pytest.raises(C.CircuitParseError) as info:
+        C.parse_circuit(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("STAGE ٢\nFEEDBACK TABLE 0110\n", "line 1: bad stage '٢'"),
+    ("STAGE +2\nFEEDBACK TABLE 0110\n", "line 1: bad stage '+2'"),
+    ("STAGE 2_0\nFEEDBACK TABLE 0110\n", "line 1: bad stage '2_0'"),
+])
+def test_register_numbers_are_ascii_decimal(text, message):
+    with pytest.raises(F.FsrParseError) as info:
+        F.parse_fsr(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("period", ["+1", "1_0", "١", "-1"])
+def test_cycle_listing_periods_are_ascii_decimal(period):
+    with pytest.raises(F.FsrParseError, match="line 2: expected an integer period"):
+        F.CycleStructure.parse_listing(f"1 0\n{period} 1\n")
+
+
+def test_the_ell_3_register_is_read_in_bulk():
+    """The full-scale register text is read by the decoder: the line loop
+    runs once, for the SINK line, and the columns are those written."""
+    f0 = verify.sample_circuits(6, 32, 302)[0]
+    circ = reduction.build_irreducibility_fsr(f0, build_circuit=True).f1_circuit
+    text = F.write_fsr_circuit(F.Fsr(circ.arity, circuit=circ))
+    real = C._TextReader.loop
+    looped = []
+
+    def loop(rd, block):
+        looped.append(block)
+        real(rd, block)
+
+    with mock.patch.object(C._TextReader, "loop", loop):
+        back = F.parse_fsr(text).circuit
+    assert looped == [f"SINK v{circ.sink}\n"]
+    assert columns(back) == columns(circ)
+    assert circ.size == 722_462
 
 
 #: line breaks str.splitlines knows, "\n" among them
