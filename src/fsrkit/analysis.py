@@ -19,14 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bitvec import FLIP, as_bits, xor_bits
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, cycle_structure,
                   fsr_from_cycles, is_nonsingular, orbit_cycle, product_fsr,
-                  realizable_as_fsr, state_orbits)
+                  realizable_as_fsr, state_orbits, window_images)
 
 SUBFSR_STAGE_BOUND = 12
 BRUTE_INNER_STAGE_BOUND = 3
 
 _ZERO_CYCLE = Cycle([0])
+#: decompose_with_inner reads outer entry y off a = h(y) and
+#: b = 1 ^ h(y | top), each 2 where no constraint reached it: 3 * a + b maps
+#: to the feedback bit, or 3 where a and b disagree, or 4 where neither is set
+_COMPLETE = bytes([0, 3, 0, 3, 1, 1, 0, 1, 4]) + bytes(247)
 
 
 # ---------------------------------------------------------------------------
@@ -50,54 +55,51 @@ def _window_mask(c: Cycle, m: int):
     return sum(1 << w for w in wins)
 
 
-def _subset_dfs(cys, periods, masks, reach, i, remaining, acc, chosen):
+def _subset_dfs(cands, reach, i, remaining, acc, chosen):
     if remaining == 0:
         yield tuple(chosen)
         return
-    if i >= len(cys) or not (reach[i] >> remaining) & 1:
+    if i >= len(cands) or not (reach[i] >> remaining) & 1:
         return
-    mask = masks[i]
-    if periods[i] <= remaining and mask is not None and not acc & mask:
-        chosen.append(cys[i])
-        yield from _subset_dfs(cys, periods, masks, reach, i + 1,
-                               remaining - periods[i], acc | mask, chosen)
+    c, period, mask = cands[i]
+    if period <= remaining and not acc & mask:
+        chosen.append(c)
+        yield from _subset_dfs(cands, reach, i + 1, remaining - period,
+                               acc | mask, chosen)
         chosen.pop()
-    yield from _subset_dfs(cys, periods, masks, reach, i + 1, remaining, acc,
-                           chosen)
+    yield from _subset_dfs(cands, reach, i + 1, remaining, acc, chosen)
 
 
 def iter_subfsrs(f: Fsr, cycles: CycleStructure = None):
     """Yield every sub-register of f, smallest stage first.
 
-    For each stage m < n, candidate cycle subsets must sum to 2^m; a
-    subset-sum reachability mask over the period list prunes the search.
-    The search also carries the union of the chosen cycles' m-windows as a
-    bitmask and adds a cycle only when its m-windows are distinct and miss
-    that union: on an m-stage register every m-window occurs once across
-    all positions of all cycles, so this drops only subsets the exact
-    window check (`realizable_as_fsr`, still run on every subset yielded)
-    would reject, and the yield order is unchanged.
+    For each stage m < n, the search keeps the cycles whose m-windows are
+    distinct, with a bitmask of those windows; subsets of them must sum to
+    2^m, and a subset-sum reachability mask over their periods prunes.  The
+    search adds a cycle only when its m-windows miss the union of the
+    chosen cycles' windows: on an m-stage register every m-window occurs
+    once across all positions of all cycles, so this drops only subsets
+    the exact window check (`realizable_as_fsr`, still run on every subset
+    yielded) would reject, and the yield order is unchanged.
     """
     if f.stage > SUBFSR_STAGE_BOUND:
         raise ValueError(f"stage {f.stage} exceeds sub-register bound "
                          f"{SUBFSR_STAGE_BOUND}")
     cs = cycles if cycles is not None else cycle_structure(f)
-    cys = sorted(cs.cycles, key=lambda c: (-c.period, c.bits))
-    periods = [c.period for c in cys]
+    ordered = sorted(cs.cycles, key=lambda c: (-c.period, c.bits))
     for m in range(1, f.stage):
         target = 1 << m
+        cands = [(c, c.period, mask) for c in ordered if c.period <= target
+                 and (mask := _window_mask(c, m)) is not None]
         cap = (2 << target) - 1
-        reach = [0] * (len(cys) + 1)
-        reach[len(cys)] = 1
-        for i in range(len(cys) - 1, -1, -1):
+        reach = [0] * (len(cands) + 1)
+        reach[len(cands)] = 1
+        for i in range(len(cands) - 1, -1, -1):
             r = reach[i + 1]
-            reach[i] = (r | (r << periods[i])) & cap
+            reach[i] = (r | (r << cands[i][1])) & cap
         if not (reach[0] >> target) & 1:
             continue
-        masks = [_window_mask(c, m) if c.period <= target else None
-                 for c in cys]
-        for subset in _subset_dfs(cys, periods, masks, reach, 0, target, 0,
-                                  []):
+        for subset in _subset_dfs(cands, reach, 0, target, 0, []):
             if realizable_as_fsr(subset, m):
                 yield SubFsr(stage=m, cycles=frozenset(subset),
                              fsr=fsr_from_cycles(subset, m))
@@ -129,38 +131,22 @@ def decompose_with_inner(f: Fsr, g: Fsr):
     if not 1 <= k < n:
         raise ValueError("inner stage must be at least 1 and below f's")
     hn = n - k
-    g1 = g.table
     f1 = f.table
-    mask_k = (1 << k) - 1
-    mask_n = (1 << n) - 1
-    h_char = [None] * (1 << (hn + 1))
-    for x in range(1 << (n + 1)):
-        w = 0
-        for i in range(hn + 1):
-            w |= (((x >> (i + k)) & 1) ^ g1[(x >> i) & mask_k]) << i
-        val = ((x >> n) & 1) ^ f1[x & mask_n]
-        prev = h_char[w]
-        if prev is None:
-            h_char[w] = val
-        elif prev != val:
-            return None
-    free = 0
-    h1 = [0] * (1 << hn)
     top = 1 << hn
-    for y in range(1 << hn):
-        a = h_char[y]
-        b = h_char[y | top]
-        if a is None and b is None:
-            free += 1
-        elif a is None:
-            h1[y] = b ^ 1
-        elif b is None:
-            h1[y] = a
-        elif a == b:
-            return None  # h would not be a register
-        else:
-            h1[y] = a
-    h = Fsr(hn, table=h1)
+    h_char = bytearray([2]) * (2 * top)     # 2: no constraint reached it
+    # f's characteristic function over x0..xn, and the images read in step
+    for val, w in zip(f1 + f1.translate(FLIP), window_images(g, hn + 1)):
+        if h_char[w] == 2:
+            h_char[w] = val
+        elif h_char[w] != val:
+            return None
+    pairs = (int.from_bytes(h_char[:top], "little") * 3 + int.from_bytes(
+        h_char[top:].translate(FLIP), "little")).to_bytes(top, "little")
+    h1 = pairs.translate(_COMPLETE)
+    if 3 in h1:
+        return None  # h would not be a register
+    free = h1.count(4)
+    h = Fsr(hn, table=h1.replace(b"\x04", b"\x00"))
     if product_fsr(h, g) != f:
         raise InvariantError("solved outer factor does not reproduce f")
     return h, free
@@ -248,13 +234,11 @@ class CycleJoinGraph:
     register is the union of one weakly connected component.
     """
 
-    def __init__(self, base: Fsr, toggled: Fsr, cycles, arcs, f3_table, lam):
+    def __init__(self, base: Fsr, toggled: Fsr, cycles, arcs):
         self.base = base
         self.toggled = toggled
         self.cycles = cycles          # sorted list of the base register's cycles
         self.arcs = arcs              # sorted list of Arc
-        self.f3_table = f3_table
-        self.lam = lam
         self._index = {c: i for i, c in enumerate(cycles)}
         self._joined = {c for a in arcs for c in (a.tail, a.head)}
 
@@ -344,34 +328,28 @@ def cycle_join_graph(base: Fsr, toggled: Fsr, lam) -> CycleJoinGraph:
     """Build the join graph for toggled = base + toggle field.
 
     Checks that the two registers differ by a function of the middle
-    variables only, and that the marking predicate satisfies the three
-    join conditions: at most one marked state per base cycle, never both a
-    state and its conjugate, and every live toggle window carries a mark.
+    variables only, that the marking predicate is a 0/1 table over the
+    states, and that it satisfies the three join conditions: at most one
+    marked state per base cycle, never both a state and its conjugate, and
+    every live toggle window carries a mark.
     """
     if base.stage != toggled.stage:
         raise ValueError("stage mismatch")
     m = base.stage
     if m < 2:
         raise ValueError("join graph needs stage >= 2")
-    bt = base.table
-    ft = toggled.table
     n = 1 << m
-    f3 = [0] * (n >> 1)
-    for u in range(n >> 1):
-        d0 = bt[2 * u] ^ ft[2 * u]
-        d1 = bt[2 * u + 1] ^ ft[2 * u + 1]
-        if d0 != d1:
-            raise ValueError("difference of the registers depends on x0")
-        f3[u] = d0
-    if callable(lam):
-        lam = [lam(v) & 1 for v in range(n)]
-    else:
-        lam = [int(b) & 1 for b in lam]
-        if len(lam) != n:
-            raise ValueError("predicate table has wrong length")
-    for v in range(0, n, 2):
-        if lam[v] and lam[v + 1]:
-            raise ValueError("predicate marks a conjugate state pair")
+    diff = xor_bits(base.table, toggled.table)
+    f3 = diff[0::2]
+    if f3 != diff[1::2]:
+        raise ValueError("difference of the registers depends on x0")
+    lam = as_bits(lam)
+    if len(lam) != n:
+        raise ValueError("predicate table has wrong length")
+    # bit u: state 2u is marked, and state 2u + 1
+    even, odd = (int.from_bytes(lam[i::2], "little") for i in (0, 1))
+    if even & odd:
+        raise ValueError("predicate marks a conjugate state pair")
     # each base orbit's states are exactly its cycle's m-windows
     state_cycle = [None] * n
     windows = {}
@@ -384,13 +362,12 @@ def cycle_join_graph(base: Fsr, toggled: Fsr, lam) -> CycleJoinGraph:
     for c in cycles:
         if sum(lam[v] for v in windows[c]) > 1:
             raise ValueError("predicate marks a cycle more than once")
-    for u in range(n >> 1):
-        if f3[u] and not (lam[2 * u] or lam[2 * u + 1]):
-            raise ValueError("live toggle window carries no mark")
+    if int.from_bytes(f3, "little") & ~(even | odd):
+        raise ValueError("live toggle window carries no mark")
     arcs = []
     for c in cycles:
         for v in sorted(windows[c]):
             if f3[v >> 1] and lam[v]:
                 arcs.append(Arc(tail=c, head=state_cycle[v ^ 1], witness=v))
     arcs.sort(key=lambda a: (a.tail.sort_key(), a.head.sort_key(), a.witness))
-    return CycleJoinGraph(base, toggled, cycles, arcs, f3, lam)
+    return CycleJoinGraph(base, toggled, cycles, arcs)

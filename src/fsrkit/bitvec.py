@@ -18,6 +18,8 @@ from __future__ import annotations
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+#: the translate table that flips every entry of bytes of 0/1
+FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def digits_to_bits(digits: str) -> bytes:
@@ -54,6 +56,12 @@ def mask_to_bits(mask: int, n: int) -> bytes:
         raise ValueError(f"mask out of range for {n} entries")
     # the top sentinel bit keeps leading zeros; [:0:-1] reverses and drops it
     return digits_to_bits(format(mask | (1 << n), "b")[:0:-1])
+
+
+def xor_bits(a: bytes, b: bytes) -> bytes:
+    """The entrywise XOR of two bytes of 0/1 of equal length."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+            ).to_bytes(len(a), "little")
 
 
 def bits_to_mask(bits) -> int:

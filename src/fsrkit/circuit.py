@@ -680,18 +680,20 @@ def parse_circuit(text: str, start: int = 0, first_line: int = 1) -> Circuit:
 
     The text is read where it lies.  One anchored match finds up to
     BLOCK_VERTICES plain vertex lines, as write_circuit writes them, and
-    they are decoded column by column (see _TextReader.bulk).  Where no
-    plain line starts (a comment, a blank line, other spacing or line
-    breaks, the SINK line) or the decoder declines the run, a block of up
-    to BLOCK_VERTICES lines (see _line_block) goes through the line loop
-    instead, which alone reports errors."""
+    they are decoded column by column (see _TextReader.bulk).  A run the
+    decoder declines goes through the line loop, which alone reports
+    errors; so do the lines up to the next plain line, where no plain line
+    starts (a comment, a blank line, other spacing or line breaks, the
+    SINK line; see _other_lines)."""
     rd = _TextReader(first_line)
     run = _plain_run(BLOCK_VERTICES).match
-    cut = _line_block(BLOCK_VERTICES).match
+    cut = _other_lines(BLOCK_VERTICES).match
     pos = start
     while pos < len(text):
         m = rd.sink is None and run(text, pos)
-        if m and rd.bulk(m.group()):
+        if m:
+            if not rd.bulk(m.group()):
+                rd.loop(m.group())
             pos = m.end() + 1           # past the "\n" that ends the run
         else:
             m = cut(text, pos)
@@ -721,6 +723,14 @@ def _line_block(n: int) -> re.Pattern:
     "\\r\\n") or at the end of the text, so their splitlines() are the
     text's own."""
     return re.compile(rf"(?:[^\n]*\n){{1,{n}}}|[^\n]+")
+
+
+@lru_cache(maxsize=8)
+def _other_lines(n: int) -> re.Pattern:
+    """Matches 1 to n lines as _line_block does, up to a line _plain_run
+    would match; a line not ending in a digit is never such a line."""
+    return re.compile(rf"[^\n]*\n(?:[^\n]*(?<![0-9])\n|(?!{_PLAIN_LINE}\n)"
+                      rf"[^\n]*\n){{0,{n - 1}}}|[^\n]+")
 
 
 def significant_lines(text: str, lineno: int = 1):

@@ -18,8 +18,9 @@ each of its states in turn (`orbit_cycle`).
 from __future__ import annotations
 
 import os
+from array import array
 
-from .bitvec import BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
+from .bitvec import FLIP, BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
 from .circuit import Circuit, decimal, parse_circuit, significant_lines, write_circuit
 
 
@@ -292,7 +293,7 @@ class Fsr:
 
     def complement(self) -> "Fsr":
         """The register whose characteristic function is flipped."""
-        return Fsr(self.stage, table=bytes(b ^ 1 for b in self.table))
+        return Fsr(self.stage, table=self.table.translate(FLIP))
 
     def __eq__(self, other):
         if not isinstance(other, Fsr):
@@ -314,32 +315,19 @@ def step(f: Fsr, s: BitVec) -> BitVec:
 
 
 def is_nonsingular(f: Fsr) -> bool:
-    """Bijectivity of the state map, cross-checked against the feedback
-    criterion f1(s) ^ f1(s ^ 1) == 1 for every state."""
+    """Bijectivity of the state map, by the criterion f1(s ^ 1) == f1(s) ^ 1
+    for every state; `orbits` checks the bijection on every walk."""
     if f.stage > state_bound():
         raise ValueError(f"stage {f.stage} exceeds state bound {state_bound()}")
     tbl = f.table
-    n = 1 << f.stage
-    top = f.stage - 1
-    seen = bytearray(n)
-    bijective = True
-    for s in range(n):
-        t = (s >> 1) | (tbl[s] << top)
-        if seen[t]:
-            bijective = False
-            break
-        seen[t] = 1
-    criterion = all(tbl[s] ^ tbl[s ^ 1] == 1 for s in range(0, n, 2))
-    if bijective != criterion:
-        raise InvariantError("bijectivity and feedback criterion disagree")
-    return bijective
+    return tbl[1::2] == tbl[0::2].translate(FLIP)
 
 
 def orbits(succ, n: int):
     """Yield the orbits of a permutation succ of range(n), each as the list
     of its states in stepping order.  Seeds ascend, so each orbit starts at
-    its least state.  On a map that is not a permutation the lists are not
-    orbits: callers check bijectivity first."""
+    its least state.  A walk that stops anywhere but at its seed shows that
+    succ is not a permutation, and raises InvariantError."""
     visited = bytearray(n)
     for seed in range(n):
         if visited[seed]:
@@ -350,6 +338,8 @@ def orbits(succ, n: int):
             visited[s] = 1
             orbit.append(s)
             s = succ(s)
+        if s != seed:
+            raise InvariantError(f"not a permutation: {seed} leads to {s}")
         yield orbit
 
 
@@ -446,22 +436,31 @@ def toggle_feedback(f: Fsr, u: BitVec) -> Fsr:
 # ---------------------------------------------------------------------------
 # products and cascades
 
+def window_images(g: Fsr, width: int):
+    """Yield, for x = 0, 1, ..., 2^(width + k) - 1 with k = g.stage, the
+    window image w(x) of x under g, whose bit i is x_{i+k} ^ g1(x_i..
+    x_{i+k-1}), as it is read.  Bit i of w(x) is bit i - 1 of w(x >> 1), so
+    the first half of the images is kept, at 4 bytes each."""
+    k, g1 = g.stage, g.table
+    mask, mask_k, half = (1 << width) - 1, (1 << k) - 1, 1 << (width + k - 1)
+    ws = array("I", [mask if g1[0] else 0])
+    yield ws[0]
+    for x in range(1, 2 * half):
+        w = ((ws[x >> 1] << 1) & mask) | (((x >> k) & 1) ^ g1[x & mask_k])
+        if x < half:
+            ws.append(w)
+        yield w
+
+
 def product_fsr(f: Fsr, g: Fsr) -> Fsr:
     """The register whose characteristic function is f composed over a
     sliding window of g evaluations; stage is the sum of stages."""
     n, m = f.stage, g.stage
     if n + m > state_bound():
         raise ValueError(f"product stage {n + m} exceeds state bound")
-    f1 = f.table
-    g1 = g.table
-    mask_m = (1 << m) - 1
-    table = bytearray(1 << (n + m))
-    for x in range(1 << (n + m)):
-        z = 0
-        for i in range(n):
-            z |= (((x >> (i + m)) & 1) ^ g1[(x >> i) & mask_m]) << i
-        table[x] = g1[x >> n] ^ f1[z]
-    return Fsr(n + m, table=bytes(table))
+    f1, g1 = f.table, g.table
+    return Fsr(n + m, table=bytes(g1[x >> n] ^ f1[w] for x, w in
+                                  enumerate(window_images(g, n))))
 
 
 def simulate_cascade(f: Fsr, g: Fsr) -> CycleStructure:

@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitvec import BitVec
-from .fsr import Fsr, InvariantError, cycle_structure
+from .bitvec import FLIP, BitVec
+from .fsr import Fsr, InvariantError, cycle_structure, state_bound
 
 IRREDUCIBILITY_DEGREE_BOUND = 36
 LINEAR_TABLE_DEGREE_BOUND = 18
@@ -173,14 +173,17 @@ def lfsr_of(p: GF2Poly) -> Fsr:
     """The linear register whose characteristic polynomial is p.
 
     For p = x^n + c_{n-1} x^{n-1} + ... + c_0 the feedback is the parity
-    of the tapped state bits c_i * x_i.
+    of the tapped state bits c_i * x_i.  Up to state_bound() the table over
+    i + 1 bits is the one over i bits twice, flipped the second time when
+    x_i is a tap; above, the parity is computed on each call.
     """
     taps = tap_mask(p)
-
-    def feedback(s: int) -> int:
-        return (s & taps).bit_count() & 1
-
-    return Fsr(p.degree, fn=feedback)
+    if p.degree > state_bound():
+        return Fsr(p.degree, fn=lambda s: (s & taps).bit_count() & 1)
+    table = b"\x00"
+    for i in range(p.degree):
+        table += table.translate(FLIP) if (taps >> i) & 1 else table
+    return Fsr(p.degree, table=table)
 
 
 @lru_cache(maxsize=8)

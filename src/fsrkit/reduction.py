@@ -28,11 +28,11 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .bitvec import BitVec
+from .bitvec import BitVec, xor_bits
 from .circuit import Builder, Circuit, TruthTable
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
                   orbit_cycle, orbits)
-from .lfsr import GF2Poly, LfsrFamily, linear_step
+from .lfsr import GF2Poly, LfsrFamily, lfsr_of, linear_step
 
 EXHAUSTIVE_ELL_BOUND = 3
 
@@ -368,13 +368,14 @@ def _toggled_linear(p: GF2Poly, f3, tabulate: bool) -> tuple:
     bits (x1..x_{n-1}).  Tabulated, f3 is evaluated once per window and
     the register is checked to be nonsingular; otherwise both are lazy."""
     n = p.degree
-    top = n - 1
-    L = linear_step(p)
+    lin = lfsr_of(p)
     if not tabulate:
-        return Fsr(n, fn=lambda s: (L(s) >> top) ^ f3(s >> 1)), None
-    f3_tab = tuple(f3(x) for x in range(1 << top))
-    fsr = Fsr(n, table=bytes((L(s) >> top) ^ f3_tab[s >> 1]
-                             for s in range(1 << n)))
+        return Fsr(n, fn=lambda s: lin.feedback_bit(s) ^ f3(s >> 1)), None
+    f3_tab = tuple(f3(x) for x in range(1 << (n - 1)))
+    # entry s of the field's table is f3(s >> 1): each entry twice
+    field = bytearray(1 << n)
+    field[0::2] = field[1::2] = f3_tab
+    fsr = Fsr(n, table=xor_bits(lin.table, field))
     if not is_nonsingular(fsr):
         raise InvariantError("toggled linear register is singular")
     return fsr, f3_tab

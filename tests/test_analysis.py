@@ -229,6 +229,13 @@ def test_join_graph_precondition_errors():
         A.cycle_join_graph(base, base, lam)
 
 
+def test_join_graph_predicate_entries_are_0_or_1():
+    base = lin("x^4 + x^2 + 1")
+    for bad in ([2] + [0] * 15, [0] * 15 + [3], [0] * 15 + [-1]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            A.cycle_join_graph(base, base, bad)
+
+
 def _random_join_instance(rng, n):
     """A base register, a toggled register and a valid marking."""
     g = random_nonsingular(rng, n)

@@ -1,5 +1,6 @@
 """Properties of the state-space kernel: the mask <-> bits pair, the linear
-step map and the orbit walker, each against its definition."""
+step map, the orbit walker and the whole-table operations on feedback
+tables, each against its per-state definition."""
 
 import ast
 import pathlib
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsrkit
+from fsrkit import analysis
 from fsrkit.bitvec import BitVec, bits_to_digits, bits_to_mask, digits_to_bits, mask_to_bits
-from fsrkit.fsr import orbits
+from fsrkit.fsr import Fsr, InvariantError, is_nonsingular, orbits, window_images
 from fsrkit.lfsr import LINEAR_TABLE_DEGREE_BOUND, GF2Poly, lfsr_of, linear_step
 
 FIXED = settings(derandomize=True, max_examples=60, deadline=None)
@@ -127,6 +129,92 @@ def test_orbits_partition_a_permutation(perm):
         assert orbit[0] == min(orbit)
     firsts = [orbit[0] for orbit in found]
     assert firsts == sorted(firsts)
+
+
+@FIXED
+@given(st.integers(2, 40).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    .filter(lambda succ: len(set(succ)) < n)))
+def test_orbits_refuse_a_map_that_is_not_a_permutation(succ):
+    with pytest.raises(InvariantError, match="not a permutation"):
+        list(orbits(succ.__getitem__, len(succ)))
+
+
+@st.composite
+def tables(draw, stages):
+    stage = draw(stages)
+    return Fsr(stage, table=draw(st.lists(st.integers(0, 1), min_size=1 << stage,
+                                          max_size=1 << stage)))
+
+
+@FIXED
+@given(tables(st.integers(1, 4)), st.integers(1, 6))
+def test_window_images_match_the_per_bit_definition(g, width):
+    k, g1 = g.stage, g.table
+    want = [sum((((x >> (i + k)) & 1) ^ g1[(x >> i) & ((1 << k) - 1)]) << i
+                for i in range(width))
+            for x in range(1 << (width + k))]
+    assert list(window_images(g, width)) == want
+
+
+@st.composite
+def near_nonsingular(draw):
+    """A random table of stage 1 to 8; half of them are nonsingular ones
+    with at most one entry flipped."""
+    f = draw(tables(st.integers(1, 8)))
+    if draw(st.booleans()):
+        table = bytearray(f.table)
+        table[1::2] = bytes(b ^ 1 for b in table[0::2])
+        for s in draw(st.lists(st.integers(0, len(table) - 1), max_size=1)):
+            table[s] ^= 1
+        f = Fsr(f.stage, table=table)
+    return f
+
+
+@FIXED
+@given(near_nonsingular())
+def test_nonsingular_is_the_bijectivity_of_the_state_map(f):
+    images = {f.step_int(s) for s in range(1 << f.stage)}
+    assert is_nonsingular(f) == (len(images) == 1 << f.stage)
+
+
+@FIXED
+@given(monic_polys().filter(lambda p: p.degree <= 16))
+def test_lfsr_table_is_the_tap_parity(p):
+    taps = p.value & ((1 << p.degree) - 1)
+    assert lfsr_of(p).table == bytes((s & taps).bit_count() & 1
+                                     for s in range(1 << p.degree))
+
+
+def test_lfsr_above_the_state_bound_computes_each_bit(monkeypatch):
+    monkeypatch.setenv("FSRKIT_STATE_BOUND", "5")
+    p = GF2Poly(0b1100011)      # x^6 + x^5 + x + 1
+    f = lfsr_of(p)
+    with pytest.raises(ValueError, match="state bound"):
+        f.table
+    assert [f.feedback_bit(s) for s in range(64)] == [
+        (s & 0b100011).bit_count() & 1 for s in range(64)]
+
+
+@FIXED
+@given(tables(st.integers(1, 8)))
+def test_complement_flips_every_entry(f):
+    assert f.complement().table == bytes(b ^ 1 for b in f.table)
+
+
+def test_decomposition_stops_reading_images_at_the_first_conflict(monkeypatch):
+    read = []
+
+    def counted(g, width):
+        for w in window_images(g, width):
+            read.append(w)
+            yield w
+
+    monkeypatch.setattr(analysis, "window_images", counted)
+    # x^7 + x + 1 is irreducible, so it has no stage-1 inner factor
+    f, g = lfsr_of(GF2Poly(0b10000011)), lfsr_of(GF2Poly(0b11))
+    assert analysis.decompose_with_inner(f, g) is None
+    assert 0 < len(read) < 1 << (f.stage + 1)
 
 
 def test_no_bare_asserts_in_the_package():

@@ -230,6 +230,32 @@ def test_the_ell_3_register_is_read_in_bulk():
     assert circ.size == 722_462
 
 
+def test_a_comment_sends_only_its_own_line_through_the_line_loop():
+    """A comment on every 1,000th vertex line, on a line of its own or
+    after the vertex, leaves the columns alone, and the line loop reads
+    those lines and the SINK line only, not the plain lines after them."""
+    b = C.Builder(8)
+    w = b.inputs()
+    for k in range(20_000):
+        w.append(b.AND(w[-1], w[-3], fresh=True) if k % 3
+                 else b.NOT(w[-2], fresh=True))
+    circ = b.build(w[-1])
+    lines = C.write_circuit(circ).splitlines()
+    for i in range(999, len(lines) - 1, 1000):
+        lines[i] += " # c" if i % 2000 == 999 else "\n# c"
+    real = C._TextReader.loop
+    looped = []
+
+    def loop(rd, block):
+        looped.extend(block.splitlines())
+        real(rd, block)
+
+    with mock.patch.object(C._TextReader, "loop", loop):
+        back = C.parse_circuit("\n".join(lines))
+    assert columns(back) == columns(circ)
+    assert len(looped) < 100, len(looped)
+
+
 #: line breaks str.splitlines knows, "\n" among them
 BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028"]
 
