@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bitvec import FLIP, as_bits, xor_bits
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, cycle_structure,
                   fsr_from_cycles, is_nonsingular, orbit_cycle, product_fsr,
-                  realizable_as_fsr, state_orbits, window_images)
+                  state_orbits, window_images)
 
 SUBFSR_STAGE_BOUND = 12
 BRUTE_INNER_STAGE_BOUND = 3
@@ -77,10 +77,11 @@ def iter_subfsrs(f: Fsr, cycles: CycleStructure = None):
     distinct, with a bitmask of those windows; subsets of them must sum to
     2^m, and a subset-sum reachability mask over their periods prunes.  The
     search adds a cycle only when its m-windows miss the union of the
-    chosen cycles' windows: on an m-stage register every m-window occurs
-    once across all positions of all cycles, so this drops only subsets
-    the exact window check (`realizable_as_fsr`, still run on every subset
-    yielded) would reject, and the yield order is unchanged.
+    chosen cycles' windows.  On an m-stage register every m-window occurs
+    once across all positions of all cycles, so a subset whose periods sum
+    to 2^m is realizable exactly when its m-windows are distinct and
+    disjoint.  Each subset yielded is therefore realizable, and
+    `fsr_from_cycles` failing on one raises InvariantError.
     """
     if f.stage > SUBFSR_STAGE_BOUND:
         raise ValueError(f"stage {f.stage} exceeds sub-register bound "
@@ -100,9 +101,12 @@ def iter_subfsrs(f: Fsr, cycles: CycleStructure = None):
         if not (reach[0] >> target) & 1:
             continue
         for subset in _subset_dfs(cands, reach, 0, target, 0, []):
-            if realizable_as_fsr(subset, m):
-                yield SubFsr(stage=m, cycles=frozenset(subset),
-                             fsr=fsr_from_cycles(subset, m))
+            try:
+                sub = fsr_from_cycles(subset, m)
+            except ValueError as e:
+                raise InvariantError(f"stage-{m} subset from the window "
+                                     f"search: {e}") from e
+            yield SubFsr(stage=m, cycles=frozenset(subset), fsr=sub)
 
 
 def find_subfsrs(f: Fsr) -> list:

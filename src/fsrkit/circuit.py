@@ -30,10 +30,9 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from collections.abc import Sequence
 from functools import lru_cache
-from itertools import chain, compress
-from operator import eq, getitem, lt
+from itertools import compress
+from operator import getitem, lt
 
 from .bitvec import BitVec, as_bits, bits_to_mask, mask_to_bits
 
@@ -45,9 +44,9 @@ SAT_ARITY_BOUND = 24
 #: the last readers costs more time than the freed memory saves
 LIVE_LANE_BYTES = 1 << 26
 
-#: the bulk passes over a circuit (writing and parsing its text, viewing its
-#: vertices as tuples) take this many vertices, or lines, at a time, so
-#: their temporaries stay small next to the circuit
+#: the bulk passes over a circuit's text (writing and parsing it) take this
+#: many vertices, or lines, at a time, so their temporaries stay small next
+#: to the circuit
 BLOCK_VERTICES = 1 << 12
 
 #: the vertex kinds; parsed circuits share these strings
@@ -129,47 +128,6 @@ def input_lanes(r: int) -> list:
     return lanes
 
 
-class NodeView(Sequence):
-    """A circuit's vertices as read-only tuples: ("IN", i), ("AND", a, b),
-    ("OR", a, b) or ("NOT", a), kinds being the shared IN/AND/OR/NOT
-    strings.  Built on demand from the circuit's columns, BLOCK_VERTICES
-    at a time."""
-
-    __slots__ = ("_circuit",)
-
-    def __init__(self, circuit: "Circuit"):
-        self._circuit = circuit
-
-    def __len__(self):
-        return len(self._circuit.kinds)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        k = range(len(self))[k]
-        return self._tuples(k, k + 1)[0]
-
-    def __iter__(self):
-        return chain.from_iterable(self._tuples(lo, lo + BLOCK_VERTICES)
-                                   for lo in range(0, len(self), BLOCK_VERTICES))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
-
-    def _tuples(self, lo: int, hi: int) -> list:
-        c = self._circuit
-        return [(AND, x, y) if op == _AND else
-                (NOT, x) if op == _NOT else
-                (OR, x, y) if op == _OR else
-                (IN, x)
-                for op, x, y in zip(c.kinds[lo:hi], c.a[lo:hi].tolist(),
-                                    c.b[lo:hi].tolist())]
-
-
 class Circuit:
     """A DAG of INPUT/AND/OR/NOT vertices in topological order.
 
@@ -178,8 +136,9 @@ class Circuit:
     ``a`` and ``b``.  A gate's operands are indices of earlier vertices;
     an IN vertex holds its input index.  IN and NOT vertices have one
     operand and store it in both columns, so shifting both columns moves
-    every vertex alike.  ``nodes`` views the columns as tuples (see
-    NodeView); the constructor takes any such sequence of tuples.
+    every vertex alike.  ``nodes`` lists the vertices as tuples: ("IN", i),
+    ("AND", a, b), ("OR", a, b) or ("NOT", a), kinds being the shared
+    IN/AND/OR/NOT strings; the constructor takes any such sequence.
     ``outputs`` holds one vertex index per output wire; a plain circuit has
     exactly one.
 
@@ -240,8 +199,12 @@ class Circuit:
                 raise ValueError("output reference out of range")
 
     @property
-    def nodes(self) -> NodeView:
-        return NodeView(self)
+    def nodes(self) -> list:
+        return [(AND, x, y) if op == _AND else
+                (NOT, x) if op == _NOT else
+                (OR, x, y) if op == _OR else
+                (IN, x)
+                for op, x, y in zip(self.kinds, self.a, self.b)]
 
     # -- accounting ---------------------------------------------------------
 

@@ -82,7 +82,8 @@ def cmd_reduce(args) -> int:
     if inst.size_report is not None:
         for line in inst.size_report.lines():
             print(line)
-    print(f"wrote {out} ({elapsed:.2f}s)")
+    print(f"wrote {out}")
+    print(f"time={elapsed:.2f}s", file=sys.stderr)
     return 0
 
 

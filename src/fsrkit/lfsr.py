@@ -11,19 +11,18 @@ builders: for ell a power of three,
 
 and the exactly known cycle counts of the corresponding linear registers.
 
-A linear register's state map has one encoding, `linear_step`, built from
-the polynomial's tap mask (the mask `lfsr_of` XORs for its feedback): a
-table lookup up to degree LINEAR_TABLE_DEGREE_BOUND, computed per step
-above it.
+`lfsr_of` is the one place a polynomial becomes a register: its feedback
+is the parity of the state bits in the polynomial's tap mask.  The state
+map `linear_step` is read off that register: a list lookup up to degree
+LINEAR_TABLE_DEGREE_BOUND, the register's own step above it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .bitvec import FLIP, BitVec
+from .bitvec import FLIP
 from .fsr import Fsr, InvariantError, cycle_structure, state_bound
 
 IRREDUCIBILITY_DEGREE_BOUND = 36
@@ -106,10 +105,6 @@ class GF2Poly:
         return f"GF2Poly(0x{self.value:x})"
 
 
-def poly_mul(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    return a * b
-
-
 def poly_is_irreducible(p: GF2Poly) -> bool:
     """Trial division by every lower-degree polynomial up to deg/2."""
     if p.value == 0:
@@ -186,77 +181,18 @@ def lfsr_of(p: GF2Poly) -> Fsr:
     return Fsr(p.degree, table=table)
 
 
-@lru_cache(maxsize=8)
 def linear_step(p: GF2Poly):
     """The state map of lfsr_of(p) on integer states, as a callable.
 
-    Up to degree LINEAR_TABLE_DEGREE_BOUND it looks the state up in a
-    table; above, it computes the tap parity on each call.  The last few
-    maps built are cached.
+    Up to degree LINEAR_TABLE_DEGREE_BOUND (and the state bound) it looks
+    the state up in a list read off the register's table; above, it is the
+    register's own step_int.
     """
-    taps = tap_mask(p)
+    f = lfsr_of(p)
+    if p.degree > min(LINEAR_TABLE_DEGREE_BOUND, state_bound()):
+        return f.step_int
     top = p.degree - 1
-
-    def step(s: int) -> int:
-        return (s >> 1) | (((s & taps).bit_count() & 1) << top)
-
-    if p.degree > LINEAR_TABLE_DEGREE_BOUND:
-        return step
-    return list(map(step, range(1 << p.degree))).__getitem__
-
-
-# -- powers of the linear state map -----------------------------------------
-
-def _step_matrix(p: GF2Poly) -> list:
-    """Column masks of the state map: entry j is the image of basis state 2^j."""
-    step = linear_step(p)
-    return [step(1 << j) for j in range(p.degree)]
-
-
-def _mat_apply(cols: list, s: int) -> int:
-    out = 0
-    j = 0
-    while s:
-        if s & 1:
-            out ^= cols[j]
-        s >>= 1
-        j += 1
-    return out
-
-
-def _mat_mul(a: list, b: list) -> list:
-    return [_mat_apply(a, col) for col in b]
-
-
-def transform_pow(p: GF2Poly, t: int, s: BitVec, method: str = "auto") -> BitVec:
-    """Apply the linear state map of p to s, t times.
-
-    method 'step' clocks the register t times; 'matrix' uses square-and-
-    multiply on the map's matrix; 'auto' picks by the size of t.
-    """
-    if s.width != p.degree:
-        raise ValueError(f"state width {s.width} != degree {p.degree}")
-    if t < 0:
-        raise ValueError("exponent must be >= 0")
-    if method == "auto":
-        method = "step" if t <= 8 * p.degree else "matrix"
-    if method == "step":
-        step = linear_step(p)
-        v = s.value
-        for _ in range(t):
-            v = step(v)
-        return BitVec(v, s.width)
-    if method == "matrix":
-        acc = [1 << j for j in range(p.degree)]  # identity
-        base = _step_matrix(p)
-        e = t
-        while e:
-            if e & 1:
-                acc = _mat_mul(base, acc)
-            base = _mat_mul(base, base)
-            e >>= 1
-        return BitVec(_mat_apply(acc, s.value), s.width)
-    raise ValueError(f"unknown method {method!r}")
+    return [(s >> 1) | (b << top) for s, b in enumerate(f.table)].__getitem__
 
 
 # -- the power-of-three family ----------------------------------------------

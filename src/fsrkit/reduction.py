@@ -32,7 +32,7 @@ from .bitvec import BitVec, xor_bits
 from .circuit import Builder, Circuit, TruthTable
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
                   orbit_cycle, orbits)
-from .lfsr import GF2Poly, LfsrFamily, lfsr_of, linear_step
+from .lfsr import GF2Poly, LfsrFamily, lfsr_of, linear_step, tap_mask
 
 EXHAUSTIVE_ELL_BOUND = 3
 
@@ -259,14 +259,16 @@ def alg2_f3_circuit(ell: int, f2c: Circuit) -> Circuit:
     return b.build(b.AND(b.equal(chain[span], mn), b.or_chain(hits)))
 
 
-def _wrap_feedback(f3c: Circuit, stage: int, xor_taps: list) -> Circuit:
-    """Lift a toggle-field circuit on (x1..x_{stage-1}) to the register's
-    feedback on (x0..x_{stage-1}) by XORing in the given taps.
+def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
+    """Lift a toggle-field circuit on (x1..x_{n-1}) to the feedback of the
+    toggled linear register of p on (x0..x_{n-1}), n = deg p, by XORing in
+    the taps of p, highest first.
 
     The toggle circuit's gates are kept, shifted by one vertex to make
     room for the extra x0 input: its kinds are copied and both operand
     columns moved by one in bulk.  Each tap then costs one five-gate XOR.
     """
+    stage, taps = p.degree, tap_mask(p)
     if f3c.arity != stage - 1:
         raise ValueError("toggle field arity must be stage - 1")
     gates = slice(stage - 1, None)
@@ -275,8 +277,9 @@ def _wrap_feedback(f3c: Circuit, stage: int, xor_taps: list) -> Circuit:
     b.a += _plus_one(f3c.a[gates])
     b.b += _plus_one(f3c.b[gates])
     out = f3c.sink + 1
-    for tap in xor_taps:
-        out = b.xor(tap, out, fresh=True)
+    for tap in range(stage - 1, -1, -1):
+        if taps >> tap & 1:
+            out = b.xor(tap, out, fresh=True)
     return b.build(out)
 
 
@@ -386,18 +389,17 @@ def build_irreducibility_fsr(f0: Circuit, build_circuit: bool = None
     """The 4*ell-stage register that is irreducible iff f0 is satisfiable."""
     r = f0.arity
     k, ell = ell_for(r)
-    m = 4 * ell
+    p2 = LfsrFamily.for_ell(ell).p2
     f0_tt = f0.truth_table()
     f3 = alg1_f3_semantic(ell, f0_tt)
     if build_circuit is None:
         build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
-    fsr, f3_tab = _toggled_linear(LfsrFamily.for_ell(ell).p2, f3,
-                                  ell <= EXHAUSTIVE_ELL_BOUND)
+    fsr, f3_tab = _toggled_linear(p2, f3, ell <= EXHAUSTIVE_ELL_BOUND)
 
     f3c = f1c = report = None
     if build_circuit:
         f3c = alg1_f3_circuit(ell, f0)
-        f1c = _wrap_feedback(f3c, m, [2 * ell, 0])
+        f1c = _wrap_feedback(f3c, p2)
         bound = alg1_size_bound(f0.size)
         report = SizeReport(
             kind="irr", r=r, k=k, ell=ell, f0_size=f0.size,
@@ -416,19 +418,18 @@ def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
     of (x+1) * (x^(2*ell) + x^ell + 1)."""
     r = f0.arity
     k, ell = ell_for(r)
-    stage = 2 * ell + 1
+    p1 = LfsrFamily.for_ell(ell).p1
     f2t = f2_table(f0.truth_table())
     f3 = alg2_f3_semantic(ell, f2t)
     if build_circuit is None:
         build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
-    fsr, f3_tab = _toggled_linear(LfsrFamily.for_ell(ell).p1, f3,
-                                  ell <= EXHAUSTIVE_ELL_BOUND)
+    fsr, f3_tab = _toggled_linear(p1, f3, ell <= EXHAUSTIVE_ELL_BOUND)
 
     f2c = f2_transform(f0)
     f3c = f1c = report = None
     if build_circuit:
         f3c = alg2_f3_circuit(ell, f2c)
-        f1c = _wrap_feedback(f3c, stage, [2 * ell, ell + 1, ell, 1, 0])
+        f1c = _wrap_feedback(f3c, p1)
         bound = alg2_size_bound(f0.size)
         report = SizeReport(
             kind="dec", r=r, k=k, ell=ell, f0_size=f0.size,

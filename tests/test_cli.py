@@ -39,6 +39,18 @@ def test_reduce_dec_unsat_gives_linear_register(workdir, capsys):
     assert list(f.table) == [s & 1 for s in range(8)]  # x3 + x0
 
 
+def test_reduce_stdout_is_the_same_on_every_run(workdir, capsys):
+    # the elapsed time goes to stderr, as every verdict's does
+    path = identity_circuit(workdir)
+    runs = []
+    for _ in range(2):
+        assert main(["reduce", "dec", path, "--out", "f1.fsr"]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    assert runs[0].out.splitlines()[-1] == "wrote f1.fsr"
+    assert all(run.err.startswith("time=") for run in runs)
+
+
 def test_reduce_parse_error_exit_2(workdir, capsys):
     path = write(workdir / "bad.ckt", "v0 INPUT 0\nv1 AND v0 v9\nSINK v1\n")
     assert main(["reduce", "irr", path]) == 2
@@ -190,6 +202,11 @@ def test_verify_biconditional_irr_r2(capsys):
 def test_verify_conjprop(capsys):
     assert main(["verify", "conjprop", "--ell", "1"]) == 0
     assert "conjprop ell=1: PASS" in capsys.readouterr().out
+
+
+def test_verify_min_sizes(capsys):
+    assert main(["verify", "min-sizes"]) == 0
+    assert "min-sizes: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("suite", ["biconditional-irr", "biconditional-dec"])

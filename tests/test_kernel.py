@@ -96,23 +96,39 @@ def monic_polys(draw):
     return GF2Poly((1 << degree) | low)
 
 
+def tap_parity_step(p: GF2Poly, s: int) -> int:
+    """The linear state map by its definition: shift down, and feed back
+    the parity of the state bits under the taps of p."""
+    taps = p.value & ((1 << p.degree) - 1)
+    return (s >> 1) | (((s & taps).bit_count() & 1) << (p.degree - 1))
+
+
 @FIXED
 @given(monic_polys(), st.lists(st.integers(0, (1 << 24) - 1), min_size=1,
                                max_size=20))
 def test_linear_step_matches_the_register(p, raw_states):
     step = linear_step(p)
-    f = lfsr_of(p)
     for s in raw_states:
         s &= (1 << p.degree) - 1
-        assert step(s) == f.step_int(s)
+        assert step(s) == tap_parity_step(p, s)
 
 
 def test_linear_step_on_both_sides_of_the_table_bound():
     for degree in (LINEAR_TABLE_DEGREE_BOUND, LINEAR_TABLE_DEGREE_BOUND + 1):
         p = GF2Poly((1 << degree) | 0b1011)
-        step, f = linear_step(p), lfsr_of(p)
-        for s in (0, 1, (1 << degree) - 1, 0x2AAAA):
-            assert step(s) == f.step_int(s)
+        step = linear_step(p)
+        for s in (0, 1, (1 << degree) - 1, 0x2AAAA, 0x15555):
+            assert step(s) == tap_parity_step(p, s)
+
+
+def test_linear_step_below_the_table_bound_under_a_low_state_bound(monkeypatch):
+    # the register holds no table above the state bound, so the step is
+    # the register's own step_int there
+    monkeypatch.setenv("FSRKIT_STATE_BOUND", "5")
+    p = GF2Poly(0b1100011)      # x^6 + x^5 + x + 1
+    step = linear_step(p)
+    assert [step(s) for s in range(64)] == [tap_parity_step(p, s)
+                                            for s in range(64)]
 
 
 @FIXED

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from fsrkit import fsr as F
@@ -39,8 +37,8 @@ def test_poly_degree_bound():
 def test_poly_mul():
     one_plus_x = L.parse_poly("x + 1")
     p0 = L.parse_poly("x^2 + x + 1")
-    assert L.poly_mul(one_plus_x, p0) == L.parse_poly("x^3 + 1")
-    assert L.poly_mul(p0, L.GF2Poly(1)) == p0
+    assert one_plus_x * p0 == L.parse_poly("x^3 + 1")
+    assert p0 * L.GF2Poly(1) == p0
     # (x^l + 1) * p0 = x^(3l) + 1 for the family trinomials
     for ell in (1, 3, 9):
         p0l = L.GF2Poly.from_terms(2 * ell, ell, 0)
@@ -81,8 +79,8 @@ def test_lfsr_of_tap_read_off():
 def test_family_construction():
     fam = L.LfsrFamily.for_ell(3)
     assert fam.p0 == L.GF2Poly.from_terms(6, 3, 0)
-    assert fam.p1 == L.poly_mul(L.parse_poly("x + 1"), fam.p0)
-    assert fam.p2 == L.poly_mul(fam.p0, fam.p0)
+    assert fam.p1 == L.parse_poly("x + 1") * fam.p0
+    assert fam.p2 == fam.p0 * fam.p0
     with pytest.raises(ValueError):
         L.LfsrFamily.for_ell(2)
 
@@ -105,26 +103,25 @@ def test_family_cycle_counts_ell9_without_p2():
     assert rep.counts["p0"] == {1: 1, 27: ((1 << 18) - 1) // 27}
 
 
+def power(p, t: int):
+    """The state map of the linear register of p, applied t times."""
+    step = L.linear_step(p)
+
+    def clock(s: int) -> int:
+        for _ in range(t):
+            s = step(s)
+        return s
+    return clock
+
+
 def test_transform_pow():
     p2 = L.parse_poly("x^4 + x^2 + 1")
     e1 = BitVec.parse("1000")
-    assert L.transform_pow(p2, 0, e1) == e1
-    got = L.transform_pow(p2, 3, e1)
-    assert got == BitVec.parse("0101")
-    p0 = L.parse_poly("x^2 + x + 1")
+    assert power(p2, 0)(e1.value) == e1.value
+    assert BitVec(power(p2, 3)(e1.value), 4) == BitVec.parse("0101")
+    p0_cubed = power(L.parse_poly("x^2 + x + 1"), 3)
     for s in range(1, 4):
-        assert L.transform_pow(p0, 3, BitVec(s, 2)) == BitVec(s, 2)
-
-
-def test_transform_pow_step_and_matrix_agree():
-    rng = random.Random(3)
-    for poly in ("x^4 + x^2 + 1", "x^6 + x^3 + 1", "x^7 + x^6 + x^4 + x^3 + x + 1"):
-        p = L.parse_poly(poly)
-        for _ in range(20):
-            t = rng.randrange(0, 200)
-            s = BitVec(rng.randrange(1 << p.degree), p.degree)
-            assert L.transform_pow(p, t, s, "step") == \
-                L.transform_pow(p, t, s, "matrix")
+        assert p0_cubed(s) == s
 
 
 @pytest.mark.parametrize("ell", [1, 3])
@@ -133,20 +130,18 @@ def test_transform_orders_on_family_spaces(ell):
     p0, p2 = fam.p0, fam.p2
     n0, n2 = 2 * ell, 4 * ell
     # order 3l on the base space
-    assert all(int(L.transform_pow(p0, 3 * ell, BitVec(s, n0))) == s
-               for s in range(1 << n0))
+    base = power(p0, 3 * ell)
+    assert all(base(s) == s for s in range(1 << n0))
     # order 6l but not 3l on the squared space
-    assert all(int(L.transform_pow(p2, 6 * ell, BitVec(s, n2))) == s
-               for s in range(1 << n2))
-    moved = [s for s in range(1 << n2)
-             if int(L.transform_pow(p2, 3 * ell, BitVec(s, n2))) != s]
+    full, half = power(p2, 6 * ell), power(p2, 3 * ell)
+    assert all(full(s) == s for s in range(1 << n2))
+    moved = [s for s in range(1 << n2) if half(s) != s]
     assert moved
     # fixed points of the 3l-th power are exactly the base-family states
     p0_states = set()
     for c in F.cycle_structure(L.lfsr_of(p0)):
         p0_states |= c.window_ints(n2)
-    fixed = {s for s in range(1 << n2)
-             if int(L.transform_pow(p2, 3 * ell, BitVec(s, n2))) == s}
+    fixed = {s for s in range(1 << n2) if half(s) == s}
     assert fixed == p0_states
 
 

@@ -97,6 +97,19 @@ def test_alg1_size_report():
     assert abs(rep.f1_size - rep.formula_value) < 1000
 
 
+@pytest.mark.parametrize("bits", [[0, 1], [0, 1, 0, 0, 0, 0, 0, 0]])
+def test_feedback_circuit_adds_one_xor_per_tap(bits):
+    # the wrap adds the x0 input and one five-gate XOR per tap of the
+    # family polynomial; at ell = 1 the dec polynomial is x^3 + 1
+    for build, name in ((R.build_irreducibility_fsr, "p2"),
+                        (R.build_indecomposability_fsr, "p1")):
+        inst = build(C.from_bits(bits))
+        taps = L.tap_mask(getattr(L.LfsrFamily.for_ell(inst.ell), name))
+        rep = inst.size_report
+        assert rep.f1_size == rep.f3_size + 1 + 5 * taps.bit_count()
+        assert F.Fsr(inst.stage, circuit=inst.f1_circuit) == inst.fsr
+
+
 def test_alg2_unsat_is_exactly_the_linear_register():
     for ell, bits in ((1, [0, 0]), (1, [0, 0, 0, 0]), (3, [0] * 32)):
         inst = R.build_indecomposability_fsr(C.from_bits(bits),
@@ -163,10 +176,11 @@ def test_alg1_oracle_deferred_set_at_ell3():
     assert all(c.period == 18 for c in oracle.d_set)
     # the deferred representative is the least window pushed 5*ell steps on
     c = next(iter(oracle.d_set))
-    mn = min(int(v) for v in c.windows(12))
-    v = BitVec(mn, 12)
-    p2 = L.LfsrFamily.for_ell(3).p2
-    assert oracle.rho(c) == L.transform_pow(p2, 15, v)
+    s = min(int(v) for v in c.windows(12))
+    step = L.linear_step(L.LfsrFamily.for_ell(3).p2)
+    for _ in range(5 * 3):
+        s = step(s)
+    assert oracle.rho(c) == BitVec(s, 12)
 
 
 def test_conjugate_of_base_window_lands_on_long_cycle():
