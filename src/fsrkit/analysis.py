@@ -18,11 +18,12 @@ an instance was constructed:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .bitvec import FLIP, as_bits, xor_bits
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, cycle_structure,
                   fsr_from_cycles, is_nonsingular, orbit_cycle, product_fsr,
-                  state_orbits, window_images)
+                  state_cycles, window_images)
 
 SUBFSR_STAGE_BOUND = 12
 BRUTE_INNER_STAGE_BOUND = 3
@@ -238,10 +239,11 @@ class CycleJoinGraph:
     register is the union of one weakly connected component.
     """
 
-    def __init__(self, base: Fsr, toggled: Fsr, cycles, arcs):
+    def __init__(self, base: Fsr, toggled: Fsr, cycles, ids, arcs):
         self.base = base
         self.toggled = toggled
-        self.cycles = cycles          # sorted list of the base register's cycles
+        self.cycles = cycles          # the base cycles, in orbit order
+        self.ids = ids                # ids[s]: index in cycles of s's cycle
         self.arcs = arcs              # sorted list of Arc
         self._index = {c: i for i, c in enumerate(cycles)}
         self._joined = {c for a in arcs for c in (a.tail, a.head)}
@@ -288,23 +290,16 @@ class CycleJoinGraph:
                       key=lambda g: min(c.sort_key() for c in g))
 
     def verify_join_identity(self) -> bool:
-        """Each toggled-register cycle's window set must be exactly the
-        union over one weakly connected component, one-to-one."""
-        m = self.base.stage
-        target = {frozenset(o) for o in state_orbits(self.toggled)}
+        """Each toggled-register cycle's states must be exactly the states
+        of one weakly connected component, one-to-one: the distinct
+        (toggled orbit, component) pairs over all states number as many as
+        the toggled orbits and as the components."""
+        orbs, ids = state_cycles(self.toggled)
         comps = self.components()
-        if len(comps) != len(target):
-            return False
-        seen = set()
-        for comp in comps:
-            u = set()
-            for c in comp:
-                u |= c.window_ints(m)
-            fu = frozenset(u)
-            if fu not in target or fu in seen:
-                return False
-            seen.add(fu)
-        return True
+        of = {c: k for k, comp in enumerate(comps) for c in comp}
+        comp = [of[c] for c in self.cycles]     # by base cycle index
+        pairs = {(t, comp[i]) for t, i in zip(ids, self.ids)}
+        return len(pairs) == len(orbs) == len(comps)
 
     def _label(self, c: Cycle) -> str:
         return f"{c.period}@{int(str(c), 2):x}"
@@ -318,7 +313,7 @@ class CycleJoinGraph:
                 color[c] = palette[i % len(palette)]
         lines = ["digraph cycle_join {",
                  f'  label="acyclic={str(self.is_acyclic()).lower()}";']
-        for c in self.cycles:
+        for c in sorted(self.cycles, key=Cycle.sort_key):
             lines.append(f'  "{self._label(c)}" [style=filled '
                          f'fillcolor={color[c]}];')
         for a in self.arcs:
@@ -354,24 +349,14 @@ def cycle_join_graph(base: Fsr, toggled: Fsr, lam) -> CycleJoinGraph:
     even, odd = (int.from_bytes(lam[i::2], "little") for i in (0, 1))
     if even & odd:
         raise ValueError("predicate marks a conjugate state pair")
-    # each base orbit's states are exactly its cycle's m-windows
-    state_cycle = [None] * n
-    windows = {}
-    for orbit in state_orbits(base):
-        c = orbit_cycle(orbit)
-        windows[c] = orbit
-        for v in orbit:
-            state_cycle[v] = c
-    cycles = sorted(windows, key=Cycle.sort_key)
-    for c in cycles:
-        if sum(lam[v] for v in windows[c]) > 1:
-            raise ValueError("predicate marks a cycle more than once")
+    orbs, ids = state_cycles(base)
+    marked = list(compress(range(n), lam))
+    if len({ids[v] for v in marked}) != len(marked):
+        raise ValueError("predicate marks a cycle more than once")
     if int.from_bytes(f3, "little") & ~(even | odd):
         raise ValueError("live toggle window carries no mark")
-    arcs = []
-    for c in cycles:
-        for v in sorted(windows[c]):
-            if f3[v >> 1] and lam[v]:
-                arcs.append(Arc(tail=c, head=state_cycle[v ^ 1], witness=v))
-    arcs.sort(key=lambda a: (a.tail.sort_key(), a.head.sort_key(), a.witness))
-    return CycleJoinGraph(base, toggled, cycles, arcs)
+    cycles = [orbit_cycle(o) for o in orbs]
+    arcs = sorted((Arc(tail=cycles[ids[v]], head=cycles[ids[v ^ 1]], witness=v)
+                   for v in marked if f3[v >> 1]),
+                  key=lambda a: (a.tail.sort_key(), a.head.sort_key(), a.witness))
+    return CycleJoinGraph(base, toggled, cycles, ids, arcs)

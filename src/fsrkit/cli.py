@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from . import analysis, reduction, verify
 from .bitvec import bits_to_digits
 from .circuit import decimal, parse_circuit
-from .fsr import (Fsr, InvariantError, cycle_structure, parse_fsr, write_fsr,
-                  write_fsr_circuit)
+from .fsr import (Fsr, InvariantError, cycle_structure, parse_fsr, state_bound,
+                  write_fsr, write_fsr_circuit)
 from .lfsr import LfsrFamily, lfsr_of
 
 
@@ -145,7 +145,10 @@ def _base_predicate(spec: str):
             return lfsr_of(LfsrFamily.for_ell(ell).p1), maps.lam_table()
         raise ValueError(f"unknown base register {name!r}")
     base = _load_fsr(spec)
-    return base, [0] * (1 << base.stage)
+    if base.stage > state_bound():
+        raise ValueError(f"base stage {base.stage} exceeds state bound "
+                         f"{state_bound()}")
+    return base, bytes(1 << base.stage)
 
 
 def cmd_graph(args) -> int:

@@ -12,7 +12,9 @@ string in its lexicographically least rotation.
 
 Every orbit walk in the package goes through `orbits`, which splits a
 permutation of range(n) into its orbits; an orbit's cycle is the low bit of
-each of its states in turn (`orbit_cycle`).
+each of its states in turn (`orbit_cycle`).  Code that asks which cycle
+holds a state reads `state_cycles`, the one per-state index of a
+register's orbits.
 """
 
 from __future__ import annotations
@@ -360,6 +362,17 @@ def state_orbits(f: Fsr):
     return orbits(lambda s: (s >> 1) | (tbl[s] << top), 1 << f.stage)
 
 
+def state_cycles(f: Fsr) -> tuple:
+    """(orbits, ids): the orbits of `state_orbits(f)` as a list, and ids[s]
+    the index in it of the orbit through state s."""
+    orbs = list(state_orbits(f))
+    ids = [0] * (1 << f.stage)
+    for i, orbit in enumerate(orbs):
+        for s in orbit:
+            ids[s] = i
+    return orbs, ids
+
+
 def cycle_structure(f: Fsr) -> CycleStructure:
     """Partition all 2^n states of a nonsingular register into cycles."""
     return CycleStructure(orbit_cycle(o) for o in state_orbits(f))
@@ -546,6 +559,10 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
     if toks[1] == "CIRCUIT":
         if len(toks) == 3:
             path = os.path.join(base_dir, toks[2])
+            # a device, FIFO or directory would be read without end, or block
+            if not os.path.isfile(path):
+                raise FsrParseError(f"cannot read circuit {toks[2]!r}: not a "
+                                    f"regular file", lineno)
             try:
                 with open(path) as fh:
                     body = fh.read()

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .bitvec import BitVec, xor_bits
 from .circuit import Builder, Circuit, TruthTable
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
-                  orbit_cycle, orbits)
+                  orbit_cycle, state_cycles)
 from .lfsr import GF2Poly, LfsrFamily, lfsr_of, linear_step, tap_mask
 
 EXHAUSTIVE_ELL_BOUND = 3
@@ -459,18 +459,12 @@ class Alg1Oracle:
                              f"{EXHAUSTIVE_ELL_BOUND} only")
         self.ell = ell
         self.family = LfsrFamily.for_ell(ell)
-        m = self.m = 4 * ell
-        N = 1 << m
-        L = linear_step(self.family.p2)
-        windows = list(orbits(L, N))   # id -> list of states
-        cycle_id = [0] * N
-        for cid, orbit in enumerate(windows):
-            for s in orbit:
-                cycle_id[s] = cid
+        self.m = 4 * ell
+        lin = lfsr_of(self.family.p2)
+        windows, cycle_id = state_cycles(lin)    # each orbit from its least window
         self._cycle_id = cycle_id
         self._windows = windows
         self._period = [len(o) for o in windows]
-        self._minw = [min(o) for o in windows]
         self._cycle_obj = [orbit_cycle(o) for o in windows]
         self._obj_to_id = {c: i for i, c in enumerate(self._cycle_obj)}
         long_period = 6 * ell
@@ -478,30 +472,26 @@ class Alg1Oracle:
         def short(cid):
             return self._period[cid] != long_period
 
-        # D: least window's conjugate sits on a short cycle, and no window's
-        # conjugate is the least window of a long cycle.
-        d_ids = set()
-        for cid in range(len(windows)):
-            if not short(self._cycle_id[self._minw[cid] ^ 1]):
-                continue
-            blocked = any(
-                not short(self._cycle_id[v ^ 1])
-                and (v ^ 1) == self._minw[self._cycle_id[v ^ 1]]
-                for v in windows[cid])
-            if not blocked:
-                d_ids.add(cid)
+        # D: least window's conjugate sits on a short cycle, less the cycles
+        # holding the conjugate of a long cycle's least window.
+        d_ids = ({cid for cid, o in enumerate(windows)
+                  if short(cycle_id[o[0] ^ 1])}
+                 - {cycle_id[o[0] ^ 1] for cid, o in enumerate(windows)
+                    if not short(cid)})
         self._d_ids = d_ids
         rho = []
-        for cid in range(len(windows)):
-            v = self._minw[cid]
+        for cid, o in enumerate(windows):
+            v = o[0]
             if cid in d_ids:
                 for _ in range(5 * ell):
-                    v = L(v)
+                    v = lin.step_int(v)
             rho.append(v)
         self._rho = rho
         rho_set = set(rho)
-        self._lam = [1 if (v in rho_set and not short(cycle_id[v ^ 1])) else 0
-                     for v in range(N)]
+        self._lam = bytearray(len(cycle_id))
+        for v in rho:
+            if not short(cycle_id[v ^ 1]):
+                self._lam[v] = 1
 
         # the two structural facts about D and rho
         e1_cid = cycle_id[1]

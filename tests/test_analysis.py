@@ -282,6 +282,48 @@ def test_join_graph_component_identity_random():
     assert checked == 100
 
 
+def window_union_identity(graph):
+    """The join identity as first written: each component's union of base
+    windows is one toggled orbit's state set, one-to-one."""
+    m = graph.base.stage
+    target = {frozenset(o) for o in F.state_orbits(graph.toggled)}
+    comps = graph.components()
+    if len(comps) != len(target):
+        return False
+    seen = set()
+    for comp in comps:
+        u = frozenset().union(*(c.window_ints(m) for c in comp))
+        if u not in target or u in seen:
+            return False
+        seen.add(u)
+    return True
+
+
+def test_join_identity_matches_the_window_union_form():
+    rng = random.Random(23)
+    verdicts = []
+    for _ in range(300):
+        base, toggled, lam = _random_join_instance(rng, rng.randint(3, 8))
+        graph = A.cycle_join_graph(base, toggled, lam)
+        verdict = graph.verify_join_identity()
+        assert verdict == window_union_identity(graph)
+        verdicts.append((verdict, graph.is_acyclic()))
+    assert {v for v, _ in verdicts} == {True, False}
+    # an acyclic join keeps the identity; a cyclic one breaks it here
+    assert all(v == acyclic for v, acyclic in verdicts)
+
+
+def test_join_graph_cycles_follow_the_state_ids():
+    base, toggled, lam = _random_join_instance(random.Random(5), 7)
+    graph = A.cycle_join_graph(base, toggled, lam)
+    orbs, ids = F.state_cycles(base)
+    assert graph.ids == ids
+    assert graph.cycles == [F.orbit_cycle(o) for o in orbs]
+    for a in graph.arcs:
+        assert graph.cycles[ids[a.witness]] == a.tail
+        assert graph.cycles[ids[a.witness ^ 1]] == a.head
+
+
 def test_dot_export():
     f0 = __import__("fsrkit.circuit", fromlist=["from_bits"]).from_bits([0, 1])
     inst = R.build_irreducibility_fsr(f0, build_circuit=False)

@@ -1,5 +1,11 @@
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 
+import fsrkit
 from fsrkit import analysis
 from fsrkit.cli import main
 from fsrkit.circuit import from_bits, write_circuit
@@ -15,6 +21,26 @@ def workdir(tmp_path, monkeypatch):
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def run_cli(workdir, *args, **kw):
+    """Run the CLI in a child process in workdir.  The child cannot resolve
+    a relative PYTHONPATH entry such as "src" there, so the imported
+    package's root goes first."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(fsrkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "fsrkit.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          cwd=workdir, **kw)
+
+
+def run_limited(workdir, *args):
+    """run_cli with the child's address space capped at 1 GB, so an
+    unbounded read or allocation fails fast instead of filling memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return run_cli(workdir, *args, preexec_fn=cap, timeout=120)
 
 
 def identity_circuit(workdir):
@@ -173,6 +199,50 @@ def test_graph_base_ell_is_ascii_decimal_exit_2(workdir, capsys, base):
     assert "not a decimal number" in capsys.readouterr().err
 
 
+def test_circuit_path_that_is_not_a_regular_file_exit_2(workdir):
+    os.mkfifo(workdir / "pipe")
+    for path in ("/dev/zero", "pipe", "."):
+        f = write(workdir / "f.fsr", f"STAGE 4\nFEEDBACK CIRCUIT {path}\n")
+        proc = run_limited(workdir, "analyze", "cycles", f)
+        assert proc.returncode == 2, proc.stderr
+        assert "not a regular file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_graph_base_above_the_state_bound_exit_2(workdir, capsys):
+    f = write(workdir / "f.fsr", "STAGE 4\nFEEDBACK TABLE 0110100110010110\n")
+    huge = write(workdir / "huge.fsr",
+                 "STAGE 1000000\nFEEDBACK CIRCUIT\nv0 INPUT 999999\nSINK v0\n")
+    assert main(["graph", f, huge]) == 2
+    assert "base stage 1000000 exceeds state bound 24" in capsys.readouterr().err
+    # stage 40 would ask for a 2^40-entry predicate before any check
+    big = write(workdir / "big.fsr",
+                "STAGE 40\nFEEDBACK CIRCUIT\nv0 INPUT 39\nSINK v0\n")
+    proc = run_limited(workdir, "graph", f, big)
+    assert proc.returncode == 2, proc.stderr
+    assert "base stage 40 exceeds state bound 24" in proc.stderr
+
+
+@pytest.mark.parametrize("base,sat,unsat", [
+    ("p1@1", "v0 INPUT 0\nSINK v0\n",
+     "v0 INPUT 0\nv1 NOT v0\nv2 AND v0 v1\nSINK v2\n"),
+    ("p1@3", "v0 INPUT 0\nv1 INPUT 1\nv2 INPUT 2\nv3 AND v0 v1\n"
+             "v4 AND v3 v2\nSINK v4\n",
+     "v0 INPUT 0\nv1 INPUT 1\nv2 INPUT 2\nv3 AND v0 v1\nv4 AND v3 v2\n"
+     "v5 NOT v4\nv6 AND v4 v5\nSINK v6\n")], ids=["p1@1", "p1@3"])
+def test_graph_of_the_dec_form(workdir, capsys, base, sat, unsat):
+    for tag, text in (("sat", sat), ("unsat", unsat)):
+        path = write(workdir / f"{tag}.ckt", text)
+        out = str(workdir / f"{tag}.dec.fsr")
+        assert main(["reduce", "dec", path, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["graph", out, base]) == 0
+        dot = capsys.readouterr().out
+        assert 'label="acyclic=true"' in dot
+        # the unsatisfiable register is the p1 register itself: no toggles
+        assert ("->" in dot) == (tag == "sat")
+
+
 def test_lfsr_command(workdir, capsys):
     out = str(workdir / "p0.fsr")
     assert main(["lfsr", "x^2 + x + 1", "--out", out, "--cycles"]) == 0
@@ -224,26 +294,11 @@ def test_verify_input_count_out_of_range_exit_2(capsys, r):
 
 
 def test_console_script_subprocess(workdir):
-    import os
-    import subprocess
-    import sys
-    import fsrkit
-    # The child runs in tmp_path, where a relative PYTHONPATH entry such
-    # as "src" no longer resolves; put the imported package's root first.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(fsrkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [root, os.environ.get("PYTHONPATH")])))
     path = identity_circuit(workdir)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fsrkit.cli", "reduce", "irr", path,
-         "--skip-circuit"],
-        capture_output=True, text=True, env=env)
+    proc = run_cli(workdir, "reduce", "irr", path, "--skip-circuit")
     assert proc.returncode == 0, proc.stderr
     assert "stage=4 ell=1" in proc.stdout
-    proc = subprocess.run(
-        [sys.executable, "-m", "fsrkit.cli", "analyze", "cycles",
-         str(workdir / "f0.irr.fsr")],
-        capture_output=True, text=True, env=env)
+    proc = run_cli(workdir, "analyze", "cycles", str(workdir / "f0.irr.fsr"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "1 0"
 

@@ -240,6 +240,23 @@ def test_orbit_is_window_set_with_minimal_period():
             assert set(orbit) == wins
 
 
+def test_state_cycles_indexes_the_state_orbits():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        f = random_nonsingular(rng, n)
+        orbs, ids = F.state_cycles(f)
+        assert orbs == list(F.state_orbits(f))
+        assert len(ids) == 1 << n
+        held = [[] for _ in orbs]
+        for s, i in enumerate(ids):
+            held[i].append(s)
+        assert held == [sorted(o) for o in orbs]
+        assert all(o[0] == min(o) for o in orbs)
+    with pytest.raises(ValueError, match="singular"):
+        F.state_cycles(F.Fsr(2, table=[0, 0, 0, 0]))
+
+
 def test_conjugate_pair_minimum_property():
     # if u and its conjugate sit on cycles c, d then the least window of
     # c or d undercuts both, unless u is the zero or unit state

@@ -183,6 +183,48 @@ def test_alg1_oracle_deferred_set_at_ell3():
     assert oracle.rho(c) == BitVec(s, 12)
 
 
+def per_state_alg1(ell):
+    """D, rho and lam as first written: one pass over every state."""
+    step = L.linear_step(L.LfsrFamily.for_ell(ell).p2)
+    n = 1 << (4 * ell)
+    windows = list(F.orbits(step, n))
+    cid = [0] * n
+    for i, orbit in enumerate(windows):
+        for s in orbit:
+            cid[s] = i
+    minw = [min(o) for o in windows]
+    short = [len(o) != 6 * ell for o in windows]
+    d = set()
+    for i, orbit in enumerate(windows):
+        if not short[cid[minw[i] ^ 1]]:
+            continue
+        if not any(not short[cid[v ^ 1]] and (v ^ 1) == minw[cid[v ^ 1]]
+                   for v in orbit):
+            d.add(i)
+    rho = []
+    for i in range(len(windows)):
+        v = minw[i]
+        if i in d:
+            for _ in range(5 * ell):
+                v = step(v)
+        rho.append(v)
+    rho_set = set(rho)
+    lam = [1 if (v in rho_set and not short[cid[v ^ 1]]) else 0
+           for v in range(n)]
+    cycles = [F.orbit_cycle(o) for o in windows]
+    return {cycles[i] for i in d}, dict(zip(cycles, rho)), lam
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_alg1_oracle_matches_the_per_state_form(ell):
+    oracle = R.Alg1Oracle(ell)
+    d, rho, lam = per_state_alg1(ell)
+    assert oracle.d_set == d
+    assert {c: int(oracle.rho(c)) for c in oracle.cycles} == rho
+    assert oracle.lam_table() == lam
+    assert [oracle.lam(v) for v in range(1 << (4 * ell))] == lam
+
+
 def test_conjugate_of_base_window_lands_on_long_cycle():
     for ell in (1, 3):
         oracle = R.Alg1Oracle(ell)
