@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .bitvec import FLIP, as_bits, xor_bits
-from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, cycle_structure,
-                  fsr_from_cycles, is_nonsingular, orbit_cycle, product_fsr,
-                  state_cycles, window_images)
+from .fsr import (Cycle, Fsr, InvariantError, cycle_structure, fsr_from_cycles,
+                  is_nonsingular, orbit_cycle, product_fsr, state_cycles,
+                  window_images)
 
 SUBFSR_STAGE_BOUND = 12
 BRUTE_INNER_STAGE_BOUND = 3
@@ -71,7 +71,7 @@ def _subset_dfs(cands, reach, i, remaining, acc, chosen):
     yield from _subset_dfs(cands, reach, i + 1, remaining, acc, chosen)
 
 
-def iter_subfsrs(f: Fsr, cycles: CycleStructure = None):
+def iter_subfsrs(f: Fsr):
     """Yield every sub-register of f, smallest stage first.
 
     For each stage m < n, the search keeps the cycles whose m-windows are
@@ -87,8 +87,7 @@ def iter_subfsrs(f: Fsr, cycles: CycleStructure = None):
     if f.stage > SUBFSR_STAGE_BOUND:
         raise ValueError(f"stage {f.stage} exceeds sub-register bound "
                          f"{SUBFSR_STAGE_BOUND}")
-    cs = cycles if cycles is not None else cycle_structure(f)
-    ordered = sorted(cs.cycles, key=lambda c: (-c.period, c.bits))
+    ordered = sorted(cycle_structure(f).cycles, key=lambda c: (-c.period, c.bits))
     for m in range(1, f.stage):
         target = 1 << m
         cands = [(c, c.period, mask) for c in ordered if c.period <= target

@@ -18,8 +18,8 @@ the convention the rest of the package relies on for gadget bookkeeping.
 (XOR = 5, word equality <= 6m) are about ``gate_count``.
 
 Satisfiability and truth tables are computed by exhaustive scan, batched
-as bitmask integers (one bit per assignment), which is plenty for the
-input counts this package deals with.  A vertex's lane is needed only up
+as bitmask integers (one bit per assignment), for at most STATE_BOUND
+inputs.  A vertex's lane is needed only up
 to its last reader; when keeping every lane to the end would hold more
 than LIVE_LANE_BYTES, the pass drops each lane once it is dead, so it
 holds only the live frontier.
@@ -36,13 +36,16 @@ from operator import getitem, lt
 
 from .bitvec import BitVec, as_bits, bits_to_mask, mask_to_bits
 
-#: inputs beyond this are refused by the exhaustive operations
-SAT_ARITY_BOUND = 24
+#: the most inputs or stages swept: a 2^n-entry table is refused above it
+STATE_BOUND = 24
 
 #: a lane pass that would keep more bytes of lanes than this (vertices times
 #: lane bits / 8) frees each lane after its last reader; below it finding
 #: the last readers costs more time than the freed memory saves
 LIVE_LANE_BYTES = 1 << 26
+
+#: read_text refuses a longer file: 256 MiB, far above any the package writes
+READ_BYTES_BOUND = 1 << 28
 
 #: the bulk passes over a circuit's text (writing and parsing it) take this
 #: many vertices, or lines, at a time, so their temporaries stay small next
@@ -303,15 +306,15 @@ class Circuit:
             raise ValueError("evaluate needs a single-output circuit")
         return self.evaluate_outputs(x)[0]
 
-    def output_masks(self, bound: int = SAT_ARITY_BOUND) -> list:
+    def output_masks(self) -> list:
         """Evaluate all 2^arity assignments at once.
 
         Returns one integer per output wire; bit j of it is that output's
         value on the input vector encoding j.
         """
         r = self.arity
-        if r > bound:
-            raise ValueError(f"arity {r} exceeds exhaustive bound {bound}")
+        if r > STATE_BOUND:
+            raise ValueError(f"arity {r} exceeds state bound {STATE_BOUND}")
         return self._run(input_lanes(r), (1 << (1 << r)) - 1)
 
     def evaluate_batch(self, assignments) -> list:
@@ -328,14 +331,14 @@ class Circuit:
                    for i in range(self.arity)]
         return self._run(in_vals, (1 << len(assignments)) - 1)
 
-    def truth_table(self, bound: int = SAT_ARITY_BOUND) -> TruthTable:
+    def truth_table(self) -> TruthTable:
         if len(self.outputs) != 1:
             raise ValueError("truth_table needs a single-output circuit")
-        return TruthTable(self.arity, self.output_masks(bound)[0])
+        return TruthTable(self.arity, self.output_masks()[0])
 
-    def is_satisfiable(self, bound: int = SAT_ARITY_BOUND):
+    def is_satisfiable(self):
         """Exhaustive scan in integer order; the least witness or None."""
-        mask = self.truth_table(bound).mask
+        mask = self.truth_table().mask
         if mask == 0:
             return None
         least = (mask & -mask).bit_length() - 1
@@ -611,6 +614,17 @@ def write_circuit(circ: Circuit) -> str:
             for k, op, x, y in zip(range(lo, hi), kinds[lo:hi], a[lo:hi], b[lo:hi])]))
     blocks.append(f"SINK v{circ.sink}\n")
     return "".join(blocks)
+
+
+def read_text(path: str) -> str:
+    """The file at path as UTF-8 text, its line breaks as written (the
+    parsers cut lines with str.splitlines), reading at most one byte past
+    READ_BYTES_BOUND: a longer file, such as /dev/zero, raises ValueError."""
+    with open(path, "rb") as fh:
+        data = fh.read(READ_BYTES_BOUND + 1)
+    if len(data) > READ_BYTES_BOUND:
+        raise ValueError(f"{path}: longer than {READ_BYTES_BOUND} bytes")
+    return data.decode()
 
 
 def decimal(tok: str) -> int:

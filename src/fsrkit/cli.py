@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from . import analysis, reduction, verify
 from .bitvec import bits_to_digits
-from .circuit import decimal, parse_circuit
-from .fsr import (Fsr, InvariantError, cycle_structure, parse_fsr, state_bound,
-                  write_fsr, write_fsr_circuit)
+from .circuit import STATE_BOUND, decimal, parse_circuit, read_text
+from .fsr import (Fsr, InvariantError, cycle_structure, parse_fsr, write_fsr,
+                  write_fsr_circuit)
 from .lfsr import LfsrFamily, lfsr_of
 
 
@@ -40,13 +40,8 @@ class Verdict:
         return 0 if self.answer else 1
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
-
-
 def cmd_reduce(args) -> int:
-    f0 = parse_circuit(_read(args.circuit))
+    f0 = parse_circuit(read_text(args.circuit))
     if args.emit == "circuit":
         build = True
     elif args.skip_circuit:
@@ -63,7 +58,7 @@ def cmd_reduce(args) -> int:
     if out is None:
         stem, _ = os.path.splitext(args.circuit)
         out = f"{stem}.{args.kind}.fsr"
-    if args.emit in ("fsr", "table") and inst.stage > 24:
+    if args.emit in ("fsr", "table") and inst.stage > STATE_BOUND:
         print(f"error: a stage-{inst.stage} feedback table has 2^{inst.stage} "
               f"entries; use --emit circuit", file=sys.stderr)
         return 2
@@ -88,7 +83,7 @@ def cmd_reduce(args) -> int:
 
 
 def _load_fsr(path: str):
-    return parse_fsr(_read(path), base_dir=os.path.dirname(path) or ".")
+    return parse_fsr(read_text(path), base_dir=os.path.dirname(path) or ".")
 
 
 def cmd_analyze(args) -> int:
@@ -145,9 +140,8 @@ def _base_predicate(spec: str):
             return lfsr_of(LfsrFamily.for_ell(ell).p1), maps.lam_table()
         raise ValueError(f"unknown base register {name!r}")
     base = _load_fsr(spec)
-    if base.stage > state_bound():
-        raise ValueError(f"base stage {base.stage} exceeds state bound "
-                         f"{state_bound()}")
+    if base.stage > STATE_BOUND:
+        raise ValueError(f"base stage {base.stage} exceeds state bound {STATE_BOUND}")
     return base, bytes(1 << base.stage)
 
 

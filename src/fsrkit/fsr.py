@@ -23,12 +23,8 @@ import os
 from array import array
 
 from .bitvec import FLIP, BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
-from .circuit import Circuit, decimal, parse_circuit, significant_lines, write_circuit
-
-
-def state_bound() -> int:
-    """Stage cap for full state-space sweeps (env FSRKIT_STATE_BOUND)."""
-    return int(os.environ.get("FSRKIT_STATE_BOUND", "24"))
+from .circuit import (STATE_BOUND, Circuit, decimal, parse_circuit, read_text,
+                      significant_lines, write_circuit)
 
 
 class InvariantError(RuntimeError):
@@ -232,9 +228,9 @@ class Fsr:
     """An n-stage register given by its feedback logic.
 
     Backed by a truth table (bytes of length 2^n), a Python callable, or a
-    Circuit; the table is materialized on demand for stages within
-    state_bound().  Values are immutable in practice: nothing here mutates
-    a register after construction.
+    Circuit; the table is materialized on demand.  No stage above
+    STATE_BOUND has a table: one given is refused here, and a sweep reads
+    `table` first.  Nothing here mutates a register after construction.
     """
 
     __slots__ = ("stage", "_table", "_fn", "circuit")
@@ -255,6 +251,8 @@ class Fsr:
 
     @staticmethod
     def _coerce_table(stage, table) -> bytes:
+        if stage > STATE_BOUND:     # before 1 << stage is computed
+            raise ValueError(f"stage {stage} exceeds state bound {STATE_BOUND}")
         n = 1 << stage
         if isinstance(table, int):
             if not 0 <= table < (1 << n):
@@ -269,13 +267,11 @@ class Fsr:
     def table(self) -> bytes:
         """The feedback truth table, materializing it if necessary."""
         if self._table is None:
-            if self.stage > state_bound():
-                raise ValueError(
-                    f"stage {self.stage} exceeds state bound {state_bound()}")
+            if self.stage > STATE_BOUND:
+                raise ValueError(f"stage {self.stage} exceeds state bound {STATE_BOUND}")
             if self.circuit is not None:
-                self._table = mask_to_bits(
-                    self.circuit.output_masks(bound=state_bound())[0],
-                    1 << self.stage)
+                self._table = mask_to_bits(self.circuit.output_masks()[0],
+                                           1 << self.stage)
             else:
                 self._table = bytes(
                     self._fn(s) & 1 for s in range(1 << self.stage))
@@ -319,8 +315,6 @@ def step(f: Fsr, s: BitVec) -> BitVec:
 def is_nonsingular(f: Fsr) -> bool:
     """Bijectivity of the state map, by the criterion f1(s ^ 1) == f1(s) ^ 1
     for every state; `orbits` checks the bijection on every walk."""
-    if f.stage > state_bound():
-        raise ValueError(f"stage {f.stage} exceeds state bound {state_bound()}")
     tbl = f.table
     return tbl[1::2] == tbl[0::2].translate(FLIP)
 
@@ -353,8 +347,6 @@ def orbit_cycle(orbit) -> Cycle:
 def state_orbits(f: Fsr):
     """The orbits of a nonsingular register's state map (see `orbits`);
     each orbit's states are exactly the stage-windows of its cycle."""
-    if f.stage > state_bound():
-        raise ValueError(f"stage {f.stage} exceeds state bound {state_bound()}")
     if not is_nonsingular(f):
         raise ValueError("singular register has no cycle partition")
     tbl = f.table
@@ -469,7 +461,7 @@ def product_fsr(f: Fsr, g: Fsr) -> Fsr:
     """The register whose characteristic function is f composed over a
     sliding window of g evaluations; stage is the sum of stages."""
     n, m = f.stage, g.stage
-    if n + m > state_bound():
+    if n + m > STATE_BOUND:
         raise ValueError(f"product stage {n + m} exceeds state bound")
     f1, g1 = f.table, g.table
     return Fsr(n + m, table=bytes(g1[x >> n] ^ f1[w] for x, w in
@@ -564,9 +556,8 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
                 raise FsrParseError(f"cannot read circuit {toks[2]!r}: not a "
                                     f"regular file", lineno)
             try:
-                with open(path) as fh:
-                    body = fh.read()
-            except (OSError, ValueError) as e:   # ValueError: NUL, bad UTF-8
+                body = read_text(path)
+            except (OSError, ValueError) as e:   # ValueError: NUL, bad UTF-8, too long
                 raise FsrParseError(f"cannot read circuit {toks[2]!r}: {e}",
                                     lineno) from None
             circ = parse_circuit(body)

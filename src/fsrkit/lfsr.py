@@ -23,7 +23,8 @@ import re
 from dataclasses import dataclass
 
 from .bitvec import FLIP
-from .fsr import Fsr, InvariantError, cycle_structure, state_bound
+from .circuit import STATE_BOUND
+from .fsr import Fsr, InvariantError, cycle_structure
 
 IRREDUCIBILITY_DEGREE_BOUND = 36
 LINEAR_TABLE_DEGREE_BOUND = 18
@@ -168,12 +169,12 @@ def lfsr_of(p: GF2Poly) -> Fsr:
     """The linear register whose characteristic polynomial is p.
 
     For p = x^n + c_{n-1} x^{n-1} + ... + c_0 the feedback is the parity
-    of the tapped state bits c_i * x_i.  Up to state_bound() the table over
+    of the tapped state bits c_i * x_i.  Up to STATE_BOUND the table over
     i + 1 bits is the one over i bits twice, flipped the second time when
     x_i is a tap; above, the parity is computed on each call.
     """
     taps = tap_mask(p)
-    if p.degree > state_bound():
+    if p.degree > STATE_BOUND:
         return Fsr(p.degree, fn=lambda s: (s & taps).bit_count() & 1)
     table = b"\x00"
     for i in range(p.degree):
@@ -184,12 +185,12 @@ def lfsr_of(p: GF2Poly) -> Fsr:
 def linear_step(p: GF2Poly):
     """The state map of lfsr_of(p) on integer states, as a callable.
 
-    Up to degree LINEAR_TABLE_DEGREE_BOUND (and the state bound) it looks
-    the state up in a list read off the register's table; above, it is the
-    register's own step_int.
+    Up to degree LINEAR_TABLE_DEGREE_BOUND it looks the state up in a list
+    read off the register's table; above, it is the register's own
+    step_int.
     """
     f = lfsr_of(p)
-    if p.degree > min(LINEAR_TABLE_DEGREE_BOUND, state_bound()):
+    if p.degree > LINEAR_TABLE_DEGREE_BOUND:
         return f.step_int
     top = p.degree - 1
     return [(s >> 1) | (b << top) for s, b in enumerate(f.table)].__getitem__

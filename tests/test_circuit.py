@@ -138,7 +138,7 @@ def test_satisfiable_iff_truth_table_has_a_one():
 
 def test_sat_bound():
     with pytest.raises(ValueError):
-        C.Builder(5).build(0).is_satisfiable(bound=4)
+        C.Builder(25).build(0).is_satisfiable()
 
 
 def test_truth_table_round_trip():

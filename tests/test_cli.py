@@ -147,10 +147,38 @@ def test_analyze_huge_stage_exit_2(workdir, capsys):
     assert "table needs 2^100000 digits" in capsys.readouterr().err
 
 
-def test_analyze_bounds_exit_2(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("FSRKIT_STATE_BOUND", "2")
-    p1 = write(workdir / "p1.fsr", "STAGE 3\nFEEDBACK TABLE 01010101\n")
+def test_analyze_bounds_exit_2(workdir, capsys):
+    p1 = write(workdir / "p1.fsr", "STAGE 25\nFEEDBACK CIRCUIT\n"
+               + "".join(f"v{i} INPUT {i}\n" for i in range(25)) + "SINK v0\n")
     assert main(["analyze", "cycles", p1]) == 2
+    assert "stage 25 exceeds state bound 24" in capsys.readouterr().err
+
+
+def test_reduce_past_24_stages_hints_at_the_circuit_form(workdir, capsys):
+    # seven inputs give the ell = 9 irreducibility form, of stage 36
+    path = write(workdir / "f0.ckt", "".join(f"v{i} INPUT {i}\n" for i in range(7))
+                 + "SINK v6\n")
+    assert main(["reduce", "irr", path]) == 2
+    assert ("a stage-36 feedback table has 2^36 entries; use --emit circuit"
+            in capsys.readouterr().err)
+    assert not (workdir / "f0.irr.fsr").exists()
+
+
+@pytest.mark.parametrize("args", [("analyze", "cycles", "/dev/zero"),
+                                  ("reduce", "irr", "/dev/zero"),
+                                  ("graph", "/dev/zero", "p2@1")])
+def test_a_file_past_the_read_bound_exit_2(workdir, args):
+    proc = run_limited(workdir, *args)
+    assert proc.returncode == 2, proc.stderr
+    assert "/dev/zero: longer than 268435456 bytes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_analyze_reads_a_register_from_stdin(workdir):
+    proc = run_cli(workdir, "analyze", "cycles", "/dev/stdin",
+                   input="STAGE 2\nFEEDBACK TABLE 0110\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 0\n3 011\n"
 
 
 @pytest.mark.parametrize("error", [InvariantError("outer factor mismatch"),

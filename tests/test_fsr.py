@@ -420,11 +420,34 @@ def test_fsr_circuit_file_reference(tmp_path):
     assert list(f.table) == [0, 1, 1, 0]
 
 
-def test_state_bound_env(monkeypatch):
-    monkeypatch.setenv("FSRKIT_STATE_BOUND", "3")
-    f = F.Fsr(4, table=[s & 1 for s in range(16)])
-    with pytest.raises(ValueError):
+def test_state_bound_env():
+    # a callable-backed register above the state bound has no table to sweep
+    f = F.Fsr(25, fn=lambda s: s & 1)
+    with pytest.raises(ValueError, match="stage 25 exceeds state bound 24"):
         F.cycle_structure(f)
+
+
+def test_an_explicit_table_past_24_stages_is_refused_unbuilt():
+    # 2^25 entries would take 32 MB, 2^40 fail to allocate, and 1 << 2^(10^6)
+    # overflow before the table could be checked
+    tracemalloc.start()
+    try:
+        for stage in (25, 40, 10**6):
+            with pytest.raises(ValueError,
+                               match=f"stage {stage} exceeds state bound 24"):
+                F.Fsr(stage, table=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_circuit_and_register_tables_share_one_bound():
+    c = C.Builder(25).build(0)
+    for read in (lambda: F.Fsr(25, circuit=c).table, c.truth_table,
+                 c.output_masks):
+        with pytest.raises(ValueError, match="25 exceeds state bound 24"):
+            read()
 
 
 def test_parse_checks_the_table_length_without_building_2_to_the_stage():

@@ -4,6 +4,7 @@ tables, each against its per-state definition."""
 
 import ast
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,16 +122,6 @@ def test_linear_step_on_both_sides_of_the_table_bound():
             assert step(s) == tap_parity_step(p, s)
 
 
-def test_linear_step_below_the_table_bound_under_a_low_state_bound(monkeypatch):
-    # the register holds no table above the state bound, so the step is
-    # the register's own step_int there
-    monkeypatch.setenv("FSRKIT_STATE_BOUND", "5")
-    p = GF2Poly(0b1100011)      # x^6 + x^5 + x + 1
-    step = linear_step(p)
-    assert [step(s) for s in range(64)] == [tap_parity_step(p, s)
-                                            for s in range(64)]
-
-
 @FIXED
 @given(st.integers(1, 300).flatmap(lambda n: st.permutations(range(n))))
 def test_orbits_partition_a_permutation(perm):
@@ -202,14 +193,14 @@ def test_lfsr_table_is_the_tap_parity(p):
                                      for s in range(1 << p.degree))
 
 
-def test_lfsr_above_the_state_bound_computes_each_bit(monkeypatch):
-    monkeypatch.setenv("FSRKIT_STATE_BOUND", "5")
-    p = GF2Poly(0b1100011)      # x^6 + x^5 + x + 1
+def test_lfsr_above_the_state_bound_computes_each_bit():
+    p = GF2Poly((1 << 25) | 0b1001)     # x^25 + x^3 + 1
     f = lfsr_of(p)
-    with pytest.raises(ValueError, match="state bound"):
+    with pytest.raises(ValueError, match="stage 25 exceeds state bound 24"):
         f.table
-    assert [f.feedback_bit(s) for s in range(64)] == [
-        (s & 0b100011).bit_count() & 1 for s in range(64)]
+    rng = random.Random(25)
+    for s in [0, 1, (1 << 25) - 1] + [rng.getrandbits(25) for _ in range(200)]:
+        assert f.feedback_bit(s) == (s & 0b1001).bit_count() & 1
 
 
 @FIXED
