@@ -22,8 +22,7 @@ from itertools import compress
 
 from .bitvec import FLIP, as_bits, xor_bits
 from .fsr import (Cycle, Fsr, InvariantError, cycle_structure, fsr_from_cycles,
-                  is_nonsingular, orbit_cycle, product_fsr, state_cycles,
-                  window_images)
+                  is_nonsingular, product_fsr, state_cycles, window_images)
 
 SUBFSR_STAGE_BOUND = 12
 BRUTE_INNER_STAGE_BOUND = 3
@@ -293,12 +292,12 @@ class CycleJoinGraph:
         of one weakly connected component, one-to-one: the distinct
         (toggled orbit, component) pairs over all states number as many as
         the toggled orbits and as the components."""
-        orbs, ids = state_cycles(self.toggled)
+        seeds, _, ids = state_cycles(self.toggled)
         comps = self.components()
         of = {c: k for k, comp in enumerate(comps) for c in comp}
         comp = [of[c] for c in self.cycles]     # by base cycle index
         pairs = {(t, comp[i]) for t, i in zip(ids, self.ids)}
-        return len(pairs) == len(orbs) == len(comps)
+        return len(pairs) == len(seeds) == len(comps)
 
     def _label(self, c: Cycle) -> str:
         return f"{c.period}@{int(str(c), 2):x}"
@@ -348,13 +347,13 @@ def cycle_join_graph(base: Fsr, toggled: Fsr, lam) -> CycleJoinGraph:
     even, odd = (int.from_bytes(lam[i::2], "little") for i in (0, 1))
     if even & odd:
         raise ValueError("predicate marks a conjugate state pair")
-    orbs, ids = state_cycles(base)
+    _, bits, ids = state_cycles(base)
     marked = list(compress(range(n), lam))
     if len({ids[v] for v in marked}) != len(marked):
         raise ValueError("predicate marks a cycle more than once")
     if int.from_bytes(f3, "little") & ~(even | odd):
         raise ValueError("live toggle window carries no mark")
-    cycles = [orbit_cycle(o) for o in orbs]
+    cycles = [Cycle(b) for b in bits]
     arcs = sorted((Arc(tail=cycles[ids[v]], head=cycles[ids[v ^ 1]], witness=v)
                    for v in marked if f3[v >> 1]),
                   key=lambda a: (a.tail.sort_key(), a.head.sort_key(), a.witness))

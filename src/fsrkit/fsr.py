@@ -11,16 +11,17 @@ Periodic output sequences are kept as Cycle values: the minimal-period bit
 string in its lexicographically least rotation.
 
 Every orbit walk in the package goes through `orbits`, which splits a
-permutation of range(n) into its orbits; an orbit's cycle is the low bit of
-each of its states in turn (`orbit_cycle`).  Code that asks which cycle
-holds a state reads `state_cycles`, the one per-state index of a
-register's orbits.
+permutation of range(n) into its orbits and keeps, per orbit, its least
+state and the low bit of each of its states in turn (the orbit's output
+cycle), and per state the index of its orbit.  `state_cycles` is that walk
+over a nonsingular register's state map.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
+from itertools import repeat
 
 from .bitvec import FLIP, BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
 from .circuit import (STATE_BOUND, Circuit, decimal, parse_circuit, read_text,
@@ -319,34 +320,44 @@ def is_nonsingular(f: Fsr) -> bool:
     return tbl[1::2] == tbl[0::2].translate(FLIP)
 
 
-def orbits(succ, n: int):
-    """Yield the orbits of a permutation succ of range(n), each as the list
-    of its states in stepping order.  Seeds ascend, so each orbit starts at
-    its least state.  A walk that stops anywhere but at its seed shows that
-    succ is not a permutation, and raises InvariantError."""
-    visited = bytearray(n)
+def orbits(succ, n: int) -> tuple:
+    """(seeds, bits, ids) for a permutation succ of range(n).  seeds[i] is
+    the least state of orbit i, and seeds ascend; bits[i] holds the low bit
+    of each of its states in stepping order from the seed; ids, an
+    array('i'), holds at s the index of the orbit through s (it is -1 until
+    s is visited, so the next seed is the next state still at -1).  A walk
+    that does not return to its seed shows that succ is not a permutation,
+    and raises InvariantError."""
+    ids = array("i", [-1]) * n
+    seeds, bits = [], []
+    # a walk back to its seed meets no earlier orbit and no state twice, so
+    # it takes at most `left` steps; that bound, not a read of ids per step,
+    # keeps the 4-byte ids as fast to walk as a bytearray of marks
+    left = n
     for seed in range(n):
-        if visited[seed]:
+        if ids[seed] >= 0:
             continue
-        orbit = []
+        i = len(seeds)
+        out = bytearray()
         s = seed
-        while not visited[s]:
-            visited[s] = 1
-            orbit.append(s)
+        for _ in repeat(None, left):
+            ids[s] = i
+            out.append(s & 1)
             s = succ(s)
-        if s != seed:
-            raise InvariantError(f"not a permutation: {seed} leads to {s}")
-        yield orbit
+            if s == seed:
+                break
+        else:
+            raise InvariantError(f"not a permutation: {seed} does not recur")
+        left -= len(out)
+        seeds.append(seed)
+        bits.append(bytes(out))
+    return seeds, bits, ids
 
 
-def orbit_cycle(orbit) -> Cycle:
-    """The output cycle of an orbit: the low bit of each state in turn."""
-    return Cycle(s & 1 for s in orbit)
-
-
-def state_orbits(f: Fsr):
-    """The orbits of a nonsingular register's state map (see `orbits`);
-    each orbit's states are exactly the stage-windows of its cycle."""
+def state_cycles(f: Fsr) -> tuple:
+    """`orbits` over a nonsingular register's state map: (seeds, bits, ids).
+    Each orbit's states are exactly the stage-windows of its cycle, and
+    seeds[i] is the least of them."""
     if not is_nonsingular(f):
         raise ValueError("singular register has no cycle partition")
     tbl = f.table
@@ -354,20 +365,9 @@ def state_orbits(f: Fsr):
     return orbits(lambda s: (s >> 1) | (tbl[s] << top), 1 << f.stage)
 
 
-def state_cycles(f: Fsr) -> tuple:
-    """(orbits, ids): the orbits of `state_orbits(f)` as a list, and ids[s]
-    the index in it of the orbit through state s."""
-    orbs = list(state_orbits(f))
-    ids = [0] * (1 << f.stage)
-    for i, orbit in enumerate(orbs):
-        for s in orbit:
-            ids[s] = i
-    return orbs, ids
-
-
 def cycle_structure(f: Fsr) -> CycleStructure:
     """Partition all 2^n states of a nonsingular register into cycles."""
-    return CycleStructure(orbit_cycle(o) for o in state_orbits(f))
+    return CycleStructure(map(Cycle, state_cycles(f)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +473,8 @@ def simulate_cascade(f: Fsr, g: Fsr) -> CycleStructure:
     into g's feedback, over all joint states; collect the cycles of the
     output sequences read off g's low stage."""
     n, m = f.stage, g.stage
-    if n + m > 20:
-        raise ValueError("cascade sweep capped at 20 joint stages")
+    if n + m > STATE_BOUND:
+        raise ValueError(f"cascade stage {n + m} exceeds state bound {STATE_BOUND}")
     if not (is_nonsingular(f) and is_nonsingular(g)):
         raise ValueError("cascade sweep needs nonsingular registers")
     f1 = f.table
@@ -490,7 +490,7 @@ def simulate_cascade(f: Fsr, g: Fsr) -> CycleStructure:
         x2 = (x >> 1) | (f1[x] << top_f)
         return (x2 << m) | y2
 
-    return CycleStructure(orbit_cycle(o) for o in orbits(succ, 1 << (n + m)))
+    return CycleStructure(map(Cycle, orbits(succ, 1 << (n + m))[1]))
 
 
 # ---------------------------------------------------------------------------

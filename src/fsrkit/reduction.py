@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .bitvec import BitVec, xor_bits
 from .circuit import Builder, Circuit, TruthTable
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
-                  orbit_cycle, state_cycles)
+                  state_cycles)
 from .lfsr import GF2Poly, LfsrFamily, lfsr_of, linear_step, tap_mask
 
 EXHAUSTIVE_ELL_BOUND = 3
@@ -461,11 +461,10 @@ class Alg1Oracle:
         self.family = LfsrFamily.for_ell(ell)
         self.m = 4 * ell
         lin = lfsr_of(self.family.p2)
-        windows, cycle_id = state_cycles(lin)    # each orbit from its least window
+        seeds, bits, cycle_id = state_cycles(lin)   # seeds: the least windows
         self._cycle_id = cycle_id
-        self._windows = windows
-        self._period = [len(o) for o in windows]
-        self._cycle_obj = [orbit_cycle(o) for o in windows]
+        self._period = [len(b) for b in bits]
+        self._cycle_obj = [Cycle(b) for b in bits]
         self._obj_to_id = {c: i for i, c in enumerate(self._cycle_obj)}
         long_period = 6 * ell
 
@@ -474,14 +473,12 @@ class Alg1Oracle:
 
         # D: least window's conjugate sits on a short cycle, less the cycles
         # holding the conjugate of a long cycle's least window.
-        d_ids = ({cid for cid, o in enumerate(windows)
-                  if short(cycle_id[o[0] ^ 1])}
-                 - {cycle_id[o[0] ^ 1] for cid, o in enumerate(windows)
+        d_ids = ({cid for cid, v in enumerate(seeds) if short(cycle_id[v ^ 1])}
+                 - {cycle_id[v ^ 1] for cid, v in enumerate(seeds)
                     if not short(cid)})
         self._d_ids = d_ids
         rho = []
-        for cid, o in enumerate(windows):
-            v = o[0]
+        for cid, v in enumerate(seeds):
             if cid in d_ids:
                 for _ in range(5 * ell):
                     v = lin.step_int(v)
@@ -502,7 +499,7 @@ class Alg1Oracle:
             if short(tgt) or tgt in d_ids:
                 raise InvariantError("deferred representative's conjugate "
                                      "does not reach a plain long cycle")
-        for cid in range(len(windows)):
+        for cid in range(len(seeds)):
             if (rho[cid] ^ 1) in rho_set and cid not in (cycle_id[0], e1_cid):
                 raise InvariantError("conjugate of a representative is a "
                                      "representative off the zero/unit cycles")
@@ -551,10 +548,11 @@ def f3_reference_irr(ell: int, f0: Circuit, oracle: Alg1Oracle = None):
     cid_of = oracle._cycle_id
     rho = oracle._rho
     period = oracle._period
-    windows = oracle._windows
     long_period = 6 * ell
-    hit = [any(f0b[v >> shift_r] for v in windows[cid])
-           for cid in range(len(windows))]
+    hit = bytearray(len(period))    # hit[cid]: f0 is 1 on some window of cid
+    for v, cid in enumerate(cid_of):
+        if f0b[v >> shift_r]:
+            hit[cid] = 1
 
     def ref(x: int) -> int:
         for v in (x << 1, (x << 1) | 1):

@@ -282,11 +282,28 @@ def test_join_graph_component_identity_random():
     assert checked == 100
 
 
+def stepped_orbits(f):
+    """The state sets of f's orbits, each found by stepping f from a state
+    not yet seen."""
+    left = set(range(1 << f.stage))
+    out = set()
+    while left:
+        s = left.pop()
+        orbit = {s}
+        t = f.step_int(s)
+        while t != s:
+            orbit.add(t)
+            t = f.step_int(t)
+        left -= orbit
+        out.add(frozenset(orbit))
+    return out
+
+
 def window_union_identity(graph):
     """The join identity as first written: each component's union of base
     windows is one toggled orbit's state set, one-to-one."""
     m = graph.base.stage
-    target = {frozenset(o) for o in F.state_orbits(graph.toggled)}
+    target = stepped_orbits(graph.toggled)
     comps = graph.components()
     if len(comps) != len(target):
         return False
@@ -316,9 +333,12 @@ def test_join_identity_matches_the_window_union_form():
 def test_join_graph_cycles_follow_the_state_ids():
     base, toggled, lam = _random_join_instance(random.Random(5), 7)
     graph = A.cycle_join_graph(base, toggled, lam)
-    orbs, ids = F.state_cycles(base)
+    _, bits, ids = F.state_cycles(base)
     assert graph.ids == ids
-    assert graph.cycles == [F.orbit_cycle(o) for o in orbs]
+    assert graph.cycles == [F.Cycle(b) for b in bits]
+    # every state is a window of the cycle its id names
+    for s, i in enumerate(ids):
+        assert s in graph.cycles[i].window_ints(base.stage)
     for a in graph.arcs:
         assert graph.cycles[ids[a.witness]] == a.tail
         assert graph.cycles[ids[a.witness ^ 1]] == a.head

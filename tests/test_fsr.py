@@ -240,19 +240,23 @@ def test_orbit_is_window_set_with_minimal_period():
             assert set(orbit) == wins
 
 
-def test_state_cycles_indexes_the_state_orbits():
+def test_state_cycles_indexes_the_register_orbits():
     rng = random.Random(31)
     for _ in range(60):
         n = rng.randint(1, 9)
         f = random_nonsingular(rng, n)
-        orbs, ids = F.state_cycles(f)
-        assert orbs == list(F.state_orbits(f))
+        seeds, bits, ids = F.state_cycles(f)
+        assert (seeds, bits, ids) == F.orbits(f.step_int, 1 << n)
         assert len(ids) == 1 << n
-        held = [[] for _ in orbs]
+        held = [[] for _ in seeds]
         for s, i in enumerate(ids):
             held[i].append(s)
-        assert held == [sorted(o) for o in orbs]
-        assert all(o[0] == min(o) for o in orbs)
+        # each orbit's states are the stage-windows of its cycle, the
+        # least of them its seed
+        for seed, b, states in zip(seeds, bits, held):
+            assert F.Cycle(b).window_ints(n) == set(states)
+            assert len(b) == len(states)
+            assert seed == states[0]
     with pytest.raises(ValueError, match="singular"):
         F.state_cycles(F.Fsr(2, table=[0, 0, 0, 0]))
 
@@ -337,6 +341,16 @@ def test_cascade_equals_product():
         cs = F.simulate_cascade(f, g)
         assert cs.total == 1 << (n + m)
         assert cs == F.cycle_structure(F.product_fsr(f, g))
+
+
+def test_cascade_above_the_state_bound_is_refused_before_any_sweep():
+    def untouched(s):
+        raise AssertionError("feedback read before the bound check")
+
+    f, g = F.Fsr(13, fn=untouched), F.Fsr(12, fn=untouched)
+    with pytest.raises(ValueError,
+                       match="cascade stage 25 exceeds state bound 24"):
+        F.simulate_cascade(f, g)
 
 
 def test_text_format():

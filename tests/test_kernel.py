@@ -127,15 +127,23 @@ def test_linear_step_on_both_sides_of_the_table_bound():
 def test_orbits_partition_a_permutation(perm):
     n = len(perm)
     succ = perm.__getitem__
-    found = list(orbits(succ, n))
-    seen = [s for orbit in found for s in orbit]
-    assert sorted(seen) == list(range(n))
-    for orbit in found:
-        # closed under succ, in stepping order, starting at its least state
-        assert [succ(s) for s in orbit] == orbit[1:] + orbit[:1]
-        assert orbit[0] == min(orbit)
-    firsts = [orbit[0] for orbit in found]
-    assert firsts == sorted(firsts)
+    seeds, bits, ids = orbits(succ, n)
+    assert len(seeds) == len(bits) and len(ids) == n
+    assert seeds == sorted(seeds)
+    assert min(ids) >= 0
+    held = [[] for _ in seeds]
+    for s, i in enumerate(ids):
+        held[i].append(s)
+    for i, seed in enumerate(seeds):
+        # stepping from the seed: closed under succ after len(bits[i])
+        # steps, the states in stepping order, starting at the least one
+        walk = [seed]
+        for _ in range(len(bits[i]) - 1):
+            walk.append(succ(walk[-1]))
+        assert succ(walk[-1]) == seed
+        assert sorted(walk) == held[i]
+        assert seed == min(walk)
+        assert bits[i] == bytes(s & 1 for s in walk)
 
 
 @FIXED
@@ -145,6 +153,30 @@ def test_orbits_partition_a_permutation(perm):
 def test_orbits_refuse_a_map_that_is_not_a_permutation(succ):
     with pytest.raises(InvariantError, match="not a permutation"):
         list(orbits(succ.__getitem__, len(succ)))
+
+
+@st.composite
+def nonsingular_registers(draw, stages):
+    n = draw(stages)
+    g = draw(st.lists(st.integers(0, 1), min_size=1 << (n - 1),
+                      max_size=1 << (n - 1)))
+    return Fsr(n, table=[(s & 1) ^ g[s >> 1] for s in range(1 << n)])
+
+
+@FIXED
+@given(nonsingular_registers(st.integers(1, 8)))
+def test_orbit_bits_and_ids_match_stepping_the_register(f):
+    n = 1 << f.stage
+    seeds, bits, ids = orbits(f.step_int, n)
+    assert min(ids) >= 0
+    for i, seed in enumerate(seeds):
+        s, walk = seed, []
+        for _ in range(len(bits[i])):
+            walk.append(s)
+            s = f.step_int(s)
+        assert s == seed
+        assert sorted(walk) == [v for v in range(n) if ids[v] == i]
+        assert bytes(v & 1 for v in walk) == bits[i]
 
 
 @st.composite

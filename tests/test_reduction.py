@@ -187,11 +187,18 @@ def per_state_alg1(ell):
     """D, rho and lam as first written: one pass over every state."""
     step = L.linear_step(L.LfsrFamily.for_ell(ell).p2)
     n = 1 << (4 * ell)
-    windows = list(F.orbits(step, n))
-    cid = [0] * n
-    for i, orbit in enumerate(windows):
-        for s in orbit:
-            cid[s] = i
+    windows = []        # each orbit from its least state, by stepping
+    cid = [None] * n
+    for seed in range(n):
+        if cid[seed] is None:
+            orbit = [seed]
+            s = step(seed)
+            while s != seed:
+                orbit.append(s)
+                s = step(s)
+            for s in orbit:
+                cid[s] = len(windows)
+            windows.append(orbit)
     minw = [min(o) for o in windows]
     short = [len(o) != 6 * ell for o in windows]
     d = set()
@@ -211,7 +218,7 @@ def per_state_alg1(ell):
     rho_set = set(rho)
     lam = [1 if (v in rho_set and not short[cid[v ^ 1]]) else 0
            for v in range(n)]
-    cycles = [F.orbit_cycle(o) for o in windows]
+    cycles = [F.Cycle(s & 1 for s in o) for o in windows]
     return {cycles[i] for i in d}, dict(zip(cycles, rho)), lam
 
 
