@@ -111,12 +111,10 @@ class BitVec:
 
     # -- accessors ---------------------------------------------------------
 
-    def bit(self, j: int) -> int:
+    def __getitem__(self, j: int) -> int:
         if not 0 <= j < self.width:
             raise IndexError(j)
         return (self.value >> j) & 1
-
-    __getitem__ = bit
 
     def bits(self) -> tuple:
         return tuple(mask_to_bits(self.value, self.width))

@@ -19,9 +19,13 @@ the convention the rest of the package relies on for gadget bookkeeping.
 
 Satisfiability and truth tables are computed by exhaustive scan, batched
 as bitmask integers (one bit per assignment), for at most STATE_BOUND
-inputs.  A vertex's lane is needed only up
-to its last reader; when keeping every lane to the end would hold more
-than LIVE_LANE_BYTES, the pass drops each lane once it is dead, so it
+inputs.  When keeping every lane to the end would hold more than
+LIVE_LANE_BYTES, one of two passes runs instead.  The wave pass finds the
+stamped integer-minimum blocks in the columns and runs the blocks of one
+depth and width together, their lanes packed side by side in one integer
+per wire, so each template gate is one Python step per group instead of
+one per copy; it runs where the lanes it keeps fit LIVE_LANE_BYTES.
+Otherwise the freeing pass drops each lane after its last reader, so it
 holds only the live frontier.
 """
 
@@ -29,10 +33,12 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from array import array
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
-from operator import getitem, lt
+from operator import getitem, itemgetter, lt
 
 from .bitvec import BitVec, as_bits, bits_to_mask, mask_to_bits
 
@@ -234,10 +240,19 @@ class Circuit:
 
         Values are integers treated as bit-parallel lanes; ``full`` is the
         all-ones lane mask used for NOT.  Returns the output wires' values.
+
+        A pass that keeps every lane within LIVE_LANE_BYTES is the plain
+        pass.  Past that, the wave pass runs if the circuit has stamped
+        minimum blocks and the lanes it keeps fit LIVE_LANE_BYTES (see
+        _Waves); otherwise the freeing pass does.
         """
-        if len(self.kinds) * full.bit_length() > 8 * LIVE_LANE_BYTES:
+        bits = full.bit_length()
+        if len(self.kinds) * bits <= 8 * LIVE_LANE_BYTES:
+            return self._run_all(in_vals, full)
+        waves = _Waves.plan(self, LIVE_LANE_BYTES // ((bits + 7) // 8))
+        if waves is None:
             return self._run_live(in_vals, full)
-        return self._run_all(in_vals, full)
+        return waves.run(in_vals, full)
 
     def _run_all(self, in_vals, full) -> list:
         """The plain pass: every lane is kept until the pass ends."""
@@ -489,11 +504,11 @@ class Builder:
                                     self.b[:], tuple(outputs))
 
 
-@lru_cache(maxsize=64)
-def _min_template(m: int) -> tuple:
+def _record_min(m: int) -> tuple:
     """The m-bit minimum block, recorded on the wires of gadget_min(m):
     (gate kinds, a slots, b slots, output slots).  Slot s is wire s of
-    xs + ys followed by the block's own gates.  One entry per width.
+    xs + ys followed by the block's own gates.  _min_template keeps one
+    entry per width.
 
     The recursion of the construction is unrolled: the w-bit block is the
     (w-1)-bit block's gates followed by the gates of step w."""
@@ -517,6 +532,259 @@ def _min_template(m: int) -> tuple:
     gates = slice(2 * m, None)
     return (bytes(b.kinds[gates]), tuple(b.a[gates]), tuple(b.b[gates]),
             tuple(out))
+
+
+_min_template = lru_cache(maxsize=64)(_record_min)
+
+
+@lru_cache(maxsize=64)
+def _min_kinds(m: int) -> bytes:
+    """The gate kinds of the m-bit minimum block, kept without its slots:
+    finding blocks (_min_blocks) compares the kinds of widths that nothing
+    stamps or runs, and a circuit whose blocks the wave pass does not run
+    keeps no slots of them."""
+    return _record_min(m)[0]
+
+
+# -- the wave pass ---------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _min_wave(m: int) -> tuple:
+    """The m-bit minimum block as the wave pass runs it: (program, live),
+    over the slots of _min_template(m).
+
+    ``program`` holds one (slot, kind, a slot, b slot, dead slots) per
+    gate; the dead slots are those whose last reader the gate is, never an
+    output slot.  ``live`` is the most slots held at once."""
+    kinds, sa, sb, outs = _min_template(m)
+    w = 2 * m
+    size = w + len(kinds)
+    last = list(range(size))
+    for k, x, y in zip(range(w, size), sa, sb):
+        last[x] = last[y] = k
+    for o in outs:
+        last[o] = size
+    dead = [[] for _ in range(size + 1)]
+    for s, k in enumerate(last):
+        dead[max(k, w)].append(s)
+    live = held = w
+    for k in range(w, size):
+        held += 1
+        live = max(live, held)
+        held -= len(dead[k])
+    return tuple(zip(range(w, size), kinds, sa, sb, map(tuple, dead[w:size]))), live
+
+
+@lru_cache(maxsize=64)
+def _stamp_form(m: int) -> tuple:
+    """What a stamp of _min_template(m) looks like in the operand columns:
+    (first, forms, inner).  ``first`` gives, per input slot, the (column,
+    gate) of its first reader, where the stamp's wire is read off.
+    ``inner`` has one byte per gate: 1 unless the gate is an output.
+
+    Each column's form checks it in bulk: read as one integer of
+    _INDEX_BITS-bit entries, the column masked to the gates that read the
+    block's own slots is ``own + start * ones``; and the ``at`` entries,
+    the gates that read an input slot, are the ``slots`` of the wires."""
+    kinds, sa, sb, outs = _record_min(m)
+    w = 2 * m
+    first = {}
+    forms = []
+    for c, col in enumerate((sa, sb)):
+        own = ones = 0
+        at, slots = [], []
+        for i, s in enumerate(col):
+            if s < w:
+                first.setdefault(s, (c, i))
+                at.append(i)
+                slots.append(s)
+            else:
+                shift = i * _INDEX_BITS
+                own |= (s - w) << shift
+                ones |= 1 << shift
+        forms.append((ones * _INDEX_MAX, own, ones, itemgetter(*at),
+                      itemgetter(*slots)))
+    inner = bytearray(b"\1") * len(kinds)
+    for o in outs:
+        inner[o - w] = 0
+    return tuple(first[s] for s in range(w)), tuple(forms), bytes(inner)
+
+
+def _stamp_wires(a: array, b: array, p: int, m: int):
+    """The 2m wires of a stamp of _min_template(m) at vertex p, or None
+    unless the operand columns there are the template's slots mapped onto
+    those wires, all before p, and onto the block's own ids."""
+    first, forms, _ = _stamp_form(m)
+    end = p + len(_min_kinds(m))
+    cols = (a[p:end], b[p:end])
+    wires = tuple(cols[c][i] for c, i in first)
+    if max(wires) >= p:
+        return None
+    for col, (mask, own, ones, at, slots) in zip(cols, forms):
+        if (int.from_bytes(col, _BYTE_ORDER) & mask != own + p * ones
+                or at(col) != slots(wires)):
+            return None
+    return wires
+
+
+def _min_blocks(circ: Circuit) -> list:
+    """circ's stamps of the minimum block of width m >= 2 that the wave
+    pass runs, as (start, m, wires) in id order.
+
+    A candidate starts where the 2-bit template's kinds do, which begin
+    every wider template's, and is widened while the next template's kinds
+    follow; the widest width whose operand columns check out (_stamp_wires)
+    is taken.  A block one of whose non-output vertices is read from
+    outside it (by a plain gate, as another block's wire, or as a circuit
+    output) stays plain."""
+    kinds, a, b = circ.kinds, circ.a, circ.b
+    head = _min_kinds(2)
+    found = []
+    p = kinds.find(head)
+    while p >= 0:
+        top = 2
+        while kinds.startswith(_min_kinds(top + 1), p):
+            top += 1
+        for m in range(top, 1, -1):
+            wires = _stamp_wires(a, b, p, m)
+            if wires is not None:
+                found.append((p, m, wires))
+                p += len(_min_kinds(m)) - 1
+                break
+        p = kinds.find(head, p + 1)
+    if not found:
+        return found
+    inner = bytearray(len(kinds))
+    reads = list(circ.outputs)
+    end = 0
+    for p, m, wires in found + [(len(kinds), 0, ())]:
+        gates = kinds[end:p]
+        reads += compress(a[end:p], gates)
+        reads += compress(b[end:p], gates)
+        reads += wires
+        if m:
+            mask = _stamp_form(m)[2]
+            end = p + len(mask)
+            inner[p:end] = mask
+    hits = bytes(map(inner.__getitem__, reads))
+    starts = [p for p, _, _ in found]
+    plain = set()
+    i = hits.find(1)
+    while i >= 0:
+        plain.add(bisect_right(starts, reads[i]) - 1)
+        i = hits.find(1, i + 1)
+    return [blk for j, blk in enumerate(found) if j not in plain]
+
+
+class _Waves:
+    """The wave pass: a circuit's stamped minimum blocks run depth by depth,
+    the blocks of one depth and width together, as bit-slicing across
+    copies (Biham, "A fast new DES implementation in software", FSE 1997).
+
+    A block's depth is 1 + the largest depth among its wires; a plain
+    vertex's (one outside every block) is the largest among its operands.
+    For each depth d the pass runs the plain vertices of depth d - 1 in id
+    order, then each group of blocks of depth d and one width: their
+    lanes are packed side by side at a fixed byte stride into one integer
+    per wire, the template's gates run once over those (NOT flips against
+    the full lane mask repeated once per member, and a template lane is
+    dropped after its last reader), and the output lanes are cut back
+    apart.  The plain and block-output lanes are kept to the end."""
+
+    __slots__ = ("circ", "plain", "groups")
+
+    def __init__(self, circ: Circuit, plain: list, groups: list):
+        self.circ = circ
+        self.plain = plain      # per depth: plain vertex ids in id order
+        self.groups = groups    # per depth, one more: (m, starts, wire columns)
+
+    @classmethod
+    def plan(cls, circ: Circuit, lanes: int):
+        """The schedule of circ's blocks, or None if it has none or the pass
+        would keep more than ``lanes`` lanes: its plain vertices, its block
+        outputs and its widest group's live template lanes."""
+        blocks = _min_blocks(circ)
+        if not blocks:
+            return None
+        kinds, a, b = circ.kinds, circ.a, circ.b
+        kept = len(kinds) - sum(len(_min_kinds(m)) - m for _, m, _ in blocks)
+        if kept > lanes:
+            return None
+        depth = {}
+        plain, grouped = [[]], [{}]
+        end = 0
+        for p, m, wires in blocks + [(len(kinds), 0, ())]:
+            for k in range(end, p):
+                d = max(depth[a[k]], depth[b[k]]) if kinds[k] else 0
+                depth[k] = d
+                plain[d].append(k)
+            if not m:
+                break
+            d = 1 + max(map(depth.__getitem__, wires))
+            if d == len(plain):
+                plain.append([])
+                grouped.append({})
+            grouped[d].setdefault(m, []).append((p, wires))
+            for o in _min_template(m)[3]:
+                depth[p - 2 * m + o] = d
+            end = p + len(_min_kinds(m))
+        widest = max(len(members) * _min_wave(m)[1]
+                     for g in grouped for m, members in g.items())
+        if kept + widest > lanes:
+            return None
+        groups = [[(m, [p for p, _ in members],
+                    list(zip(*(wires for _, wires in members))))
+                   for m, members in sorted(g.items())] for g in grouped]
+        return cls(circ, plain, groups + [[]])
+
+    def run(self, in_vals, full) -> list:
+        """The pass over lanes in_vals, each at most ``full``; returns the
+        output wires' values."""
+        kinds, a, b = self.circ.kinds, self.circ.a, self.circ.b
+        stride = (full.bit_length() + 7) // 8
+        vals = {}
+        for d, ids in enumerate(self.plain):
+            for k in ids:
+                op = kinds[k]
+                if op == _AND:
+                    vals[k] = vals[a[k]] & vals[b[k]]
+                elif op == _OR:
+                    vals[k] = vals[a[k]] | vals[b[k]]
+                elif op == _NOT:
+                    vals[k] = vals[a[k]] ^ full
+                else:
+                    vals[k] = in_vals[a[k]]
+            for m, starts, columns in self.groups[d + 1]:
+                _run_group(m, starts, columns, vals, full, stride)
+        return [vals[o] for o in self.circ.outputs]
+
+
+def _run_group(m: int, starts: list, columns: list, vals: dict, full: int,
+               stride: int) -> None:
+    """Run the m-bit blocks at ``starts`` together, wire slot s of each
+    read from vals at columns[s]; put their output lanes into vals."""
+    count = len(starts)
+    width = count * stride
+    wide = int.from_bytes(full.to_bytes(stride, "little") * count, "little")
+    v = [int.from_bytes(b"".join([vals[w].to_bytes(stride, "little")
+                                  for w in col]), "little")
+         for col in columns]
+    v += [None] * len(_min_template(m)[0])
+    for k, op, x, y, dead in _min_wave(m)[0]:
+        if op == _AND:
+            v[k] = v[x] & v[y]
+        elif op == _OR:
+            v[k] = v[x] | v[y]
+        else:
+            v[k] = v[x] ^ wide
+        for s in dead:
+            v[s] = None
+    shift = -2 * m
+    for o in _min_template(m)[3]:
+        buf = v[o].to_bytes(width, "little")
+        for i, p in enumerate(starts):
+            vals[p + o + shift] = int.from_bytes(
+                buf[i * stride:(i + 1) * stride], "little")
 
 
 # -- gadgets ---------------------------------------------------------------
@@ -594,8 +862,11 @@ _JSON_CHARS = str.maketrans({"A": "1", "N": None, "D": None, "O": "2",
 _ONE_OPERAND = bytes([1, 0, 0, 1]) + bytes(252)
 #: kind code -> 1 for IN, else 0
 _IS_IN = bytes([1]) + bytes(255)
-#: the largest input index an operand column holds
-_INDEX_MAX = (1 << (8 * array("I").itemsize)) - 1
+#: the bits of one operand column entry, and the largest input index it holds
+_INDEX_BITS = 8 * array("I").itemsize
+_INDEX_MAX = (1 << _INDEX_BITS) - 1
+#: the byte order of the operand columns' buffers
+_BYTE_ORDER = sys.byteorder
 
 
 def write_circuit(circ: Circuit) -> str:

@@ -462,7 +462,7 @@ def product_fsr(f: Fsr, g: Fsr) -> Fsr:
     sliding window of g evaluations; stage is the sum of stages."""
     n, m = f.stage, g.stage
     if n + m > STATE_BOUND:
-        raise ValueError(f"product stage {n + m} exceeds state bound")
+        raise ValueError(f"product stage {n + m} exceeds state bound {STATE_BOUND}")
     f1, g1 = f.table, g.table
     return Fsr(n + m, table=bytes(g1[x >> n] ^ f1[w] for x, w in
                                   enumerate(window_images(g, n))))

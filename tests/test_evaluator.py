@@ -1,15 +1,18 @@
-"""The bit-parallel lane pass: the freeing pass against the plain pass, the
-input lanes and the batch transposition against their bitwise definitions,
-and the memory the freeing pass holds."""
+"""The bit-parallel lane pass: the freeing and wave passes against the
+plain pass, the wave pass's blocks, the input lanes and the batch
+transposition against their bitwise definitions, and the memory the
+freeing pass holds."""
 
 import tracemalloc
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from fsrkit import circuit
+from fsrkit import circuit, reduction
 from fsrkit.bitvec import BitVec, mask_to_bits
-from fsrkit.circuit import Circuit, input_lanes, parse_circuit
+from fsrkit.circuit import (Builder, Circuit, gadget_min, input_lanes,
+                            parse_circuit, write_circuit)
+from fsrkit.lfsr import LfsrFamily, parse_poly
 
 FIXED = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -71,6 +74,175 @@ def test_repeated_operand_and_input_outputs():
     with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
         live = c.output_masks()
     assert live == c.output_masks() == [0b1100, 0b0001, 0b0001, 0b1010]
+
+
+@st.composite
+def stamped_circuits(draw):
+    """Builder circuits that mix random gates with min_word stamps of widths
+    2 to 5 over random earlier wires: two stamps back to back, the second
+    on the first's outputs, then more gates and stamps.  Gates and stamps
+    read inputs, gates and stamp outputs; one gate may read a stamp's inner
+    vertex, and one output may lie inside a stamp."""
+    r = draw(st.integers(1, 5))
+    b = Builder(r)
+    wires = list(range(r))      # what gates and stamps read
+    inner = []                  # the stamps' non-output vertices
+
+    def gates():
+        for _ in range(draw(st.integers(0, 6))):
+            op = draw(st.sampled_from(["AND", "OR", "NOT"]))
+            x, y = draw(st.sampled_from(wires)), draw(st.sampled_from(wires))
+            wires.append(b.NOT(x) if op == "NOT" else getattr(b, op)(x, y))
+
+    def stamp(pool):
+        m = draw(st.integers(2, 5))
+        xs, ys = ([draw(st.sampled_from(pool)) for _ in range(m)]
+                  for _ in range(2))
+        start = len(b.kinds)
+        out = b.min_word(xs, ys)
+        inner.extend(sorted(set(range(start, len(b.kinds))) - set(out)))
+        wires.extend(out)
+
+    gates()
+    stamp(wires[:])
+    stamp(wires[-2:])
+    gates()
+    if draw(st.booleans()):
+        wires.append(b.OR(draw(st.sampled_from(inner)),
+                          draw(st.sampled_from(wires))))
+    for _ in range(draw(st.integers(0, 2))):
+        stamp(wires[:])
+        gates()
+    outputs = [draw(st.sampled_from(wires)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        outputs.insert(draw(st.integers(0, len(outputs))),
+                       draw(st.sampled_from(inner)))
+    return b.build(tuple(outputs))
+
+
+def waves_of(c):
+    """The wave pass's schedule of c, whatever the lanes it keeps."""
+    return circuit._Waves.plan(c, 1 << 62)
+
+
+@FIXED
+@given(stamped_circuits())
+def test_wave_pass_equals_plain_pass(c):
+    r = c.arity
+    lanes, full = input_lanes(r), (1 << (1 << r)) - 1
+    plain = c._run_all(lanes, full)
+    blocks = circuit._min_blocks(c)
+    waves = waves_of(c)
+    assert (waves is None) == (not blocks)
+    with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
+        assert c.output_masks() == plain
+        each = [c.evaluate_outputs(BitVec(x, r)) for x in range(1 << r)]
+        if waves is not None:
+            assert waves.run(lanes, full) == plain
+            assert each == [tuple(waves.run([x >> i & 1 for i in range(r)], 1))
+                            for x in range(1 << r)]
+    assert each == [tuple(m >> x & 1 for m in plain) for x in range(1 << r)]
+    # the same circuit with its first output as sink, written and parsed
+    # back, and moved up by one vertex as the feedback circuits are: the
+    # same blocks, and the same mask (input 0 of the moved one held at 0)
+    one = Circuit(r, c.nodes, (c.outputs[0],))
+    parsed = parse_circuit(write_circuit(one))
+    moved = reduction._wrap_feedback(one, parse_poly(f"x^{r + 1} + 1"))
+    assert circuit._min_blocks(parsed) == circuit._min_blocks(one)
+    assert circuit._min_blocks(moved) == [
+        (p + 1, m, tuple(w + 1 for w in wires))
+        for p, m, wires in circuit._min_blocks(one)]
+    for form, in_vals in ((parsed, lanes), (moved, [0] + lanes)):
+        form_waves = waves_of(form)
+        if form_waves is not None:
+            assert form_waves.run(in_vals, full) == [plain[0]]
+        assert form._run_live(in_vals, full) == [plain[0]]
+
+
+@FIXED
+@given(stamped_circuits(), st.integers(1, 300))
+def test_wave_pass_agrees_on_lanes_of_any_width(c, lane_bits):
+    in_vals = [(0x5A5A5A5A5A5A5A5A * (i + 3)) % (1 << lane_bits)
+               for i in range(c.arity)]
+    full = (1 << lane_bits) - 1
+    waves = waves_of(c)
+    if waves is not None:
+        assert waves.run(in_vals, full) == c._run_all(in_vals, full)
+
+
+def _three_stamps(read_inner: bool) -> tuple:
+    """Three width-2 stamps in a chain over four inputs, the first gate of
+    the middle one (an inner vertex) read by the sink if read_inner."""
+    b = Builder(4)
+    first = b.min_word([0, 1], [2, 3])
+    middle = len(b.kinds)
+    second = b.min_word(first, [3, 0])
+    last = len(b.kinds)
+    third = b.min_word(second, [1, first[1]])
+    sink = b.OR(middle if read_inner else second[0], third[0])
+    return b.build((sink, third[1])), (4, middle, last)
+
+
+def test_block_read_from_outside_stays_plain():
+    for read_inner in (False, True):
+        c, starts = _three_stamps(read_inner)
+        blocks = circuit._min_blocks(c)
+        assert [m for _, m, _ in blocks] == [2] * len(blocks)
+        want = [p for p in starts if not (read_inner and p == starts[1])]
+        assert [p for p, _, _ in blocks] == want
+        lanes, full = input_lanes(4), 0xFFFF
+        assert (waves_of(c).run(lanes, full) == c._run_live(lanes, full)
+                == c._run_all(lanes, full))
+
+
+def test_wave_pass_edge_lanes():
+    c, _ = _three_stamps(True)
+    waves = waves_of(c)
+    # no lanes at all, and one-bit lanes
+    assert waves.run([0] * 4, 0) == c._run_all([0] * 4, 0) == [0, 0]
+    with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
+        assert c.evaluate_batch([]) == [0, 0]
+        for x in range(16):
+            bits = [x >> i & 1 for i in range(4)]
+            assert waves.run(bits, 1) == c._run_all(bits, 1)
+            assert c.evaluate_batch([x]) == c._run_all(bits, 1)
+
+
+def _and6():
+    b = Builder(6)
+    return b.build(b.and_chain(range(6)))
+
+
+def test_ell3_irreducibility_circuits_have_646_width_12_blocks():
+    f3 = reduction.alg1_f3_circuit(3, _and6())
+    f1 = reduction._wrap_feedback(f3, LfsrFamily.for_ell(3).p2)
+    for c in (f3, f1):
+        blocks = circuit._min_blocks(c)
+        assert len(blocks) == 646
+        assert {m for _, m, _ in blocks} == {12}
+
+
+def test_run_takes_the_wave_pass_only_past_the_bound_and_where_it_fits():
+    spy = mock.patch.object(circuit._Waves, "run", autospec=True,
+                            side_effect=circuit._Waves.run)
+    # gadget_min(5): 233 vertices of 1024-bit lanes, 15 kept lanes and 25
+    # live template lanes of 128 bytes
+    c = gadget_min(5)
+    with spy as run:
+        want = c.output_masks()                     # the plain pass
+        assert run.call_count == 0
+        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 40 * 128):
+            assert c.output_masks() == want         # the wave pass
+        assert run.call_count == 1
+        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 39 * 128):
+            assert c.output_masks() == want         # the freeing pass
+        assert run.call_count == 1
+    # the ell = 3 indecomposability toggle circuit (2^6-bit lanes) keeps
+    # every lane, so no block is even looked for
+    dec = reduction.alg2_f3_circuit(3, reduction.f2_transform(_and6()))
+    with mock.patch.object(circuit._Waves, "plan") as plan:
+        dec.output_masks()
+    assert plan.call_count == 0
 
 
 def test_input_lanes_match_the_bitwise_definition():

@@ -353,6 +353,16 @@ def test_cascade_above_the_state_bound_is_refused_before_any_sweep():
         F.simulate_cascade(f, g)
 
 
+def test_product_above_the_state_bound_names_the_bound():
+    def untouched(s):
+        raise AssertionError("feedback read before the bound check")
+
+    f, g = F.Fsr(13, fn=untouched), F.Fsr(12, fn=untouched)
+    with pytest.raises(ValueError,
+                       match="^product stage 25 exceeds state bound 24$"):
+        F.product_fsr(f, g)
+
+
 def test_text_format():
     f = F.Fsr(2, table=[0, 1, 0, 1])
     assert F.parse_fsr(F.write_fsr(f)) == f
