@@ -96,19 +96,6 @@ class BitVec:
         """Parse a string of 0/1 characters written in (a0, a1, ...) order."""
         return cls.from_bits(int(ch) for ch in text.strip())
 
-    @classmethod
-    def zeros(cls, width: int) -> "BitVec":
-        return cls(0, width)
-
-    @classmethod
-    def ones(cls, width: int) -> "BitVec":
-        return cls((1 << width) - 1, width)
-
-    @classmethod
-    def unit(cls, width: int) -> "BitVec":
-        """The vector (1, 0, ..., 0), i.e. integer 1."""
-        return cls(1, width)
-
     # -- accessors ---------------------------------------------------------
 
     def __getitem__(self, j: int) -> int:
@@ -130,30 +117,9 @@ class BitVec:
 
     # -- the standard vector operations ------------------------------------
 
-    def conjugate(self) -> "BitVec":
-        """Flip the first bit a0 (XOR with the unit vector)."""
-        return BitVec(self.value ^ 1, self.width)
-
     def complement(self) -> "BitVec":
         """Flip every bit (XOR with the all-ones vector)."""
         return BitVec(self.value ^ ((1 << self.width) - 1), self.width)
-
-    def hbit(self, k: int) -> "BitVec":
-        """The first k coordinates (a0, ..., a_{k-1})."""
-        if not 1 <= k <= self.width:
-            raise ValueError(f"hbit width {k} out of range")
-        return BitVec(self.value & ((1 << k) - 1), k)
-
-    def lbit(self, k: int) -> "BitVec":
-        """The last k coordinates (a_{m-k}, ..., a_{m-1})."""
-        if not 1 <= k <= self.width:
-            raise ValueError(f"lbit width {k} out of range")
-        return BitVec(self.value >> (self.width - k), k)
-
-    def concat(self, other: "BitVec") -> "BitVec":
-        """(a0..a_{k-1}) || (b0..b_{m-1}): self provides the first bits."""
-        return BitVec(self.value | (other.value << self.width),
-                      self.width + other.width)
 
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.width != other.width:

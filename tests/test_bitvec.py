@@ -11,36 +11,9 @@ def test_integer_encoding_is_low_bit_first():
     assert BitVec.parse("101") == v
 
 
-def test_named_vectors():
-    assert int(BitVec.zeros(4)) == 0
-    assert int(BitVec.ones(4)) == 15
-    assert int(BitVec.unit(4)) == 1
-    assert BitVec.unit(4).bits() == (1, 0, 0, 0)
-
-
-def test_conjugate_flips_first_bit():
-    assert BitVec.parse("101").conjugate() == BitVec.parse("001")
-    assert BitVec.parse("001").conjugate() == BitVec.parse("101")
-
-
 def test_complement_flips_all_bits():
     assert BitVec.parse("101").complement() == BitVec.parse("010")
-    assert BitVec.zeros(3).complement() == BitVec.ones(3)
-
-
-def test_hbit_lbit_take_first_and_last_coordinates():
-    v = BitVec.parse("10110")
-    assert v.hbit(2) == BitVec.parse("10")
-    assert v.hbit(5) == v
-    assert v.lbit(3) == BitVec.parse("110")
-    assert v.lbit(1) == BitVec.parse("0")
-
-
-def test_concat_keeps_left_operand_first():
-    u = BitVec.parse("10")
-    w = BitVec.parse("011")
-    assert u.concat(w) == BitVec.parse("10011")
-    assert int(u.concat(w)) == 0b11001
+    assert BitVec(0, 3).complement() == BitVec(7, 3)
 
 
 def test_order_is_integer_order():
@@ -54,8 +27,6 @@ def test_validation():
         BitVec(8, 3)
     with pytest.raises(ValueError):
         BitVec(0, 0)
-    with pytest.raises(ValueError):
-        BitVec.parse("10").hbit(3)
     with pytest.raises(ValueError):
         BitVec.parse("10") ^ BitVec.parse("100")
 

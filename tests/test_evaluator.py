@@ -1,11 +1,12 @@
 """The bit-parallel lane pass: the freeing and wave passes against the
-plain pass, the wave pass's blocks, the input lanes and the batch
-transposition against their bitwise definitions, and the memory the
-freeing pass holds."""
+plain pass, the wave pass's blocks and the columns that stamp them, the
+input lanes and the batch transposition against their bitwise
+definitions, and the memory the freeing pass holds."""
 
 import tracemalloc
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsrkit import circuit, reduction
@@ -168,6 +169,54 @@ def test_wave_pass_agrees_on_lanes_of_any_width(c, lane_bits):
     waves = waves_of(c)
     if waves is not None:
         assert waves.run(in_vals, full) == c._run_all(in_vals, full)
+
+
+def stamp_by_entry(b, xs, ys) -> tuple:
+    """What min_word(xs, ys) appends to b, entry by entry: (kinds, a, b,
+    outputs), slot s of the recorded block being wire s of xs + ys and
+    then the block's own gates from the next id."""
+    kinds, sa, sb, outs = circuit._min_template(len(xs))
+    base = len(b.kinds)
+    look = list(xs) + list(ys) + list(range(base, base + len(kinds)))
+    return (kinds, [look[s] for s in sa], [look[s] for s in sb],
+            [look[s] for s in outs])
+
+
+@FIXED
+@given(st.data())
+def test_stamped_columns_equal_the_per_entry_mapping(data):
+    r = data.draw(st.integers(1, 4))
+    b = Builder(r)
+    wires = list(range(r))      # inputs, gates and earlier stamps' outputs
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            wires.append(b.NOT(data.draw(st.sampled_from(wires))))
+        m = data.draw(st.integers(1, 13))
+        pool = st.sampled_from(data.draw(st.sampled_from([wires, wires[-m:]])))
+        word = st.lists(pool, min_size=m, max_size=m)
+        xs = data.draw(word)
+        ys = xs if data.draw(st.booleans()) else data.draw(word)
+        want = stamp_by_entry(b, xs, ys)
+        start = len(b.kinds)
+        out = b.min_word(xs, ys)
+        assert (b.kinds[start:], b.a[start:].tolist(), b.b[start:].tolist(),
+                out) == want
+        wires += out
+
+
+def test_min_word_refuses_ids_past_the_column_entries():
+    b = Builder(4)
+    b.min_word([0, 1], [2, 3])
+    size = len(b.kinds)
+    last = size + len(circuit._min_kinds(2)) - 1    # the next stamp's last id
+    with mock.patch.object(circuit, "_INDEX_MAX", last - 1):
+        with pytest.raises(ValueError):
+            b.min_word([0, 1], [2, 3])
+    assert len(b.kinds) == len(b.a) == len(b.b) == size
+    with mock.patch.object(circuit, "_INDEX_MAX", last):
+        out = b.min_word([0, 1], [2, 3])
+    assert len(b.kinds) == len(b.a) == len(b.b) == last + 1
+    assert max(out) <= last
 
 
 def _three_stamps(read_inner: bool) -> tuple:

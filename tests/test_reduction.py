@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from fsrkit import circuit as C
 from fsrkit import fsr as F
 from fsrkit import lfsr as L
 from fsrkit import reduction as R
+from fsrkit import verify
 from fsrkit.bitvec import BitVec
 
 
@@ -110,6 +112,26 @@ def test_feedback_circuit_adds_one_xor_per_tap(bits):
         assert F.Fsr(inst.stage, circuit=inst.f1_circuit) == inst.fsr
 
 
+def test_ell3_circuits_are_written_as_pinned():
+    # the text of three ell = 3 circuits over the CI memory-smoke input, as
+    # digests: a change to how the Builder lays out vertices (ids, kinds or
+    # operands) changes them
+    f0 = verify.sample_circuits(6, 32, 302)[0]
+    f3 = R.alg1_f3_circuit(3, f0)
+    circuits = {
+        "irr f3": f3,
+        "irr f1": R._wrap_feedback(f3, L.LfsrFamily.for_ell(3).p2),
+        "dec f3": R.alg2_f3_circuit(3, R.f2_transform(f0)),
+    }
+    digests = {name: hashlib.sha256(C.write_circuit(c).encode()).hexdigest()
+               for name, c in circuits.items()}
+    assert digests == {
+        "irr f3": "634fa34e3c84184c0ee9c217df17ab6fec5b2ba8961c8556e8a71f47722359e6",
+        "irr f1": "110ecb60645f296e3f33ba2abff5f69f0a0f7d30e6c4bb97386ff1d6caea521b",
+        "dec f3": "025a5236ab720676ecc26f798aac12b336768264549f9b0908a836f4d24af838",
+    }
+
+
 def test_alg2_unsat_is_exactly_the_linear_register():
     for ell, bits in ((1, [0, 0]), (1, [0, 0, 0, 0]), (3, [0] * 32)):
         inst = R.build_indecomposability_fsr(C.from_bits(bits),
@@ -159,7 +181,7 @@ def test_alg2_circuit_agrees_with_semantics():
 def test_alg1_oracle_basics():
     oracle = R.Alg1Oracle(1)
     zero = F.Cycle([0])
-    assert oracle.rho(zero) == BitVec.zeros(4)
+    assert oracle.rho(zero) == BitVec(0, 4)
     assert oracle.lam(0) == 1
     # the unit state is a representative but its conjugate sits on [0]
     assert oracle.lam(BitVec.parse("1000")) == 0
