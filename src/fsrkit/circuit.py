@@ -53,6 +53,9 @@ LIVE_LANE_BYTES = 1 << 26
 #: read_text refuses a longer file: 256 MiB, far above any the package writes
 READ_BYTES_BOUND = 1 << 28
 
+#: read_text reads this many bytes at a time
+_READ_BYTES = 1 << 20
+
 #: the bulk passes over a circuit's text (writing and parsing it) take this
 #: many vertices, or lines, at a time, so their temporaries stay small next
 #: to the circuit
@@ -896,31 +899,80 @@ _BYTE_ORDER = sys.byteorder
 
 def write_circuit(circ: Circuit) -> str:
     """One vertex per line, 0-based ids in topological order."""
+    return "".join(circuit_pieces(circ))
+
+
+def circuit_pieces(circ: Circuit):
+    """write_circuit's text as an iterator of pieces, BLOCK_VERTICES
+    vertex lines each and the SINK line last, so a file can be written
+    without the whole text in memory.  A circuit the format cannot hold is
+    refused here, before the first piece."""
     if len(circ.outputs) != 1:
         raise ValueError("text format holds single-sink circuits only")
-    kinds, a, b = circ.kinds, circ.a, circ.b
-    blocks = []
+    return _vertex_pieces(circ.kinds, circ.a, circ.b, circ.sink)
+
+
+def _vertex_pieces(kinds: bytes, a: array, b: array, sink: int):
     for lo in range(0, len(kinds), BLOCK_VERTICES):
         hi = lo + BLOCK_VERTICES
-        blocks.append("".join([
+        yield "".join([
             f"v{k} AND v{x} v{y}\n" if op == _AND else
             f"v{k} NOT v{x}\n" if op == _NOT else
             f"v{k} OR v{x} v{y}\n" if op == _OR else
             f"v{k} INPUT {x}\n"
-            for k, op, x, y in zip(range(lo, hi), kinds[lo:hi], a[lo:hi], b[lo:hi])]))
-    blocks.append(f"SINK v{circ.sink}\n")
-    return "".join(blocks)
+            for k, op, x, y in zip(range(lo, hi), kinds[lo:hi], a[lo:hi], b[lo:hi])])
+    yield f"SINK v{sink}\n"
 
 
-def read_text(path: str) -> str:
-    """The file at path as UTF-8 text, its line breaks as written (the
-    parsers cut lines with str.splitlines), reading at most one byte past
-    READ_BYTES_BOUND: a longer file, such as /dev/zero, raises ValueError."""
+def read_text(path: str):
+    """Yield the file at path as UTF-8 text, in pieces: each binary read of
+    _READ_BYTES is cut after its last "\\n" and decoded, and a line longer
+    than a read is carried whole into the piece that ends it; the last
+    piece is the rest of the file.  A "\\n" is never inside a UTF-8
+    sequence or a "\\r\\n", so the pieces' lines (str.splitlines) are the
+    file's, line breaks as written.  The total read is checked after each
+    read: a file longer than READ_BYTES_BOUND, such as /dev/zero, raises
+    ValueError after at most one read past it, as bad UTF-8 does, with its
+    position counted from the start of the file."""
     with open(path, "rb") as fh:
-        data = fh.read(READ_BYTES_BOUND + 1)
-    if len(data) > READ_BYTES_BOUND:
-        raise ValueError(f"{path}: longer than {READ_BYTES_BOUND} bytes")
-    return data.decode()
+        held = []           # the reads since the last line feed
+        start = total = 0   # file offsets of held's first byte and of the next read
+        while True:
+            data = fh.read(_READ_BYTES)
+            if not data:
+                if held:
+                    yield _decode(held, start)
+                return
+            total += len(data)
+            if total > READ_BYTES_BOUND:
+                raise ValueError(f"{path}: longer than {READ_BYTES_BOUND} bytes")
+            cut = data.rfind(b"\n") + 1
+            if not cut:
+                held.append(data)
+                continue
+            held.append(memoryview(data)[:cut])
+            rest = data[cut:]
+            del data        # so _decode frees it before the piece is parsed
+            end = total - len(rest)
+            yield _decode(held, start)
+            start = end
+            if rest:
+                held.append(rest)
+
+
+def _decode(parts: list, start: int) -> str:
+    """The UTF-8 text of the bytes in parts, joined, which read_text found
+    at file offset start; parts is emptied.  Bad UTF-8 raises ValueError
+    with the message a decode of the whole file gives."""
+    data = parts[0] if len(parts) == 1 else b"".join(parts)
+    parts.clear()
+    try:
+        return str(data, "utf-8")
+    except UnicodeDecodeError as e:
+        at = (f"byte 0x{data[e.start]:02x} in position {start + e.start}"
+              if e.end == e.start + 1 else
+              f"bytes in position {start + e.start}-{start + e.end - 1}")
+        raise ValueError(f"'utf-8' codec can't decode {at}: {e.reason}") from None
 
 
 def decimal(tok: str) -> int:
@@ -946,32 +998,21 @@ def _vertex_ref(tok: str, limit: int, lineno: int) -> int:
     return k
 
 
-def parse_circuit(text: str, start: int = 0, first_line: int = 1) -> Circuit:
+def parse_circuit(text, start: int = 0, first_line: int = 1) -> Circuit:
     """Parse the text format from offset ``start``, the start of line
     ``first_line``, so a circuit inside a larger file reports the file's
     line numbers; rejects forward references and double SINKs.
 
-    The text is read where it lies.  One anchored match finds up to
-    BLOCK_VERTICES plain vertex lines, as write_circuit writes them, and
-    they are decoded column by column (see _TextReader.bulk).  A run the
-    decoder declines goes through the line loop, which alone reports
-    errors; so do the lines up to the next plain line, where no plain line
-    starts (a comment, a blank line, other spacing or line breaks, the
-    SINK line; see _other_lines)."""
+    ``text`` is a str, or an iterable of pieces of one text, each but the
+    last ending with "\\n", as read_text yields them; ``start`` is an
+    offset into the first piece, and a str is the one piece.  Each piece
+    is read where it lies (see _TextReader.read), and the columns, the
+    SINK and the line number carry over to the next."""
     rd = _TextReader(first_line)
-    run = _plain_run(BLOCK_VERTICES).match
-    cut = _other_lines(BLOCK_VERTICES).match
-    pos = start
-    while pos < len(text):
-        m = rd.sink is None and run(text, pos)
-        if m:
-            if not rd.bulk(m.group()):
-                rd.loop(m.group())
-            pos = m.end() + 1           # past the "\n" that ends the run
-        else:
-            m = cut(text, pos)
-            rd.loop(m.group())
-            pos = m.end()
+    for piece in as_pieces(text):
+        rd.read(piece, start)
+        start = 0
+        del piece       # free it before the next piece is read
     if not rd.kinds:
         raise CircuitParseError("empty circuit", first_line)
     if rd.sink is None:
@@ -981,6 +1022,11 @@ def parse_circuit(text: str, start: int = 0, first_line: int = 1) -> Circuit:
         raise CircuitParseError("circuit has no INPUT vertex", first_line)
     return Circuit._from_columns(max_input + 1, bytes(rd.kinds), rd.a, rd.b,
                                 (rd.sink,))
+
+
+def as_pieces(text):
+    """An iterator over the pieces of text: a str is its one piece."""
+    return iter((text,) if isinstance(text, str) else text)
 
 
 @lru_cache(maxsize=8)
@@ -1023,6 +1069,20 @@ def significant_lines(text: str, lineno: int = 1):
     yield lineno - 1, [], end
 
 
+def piece_lines(pieces, lineno: int = 1):
+    """significant_lines over an iterator of pieces, each but the last
+    ending with "\\n": yield (line number, tokens, piece, end offset in the
+    piece) for each significant line.  Last comes (the last line number,
+    or lineno - 1 if there is no line, [], "", 0).  The pieces after the
+    one last yielded are left in the iterator."""
+    for piece in pieces:
+        for lineno, toks, end in significant_lines(piece, lineno):
+            if toks:
+                yield lineno, toks, piece, end
+        lineno += 1
+    yield lineno - 1, [], "", 0
+
+
 class _TextReader:
     """The columns read so far from circuit text, with its SINK and the
     number of the next line to read."""
@@ -1033,6 +1093,27 @@ class _TextReader:
         self.b = array("I")
         self.sink = None
         self.lineno = lineno
+
+    def read(self, text: str, pos: int) -> None:
+        """Read text from offset pos to its end, which is the end of a line.
+        One anchored match finds up to BLOCK_VERTICES plain vertex lines,
+        as write_circuit writes them, and they are decoded column by column
+        (see bulk).  A run the decoder declines goes through the line loop,
+        which alone reports errors; so do the lines up to the next plain
+        line, where no plain line starts (a comment, a blank line, other
+        spacing or line breaks, the SINK line; see _other_lines)."""
+        run = _plain_run(BLOCK_VERTICES).match
+        cut = _other_lines(BLOCK_VERTICES).match
+        while pos < len(text):
+            m = self.sink is None and run(text, pos)
+            if m:
+                if not self.bulk(m.group()):
+                    self.loop(m.group())
+                pos = m.end() + 1       # past the "\n" that ends the run
+            else:
+                m = cut(text, pos)
+                self.loop(m.group())
+                pos = m.end()
 
     def bulk(self, block: str) -> bool:
         """Read plain vertex lines (a _plain_run match) column by column if

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from . import analysis, reduction, verify
 from .bitvec import bits_to_digits
 from .circuit import STATE_BOUND, decimal, parse_circuit, read_text
-from .fsr import (Fsr, InvariantError, cycle_structure, parse_fsr, write_fsr,
-                  write_fsr_circuit)
+from .fsr import (Fsr, InvariantError, cycle_structure, fsr_circuit_pieces,
+                  fsr_pieces, parse_fsr)
 from .lfsr import LfsrFamily, lfsr_of
 
 
@@ -62,17 +62,18 @@ def cmd_reduce(args) -> int:
         print(f"error: a stage-{inst.stage} feedback table has 2^{inst.stage} "
               f"entries; use --emit circuit", file=sys.stderr)
         return 2
+    # every check that can refuse runs before the output file is opened
     if args.emit == "fsr":
-        text = write_fsr(inst.fsr)
+        pieces = fsr_pieces(inst.fsr)
     elif args.emit == "table":
-        text = bits_to_digits(inst.fsr.table) + "\n"
+        pieces = bits_to_digits(inst.fsr.table), "\n"
     else:
         if inst.f1_circuit is None:
             print("error: no circuit form was built", file=sys.stderr)
             return 2
-        text = write_fsr_circuit(Fsr(inst.stage, circuit=inst.f1_circuit))
+        pieces = fsr_circuit_pieces(Fsr(inst.stage, circuit=inst.f1_circuit))
     with open(out, "w") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     print(f"stage={inst.stage} ell={inst.ell} k={inst.k} r={inst.r}")
     if inst.size_report is not None:
         for line in inst.size_report.lines():
@@ -166,7 +167,7 @@ def cmd_lfsr(args) -> int:
     print(f"poly={p} degree={p.degree} stage={f.stage}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(write_fsr(f))
+            fh.writelines(fsr_pieces(f))
         print(f"wrote {args.out}")
     if args.cycles:
         print(cycle_structure(f).format_listing(), end="")

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import os
 from array import array
-from itertools import repeat
+from collections import deque
+from itertools import chain, repeat
 
 from .bitvec import FLIP, BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
-from .circuit import (STATE_BOUND, Circuit, decimal, parse_circuit, read_text,
-                      significant_lines, write_circuit)
+from .circuit import (STATE_BOUND, Circuit, CircuitParseError, as_pieces,
+                      circuit_pieces, decimal, parse_circuit, piece_lines,
+                      read_text, significant_lines)
 
 
 class InvariantError(RuntimeError):
@@ -112,9 +114,6 @@ class Cycle:
             out.add(w)
         return out
 
-    def windows(self, k: int) -> frozenset:
-        return frozenset(BitVec(w, k) for w in self.window_ints(k))
-
     def sort_key(self):
         return (len(self.bits), self.bits)
 
@@ -131,24 +130,6 @@ class Cycle:
 
     def __repr__(self):
         return f"Cycle('{self}')"
-
-
-def ell_sampling(cycle, ell: int, offset: int = 0) -> BitVec:
-    """The stride-ell subsequence of a cyclic bit string, starting at offset.
-
-    Accepts a Cycle (sampled in its canonical rotation) or an explicit bit
-    sequence, sampled in the rotation as written; the length must be a
-    multiple of the stride.
-    """
-    if isinstance(cycle, Cycle):
-        cycle = cycle.bits
-    bits = digits_to_bits(cycle) if isinstance(cycle, str) else as_bits(cycle)
-    p = len(bits)
-    if ell < 1 or p % ell != 0:
-        raise ValueError(f"length {p} is not a multiple of stride {ell}")
-    if not 0 <= offset < p:
-        raise ValueError("offset out of range")
-    return BitVec.from_bits((bits + bits)[offset:offset + p:ell])
 
 
 class CycleStructure:
@@ -306,13 +287,6 @@ class Fsr:
         return f"Fsr(stage={self.stage})"
 
 
-def step(f: Fsr, s: BitVec) -> BitVec:
-    """One clock of the state map."""
-    if s.width != f.stage:
-        raise ValueError(f"state width {s.width} != stage {f.stage}")
-    return BitVec(f.step_int(s.value), f.stage)
-
-
 def is_nonsingular(f: Fsr) -> bool:
     """Bijectivity of the state map, by the criterion f1(s ^ 1) == f1(s) ^ 1
     for every state; `orbits` checks the bijection on every walk."""
@@ -380,23 +354,6 @@ def _union_windows(cycles, k: int) -> set:
     return out
 
 
-def window_injectivity_equiv_check(cycles, m: int) -> tuple:
-    """The three equivalent window statements, each computed directly:
-    (i) |union of m-windows| equals the period sum,
-    (ii) dropping the first bit is injective on the (m+1)-windows,
-    (iii) dropping the last bit is injective on the (m+1)-windows.
-    """
-    cycles = list(cycles)
-    total = sum(c.period for c in cycles)
-    stmt1 = len(_union_windows(cycles, m)) == total
-
-    wins = _union_windows(cycles, m + 1)
-    low_mask = (1 << m) - 1
-    stmt2 = len({w >> 1 for w in wins}) == len(wins)
-    stmt3 = len({w & low_mask for w in wins}) == len(wins)
-    return (stmt1, stmt2, stmt3)
-
-
 def realizable_as_fsr(cycles, m: int) -> bool:
     """Can this cycle set be exactly the cycle partition of an m-stage
     register?  Needs period sum 2^m and injective window extension."""
@@ -423,19 +380,6 @@ def fsr_from_cycles(cycles, m: int) -> Fsr:
     if any(b is None for b in table):
         raise ValueError("cycle set is not realizable: uncovered state")
     return Fsr(m, table=table)
-
-
-def toggle_feedback(f: Fsr, u: BitVec) -> Fsr:
-    """Flip the feedback at the conjugate state pair whose last stage-1
-    bits equal u: joins the two cycles through the pair, or splits one."""
-    if f.stage < 2:
-        raise ValueError("toggle needs stage >= 2")
-    if u.width != f.stage - 1:
-        raise ValueError(f"selector width {u.width} != stage-1")
-    table = bytearray(f.table)
-    table[2 * u.value] ^= 1
-    table[2 * u.value + 1] ^= 1
-    return Fsr(f.stage, table=bytes(table))
 
 
 # ---------------------------------------------------------------------------
@@ -498,25 +442,42 @@ def simulate_cascade(f: Fsr, g: Fsr) -> CycleStructure:
 
 def write_fsr(f: Fsr) -> str:
     """STAGE header plus the feedback table as one 0/1 digit per state."""
-    return f"STAGE {f.stage}\nFEEDBACK TABLE {bits_to_digits(f.table)}\n"
+    return "".join(fsr_pieces(f))
+
+
+def fsr_pieces(f: Fsr) -> tuple:
+    """write_fsr's text in three pieces, the digit string alone in the
+    middle, so a file can be written without a second copy of it."""
+    return f"STAGE {f.stage}\nFEEDBACK TABLE ", bits_to_digits(f.table), "\n"
 
 
 def write_fsr_circuit(f: Fsr) -> str:
     """STAGE header plus the feedback circuit inline."""
+    return "".join(fsr_circuit_pieces(f))
+
+
+def fsr_circuit_pieces(f: Fsr):
+    """write_fsr_circuit's text as an iterator of pieces: the header, then
+    circuit_pieces.  A register the format cannot hold is refused here,
+    before the first piece."""
     if f.circuit is None:
         raise ValueError("register has no circuit form")
-    return f"STAGE {f.stage}\nFEEDBACK CIRCUIT\n" + write_circuit(f.circuit)
+    return chain((f"STAGE {f.stage}\nFEEDBACK CIRCUIT\n",), circuit_pieces(f.circuit))
 
 
-def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
+def parse_fsr(text, base_dir: str = ".") -> Fsr:
     """Parse the register text format.
 
     Line 1: ``STAGE n``.  Line 2: either ``FEEDBACK TABLE <digits>`` with
     one 0/1 digit per state, index order, or ``FEEDBACK CIRCUIT [path]``;
     with no path the circuit text follows inline until end of file.
+    ``text`` is a str or read_text's pieces (see parse_circuit); the pieces
+    are read to the end whatever the form, so a file that read_text refuses
+    is refused here too.
     """
-    lines = significant_lines(text)
-    lineno, toks, _ = next(lines)
+    pieces = as_pieces(text)
+    lines = piece_lines(pieces)
+    lineno, toks, _, _ = next(lines)
     if not toks:
         raise FsrParseError("missing STAGE line", lineno or 1)
     if toks[0] != "STAGE" or len(toks) != 2:
@@ -528,12 +489,20 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
     if stage < 1:
         raise FsrParseError("stage must be >= 1", lineno)
 
-    lineno, toks, end = next(lines)
+    lineno, toks, piece, end = next(lines)
     lines.close()       # frees the block it holds before a circuit is read
     if not toks:
         raise FsrParseError("missing FEEDBACK line", lineno)
     if toks[0] != "FEEDBACK" or len(toks) < 2:
         raise FsrParseError("expected a FEEDBACK line", lineno)
+    if toks[1] == "CIRCUIT" and len(toks) == 2:
+        # an iterator over (piece,) lets the tuple go once it is read, where
+        # chain's own arguments would keep it to the end
+        rest = chain(iter((piece,)), pieces)
+        del piece       # so parse_circuit frees each piece once read
+        return _circuit_register(stage, parse_circuit(rest, end, lineno + 1), lineno)
+    del piece
+    deque(pieces, maxlen=0)     # read the rest, which this form ignores
     if toks[1] == "TABLE":
         if len(toks) != 3:
             raise FsrParseError("FEEDBACK TABLE takes one digit string", lineno)
@@ -548,25 +517,27 @@ def parse_fsr(text: str, base_dir: str = ".") -> Fsr:
         except ValueError:
             raise FsrParseError("table digits must be 0 or 1", lineno) from None
         return Fsr(stage, table=table)
-    if toks[1] == "CIRCUIT":
-        if len(toks) == 3:
-            path = os.path.join(base_dir, toks[2])
-            # a device, FIFO or directory would be read without end, or block
-            if not os.path.isfile(path):
-                raise FsrParseError(f"cannot read circuit {toks[2]!r}: not a "
-                                    f"regular file", lineno)
-            try:
-                body = read_text(path)
-            except (OSError, ValueError) as e:   # ValueError: NUL, bad UTF-8, too long
-                raise FsrParseError(f"cannot read circuit {toks[2]!r}: {e}",
-                                    lineno) from None
-            circ = parse_circuit(body)
-        elif len(toks) == 2:
-            circ = parse_circuit(text, end, lineno + 1)
-        else:
-            raise FsrParseError("FEEDBACK CIRCUIT takes at most one path", lineno)
-        if circ.arity != stage:
-            raise FsrParseError(
-                f"feedback arity {circ.arity} != stage {stage}", lineno)
-        return Fsr(stage, circuit=circ)
-    raise FsrParseError(f"unknown feedback kind {toks[1]!r}", lineno)
+    if toks[1] != "CIRCUIT":
+        raise FsrParseError(f"unknown feedback kind {toks[1]!r}", lineno)
+    if len(toks) != 3:
+        raise FsrParseError("FEEDBACK CIRCUIT takes at most one path", lineno)
+    path = os.path.join(base_dir, toks[2])
+    # a device, FIFO or directory would be read without end, or block
+    if not os.path.isfile(path):
+        raise FsrParseError(f"cannot read circuit {toks[2]!r}: not a "
+                            f"regular file", lineno)
+    try:
+        circ = parse_circuit(read_text(path))
+    except CircuitParseError:
+        raise
+    except (OSError, ValueError) as e:   # ValueError: NUL, bad UTF-8, too long
+        raise FsrParseError(f"cannot read circuit {toks[2]!r}: {e}",
+                            lineno) from None
+    return _circuit_register(stage, circ, lineno)
+
+
+def _circuit_register(stage: int, circ: Circuit, lineno: int) -> Fsr:
+    if circ.arity != stage:
+        raise FsrParseError(
+            f"feedback arity {circ.arity} != stage {stage}", lineno)
+    return Fsr(stage, circuit=circ)

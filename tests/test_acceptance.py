@@ -307,7 +307,14 @@ def _window_equivalence_sweep(count):
                            for _ in range(rng.randint(1, 10))])
                   for _ in range(rng.randint(1, 4))}
         m = rng.randint(1, 6)
-        a, b, c = F.window_injectivity_equiv_check(cycles, m)
+        # the three window statements, each computed directly: the
+        # m-windows number the period sum; dropping the first, or the last,
+        # bit is injective on the (m+1)-windows
+        wins = set().union(*(c.window_ints(m + 1) for c in cycles))
+        a = (len(set().union(*(c.window_ints(m) for c in cycles)))
+             == sum(c.period for c in cycles))
+        b = len({w >> 1 for w in wins}) == len(wins)
+        c = len({w & ((1 << m) - 1) for w in wins}) == len(wins)
         assert a == b == c
         outcomes.add(a)
     assert outcomes == {True, False}

@@ -1,13 +1,18 @@
 """Properties of the three text parsers: each reads back what its writer
 wrote, and on any other text raises only its own parse error."""
 
+import contextlib
+import io
+import os
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsrkit import circuit as C
+from fsrkit import cli
 from fsrkit import fsr as F
 from fsrkit import reduction, verify
 
@@ -257,28 +262,36 @@ def test_a_comment_sends_only_its_own_line_through_the_line_loop():
 
 
 #: line breaks str.splitlines knows, "\n" among them
-BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028"]
+BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+
+
+@st.composite
+def register_texts(draw):
+    """(circuit, its register text, its circuit text, a parse block size),
+    with any line breaks, blank or comment lines, and damage."""
+    c, text, block = draw(small_blocks())
+    lines = text.splitlines()
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines)))
+        bad = draw(st.one_of(st.sampled_from(DAMAGE + ["", "# note"]),
+                             fuzzed_text()))
+        lines[i:i + draw(st.integers(0, 1))] = bad.split("\n")
+    lines = [f"STAGE {c.arity}", "FEEDBACK CIRCUIT"] + lines
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=len(lines) - 1,
+                           max_size=len(lines) - 1))
+    breaks.append(draw(st.sampled_from(BREAKS + [""])))
+    register = "".join(map(str.__add__, lines, breaks))
+    body = "".join(map(str.__add__, lines[2:], breaks[2:]))
+    return c, register, body, block
 
 
 @FIXED
-@given(small_blocks(), st.data())
-def test_blocks_read_the_lines_of_splitlines(case, data):
+@given(register_texts())
+def test_blocks_read_the_lines_of_splitlines(case):
     """Whatever the line breaks, blank or comment lines and damage, the
     block reader gives what the line loop gives over text.splitlines(),
     alone and inline in register text."""
-    c, text, block = case
-    lines = text.splitlines()
-    if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, len(lines)))
-        bad = data.draw(st.one_of(st.sampled_from(DAMAGE + ["", "# note"]),
-                                  fuzzed_text()))
-        lines[i:i + data.draw(st.integers(0, 1))] = bad.split("\n")
-    lines = [f"STAGE {c.arity}", "FEEDBACK CIRCUIT"] + lines
-    breaks = data.draw(st.lists(st.sampled_from(BREAKS), min_size=len(lines) - 1,
-                                max_size=len(lines) - 1))
-    breaks.append(data.draw(st.sampled_from(BREAKS + [""])))
-    register = "".join(map(str.__add__, lines, breaks))
-    body = "".join(map(str.__add__, lines[2:], breaks[2:]))
+    c, register, body, block = case
     with mock.patch.object(C, "BLOCK_VERTICES", block):
         assert (outcome(lambda: C.parse_circuit(body))
                 == outcome(lambda: reference(body.splitlines())))
@@ -366,6 +379,161 @@ def test_parsers_raise_only_their_own_errors(empty_dir, text):
             parse(text)
         except (F.FsrParseError, C.CircuitParseError):
             pass
+
+
+def register_outcome(read):
+    """outcome() for a register: its stage and table or circuit columns."""
+    try:
+        f = read()
+    except (C.CircuitParseError, F.FsrParseError) as e:
+        return type(e).__name__, str(e), e.lineno
+    return f.stage, bytes(f.table) if f.circuit is None else columns(f.circuit)
+
+
+def write_bytes(directory, name, data):
+    path = os.path.join(directory, name)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+@FIXED
+@given(st.one_of(register_texts(),
+                 st.tuples(st.none(), st.one_of(fuzzed_text(), damaged_text()))),
+       st.integers(1, 64))
+def test_a_file_read_in_pieces_parses_as_its_whole_text(empty_dir, case, size):
+    """Through read_text, cut into pieces after the last line feed of each
+    read of 1-64 bytes, a register or circuit file gives what its whole
+    text gives: the same columns, or the same error and line number."""
+    if case[0] is None:
+        texts = [case[1]]
+    else:
+        texts = [case[1], case[2]]
+    for text in texts:
+        path = write_bytes(empty_dir, "piece.txt", text.encode())
+        with mock.patch.object(C, "_READ_BYTES", size):
+            assert (register_outcome(lambda: F.parse_fsr(C.read_text(path), empty_dir))
+                    == register_outcome(lambda: F.parse_fsr(text, empty_dir)))
+            assert (outcome(lambda: C.parse_circuit(C.read_text(path)))
+                    == outcome(lambda: C.parse_circuit(text)))
+        assert "".join(C.read_text(path)) == text
+
+
+#: valid circuit lines, then a comment line holding bytes that are not UTF-8
+#: (a stray continuation byte, a truncated sequence), then the SINK line
+BAD_UTF8 = [b"# \xff\n", b"# \xe2\x82\n", b"# ok \xc3\xa9 \x80 x\n"]
+
+
+@pytest.mark.parametrize("bad", BAD_UTF8)
+def test_bad_utf8_in_a_later_piece_names_its_file_position(workdir_cli, bad):
+    """The error is a whole-file decode's, its position counted from the
+    start of the file, whether the file is read as a circuit, as a
+    register or through a register's circuit path."""
+    body = "".join(f"v{i} INPUT {i}\n" for i in range(40)).encode()
+    ckt = body + bad + b"SINK v0\n"
+    try:
+        ckt.decode()
+    except UnicodeDecodeError as e:
+        message = str(e)
+    reg = b"STAGE 40\nFEEDBACK CIRCUIT\n" + ckt
+    try:
+        reg.decode()
+    except UnicodeDecodeError as e:
+        reg_message = str(e)
+    assert message != reg_message
+    ckt_path = write_bytes(workdir_cli, "f0.ckt", ckt)
+    reg_path = write_bytes(workdir_cli, "f0.fsr", reg)
+    ref_path = write_bytes(workdir_cli, "ref.fsr", b"STAGE 40\nFEEDBACK CIRCUIT f0.ckt\n")
+    for argv, expected in [
+            (["reduce", "irr", ckt_path], f"error: {message}\n"),
+            (["analyze", "cycles", reg_path], f"error: {reg_message}\n"),
+            (["analyze", "cycles", ref_path],
+             f"error: line 2: cannot read circuit 'f0.ckt': {message}\n")]:
+        with mock.patch.object(C, "_READ_BYTES", 64):
+            code, out, err = run_main(argv)
+        assert (code, out, err) == (2, "", expected)
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_a_file_of_the_read_bound_reads_and_one_byte_more_exits_2(workdir_cli, end):
+    """With the bound at four reads, a register file of exactly the bound
+    reads, its last line longer than a read, and one byte more is refused."""
+    head = "STAGE 2\nFEEDBACK TABLE 0110\n#"
+    for extra, code, out, err in [(0, 0, "1 0\n3 011\n", ""),
+                                  (1, 2, "", "longer than 64 bytes\n")]:
+        text = head + "x" * (64 - len(head) - len(end) + extra) + end
+        path = write_bytes(workdir_cli, "f.fsr", text.encode())
+        with mock.patch.object(C, "_READ_BYTES", 16), \
+                mock.patch.object(C, "READ_BYTES_BOUND", 64):
+            got = run_main(["analyze", "cycles", path])
+        assert got[:2] == (code, out)
+        assert got[2].endswith(err) and (err or not got[2])
+
+
+@pytest.fixture
+def workdir_cli(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    return str(tmp_path)
+
+
+def run_main(argv):
+    """cli.main in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def long_circuit():
+    """The 100,008-vertex circuit of test_parse_holds_under_40_bytes_per_vertex."""
+    b = C.Builder(8)
+    w = b.inputs()
+    for k in range(100_000):
+        w.append(b.AND(w[-1], w[-3], fresh=True) if k % 3
+                 else b.NOT(w[-2], fresh=True))
+    return b.build(w[-1])
+
+
+def test_loading_a_register_file_holds_under_40_bytes_per_vertex(long_circuit, tmp_path):
+    """The CLI reads a register file in pieces: the file's 2.5 MB of text
+    is never held whole, as bytes or as str."""
+    path = str(tmp_path / "long.fsr")
+    with open(path, "w") as fh:
+        fh.write(F.write_fsr_circuit(F.Fsr(8, circuit=long_circuit)))
+    tracemalloc.start()
+    try:
+        f = cli._load_fsr(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns(f.circuit) == columns(long_circuit)
+    assert peak < 40 * long_circuit.size, peak
+
+
+def test_writing_a_register_file_adds_under_1_mb(long_circuit, workdir_cli):
+    """reduce --emit circuit writes the register in pieces: past the build,
+    which gives the circuit here, it holds no copy of the file's text."""
+    identity = write_bytes(workdir_cli, "f0.ckt", b"v0 INPUT 0\nSINK v0\n")
+    inst = SimpleNamespace(stage=8, ell=1, k=1, r=1, fsr=None, size_report=None,
+                           f1_circuit=long_circuit)
+
+    def build(f0, build_circuit):
+        tracemalloc.reset_peak()
+        return inst
+
+    with mock.patch.object(reduction, "build_irreducibility_fsr", build):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_main(["reduce", "irr", identity, "--emit", "circuit",
+                                     "--out", "long.fsr"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (code, out.splitlines()[-1]) == (0, "wrote long.fsr")
+    with open("long.fsr") as fh:
+        assert fh.read() == F.write_fsr_circuit(F.Fsr(8, circuit=long_circuit))
+    assert peak < 1 << 20, peak
 
 
 def test_unreadable_circuit_paths_are_parse_errors(empty_dir):
