@@ -20,13 +20,14 @@ the convention the rest of the package relies on for gadget bookkeeping.
 Satisfiability and truth tables are computed by exhaustive scan, batched
 as bitmask integers (one bit per assignment), for at most STATE_BOUND
 inputs.  When keeping every lane to the end would hold more than
-LIVE_LANE_BYTES, one of two passes runs instead.  The wave pass finds the
-stamped integer-minimum blocks in the columns and runs the blocks of one
-depth and width together, their lanes packed side by side in one integer
+LIVE_LANE_BYTES, one of two passes runs instead.  The freeing pass drops
+each lane after its last reader, so it holds only the live frontier.  The
+wave pass runs where the lanes it keeps fit LIVE_LANE_BYTES: it finds the
+stamped integer-minimum blocks in the columns, and the blocks of one depth
+and width run together through the freeing pass of the block recorded for
+that width (_min_block), their lanes packed side by side in one integer
 per wire, so each template gate is one Python step per group instead of
-one per copy; it runs where the lanes it keeps fit LIVE_LANE_BYTES.
-Otherwise the freeing pass drops each lane after its last reader, so it
-holds only the live frontier.
+one per copy.
 """
 
 from __future__ import annotations
@@ -272,20 +273,27 @@ class Circuit:
                 put(in_vals[x])
         return [vals[o] for o in self.outputs]
 
-    def _run_live(self, in_vals, full) -> list:
-        """The freeing pass: a lane is dropped right after its last reader,
-        so only the live frontier is held.  Output wires are kept."""
+    def _last_readers(self) -> array:
+        """Per vertex, the id of the last gate that reads it: its own id if
+        none does, and the vertex count if it is an output wire."""
         kinds, a, b = self.kinds, self.a, self.b
         n = len(kinds)
-        ids = range(n)
-        last = list(ids)    # a vertex nobody reads dies where it is made
-        for k, op, x, y in zip(ids, kinds, a, b):
+        last = array("I", range(n))
+        for k, op, x, y in zip(range(n), kinds, a, b):
             if op:
                 last[x] = k
                 last[y] = k
         for o in self.outputs:
             last[o] = n
-        vals = [None] * n
+        return last
+
+    def _run_live(self, in_vals, full) -> list:
+        """The freeing pass: a lane is dropped right after its last reader,
+        so only the live frontier is held.  Output wires are kept."""
+        kinds, a, b = self.kinds, self.a, self.b
+        ids = range(len(kinds))
+        last = self._last_readers()
+        vals = [None] * len(kinds)
         for k, op, x, y in zip(ids, kinds, a, b):
             if op == _IN:
                 vals[k] = in_vals[x]
@@ -374,8 +382,8 @@ class Builder:
     the outputs.
 
     The integer-minimum block is all fresh gates, so its layout depends
-    only on its width m: it is recorded once per m (``_min_template``),
-    and each ``min_word`` stamps a copy by column arithmetic.  The entries
+    only on its width m: it is recorded once per m (``_min_block``), and
+    each ``min_word`` stamps a copy by column arithmetic.  The entries
     that read the block's own gates are one big integer per operand
     column, the recorded ids shifted by the copy's first id, appended as
     bytes; only the entries that read the copy's input wires are written
@@ -476,17 +484,18 @@ class Builder:
         (m-1)-bit block, i.e. (13m^2 + 37m - 44)/2 total with its 2m inputs.
 
         Stamped from the block recorded for width m, one operand column at
-        a time (see _stamp_form): the entries that read the block's own
-        gates are the integer ``own + base * ones`` at base id ``base``,
-        appended as bytes, and only the entries that read a wire are then
-        written one by one.  The wires must be earlier vertices and the
-        block's last id must fit a column entry, or nothing is added.
+        a time (see _MinBlock): the entries that read the block's own gates
+        are the integer ``own + base * ones`` at base id ``base``, appended
+        as bytes, and only the entries that read a wire are then written
+        one by one.  The wires must be earlier vertices and the block's
+        last id must fit a column entry, or nothing is added.
         """
         xs, ys = list(xs), list(ys)
         m = len(xs)
         if m != len(ys) or m < 1:
             raise ValueError("word widths differ")
-        kinds, _, _, outs = _min_template(m)
+        block = _min_block(m)
+        kinds, outs = block.kinds, block.circuit.outputs
         base = len(self.kinds)
         wires = xs + ys
         if not 0 <= min(wires) <= max(wires) < base:
@@ -495,7 +504,7 @@ class Builder:
             raise ValueError(f"vertex ids past {_INDEX_MAX}")
         size = len(kinds) * _INDEX_BYTES
         cols = []
-        for _, own, ones, _, slots, pos in _stamp_form(m)[1]:
+        for _, own, ones, _, slots, pos in block.forms:
             col = array("I", (own + base * ones).to_bytes(size, _BYTE_ORDER))
             reads = slots(wires)    # one wire read: a scalar
             for i, w in zip(pos, reads if len(pos) > 1 else (reads,)):
@@ -525,128 +534,101 @@ class Builder:
                                     self.b[:], tuple(outputs))
 
 
-def _record_min(m: int) -> tuple:
-    """The m-bit minimum block, recorded on the wires of gadget_min(m):
-    (gate kinds, a slots, b slots, output slots).  Slot s is wire s of
-    xs + ys followed by the block's own gates.  _min_template keeps one
-    entry per width.
+class _MinBlock:
+    """The m-bit minimum block, recorded once per width (_min_block).
 
-    The recursion of the construction is unrolled: the w-bit block is the
-    (w-1)-bit block's gates followed by the gates of step w."""
-    b = Builder(2 * m)
-    xs, ys = list(range(m)), list(range(m, 2 * m))
-    out = [b.AND(xs[0], ys[0], fresh=True)]
-    for w in range(1, m):
-        x, y = xs[w], ys[w]
-        z = out + [x]
-        t = b.xor(x, y, fresh=True)
-        nt = b.NOT(t, fresh=True)
-        nx = b.NOT(x, fresh=True)
-        ny = b.NOT(y, fresh=True)
-        s1 = b.AND(t, nx, fresh=True)
-        s2 = b.AND(t, ny, fresh=True)
-        pz = b.mul_bit(nt, z)
-        px = b.mul_bit(s1, xs[:w + 1])
-        py = b.mul_bit(s2, ys[:w + 1])
-        out = [b.xor(b.xor(p, q, fresh=True), r, fresh=True)
-               for p, q, r in zip(pz, px, py)]
-    gates = slice(2 * m, None)
-    return (bytes(b.kinds[gates]), tuple(b.a[gates]), tuple(b.b[gates]),
-            tuple(out))
+    ``circuit`` is gadget_min(m): inputs 0..2m-1 are the wires xs + ys, so
+    template slot s is vertex s, and the block's own gates follow.  The
+    recursion of the construction is unrolled: the w-bit block is the
+    (w-1)-bit block's gates followed by the gates of step w.  ``kinds``
+    holds the gate kinds, ``inner`` one byte per gate (1 unless the gate
+    is an output) and ``live`` the most lanes held at once while the
+    freeing pass runs the circuit, its 2m input lanes all counted, as the
+    wave pass's caller holds them.
 
-
-_min_template = lru_cache(maxsize=64)(_record_min)
-
-
-@lru_cache(maxsize=64)
-def _min_kinds(m: int) -> bytes:
-    """The gate kinds of the m-bit minimum block, kept without its slots:
-    finding blocks (_min_blocks) compares the kinds of widths that nothing
-    stamps or runs, and a circuit whose blocks the wave pass does not run
-    keeps no slots of them."""
-    return _record_min(m)[0]
-
-
-# -- the wave pass ---------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _min_wave(m: int) -> tuple:
-    """The m-bit minimum block as the wave pass runs it: (program, live),
-    over the slots of _min_template(m).
-
-    ``program`` holds one (slot, kind, a slot, b slot, dead slots) per
-    gate; the dead slots are those whose last reader the gate is, never an
-    output slot.  ``live`` is the most slots held at once."""
-    kinds, sa, sb, outs = _min_template(m)
-    w = 2 * m
-    size = w + len(kinds)
-    last = list(range(size))
-    for k, x, y in zip(range(w, size), sa, sb):
-        last[x] = last[y] = k
-    for o in outs:
-        last[o] = size
-    dead = [[] for _ in range(size + 1)]
-    for s, k in enumerate(last):
-        dead[max(k, w)].append(s)
-    live = held = w
-    for k in range(w, size):
-        held += 1
-        live = max(live, held)
-        held -= len(dead[k])
-    return tuple(zip(range(w, size), kinds, sa, sb, map(tuple, dead[w:size]))), live
-
-
-@lru_cache(maxsize=64)
-def _stamp_form(m: int) -> tuple:
-    """What a stamp of _min_template(m) looks like in the operand columns:
-    (first, forms, inner).  ``first`` gives, per input slot, the (column,
-    gate) of its first reader, where the stamp's wire is read off.
-    ``inner`` has one byte per gate: 1 unless the gate is an output.
-
-    Each column's form (mask, own, ones, at, slots, pos) holds it in bulk:
-    read as one integer of _INDEX_BITS-bit entries, the column of a stamp
-    at ``start``, masked to the gates that read the block's own slots, is
+    ``first`` gives, per input slot, the (column, gate) of its first
+    reader, where a stamp's wire is read off.  Each column's form in
+    ``forms`` (mask, own, ones, at, slots, pos) holds it in bulk: read as
+    one integer of _INDEX_BITS-bit entries, the column of a stamp at
+    ``start``, masked to the gates that read the block's own slots, is
     ``own + start * ones``; and the entries at positions ``pos``, the gates
     that read an input slot, are the ``slots`` of the wires.  ``at`` picks
     those entries out of a column, so Builder.min_word writes and
     _stamp_wires checks the same entries."""
-    kinds, sa, sb, outs = _record_min(m)
-    w = 2 * m
-    first = {}
-    forms = []
-    for c, col in enumerate((sa, sb)):
-        own = array("I", bytes(len(col) * _INDEX_BYTES))
-        ones = own[:]
-        pos, slots = [], []
-        for i, s in enumerate(col):
-            if s < w:
-                first.setdefault(s, (c, i))
-                pos.append(i)
-                slots.append(s)
-            else:
-                own[i] = s - w
-                ones[i] = 1
-        ones = int.from_bytes(ones, _BYTE_ORDER)
-        forms.append(((ones << _INDEX_BITS) - ones,
-                      int.from_bytes(own, _BYTE_ORDER), ones,
-                      itemgetter(*pos), itemgetter(*slots), tuple(pos)))
-    inner = bytearray(b"\1") * len(kinds)
-    for o in outs:
-        inner[o - w] = 0
-    return tuple(first[s] for s in range(w)), tuple(forms), bytes(inner)
 
+    __slots__ = ("circuit", "kinds", "inner", "live", "first", "forms")
+
+    def __init__(self, m: int):
+        b = Builder(2 * m)
+        xs, ys = list(range(m)), list(range(m, 2 * m))
+        out = [b.AND(xs[0], ys[0], fresh=True)]
+        for w in range(1, m):
+            x, y = xs[w], ys[w]
+            z = out + [x]
+            t = b.xor(x, y, fresh=True)
+            nt = b.NOT(t, fresh=True)
+            nx = b.NOT(x, fresh=True)
+            ny = b.NOT(y, fresh=True)
+            s1 = b.AND(t, nx, fresh=True)
+            s2 = b.AND(t, ny, fresh=True)
+            pz = b.mul_bit(nt, z)
+            px = b.mul_bit(s1, xs[:w + 1])
+            py = b.mul_bit(s2, ys[:w + 1])
+            out = [b.xor(b.xor(p, q, fresh=True), r, fresh=True)
+                   for p, q, r in zip(pz, px, py)]
+        self.circuit = c = b.build(out)
+        w = 2 * m
+        self.kinds = c.kinds[w:]
+        inner = bytearray(b"\1") * len(self.kinds)
+        for o in out:
+            inner[o - w] = 0
+        self.inner = bytes(inner)
+        freed = [0] * (len(c.kinds) + 1)
+        for k in c._last_readers()[w:]:
+            freed[k] += 1
+        held = self.live = w
+        for k in range(w, len(c.kinds)):
+            held += 1
+            self.live = max(self.live, held)
+            held -= freed[k]
+        first = {}
+        forms = []
+        for col, slots_of in enumerate((c.a[w:], c.b[w:])):
+            own = array("I", bytes(len(slots_of) * _INDEX_BYTES))
+            ones = own[:]
+            pos, slots = [], []
+            for i, s in enumerate(slots_of):
+                if s < w:
+                    first.setdefault(s, (col, i))
+                    pos.append(i)
+                    slots.append(s)
+                else:
+                    own[i] = s - w
+                    ones[i] = 1
+            ones = int.from_bytes(ones, _BYTE_ORDER)
+            forms.append(((ones << _INDEX_BITS) - ones,
+                          int.from_bytes(own, _BYTE_ORDER), ones,
+                          itemgetter(*pos), itemgetter(*slots), tuple(pos)))
+        self.first = tuple(first[s] for s in range(w))
+        self.forms = tuple(forms)
+
+
+_min_block = lru_cache(maxsize=64)(_MinBlock)
+
+
+# -- the wave pass ---------------------------------------------------------
 
 def _stamp_wires(a: array, b: array, p: int, m: int):
-    """The 2m wires of a stamp of _min_template(m) at vertex p, or None
+    """The 2m wires of a stamp of _min_block(m) at vertex p, or None
     unless the operand columns there are the template's slots mapped onto
     those wires, all before p, and onto the block's own ids."""
-    first, forms, _ = _stamp_form(m)
-    end = p + len(_min_kinds(m))
+    block = _min_block(m)
+    end = p + len(block.kinds)
     cols = (a[p:end], b[p:end])
-    wires = tuple(cols[c][i] for c, i in first)
+    wires = tuple(cols[c][i] for c, i in block.first)
     if max(wires) >= p:
         return None
-    for col, (mask, own, ones, at, slots, _) in zip(cols, forms):
+    for col, (mask, own, ones, at, slots, _) in zip(cols, block.forms):
         if (int.from_bytes(col, _BYTE_ORDER) & mask != own + p * ones
                 or at(col) != slots(wires)):
             return None
@@ -664,18 +646,18 @@ def _min_blocks(circ: Circuit) -> list:
     outside it (by a plain gate, as another block's wire, or as a circuit
     output) stays plain."""
     kinds, a, b = circ.kinds, circ.a, circ.b
-    head = _min_kinds(2)
+    head = _min_block(2).kinds
     found = []
     p = kinds.find(head)
     while p >= 0:
         top = 2
-        while kinds.startswith(_min_kinds(top + 1), p):
+        while kinds.startswith(_min_block(top + 1).kinds, p):
             top += 1
         for m in range(top, 1, -1):
             wires = _stamp_wires(a, b, p, m)
             if wires is not None:
                 found.append((p, m, wires))
-                p += len(_min_kinds(m)) - 1
+                p += len(_min_block(m).kinds) - 1
                 break
         p = kinds.find(head, p + 1)
     if not found:
@@ -689,7 +671,7 @@ def _min_blocks(circ: Circuit) -> list:
         reads += compress(b[end:p], gates)
         reads += wires
         if m:
-            mask = _stamp_form(m)[2]
+            mask = _min_block(m).inner
             end = p + len(mask)
             inner[p:end] = mask
     hits = bytes(map(inner.__getitem__, reads))
@@ -712,10 +694,10 @@ class _Waves:
     For each depth d the pass runs the plain vertices of depth d - 1 in id
     order, then each group of blocks of depth d and one width: their
     lanes are packed side by side at a fixed byte stride into one integer
-    per wire, the template's gates run once over those (NOT flips against
-    the full lane mask repeated once per member, and a template lane is
-    dropped after its last reader), and the output lanes are cut back
-    apart.  The plain and block-output lanes are kept to the end."""
+    per wire, the width's recorded block takes the freeing pass once over
+    those (NOT flips against the full lane mask repeated once per member),
+    and the output lanes are cut back apart.  The plain and block-output
+    lanes are kept to the end."""
 
     __slots__ = ("circ", "plain", "groups")
 
@@ -733,7 +715,8 @@ class _Waves:
         if not blocks:
             return None
         kinds, a, b = circ.kinds, circ.a, circ.b
-        kept = len(kinds) - sum(len(_min_kinds(m)) - m for _, m, _ in blocks)
+        kept = len(kinds) - sum(len(_min_block(m).kinds) - m
+                                for _, m, _ in blocks)
         if kept > lanes:
             return None
         depth = {}
@@ -751,10 +734,10 @@ class _Waves:
                 plain.append([])
                 grouped.append({})
             grouped[d].setdefault(m, []).append((p, wires))
-            for o in _min_template(m)[3]:
+            for o in _min_block(m).circuit.outputs:
                 depth[p - 2 * m + o] = d
-            end = p + len(_min_kinds(m))
-        widest = max(len(members) * _min_wave(m)[1]
+            end = p + len(_min_block(m).kinds)
+        widest = max(len(members) * _min_block(m).live
                      for g in grouped for m, members in g.items())
         if kept + widest > lanes:
             return None
@@ -788,26 +771,19 @@ class _Waves:
 def _run_group(m: int, starts: list, columns: list, vals: dict, full: int,
                stride: int) -> None:
     """Run the m-bit blocks at ``starts`` together, wire slot s of each
-    read from vals at columns[s]; put their output lanes into vals."""
+    read from vals at columns[s]: _min_block(m)'s circuit takes the freeing
+    pass over the packed lanes, NOT flipping against ``full`` repeated once
+    per member.  Put the members' output lanes into vals."""
+    block = _min_block(m).circuit
     count = len(starts)
     width = count * stride
     wide = int.from_bytes(full.to_bytes(stride, "little") * count, "little")
     v = [int.from_bytes(b"".join([vals[w].to_bytes(stride, "little")
                                   for w in col]), "little")
          for col in columns]
-    v += [None] * len(_min_template(m)[0])
-    for k, op, x, y, dead in _min_wave(m)[0]:
-        if op == _AND:
-            v[k] = v[x] & v[y]
-        elif op == _OR:
-            v[k] = v[x] | v[y]
-        else:
-            v[k] = v[x] ^ wide
-        for s in dead:
-            v[s] = None
     shift = -2 * m
-    for o in _min_template(m)[3]:
-        buf = v[o].to_bytes(width, "little")
+    for o, lane in zip(block.outputs, block._run_live(v, wide)):
+        buf = lane.to_bytes(width, "little")
         for i, p in enumerate(starts):
             vals[p + o + shift] = int.from_bytes(
                 buf[i * stride:(i + 1) * stride], "little")
@@ -830,11 +806,12 @@ def gadget_equal(m: int) -> Circuit:
 
 
 def gadget_min(m: int) -> Circuit:
-    """2m-input, m-output integer minimum; (13m^2+37m-44)/2 vertices."""
+    """2m-input, m-output integer minimum; (13m^2+37m-44)/2 vertices.  A
+    copy of the block recorded for width m, which the caller may change."""
     if m < 1:
         raise ValueError("width must be >= 1")
-    b = Builder(2 * m)
-    return b.build(b.min_word(range(m), range(m, 2 * m)))
+    c = _min_block(m).circuit
+    return Circuit._from_columns(c.arity, c.kinds, c.a[:], c.b[:], c.outputs)
 
 
 def compose(outer: Circuit, inners) -> Circuit:

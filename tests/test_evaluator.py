@@ -1,7 +1,7 @@
 """The bit-parallel lane pass: the freeing and wave passes against the
 plain pass, the wave pass's blocks and the columns that stamp them, the
 input lanes and the batch transposition against their bitwise
-definitions, and the memory the freeing pass holds."""
+definitions, and the memory the freeing and wave passes hold."""
 
 import tracemalloc
 from unittest import mock
@@ -173,13 +173,14 @@ def test_wave_pass_agrees_on_lanes_of_any_width(c, lane_bits):
 
 def stamp_by_entry(b, xs, ys) -> tuple:
     """What min_word(xs, ys) appends to b, entry by entry: (kinds, a, b,
-    outputs), slot s of the recorded block being wire s of xs + ys and
+    outputs), vertex s of the recorded block being wire s of xs + ys and
     then the block's own gates from the next id."""
-    kinds, sa, sb, outs = circuit._min_template(len(xs))
+    block = circuit._min_block(len(xs)).circuit
+    w = 2 * len(xs)
     base = len(b.kinds)
-    look = list(xs) + list(ys) + list(range(base, base + len(kinds)))
-    return (kinds, [look[s] for s in sa], [look[s] for s in sb],
-            [look[s] for s in outs])
+    look = list(xs) + list(ys) + list(range(base, base + block.size - w))
+    return (block.kinds[w:], [look[s] for s in block.a[w:]],
+            [look[s] for s in block.b[w:]], [look[s] for s in block.outputs])
 
 
 @FIXED
@@ -204,11 +205,33 @@ def test_stamped_columns_equal_the_per_entry_mapping(data):
         wires += out
 
 
+def layout(c) -> tuple:
+    return c.kinds, c.a.tolist(), c.b.tolist(), c.outputs
+
+
+def stamp_on_inputs(m: int) -> Circuit:
+    b = Builder(2 * m)
+    return b.build(b.min_word(range(m), range(m, 2 * m)))
+
+
+def test_gadget_min_is_a_stamp_on_its_own_inputs_and_a_copy():
+    for m in range(1, 14):
+        stamped = layout(stamp_on_inputs(m))
+        g = gadget_min(m)
+        assert g.arity == 2 * m
+        assert layout(g) == stamped
+        # the block is recorded once per width and shared: changing a
+        # returned gadget changes neither the next one nor a later stamp
+        g.a[-1] = g.b[-1] = 0
+        assert layout(gadget_min(m)) == stamped
+        assert layout(stamp_on_inputs(m)) == stamped
+
+
 def test_min_word_refuses_ids_past_the_column_entries():
     b = Builder(4)
     b.min_word([0, 1], [2, 3])
     size = len(b.kinds)
-    last = size + len(circuit._min_kinds(2)) - 1    # the next stamp's last id
+    last = size + len(circuit._min_block(2).kinds) - 1  # the next stamp's last id
     with mock.patch.object(circuit, "_INDEX_MAX", last - 1):
         with pytest.raises(ValueError):
             b.min_word([0, 1], [2, 3])
@@ -271,19 +294,39 @@ def test_ell3_irreducibility_circuits_have_646_width_12_blocks():
         assert {m for _, m, _ in blocks} == {12}
 
 
+def test_wave_pass_holds_only_the_lanes_its_plan_counts():
+    f3 = reduction.alg1_f3_circuit(3, _and6())
+    lanes, full = input_lanes(f3.arity), (1 << (1 << f3.arity)) - 1
+    stride = (full.bit_length() + 7) // 8
+    waves = waves_of(f3)
+    groups = [(m, len(starts)) for g in waves.groups for m, starts, _ in g]
+    kept = f3.size - sum(n * (len(circuit._min_block(m).kinds) - m)
+                         for m, n in groups)
+    widest = max(n * circuit._min_block(m).live for m, n in groups)
+    tracemalloc.start()
+    try:
+        out = waves.run(lanes, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == f3._run_live(lanes, full)
+    # the plain vertices, the block outputs and the widest group's lanes
+    assert peak <= (kept + widest) * stride, (peak, kept, widest, stride)
+
+
 def test_run_takes_the_wave_pass_only_past_the_bound_and_where_it_fits():
     spy = mock.patch.object(circuit._Waves, "run", autospec=True,
                             side_effect=circuit._Waves.run)
-    # gadget_min(5): 233 vertices of 1024-bit lanes, 15 kept lanes and 25
+    # gadget_min(5): 233 vertices of 1024-bit lanes, 15 kept lanes and 28
     # live template lanes of 128 bytes
     c = gadget_min(5)
     with spy as run:
         want = c.output_masks()                     # the plain pass
         assert run.call_count == 0
-        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 40 * 128):
+        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 43 * 128):
             assert c.output_masks() == want         # the wave pass
         assert run.call_count == 1
-        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 39 * 128):
+        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 42 * 128):
             assert c.output_masks() == want         # the freeing pass
         assert run.call_count == 1
     # the ell = 3 indecomposability toggle circuit (2^6-bit lanes) keeps
