@@ -165,7 +165,7 @@ class DecompositionReport:
     free_entries: int
     strategy: str
     candidates_tried: int
-    complete: bool  # False when a brute search was capped below stage n-1
+    complete: bool  # False when a search was capped below stage n-1
 
 
 def is_decomposable(f: Fsr, strategy: str = "brute",
@@ -174,18 +174,20 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
 
     brute: enumerate every inner register of each admissible stage and
     constraint-solve the outer; inner stages above 3 are refused unless
-    max_inner_stage caps the search (the result is then one-sided).
-    Under either strategy a max_inner_stage below 1 raises ValueError.
+    max_inner_stage caps the search.
     guided: try exactly the sub-registers of f containing the zero cycle,
     and their complements; complete whenever f sends the all-zero state to
     zero and is nonsingular.
+    Under either strategy max_inner_stage caps the inner stages tried (a
+    negative answer below stage n-1 is then one-sided, complete=False),
+    and a max_inner_stage below 1 raises ValueError.
     """
     if max_inner_stage is not None and max_inner_stage < 1:
         raise ValueError(f"max_inner_stage must be >= 1, got {max_inner_stage}")
     n = f.stage
     tried = 0
+    limit = n - 1 if max_inner_stage is None else min(max_inner_stage, n - 1)
     if strategy == "brute":
-        limit = n - 1 if max_inner_stage is None else min(max_inner_stage, n - 1)
         if limit > BRUTE_INNER_STAGE_BOUND:
             raise ValueError(
                 f"brute search over inner stage {limit} is infeasible; "
@@ -206,6 +208,8 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
         if not is_nonsingular(f):
             raise ValueError("guided search needs a nonsingular register")
         for sub in iter_subfsrs(f):
+            if sub.stage > limit:
+                break
             if _ZERO_CYCLE not in sub.cycles:
                 continue
             for g in (sub.fsr, sub.fsr.complement()):
@@ -214,7 +218,8 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
                 if res is not None:
                     return DecompositionReport(True, res[0], g, res[1],
                                                "guided", tried, True)
-        return DecompositionReport(False, None, None, 0, "guided", tried, True)
+        return DecompositionReport(False, None, None, 0, "guided", tried,
+                                   limit == n - 1)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

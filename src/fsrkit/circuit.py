@@ -287,12 +287,14 @@ class Circuit:
             last[o] = n
         return last
 
-    def _run_live(self, in_vals, full) -> list:
+    def _run_live(self, in_vals, full, last: array = None) -> list:
         """The freeing pass: a lane is dropped right after its last reader,
-        so only the live frontier is held.  Output wires are kept."""
+        so only the live frontier is held.  Output wires are kept.  ``last``
+        is _last_readers(), found here unless the caller holds it."""
         kinds, a, b = self.kinds, self.a, self.b
         ids = range(len(kinds))
-        last = self._last_readers()
+        if last is None:
+            last = self._last_readers()
         vals = [None] * len(kinds)
         for k, op, x, y in zip(ids, kinds, a, b):
             if op == _IN:
@@ -446,21 +448,18 @@ class Builder:
         return self.NOT(self.const0())
 
     def and_chain(self, wires) -> int:
-        wires = list(wires)
-        if not wires:
-            raise ValueError("empty chain")
-        acc = wires[0]
-        for w in wires[1:]:
-            acc = self._add(_AND, acc, w, False)
-        return acc
+        return self._chain(_AND, wires)
 
     def or_chain(self, wires) -> int:
+        return self._chain(_OR, wires)
+
+    def _chain(self, op: int, wires) -> int:
         wires = list(wires)
         if not wires:
             raise ValueError("empty chain")
         acc = wires[0]
         for w in wires[1:]:
-            acc = self._add(_OR, acc, w, False)
+            acc = self._add(op, acc, w, False)
         return acc
 
     def equal(self, xs, ys) -> int:
@@ -542,9 +541,10 @@ class _MinBlock:
     recursion of the construction is unrolled: the w-bit block is the
     (w-1)-bit block's gates followed by the gates of step w.  ``kinds``
     holds the gate kinds, ``inner`` one byte per gate (1 unless the gate
-    is an output) and ``live`` the most lanes held at once while the
-    freeing pass runs the circuit, its 2m input lanes all counted, as the
-    wave pass's caller holds them.
+    is an output), ``last`` the circuit's last readers, which every wave
+    group's freeing pass reads, and ``live`` the most lanes held at once
+    while that pass runs, its 2m input lanes all counted, as the wave
+    pass's caller holds them.
 
     ``first`` gives, per input slot, the (column, gate) of its first
     reader, where a stamp's wire is read off.  Each column's form in
@@ -556,7 +556,8 @@ class _MinBlock:
     those entries out of a column, so Builder.min_word writes and
     _stamp_wires checks the same entries."""
 
-    __slots__ = ("circuit", "kinds", "inner", "live", "first", "forms")
+    __slots__ = ("circuit", "kinds", "inner", "last", "live", "first",
+                 "forms")
 
     def __init__(self, m: int):
         b = Builder(2 * m)
@@ -583,8 +584,9 @@ class _MinBlock:
         for o in out:
             inner[o - w] = 0
         self.inner = bytes(inner)
+        self.last = c._last_readers()
         freed = [0] * (len(c.kinds) + 1)
-        for k in c._last_readers()[w:]:
+        for k in self.last[w:]:
             freed[k] += 1
         held = self.live = w
         for k in range(w, len(c.kinds)):
@@ -772,9 +774,11 @@ def _run_group(m: int, starts: list, columns: list, vals: dict, full: int,
                stride: int) -> None:
     """Run the m-bit blocks at ``starts`` together, wire slot s of each
     read from vals at columns[s]: _min_block(m)'s circuit takes the freeing
-    pass over the packed lanes, NOT flipping against ``full`` repeated once
-    per member.  Put the members' output lanes into vals."""
-    block = _min_block(m).circuit
+    pass, with the record's last readers, over the packed lanes, NOT
+    flipping against ``full`` repeated once per member.  Put the members'
+    output lanes into vals."""
+    record = _min_block(m)
+    block = record.circuit
     count = len(starts)
     width = count * stride
     wide = int.from_bytes(full.to_bytes(stride, "little") * count, "little")
@@ -782,7 +786,7 @@ def _run_group(m: int, starts: list, columns: list, vals: dict, full: int,
                                   for w in col]), "little")
          for col in columns]
     shift = -2 * m
-    for o, lane in zip(block.outputs, block._run_live(v, wide)):
+    for o, lane in zip(block.outputs, block._run_live(v, wide, record.last)):
         buf = lane.to_bytes(width, "little")
         for i, p in enumerate(starts):
             vals[p + o + shift] = int.from_bytes(

@@ -41,6 +41,10 @@ class Verdict:
 
 
 def cmd_reduce(args) -> int:
+    if args.skip_circuit and args.emit == "circuit":
+        print("error: --skip-circuit cannot be combined with --emit circuit",
+              file=sys.stderr)
+        return 2
     f0 = parse_circuit(read_text(args.circuit))
     if args.emit == "circuit":
         build = True

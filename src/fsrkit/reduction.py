@@ -83,6 +83,30 @@ def f2_transform(f0: Circuit) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
+# walks of the linear register
+
+def _walk(step, s, steps: int) -> list:
+    """[s, step(s), ..., step^steps(s)]."""
+    out = [s]
+    for _ in range(steps):
+        s = step(s)
+        out.append(s)
+    return out
+
+
+def _gate_walks(b: Builder, words: list, tap: int, steps: int) -> list:
+    """Each word's gate-level walk [w, L(w), ..., L^steps(w)], where L
+    shifts w down one wire and feeds back w[0] XOR w[tap].  The words are
+    stepped in lockstep, one step of each in turn."""
+    walks = [[w] for w in words]
+    for _ in range(steps):
+        for walk in walks:
+            w = walk[-1]
+            walk.append(w[1:] + [b.xor(w[0], w[tap])])
+    return walks
+
+
+# ---------------------------------------------------------------------------
 # semantic toggle fields (direct transcriptions of the build procedures)
 
 def alg1_f3_semantic(ell: int, f0_tt: TruthTable):
@@ -95,32 +119,23 @@ def alg1_f3_semantic(ell: int, f0_tt: TruthTable):
     L = linear_step(LfsrFamily.for_ell(ell).p2)
     f0b = f0_tt.bits()
 
-    def chain(s):
-        # [s, L(s), ..., L^span(s)]
-        out = [s]
-        for _ in range(span):
-            s = L(s)
-            out.append(s)
-        return out
-
     def orbit_flag(s):
         # the c/d test for the conjugate of chain state s
-        c = chain(s ^ 1)
+        c = _walk(L, s ^ 1, span)
         return c[half] == c[0] or c[span] != min(c[1:])
 
     def q(c, mn):
         # each term only once the cheaper ones before it hold
         if c[ell] != mn:
             return False
-        t = conj = mn ^ 1
-        for _ in range(half):
-            t = L(t)
-        return t == conj and all(map(orbit_flag, c[1:]))
+        conj = mn ^ 1
+        return (_walk(L, conj, half)[-1] == conj
+                and all(map(orbit_flag, c[1:])))
 
     def f3(x: int) -> int:
         # terms are evaluated lazily, in the order the three cases read them
-        us = chain(x << 1)
-        vs = chain(x << 1 | 1)
+        us = _walk(L, x << 1, span)
+        vs = _walk(L, x << 1 | 1, span)
         u_min = min(us[1:])
         v_min = min(vs[1:])
         u_ret = us[0] == us[half]
@@ -153,15 +168,8 @@ def alg2_f3_semantic(ell: int, f2_tt: TruthTable):
     def f3(x: int) -> int:
         u = ((x >> (m2 - 1)) ^ (x >> (ell - 1)) ^ x) & 1
         u |= ((x ^ (x >> 1)) & low) << 1
-        hit = 0
-        mn = None
-        for _ in range(span):
-            u = L(u)
-            if f2b[u >> shift_r]:
-                hit = 1
-            if mn is None or u < mn:
-                mn = u
-        return 1 if (u == mn and hit) else 0
+        c = _walk(L, u, span)[1:]
+        return int(c[-1] == min(c) and any(f2b[s >> shift_r] for s in c))
 
     return f3
 
@@ -189,23 +197,13 @@ def alg1_f3_circuit(ell: int, f0: Circuit) -> Circuit:
     x = b.inputs()
     zero = b.const0()
     one = b.const1()
-
-    def lstep(w):
-        return w[1:] + [b.xor(w[0], w[2 * ell])]
-
-    us = [[zero] + x]
-    vs = [[one] + x]
-    for _ in range(span):
-        us.append(lstep(us[-1]))
-        vs.append(lstep(vs[-1]))
+    us, vs = _gate_walks(b, [[zero] + x, [one] + x], 2 * ell, span)
     a_wires = [b.embed(f0, us[i][m - r:])[0] for i in range(1, span + 1)]
     b_wires = [b.embed(f0, vs[i][m - r:])[0] for i in range(1, span + 1)]
 
     def orbit_flag(state):
         w = [b.NOT(state[0])] + state[1:]
-        chain = [w]
-        for _ in range(span):
-            chain.append(lstep(chain[-1]))
+        chain = _gate_walks(b, [w], 2 * ell, span)[0]
         mn = _min_tree(b, chain[1:])
         fixed = b.equal(chain[half], w)
         moved_min = b.NOT(b.equal(chain[span], mn))
@@ -218,9 +216,7 @@ def alg1_f3_circuit(ell: int, f0: Circuit) -> Circuit:
 
     def qflag(chain, mn, flags):
         conj = [b.NOT(mn[0])] + mn[1:]
-        t = conj
-        for _ in range(half):
-            t = lstep(t)
+        t = _gate_walks(b, [conj], 2 * ell, half)[0][-1]
         return b.and_chain([b.and_chain(flags),
                             b.equal(chain[ell], mn),
                             b.equal(t, conj)])
@@ -245,15 +241,9 @@ def alg2_f3_circuit(ell: int, f2c: Circuit) -> Circuit:
     span = 3 * ell
     b = Builder(m2)
     xw = b.inputs()
-
-    def lstep(w):
-        return w[1:] + [b.xor(w[0], w[ell])]
-
     first = b.xor(b.xor(xw[m2 - 1], xw[ell - 1]), xw[0])
     u = [first] + [b.xor(xw[i], xw[i + 1]) for i in range(m2 - 1)]
-    chain = [u]
-    for _ in range(span):
-        chain.append(lstep(chain[-1]))
+    chain = _gate_walks(b, [u], ell, span)[0]
     hits = [b.embed(f2c, chain[i][m2 - r:])[0] for i in range(1, span + 1)]
     mn = _min_tree(b, chain[1:])
     return b.build(b.AND(b.equal(chain[span], mn), b.or_chain(hits)))
@@ -480,8 +470,7 @@ class Alg1Oracle:
         rho = []
         for cid, v in enumerate(seeds):
             if cid in d_ids:
-                for _ in range(5 * ell):
-                    v = lin.step_int(v)
+                v = _walk(lin.step_int, v, 5 * ell)[-1]
             rho.append(v)
         self._rho = rho
         rho_set = set(rho)
@@ -600,14 +589,8 @@ class Alg2Maps:
         v = int(v)
         if self.chi(v):
             return 0
-        w = self.pi_int(v)
-        t = w
-        mn = None
-        for _ in range(3 * self.ell):
-            t = self.p0_step(t)
-            if mn is None or t < mn:
-                mn = t
-        return 1 if w == mn else 0
+        c = _walk(self.p0_step, self.pi_int(v), 3 * self.ell)
+        return int(c[0] == min(c[1:]))
 
     def lam_table(self) -> list:
         return [self.lam(v) for v in range(1 << self.stage)]

@@ -141,18 +141,34 @@ def test_guided_preconditions():
         A.is_decomposable(F.Fsr(2, table=[0, 0, 1, 1]), "guided")
 
 
+def test_inner_stage_cap_bounds_both_strategies():
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has no inner factor of stage 1
+    f = lin("x^4 + x^2 + 1")
+    for strategy in ("brute", "guided"):
+        rep = A.is_decomposable(f, strategy, max_inner_stage=1)
+        assert (rep.decomposable, rep.complete) == (False, False), strategy
+        for cap in (2, 3, None):
+            rep = A.is_decomposable(f, strategy, max_inner_stage=cap)
+            assert rep.decomposable and rep.complete, (strategy, cap)
+            assert rep.inner.stage == 2
+
+
 def test_brute_and_guided_agree_exhaustively():
-    # every nonsingular stage <= 4 register fixing the zero state
+    # every nonsingular stage <= 4 register fixing the zero state, under
+    # no cap and under every inner-stage cap below n - 1
     for n in (2, 3, 4):
         for gmask in range(0, 1 << (1 << (n - 1)), 2):
             table = [(s & 1) ^ ((gmask >> (s >> 1)) & 1)
                      for s in range(1 << n)]
             f = F.Fsr(n, table=table)
-            b = A.is_decomposable(f, "brute")
-            g = A.is_decomposable(f, "guided")
-            assert b.decomposable == g.decomposable, (n, gmask)
-            if g.decomposable:
-                assert F.product_fsr(g.outer, g.inner) == f
+            for cap in (None, *range(1, n - 1)):
+                b = A.is_decomposable(f, "brute", max_inner_stage=cap)
+                g = A.is_decomposable(f, "guided", max_inner_stage=cap)
+                assert ((b.decomposable, b.complete)
+                        == (g.decomposable, g.complete)), (n, gmask, cap)
+                if g.decomposable:
+                    assert F.product_fsr(g.outer, g.inner) == f
+                    assert cap is None or g.inner.stage <= cap
 
 
 @st.composite

@@ -95,6 +95,21 @@ def test_reduce_emit_circuit_round_trips(workdir, capsys):
     assert f == g
 
 
+def test_reduce_refuses_skip_circuit_with_emit_circuit(workdir, capsys):
+    and2 = write(workdir / "and2.ckt",
+                 "v0 INPUT 0\nv1 INPUT 1\nv2 AND v0 v1\nSINK v2\n")
+    # refused before the input is read: a missing file is not reported
+    for path in (and2, str(workdir / "missing.ckt")):
+        for kind in ("irr", "dec"):
+            out = str(workdir / f"{kind}.fsr")
+            assert main(["reduce", kind, path, "--emit", "circuit",
+                         "--skip-circuit", "--out", out]) == 2
+            got = capsys.readouterr()
+            assert got.out == "" and not os.path.exists(out)
+            assert "--skip-circuit" in got.err and "--emit circuit" in got.err
+            assert "missing" not in got.err
+
+
 def test_reduce_emit_table(workdir, capsys):
     path = identity_circuit(workdir)
     out = str(workdir / "raw.txt")
@@ -132,6 +147,21 @@ def test_analyze_decompose(workdir, capsys):
         assert main(["analyze", "decompose", x3, "--strategy", "brute",
                      "--max-inner-stage", cap]) == 2
         assert "max_inner_stage must be >= 1" in capsys.readouterr().err
+
+
+def test_analyze_decompose_cap_bounds_both_strategies(workdir, capsys):
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has no inner factor of stage 1
+    sq = write(workdir / "sq.fsr",
+               "STAGE 4\nFEEDBACK TABLE 0101101001011010\n")
+    for strategy in ("brute", "guided"):
+        assert main(["analyze", "decompose", sq, "--strategy", strategy,
+                     "--max-inner-stage", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "complete=False" in out and "decomposable=False" in out
+        assert main(["analyze", "decompose", sq, "--strategy", strategy,
+                     "--max-inner-stage", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "complete=True" in out and "inner stage=2" in out
 
 
 def test_analyze_subfsr(workdir, capsys):

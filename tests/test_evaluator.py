@@ -314,6 +314,20 @@ def test_wave_pass_holds_only_the_lanes_its_plan_counts():
     assert peak <= (kept + widest) * stride, (peak, kept, widest, stride)
 
 
+def test_wave_groups_read_the_records_last_readers():
+    f3 = reduction.alg1_f3_circuit(3, _and6())
+    # the first 64 inputs, so that the plain pass holds 64-bit lanes
+    full = (1 << 64) - 1
+    lanes = [lane & full for lane in input_lanes(f3.arity)]
+    waves = waves_of(f3)
+    spy = mock.patch.object(Circuit, "_last_readers", autospec=True,
+                            side_effect=Circuit._last_readers)
+    with spy as last:
+        out = waves.run(lanes, full)
+    assert last.call_count == 0
+    assert out == f3._run_all(lanes, full)
+
+
 def test_run_takes_the_wave_pass_only_past_the_bound_and_where_it_fits():
     spy = mock.patch.object(circuit._Waves, "run", autospec=True,
                             side_effect=circuit._Waves.run)
