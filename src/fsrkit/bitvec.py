@@ -1,10 +1,11 @@
 """Fixed-width bit vectors with low-bit-first integer encoding.
 
-A vector (a0, a1, ..., a_{m-1}) is identified with the integer
+A vector (a0, a1, ..., a_{m-1}) is the integer
 a0 + 2*a1 + ... + 2^{m-1}*a_{m-1}, so a0 is the least significant bit
 and the order relation on vectors of equal width is plain integer order.
-Internally everything is an int plus a width; hot loops elsewhere in the
-package work on raw ints and only wrap results at API boundaries.
+The package holds register states, circuit inputs and witnesses as plain
+ints of this encoding; the width is the register's stage or the
+circuit's arity.
 
 The same encoding turns an integer mask into per-index bits: bit i of the
 mask is entry i.  `mask_to_bits` and `bits_to_mask` convert between the
@@ -68,88 +69,3 @@ def bits_to_mask(bits) -> int:
     """The mask whose bit i is entry i of a sequence of 0/1 values."""
     return int("0" + bits_to_digits(bits)[::-1], 2)
 
-
-class BitVec:
-    """An immutable bit vector (a0, ..., a_{m-1}) of width m >= 1."""
-
-    __slots__ = ("value", "width")
-
-    def __init__(self, value: int, width: int):
-        if width < 1:
-            raise ValueError("width must be >= 1")
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"value {value} out of range for width {width}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "width", width)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BitVec is immutable")
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitVec":
-        """Build from an iterable of bits given in (a0, a1, ...) order."""
-        bits = list(bits)
-        return cls(bits_to_mask(bits), len(bits))
-
-    @classmethod
-    def parse(cls, text: str) -> "BitVec":
-        """Parse a string of 0/1 characters written in (a0, a1, ...) order."""
-        return cls.from_bits(int(ch) for ch in text.strip())
-
-    # -- accessors ---------------------------------------------------------
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.width:
-            raise IndexError(j)
-        return (self.value >> j) & 1
-
-    def bits(self) -> tuple:
-        return tuple(mask_to_bits(self.value, self.width))
-
-    def __len__(self) -> int:
-        return self.width
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-    # -- the standard vector operations ------------------------------------
-
-    def complement(self) -> "BitVec":
-        """Flip every bit (XOR with the all-ones vector)."""
-        return BitVec(self.value ^ ((1 << self.width) - 1), self.width)
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.width != other.width:
-            raise ValueError("width mismatch")
-        return BitVec(self.value ^ other.value, self.width)
-
-    # -- comparisons: integer order ----------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, BitVec):
-            return NotImplemented
-        return self.value == other.value and self.width == other.width
-
-    def __hash__(self):
-        return hash((self.value, self.width))
-
-    def __lt__(self, other):
-        return self.value < int(other)
-
-    def __le__(self, other):
-        return self.value <= int(other)
-
-    def __gt__(self, other):
-        return self.value > int(other)
-
-    def __ge__(self, other):
-        return self.value >= int(other)
-
-    def __str__(self):
-        return "".join(str((self.value >> j) & 1) for j in range(self.width))
-
-    def __repr__(self):
-        return f"BitVec('{self}')"

@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import getitem, itemgetter, lt
 
-from .bitvec import BitVec, as_bits, bits_to_mask, mask_to_bits
+from .bitvec import as_bits, bits_to_mask, mask_to_bits
 
 #: the most inputs or stages swept: a 2^n-entry table is refused above it
 STATE_BOUND = 24
@@ -316,16 +316,11 @@ class Circuit:
         return [vals[o] for o in self.outputs]
 
     def evaluate_outputs(self, x) -> tuple:
-        """Evaluate all output wires on one input vector."""
-        if isinstance(x, BitVec):
-            if x.width != self.arity:
-                raise ValueError(f"input width {x.width} != arity {self.arity}")
-            in_vals = [(x.value >> i) & 1 for i in range(self.arity)]
-        else:
-            in_vals = list(as_bits(x))
-            if len(in_vals) != self.arity:
-                raise ValueError(
-                    f"input width {len(in_vals)} != arity {self.arity}")
+        """Evaluate all output wires on one input vector, a sequence of
+        0/1 values with entry i on input i."""
+        in_vals = list(as_bits(x))
+        if len(in_vals) != self.arity:
+            raise ValueError(f"input width {len(in_vals)} != arity {self.arity}")
         return tuple(self._run(in_vals, 1))
 
     def evaluate(self, x) -> int:
@@ -365,12 +360,12 @@ class Circuit:
         return TruthTable(self.arity, self.output_masks()[0])
 
     def is_satisfiable(self):
-        """Exhaustive scan in integer order; the least witness or None."""
+        """Exhaustive scan in integer order; the least witness as an int,
+        or None.  The witness 0 is falsy: compare the result with None."""
         mask = self.truth_table().mask
         if mask == 0:
             return None
-        least = (mask & -mask).bit_length() - 1
-        return BitVec(least, self.arity)
+        return (mask & -mask).bit_length() - 1
 
 
 class Builder:
@@ -816,20 +811,6 @@ def gadget_min(m: int) -> Circuit:
         raise ValueError("width must be >= 1")
     c = _min_block(m).circuit
     return Circuit._from_columns(c.arity, c.kinds, c.a[:], c.b[:], c.outputs)
-
-
-def compose(outer: Circuit, inners) -> Circuit:
-    """outer applied to the inner circuits' outputs over a shared input bus.
-
-    The bus width is the widest inner arity; inner input i reads bus wire i.
-    """
-    inners = list(inners)
-    if len(inners) != outer.arity:
-        raise ValueError(f"need {outer.arity} inner circuits, got {len(inners)}")
-    outer.sink                  # raises unless outer has a single output
-    b = Builder(max(c.arity for c in inners))
-    feeds = [b.embed(c, range(c.arity))[0] for c in inners]
-    return b.build(b.embed(outer, feeds)[0])
 
 
 def from_truth_table(t: TruthTable) -> Circuit:

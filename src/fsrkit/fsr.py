@@ -24,10 +24,10 @@ from array import array
 from collections import deque
 from itertools import chain, repeat
 
-from .bitvec import FLIP, BitVec, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
+from .bitvec import FLIP, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
 from .circuit import (STATE_BOUND, Circuit, CircuitParseError, as_pieces,
                       circuit_pieces, decimal, parse_circuit, piece_lines,
-                      read_text, significant_lines)
+                      read_text)
 
 
 class InvariantError(RuntimeError):
@@ -86,10 +86,6 @@ class Cycle:
     def __setattr__(self, name, val):
         raise AttributeError("Cycle is immutable")
 
-    @classmethod
-    def parse(cls, text: str) -> "Cycle":
-        return cls(digits_to_bits(text.strip()))
-
     @property
     def period(self) -> int:
         return len(self.bits)
@@ -145,10 +141,6 @@ class CycleStructure:
     def __setattr__(self, name, val):
         raise AttributeError("CycleStructure is immutable")
 
-    @property
-    def total(self) -> int:
-        return sum(c.period for c in self.cycles)
-
     def sorted(self) -> list:
         return sorted(self.cycles, key=Cycle.sort_key)
 
@@ -176,29 +168,6 @@ class CycleStructure:
         """One cycle per line: period, a space, the canonical bits."""
         return "\n".join(f"{c.period} {c}" for c in self.sorted()) + "\n"
 
-    @classmethod
-    def parse_listing(cls, text: str) -> "CycleStructure":
-        cycles = {}     # cycle -> the line that lists it
-        for lineno, toks, _ in significant_lines(text):
-            if not toks:                # past the last line
-                break
-            if len(toks) != 2:
-                raise FsrParseError("expected 'period bits'", lineno)
-            try:
-                period, c = decimal(toks[0]), Cycle.parse(toks[1])
-            except ValueError:
-                raise FsrParseError("expected an integer period and 0/1 bits",
-                                    lineno) from None
-            if c.period != period:
-                raise FsrParseError(
-                    f"stated period {toks[0]} != minimal period {c.period}", lineno)
-            if c in cycles:
-                raise FsrParseError(f"repeats the cycle of line {cycles[c]}", lineno)
-            cycles[c] = lineno
-        if not cycles:
-            raise FsrParseError("empty cycle structure", lineno or 1)
-        return cls(cycles)
-
     def __repr__(self):
         return f"CycleStructure({self.sorted()!r})"
 
@@ -209,10 +178,14 @@ class CycleStructure:
 class Fsr:
     """An n-stage register given by its feedback logic.
 
-    Backed by a truth table (bytes of length 2^n), a Python callable, or a
-    Circuit; the table is materialized on demand.  No stage above
-    STATE_BOUND has a table: one given is refused here, and a sweep reads
-    `table` first.  Nothing here mutates a register after construction.
+    Backed by a truth table (bytes of length 2^n), a Circuit, or a Python
+    callable on integer states; the table is materialized on demand.  The
+    callable backing serves only the lazy toggled registers that the
+    reductions build above ell = 3 (stages 19 and 36 at ell = 9), whose
+    feedback is a tap parity XOR a field evaluated per state.  No stage
+    above STATE_BOUND has a table: one given is refused here, and a sweep
+    reads `table` first.  Nothing here mutates a register after
+    construction.
     """
 
     __slots__ = ("stage", "_table", "_fn", "circuit")
@@ -266,7 +239,7 @@ class Fsr:
             return self._table[s]
         if self._fn is not None:
             return self._fn(s) & 1
-        return self.circuit.evaluate(BitVec(s, self.stage))
+        return self.circuit.evaluate(mask_to_bits(s, self.stage))
 
     def step_int(self, s: int) -> int:
         return (s >> 1) | (self.feedback_bit(s) << (self.stage - 1))
@@ -440,24 +413,17 @@ def simulate_cascade(f: Fsr, g: Fsr) -> CycleStructure:
 # ---------------------------------------------------------------------------
 # text format
 
-def write_fsr(f: Fsr) -> str:
-    """STAGE header plus the feedback table as one 0/1 digit per state."""
-    return "".join(fsr_pieces(f))
-
-
 def fsr_pieces(f: Fsr) -> tuple:
-    """write_fsr's text in three pieces, the digit string alone in the
-    middle, so a file can be written without a second copy of it."""
+    """The register text of a table: the STAGE header and the feedback
+    table as one 0/1 digit per state, in three pieces, the digit string
+    alone in the middle, so a file can be written without a second copy
+    of it."""
     return f"STAGE {f.stage}\nFEEDBACK TABLE ", bits_to_digits(f.table), "\n"
 
 
-def write_fsr_circuit(f: Fsr) -> str:
-    """STAGE header plus the feedback circuit inline."""
-    return "".join(fsr_circuit_pieces(f))
-
-
 def fsr_circuit_pieces(f: Fsr):
-    """write_fsr_circuit's text as an iterator of pieces: the header, then
+    """The register text of a circuit, the STAGE header plus the feedback
+    circuit inline, as an iterator of pieces: the header, then
     circuit_pieces.  A register the format cannot hold is refused here,
     before the first piece."""
     if f.circuit is None:

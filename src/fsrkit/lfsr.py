@@ -12,9 +12,10 @@ builders: for ell a power of three,
 and the exactly known cycle counts of the corresponding linear registers.
 
 `lfsr_of` is the one place a polynomial becomes a register: its feedback
-is the parity of the state bits in the polynomial's tap mask.  The state
-map `linear_step` is read off that register: a list lookup up to degree
-LINEAR_TABLE_DEGREE_BOUND, the register's own step above it.
+table is the parity of the state bits in the polynomial's tap mask, and a
+degree above STATE_BOUND, which has no table, is refused.  The state map
+`linear_step` is a list lookup read off that table up to degree
+LINEAR_TABLE_DEGREE_BOUND, and the tap parity computed per state above it.
 """
 
 from __future__ import annotations
@@ -169,13 +170,13 @@ def lfsr_of(p: GF2Poly) -> Fsr:
     """The linear register whose characteristic polynomial is p.
 
     For p = x^n + c_{n-1} x^{n-1} + ... + c_0 the feedback is the parity
-    of the tapped state bits c_i * x_i.  Up to STATE_BOUND the table over
-    i + 1 bits is the one over i bits twice, flipped the second time when
-    x_i is a tap; above, the parity is computed on each call.
+    of the tapped state bits c_i * x_i.  The table over i + 1 bits is the
+    one over i bits twice, flipped the second time when x_i is a tap.  A
+    degree above STATE_BOUND raises ValueError before any table is built.
     """
     taps = tap_mask(p)
     if p.degree > STATE_BOUND:
-        return Fsr(p.degree, fn=lambda s: (s & taps).bit_count() & 1)
+        raise ValueError(f"stage {p.degree} exceeds state bound {STATE_BOUND}")
     table = b"\x00"
     for i in range(p.degree):
         table += table.translate(FLIP) if (taps >> i) & 1 else table
@@ -186,14 +187,13 @@ def linear_step(p: GF2Poly):
     """The state map of lfsr_of(p) on integer states, as a callable.
 
     Up to degree LINEAR_TABLE_DEGREE_BOUND it looks the state up in a list
-    read off the register's table; above, it is the register's own
-    step_int.
+    read off the register's table; above, it computes the tap parity of
+    each state it is given, and builds no table.
     """
-    f = lfsr_of(p)
+    taps, top = tap_mask(p), p.degree - 1
     if p.degree > LINEAR_TABLE_DEGREE_BOUND:
-        return f.step_int
-    top = p.degree - 1
-    return [(s >> 1) | (b << top) for s, b in enumerate(f.table)].__getitem__
+        return lambda s: (s >> 1) | (((s & taps).bit_count() & 1) << top)
+    return [(s >> 1) | (b << top) for s, b in enumerate(lfsr_of(p).table)].__getitem__
 
 
 # -- the power-of-three family ----------------------------------------------

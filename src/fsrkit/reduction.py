@@ -28,7 +28,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .bitvec import BitVec, xor_bits
+from .bitvec import xor_bits
 from .circuit import Builder, Circuit, TruthTable
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
                   state_cycles)
@@ -361,14 +361,14 @@ def _toggled_linear(p: GF2Poly, f3, tabulate: bool) -> tuple:
     bits (x1..x_{n-1}).  Tabulated, f3 is evaluated once per window and
     the register is checked to be nonsingular; otherwise both are lazy."""
     n = p.degree
-    lin = lfsr_of(p)
     if not tabulate:
-        return Fsr(n, fn=lambda s: lin.feedback_bit(s) ^ f3(s >> 1)), None
+        taps = tap_mask(p)
+        return Fsr(n, fn=lambda s: (s & taps).bit_count() ^ f3(s >> 1)), None
     f3_tab = tuple(f3(x) for x in range(1 << (n - 1)))
     # entry s of the field's table is f3(s >> 1): each entry twice
     field = bytearray(1 << n)
     field[0::2] = field[1::2] = f3_tab
-    fsr = Fsr(n, table=xor_bits(lin.table, field))
+    fsr = Fsr(n, table=xor_bits(lfsr_of(p).table, field))
     if not is_nonsingular(fsr):
         raise InvariantError("toggled linear register is singular")
     return fsr, f3_tab
@@ -449,7 +449,6 @@ class Alg1Oracle:
                              f"{EXHAUSTIVE_ELL_BOUND} only")
         self.ell = ell
         self.family = LfsrFamily.for_ell(ell)
-        self.m = 4 * ell
         lin = lfsr_of(self.family.p2)
         seeds, bits, cycle_id = state_cycles(lin)   # seeds: the least windows
         self._cycle_id = cycle_id
@@ -507,14 +506,11 @@ class Alg1Oracle:
     def d_set(self) -> frozenset:
         return frozenset(self._cycle_obj[cid] for cid in self._d_ids)
 
-    def cycle_of(self, v) -> Cycle:
-        return self._cycle_obj[self._cycle_id[int(v)]]
+    def rho(self, c: Cycle) -> int:
+        return self._rho[self._obj_to_id[c]]
 
-    def rho(self, c: Cycle) -> BitVec:
-        return BitVec(self._rho[self._obj_to_id[c]], self.m)
-
-    def lam(self, v) -> int:
-        return self._lam[int(v)]
+    def lam(self, v: int) -> int:
+        return self._lam[v]
 
     def lam_table(self) -> list:
         return list(self._lam)
@@ -581,12 +577,10 @@ class Alg2Maps:
     def pi_int(self, v: int) -> int:
         return (v ^ (v >> 1)) & self._pi_mask
 
-    def chi(self, v) -> int:
-        v = int(v)
+    def chi(self, v: int) -> int:
         return (v ^ (v >> self.ell) ^ (v >> (2 * self.ell))) & 1
 
-    def lam(self, v) -> int:
-        v = int(v)
+    def lam(self, v: int) -> int:
         if self.chi(v):
             return 0
         c = _walk(self.p0_step, self.pi_int(v), 3 * self.ell)

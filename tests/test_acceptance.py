@@ -341,7 +341,7 @@ def _cascade_sweep(count):
         g = F.Fsr(m, table=[(s & 1) ^ ((gmask >> (s >> 1)) & 1)
                             for s in range(1 << m)])
         cs = F.simulate_cascade(f, g)
-        assert cs.total == 1 << (n + m)
+        assert sum(c.period for c in cs) == 1 << (n + m)
         assert cs == F.cycle_structure(F.product_fsr(f, g))
 
 

@@ -9,7 +9,7 @@ import fsrkit
 from fsrkit import analysis
 from fsrkit.cli import main
 from fsrkit.circuit import from_bits, write_circuit
-from fsrkit.fsr import Fsr, InvariantError, parse_fsr, write_fsr
+from fsrkit.fsr import Fsr, InvariantError, fsr_pieces, parse_fsr
 
 
 @pytest.fixture
@@ -351,6 +351,17 @@ def test_verify_input_count_out_of_range_exit_2(capsys, r):
     assert f"r={r} is outside 1..6" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("count", ["-1", "-5"])
+def test_verify_negative_count_exit_2(capsys, count):
+    # a sample sliced to a negative count would drop circuits from its end;
+    # r = 2 takes every circuit and r = 6 a sample
+    for r in ("2", "6"):
+        assert main(["verify", "biconditional-dec", "--r", r,
+                     "--count", count]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"circuit count {count} is below 1" in err
+
+
 def test_console_script_subprocess(workdir):
     path = identity_circuit(workdir)
     proc = run_cli(workdir, "reduce", "irr", path, "--skip-circuit")
@@ -364,7 +375,7 @@ def test_console_script_subprocess(workdir):
 def test_emitted_files_reparse(workdir):
     # every emission format round-trips through the parsers
     f = Fsr(3, table=[s & 1 for s in range(8)])
-    text = write_fsr(f)
+    text = "".join(fsr_pieces(f))
     assert parse_fsr(text) == f
     circ = from_bits([0, 1, 1, 0])
     from fsrkit.circuit import parse_circuit

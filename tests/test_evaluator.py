@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsrkit import circuit, reduction
-from fsrkit.bitvec import BitVec, mask_to_bits
+from fsrkit.bitvec import mask_to_bits
 from fsrkit.circuit import (Builder, Circuit, gadget_min, input_lanes,
                             parse_circuit, write_circuit)
 from fsrkit.lfsr import LfsrFamily, parse_poly
@@ -43,7 +43,7 @@ def circuits(draw):
 def evaluations(c):
     assignments = list(range(1 << c.arity))[::-1]
     return (c.output_masks(), c.evaluate_batch(assignments),
-            [c.evaluate_outputs(BitVec(x, c.arity)) for x in range(1 << c.arity)])
+            [c.evaluate_outputs(mask_to_bits(x, c.arity)) for x in range(1 << c.arity)])
 
 
 @FIXED
@@ -137,7 +137,7 @@ def test_wave_pass_equals_plain_pass(c):
     assert (waves is None) == (not blocks)
     with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
         assert c.output_masks() == plain
-        each = [c.evaluate_outputs(BitVec(x, r)) for x in range(1 << r)]
+        each = [c.evaluate_outputs(mask_to_bits(x, r)) for x in range(1 << r)]
         if waves is not None:
             assert waves.run(lanes, full) == plain
             assert each == [tuple(waves.run([x >> i & 1 for i in range(r)], 1))

@@ -4,14 +4,14 @@ tables, each against its per-state definition."""
 
 import ast
 import pathlib
-import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsrkit
 from fsrkit import analysis
-from fsrkit.bitvec import BitVec, bits_to_digits, bits_to_mask, digits_to_bits, mask_to_bits
+from fsrkit.bitvec import bits_to_digits, bits_to_mask, digits_to_bits, mask_to_bits
 from fsrkit.fsr import Fsr, InvariantError, is_nonsingular, orbits, window_images
 from fsrkit.lfsr import LINEAR_TABLE_DEGREE_BOUND, GF2Poly, lfsr_of, linear_step
 
@@ -62,7 +62,7 @@ def test_mask_conversions_reject_bad_arguments():
     for mask, n in ((-1, 4), (16, 4), (1 << 100, 100)):
         with pytest.raises(ValueError):
             mask_to_bits(mask, n)
-    for not_a_sequence in (5, True, BitVec(5, 3)):
+    for not_a_sequence in (5, True):
         with pytest.raises(TypeError):   # bytes(n) would be n zero entries
             bits_to_mask(not_a_sequence)
 
@@ -115,7 +115,10 @@ def test_linear_step_matches_the_register(p, raw_states):
 
 
 def test_linear_step_on_both_sides_of_the_table_bound():
-    for degree in (LINEAR_TABLE_DEGREE_BOUND, LINEAR_TABLE_DEGREE_BOUND + 1):
+    # 25 and 36 are past the state bound, where lfsr_of refuses: the p2
+    # of ell = 9 has degree 36
+    for degree in (LINEAR_TABLE_DEGREE_BOUND, LINEAR_TABLE_DEGREE_BOUND + 1,
+                   25, 36):
         p = GF2Poly((1 << degree) | 0b1011)
         step = linear_step(p)
         for s in (0, 1, (1 << degree) - 1, 0x2AAAA, 0x15555):
@@ -225,14 +228,18 @@ def test_lfsr_table_is_the_tap_parity(p):
                                      for s in range(1 << p.degree))
 
 
-def test_lfsr_above_the_state_bound_computes_each_bit():
-    p = GF2Poly((1 << 25) | 0b1001)     # x^25 + x^3 + 1
-    f = lfsr_of(p)
-    with pytest.raises(ValueError, match="stage 25 exceeds state bound 24"):
-        f.table
-    rng = random.Random(25)
-    for s in [0, 1, (1 << 25) - 1] + [rng.getrandbits(25) for _ in range(200)]:
-        assert f.feedback_bit(s) == (s & 0b1001).bit_count() & 1
+def test_lfsr_above_the_state_bound_is_refused():
+    for degree in (25, 36):
+        p = GF2Poly((1 << degree) | 0b1001)     # x^degree + x^3 + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^stage {degree} exceeds "
+                               "state bound 24$"):
+                lfsr_of(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20       # a stage-25 table alone is 32 MB
 
 
 @FIXED

@@ -2,7 +2,6 @@ import pytest
 
 from fsrkit import fsr as F
 from fsrkit import lfsr as L
-from fsrkit.bitvec import BitVec
 
 
 def test_poly_parse_and_str():
@@ -116,9 +115,9 @@ def power(p, t: int):
 
 def test_transform_pow():
     p2 = L.parse_poly("x^4 + x^2 + 1")
-    e1 = BitVec.parse("1000")
-    assert power(p2, 0)(e1.value) == e1.value
-    assert BitVec(power(p2, 3)(e1.value), 4) == BitVec.parse("0101")
+    e1 = 1                                  # the unit state (1, 0, 0, 0)
+    assert power(p2, 0)(e1) == e1
+    assert power(p2, 3)(e1) == 0b1010       # (0, 1, 0, 1), low bit first
     p0_cubed = power(L.parse_poly("x^2 + x + 1"), 3)
     for s in range(1, 4):
         assert p0_cubed(s) == s
