@@ -70,8 +70,9 @@ def _subset_dfs(cands, reach, i, remaining, acc, chosen):
     yield from _subset_dfs(cands, reach, i + 1, remaining, acc, chosen)
 
 
-def iter_subfsrs(f: Fsr):
-    """Yield every sub-register of f, smallest stage first.
+def iter_subfsrs(f: Fsr, top: int = None):
+    """Yield every sub-register of f of stage at most ``top`` (every stage
+    below f's by default), smallest stage first.
 
     For each stage m < n, the search keeps the cycles whose m-windows are
     distinct, with a bitmask of those windows; subsets of them must sum to
@@ -87,7 +88,7 @@ def iter_subfsrs(f: Fsr):
         raise ValueError(f"stage {f.stage} exceeds sub-register bound "
                          f"{SUBFSR_STAGE_BOUND}")
     ordered = sorted(cycle_structure(f).cycles, key=lambda c: (-c.period, c.bits))
-    for m in range(1, f.stage):
+    for m in range(1, f.stage if top is None else min(top + 1, f.stage)):
         target = 1 << m
         cands = [(c, c.period, mask) for c in ordered if c.period <= target
                  and (mask := _window_mask(c, m)) is not None]
@@ -207,9 +208,7 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
             raise ValueError("guided search needs f to fix the all-zero state")
         if not is_nonsingular(f):
             raise ValueError("guided search needs a nonsingular register")
-        for sub in iter_subfsrs(f):
-            if sub.stage > limit:
-                break
+        for sub in iter_subfsrs(f, limit):
             if _ZERO_CYCLE not in sub.cycles:
                 continue
             for g in (sub.fsr, sub.fsr.complement()):

@@ -22,12 +22,13 @@ as bitmask integers (one bit per assignment), for at most STATE_BOUND
 inputs.  When keeping every lane to the end would hold more than
 LIVE_LANE_BYTES, one of two passes runs instead.  The freeing pass drops
 each lane after its last reader, so it holds only the live frontier.  The
-wave pass runs where the lanes it keeps fit LIVE_LANE_BYTES: it finds the
-stamped integer-minimum blocks in the columns, and the blocks of one depth
-and width run together through the freeing pass of the block recorded for
+wave pass runs where the lanes it keeps fit LIVE_LANE_BYTES: it takes the
+stamped integer-minimum blocks from the Builder's record of them, or finds
+them in the columns where there is none, and the blocks of one depth and
+width run together through the freeing pass of the block recorded for
 that width (_min_block), their lanes packed side by side in one integer
 per wire, so each template gate is one Python step per group instead of
-one per copy.
+one per copy.  A lane from one block to another stays bytes.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ IN, AND, OR, NOT = "IN", "AND", "OR", "NOT"
 
 #: their codes in Circuit.kinds
 _IN, _AND, _OR, _NOT = range(4)
+
+
+class InvariantError(RuntimeError):
+    """An internal result failed the check that must always hold for it."""
 
 
 class CircuitParseError(ValueError):
@@ -158,9 +163,15 @@ class Circuit:
     A circuit is valid by construction: the constructor checks each tuple,
     the Builder each operand it is given, and the parser each line or block
     of text, so no pass over a whole circuit checks it again.
+
+    ``stamps`` is the Builder's record of the minimum blocks it stamped
+    (Builder.min_word), as (start, m, wires) in id order, or None where no
+    record is known: a circuit from tuples, from text or from gadget_min.
+    The wave pass takes its blocks from the record, and looks for them in
+    the columns only where there is none (_min_blocks).
     """
 
-    __slots__ = ("arity", "kinds", "a", "b", "outputs")
+    __slots__ = ("arity", "kinds", "a", "b", "outputs", "stamps")
 
     def __init__(self, arity: int, nodes, outputs: tuple):
         if arity < 1:
@@ -187,23 +198,25 @@ class Circuit:
                 raise ValueError(f"unknown vertex kind {op!r}")
             a.append(x)
             b.append(y)
-        self._set(arity, bytes(kinds), array("I", a), array("I", b), outputs)
+        self._set(arity, bytes(kinds), array("I", a), array("I", b), outputs,
+                  None)
 
     @classmethod
     def _from_columns(cls, arity: int, kinds: bytes, a: array, b: array,
-                      outputs: tuple) -> "Circuit":
+                      outputs: tuple, stamps: tuple = None) -> "Circuit":
         """A circuit over columns that are already a valid vertex list: the
         Builder checks every operand it is given, and the parser checks
         every block it reads in bulk."""
         c = cls.__new__(cls)
-        c._set(arity, kinds, a, b, outputs)
+        c._set(arity, kinds, a, b, outputs, stamps)
         return c
 
-    def _set(self, arity, kinds, a, b, outputs):
+    def _set(self, arity, kinds, a, b, outputs, stamps):
         self.arity = arity
         self.kinds = kinds
         self.a = a
         self.b = b
+        self.stamps = stamps
         self.outputs = tuple(outputs)
         if not self.outputs:
             raise ValueError("circuit needs at least one output")
@@ -385,6 +398,12 @@ class Builder:
     column, the recorded ids shifted by the copy's first id, appended as
     bytes; only the entries that read the copy's input wires are written
     one at a time (at m = 12, 277 of 2,224).
+
+    ``stamps`` records each stamp of width m >= 2 as (start, m, wires), the
+    triple _min_blocks finds, and build() hands it to the circuit, so the
+    wave pass need not look for the blocks.  A caller that writes the
+    columns itself sets the record to match them (reduction._wrap_feedback)
+    or to None, unknown, after which min_word records nothing.
     """
 
     def __init__(self, arity: int):
@@ -394,6 +413,7 @@ class Builder:
         self.kinds = bytearray(arity)            # all IN
         self.a = array("I", range(arity))
         self.b = array("I", range(arity))
+        self.stamps = []
         self._cache = {}
 
     def inp(self, i: int) -> int:
@@ -507,6 +527,8 @@ class Builder:
         self.kinds += kinds
         self.a += cols[0]
         self.b += cols[1]
+        if m > 1 and self.stamps is not None:
+            self.stamps.append((base, m, tuple(wires)))
         return [base - 2 * m + o for o in outs]     # every output is a gate
 
     def embed(self, circ: Circuit, input_wires) -> list:
@@ -524,8 +546,9 @@ class Builder:
     def build(self, outputs) -> Circuit:
         if isinstance(outputs, int):
             outputs = (outputs,)
+        stamps = None if self.stamps is None else tuple(self.stamps)
         return Circuit._from_columns(self.arity, bytes(self.kinds), self.a[:],
-                                    self.b[:], tuple(outputs))
+                                    self.b[:], tuple(outputs), stamps)
 
 
 class _MinBlock:
@@ -615,6 +638,30 @@ _min_block = lru_cache(maxsize=64)(_MinBlock)
 
 # -- the wave pass ---------------------------------------------------------
 
+def _scan_stamps(circ: Circuit) -> list:
+    """The stamps of the minimum block of width m >= 2 found in circ's
+    columns, as (start, m, wires) in id order.  A candidate starts where
+    the 2-bit template's kinds do, which begin every wider template's, and
+    is widened while the next template's kinds follow; the widest width
+    whose operand columns check out (_stamp_wires) is taken."""
+    kinds, a, b = circ.kinds, circ.a, circ.b
+    head = _min_block(2).kinds
+    found = []
+    p = kinds.find(head)
+    while p >= 0:
+        top = 2
+        while kinds.startswith(_min_block(top + 1).kinds, p):
+            top += 1
+        for m in range(top, 1, -1):
+            wires = _stamp_wires(a, b, p, m)
+            if wires is not None:
+                found.append((p, m, wires))
+                p += len(_min_block(m).kinds) - 1
+                break
+        p = kinds.find(head, p + 1)
+    return found
+
+
 def _stamp_wires(a: array, b: array, p: int, m: int):
     """The 2m wires of a stamp of _min_block(m) at vertex p, or None
     unless the operand columns there are the template's slots mapped onto
@@ -636,27 +683,21 @@ def _min_blocks(circ: Circuit) -> list:
     """circ's stamps of the minimum block of width m >= 2 that the wave
     pass runs, as (start, m, wires) in id order.
 
-    A candidate starts where the 2-bit template's kinds do, which begin
-    every wider template's, and is widened while the next template's kinds
-    follow; the widest width whose operand columns check out (_stamp_wires)
-    is taken.  A block one of whose non-output vertices is read from
-    outside it (by a plain gate, as another block's wire, or as a circuit
-    output) stays plain."""
+    The candidates are circ's record (Circuit.stamps), each of which must
+    start with its width's kinds, or InvariantError is raised.  Where
+    there is no record they are found in the columns (_scan_stamps).  A
+    block one of whose non-output vertices is read from outside it (by a
+    plain gate, as another block's wire, or as a circuit output) stays
+    plain."""
     kinds, a, b = circ.kinds, circ.a, circ.b
-    head = _min_block(2).kinds
-    found = []
-    p = kinds.find(head)
-    while p >= 0:
-        top = 2
-        while kinds.startswith(_min_block(top + 1).kinds, p):
-            top += 1
-        for m in range(top, 1, -1):
-            wires = _stamp_wires(a, b, p, m)
-            if wires is not None:
-                found.append((p, m, wires))
-                p += len(_min_block(m).kinds) - 1
-                break
-        p = kinds.find(head, p + 1)
+    if circ.stamps is None:
+        found = _scan_stamps(circ)
+    else:
+        found = list(circ.stamps)
+        for p, m, _ in found:
+            if not kinds.startswith(_min_block(m).kinds, p):
+                raise InvariantError(f"no width-{m} minimum block at "
+                                     f"recorded vertex {p}")
     if not found:
         return found
     inner = bytearray(len(kinds))
@@ -693,15 +734,19 @@ class _Waves:
     lanes are packed side by side at a fixed byte stride into one integer
     per wire, the width's recorded block takes the freeing pass once over
     those (NOT flips against the full lane mask repeated once per member),
-    and the output lanes are cut back apart.  The plain and block-output
-    lanes are kept to the end."""
+    and the output lanes are cut back apart.  A block output stays the
+    bytes cut from its group's output unless ``ints`` holds it, the
+    vertices plain gates or circuit outputs read, so a lane from one block
+    to another is never an int.  The plain and block-output lanes are kept
+    to the end."""
 
-    __slots__ = ("circ", "plain", "groups")
+    __slots__ = ("circ", "plain", "groups", "ints")
 
-    def __init__(self, circ: Circuit, plain: list, groups: list):
+    def __init__(self, circ: Circuit, plain: list, groups: list, ints: set):
         self.circ = circ
         self.plain = plain      # per depth: plain vertex ids in id order
         self.groups = groups    # per depth, one more: (m, starts, wire columns)
+        self.ints = ints        # the vertices plain gates and outputs read
 
     @classmethod
     def plan(cls, circ: Circuit, lanes: int):
@@ -718,12 +763,15 @@ class _Waves:
             return None
         depth = {}
         plain, grouped = [[]], [{}]
+        reads = set(circ.outputs)
         end = 0
         for p, m, wires in blocks + [(len(kinds), 0, ())]:
             for k in range(end, p):
                 d = max(depth[a[k]], depth[b[k]]) if kinds[k] else 0
                 depth[k] = d
                 plain[d].append(k)
+            gates = kinds[end:p]
+            reads.update(compress(a[end:p], gates), compress(b[end:p], gates))
             if not m:
                 break
             d = 1 + max(map(depth.__getitem__, wires))
@@ -741,7 +789,7 @@ class _Waves:
         groups = [[(m, [p for p, _ in members],
                     list(zip(*(wires for _, wires in members))))
                    for m, members in sorted(g.items())] for g in grouped]
-        return cls(circ, plain, groups + [[]])
+        return cls(circ, plain, groups + [[]], reads)
 
     def run(self, in_vals, full) -> list:
         """The pass over lanes in_vals, each at most ``full``; returns the
@@ -761,31 +809,37 @@ class _Waves:
                 else:
                     vals[k] = in_vals[a[k]]
             for m, starts, columns in self.groups[d + 1]:
-                _run_group(m, starts, columns, vals, full, stride)
+                _run_group(m, starts, columns, vals, full, stride, self.ints)
         return [vals[o] for o in self.circ.outputs]
 
 
 def _run_group(m: int, starts: list, columns: list, vals: dict, full: int,
-               stride: int) -> None:
+               stride: int, ints: set) -> None:
     """Run the m-bit blocks at ``starts`` together, wire slot s of each
-    read from vals at columns[s]: _min_block(m)'s circuit takes the freeing
-    pass, with the record's last readers, over the packed lanes, NOT
-    flipping against ``full`` repeated once per member.  Put the members'
-    output lanes into vals."""
+    read from vals at columns[s], an int lane or its ``stride`` bytes:
+    _min_block(m)'s circuit takes the freeing pass, with the record's last
+    readers, over the packed lanes, NOT flipping against ``full`` repeated
+    once per member.  Put the members' output lanes into vals, as ints
+    where ``ints`` holds them and as bytes otherwise."""
     record = _min_block(m)
     block = record.circuit
     count = len(starts)
     width = count * stride
     wide = int.from_bytes(full.to_bytes(stride, "little") * count, "little")
-    v = [int.from_bytes(b"".join([vals[w].to_bytes(stride, "little")
-                                  for w in col]), "little")
+    wired = {w: vals[w] for w in set().union(*columns)}
+    for w, lane in wired.items():       # an int lane is cut to bytes once
+        if lane.__class__ is int:
+            wired[w] = lane.to_bytes(stride, "little")
+    v = [int.from_bytes(b"".join(map(wired.__getitem__, col)), "little")
          for col in columns]
+    del wired       # the cut int lanes go before the template pass runs
     shift = -2 * m
     for o, lane in zip(block.outputs, block._run_live(v, wide, record.last)):
         buf = lane.to_bytes(width, "little")
         for i, p in enumerate(starts):
-            vals[p + o + shift] = int.from_bytes(
-                buf[i * stride:(i + 1) * stride], "little")
+            k = p + o + shift
+            piece = buf[i * stride:(i + 1) * stride]
+            vals[k] = int.from_bytes(piece, "little") if k in ints else piece
 
 
 # -- gadgets ---------------------------------------------------------------

@@ -25,13 +25,9 @@ from collections import deque
 from itertools import chain, repeat
 
 from .bitvec import FLIP, as_bits, bits_to_digits, digits_to_bits, mask_to_bits
-from .circuit import (STATE_BOUND, Circuit, CircuitParseError, as_pieces,
-                      circuit_pieces, decimal, parse_circuit, piece_lines,
-                      read_text)
-
-
-class InvariantError(RuntimeError):
-    """An internal result failed the check that must always hold for it."""
+from .circuit import (STATE_BOUND, Circuit, CircuitParseError, InvariantError,
+                      as_pieces, circuit_pieces, decimal, parse_circuit,
+                      piece_lines, read_text)
 
 
 class FsrParseError(ValueError):

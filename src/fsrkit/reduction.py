@@ -256,16 +256,21 @@ def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
 
     The toggle circuit's gates are kept, shifted by one vertex to make
     room for the extra x0 input: its kinds are copied and both operand
-    columns moved by one in bulk.  Each tap then costs one five-gate XOR.
+    columns moved by one in bulk, as is its record of stamped minimum
+    blocks (None stays None).  Each tap then costs one five-gate XOR.
     """
     stage, taps = p.degree, tap_mask(p)
     if f3c.arity != stage - 1:
         raise ValueError("toggle field arity must be stage - 1")
-    gates = slice(stage - 1, None)
+    gates = stage - 1
     b = Builder(stage)
-    b.kinds += f3c.kinds[gates]
-    b.a += _plus_one(f3c.a[gates])
-    b.b += _plus_one(f3c.b[gates])
+    b.kinds += f3c.kinds[gates:]
+    ones = int.from_bytes(array(b.a.typecode, [1]) * (len(f3c.kinds) - gates),
+                          sys.byteorder)
+    _plus_one(b.a, memoryview(f3c.a)[gates:], ones)
+    _plus_one(b.b, memoryview(f3c.b)[gates:], ones)
+    b.stamps = None if f3c.stamps is None else [
+        (q + 1, m, tuple(w + 1 for w in wires)) for q, m, wires in f3c.stamps]
     out = f3c.sink + 1
     for tap in range(stage - 1, -1, -1):
         if taps >> tap & 1:
@@ -273,14 +278,13 @@ def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
     return b.build(out)
 
 
-def _plus_one(col: array) -> array:
-    """col with 1 added to every entry, as one big-integer addition over
-    its bytes: no entry is its type's maximum, so no carry crosses into
-    the next entry."""
+def _plus_one(dest: array, col: memoryview, ones: int) -> None:
+    """Append col's entries to dest, each plus 1, as one big-integer
+    addition over col's bytes; ``ones`` is the integer whose entries, read
+    as col's, are all 1.  No entry is its type's maximum, so no carry
+    crosses into the next entry."""
     order = sys.byteorder
-    ones = array(col.typecode, [1]) * len(col)
-    total = int.from_bytes(col, order) + int.from_bytes(ones, order)
-    return array(col.typecode, total.to_bytes(len(col) * col.itemsize, order))
+    dest.frombytes((int.from_bytes(col, order) + ones).to_bytes(col.nbytes, order))
 
 
 # ---------------------------------------------------------------------------

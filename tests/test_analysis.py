@@ -153,6 +153,26 @@ def test_inner_stage_cap_bounds_both_strategies():
             assert rep.inner.stage == 2
 
 
+def test_capped_guided_search_stops_at_the_cap(monkeypatch):
+    # a primitive degree-12 register has no sub-register at all, so only
+    # the cap ends the search short of stage 11
+    f = lin("x^12 + x^6 + x^4 + x + 1")
+    stages = []
+    mask = A._window_mask
+
+    def spy(c, m):
+        stages.append(m)
+        return mask(c, m)
+
+    monkeypatch.setattr(A, "_window_mask", spy)
+    rep = A.is_decomposable(f, "guided", max_inner_stage=1)
+    assert (rep.decomposable, rep.candidates_tried, rep.complete) == (False, 0, False)
+    assert set(stages) == {1}
+    stages.clear()
+    assert A.is_decomposable(f, "guided").complete
+    assert set(stages) == set(range(1, 12))
+
+
 def test_brute_and_guided_agree_exhaustively():
     # every nonsingular stage <= 4 register fixing the zero state, under
     # no cap and under every inner-stage cap below n - 1

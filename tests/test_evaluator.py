@@ -3,6 +3,7 @@ plain pass, the wave pass's blocks and the columns that stamp them, the
 input lanes and the batch transposition against their bitwise
 definitions, and the memory the freeing and wave passes hold."""
 
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -121,6 +122,11 @@ def stamped_circuits(draw):
     return b.build(tuple(outputs))
 
 
+def unrecorded(c):
+    """c's columns with no record of their stamps, as parsed text has."""
+    return Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs)
+
+
 def waves_of(c):
     """The wave pass's schedule of c, whatever the lanes it keeps."""
     return circuit._Waves.plan(c, 1 << 62)
@@ -169,6 +175,36 @@ def test_wave_pass_agrees_on_lanes_of_any_width(c, lane_bits):
     waves = waves_of(c)
     if waves is not None:
         assert waves.run(in_vals, full) == c._run_all(in_vals, full)
+
+
+@FIXED
+@given(stamped_circuits())
+def test_the_record_is_what_the_scan_finds(c):
+    assert list(c.stamps) == circuit._scan_stamps(c)
+    assert circuit._min_blocks(c) == circuit._min_blocks(unrecorded(c))
+
+
+def test_wrap_feedback_shifts_the_record_and_keeps_none_none():
+    b = Builder(4)
+    c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
+    assert c.stamps == ((4, 2, (0, 1, 2, 3)),)
+    p = parse_poly("x^5 + 1")
+    moved = reduction._wrap_feedback(c, p)
+    assert moved.stamps == ((5, 2, (1, 2, 3, 4)),)
+    parsed = parse_circuit(write_circuit(c))
+    assert parsed.stamps is None
+    moved_parsed = reduction._wrap_feedback(parsed, p)
+    assert moved_parsed.stamps is None
+    assert circuit._min_blocks(moved_parsed) == list(moved.stamps)
+
+
+def test_a_record_that_misses_its_block_is_refused():
+    b = Builder(4)
+    c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
+    wrong = Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs,
+                                  ((5, 2, (0, 1, 2, 3)),))
+    with pytest.raises(circuit.InvariantError, match="vertex 5"):
+        circuit._min_blocks(wrong)
 
 
 def stamp_by_entry(b, xs, ys) -> tuple:
@@ -292,6 +328,38 @@ def test_ell3_irreducibility_circuits_have_646_width_12_blocks():
         blocks = circuit._min_blocks(c)
         assert len(blocks) == 646
         assert {m for _, m, _ in blocks} == {12}
+
+
+@functools.lru_cache(maxsize=None)
+def _ell3_circuits() -> dict:
+    irr = reduction.alg1_f3_circuit(3, _and6())
+    return {"irr f3": irr,
+            "irr f1": reduction._wrap_feedback(irr, LfsrFamily.for_ell(3).p2),
+            "dec f3": reduction.alg2_f3_circuit(3, reduction.f2_transform(_and6()))}
+
+
+def test_ell3_records_equal_the_blocks_found_without_them():
+    for name, c in _ell3_circuits().items():
+        assert list(c.stamps) == circuit._min_blocks(unrecorded(c)), name
+        assert circuit._min_blocks(c) == list(c.stamps), name
+    assert {m for _, m, _ in _ell3_circuits()["dec f3"].stamps} == {6}
+
+
+def test_built_circuits_are_evaluated_from_their_record():
+    circuits = _ell3_circuits()
+    scan = mock.patch.object(circuit, "_stamp_wires",
+                             side_effect=AssertionError("columns scanned"))
+    with scan:
+        f3 = circuits["irr f3"].output_masks()
+        f1 = circuits["irr f1"].output_masks()
+    assert f3 == unrecorded(circuits["irr f3"]).output_masks()
+    # text has no record: its blocks are found in the columns
+    parsed = parse_circuit(write_circuit(circuits["irr f1"]))
+    spy = mock.patch.object(circuit, "_stamp_wires",
+                            side_effect=circuit._stamp_wires)
+    with spy as scan:
+        assert parsed.output_masks() == f1
+    assert scan.call_count >= 646
 
 
 def test_wave_pass_holds_only_the_lanes_its_plan_counts():
