@@ -23,9 +23,10 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def digits_to_bits(digits: str) -> bytes:
-    """A string of 0/1 digits as bytes of 0/1; entry i is character i."""
-    data = digits.encode("ascii", "replace")
+def digits_to_bits(digits) -> bytes:
+    """A string of 0/1 digits, as str or as its ASCII bytes, as bytes of
+    0/1; entry i is character i."""
+    data = digits.encode("ascii", "replace") if isinstance(digits, str) else digits
     if data.translate(None, b"01"):
         raise ValueError("digits must be 0 or 1")
     return data.translate(_FROM_DIGITS)

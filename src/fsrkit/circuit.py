@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import getitem, itemgetter, lt
 
-from .bitvec import as_bits, bits_to_mask, mask_to_bits
+from .bitvec import bits_to_mask, mask_to_bits
 
 #: the most inputs or stages swept: a 2^n-entry table is refused above it
 STATE_BOUND = 24
@@ -165,8 +165,10 @@ class Circuit:
     of text, so no pass over a whole circuit checks it again.
 
     ``stamps`` is the Builder's record of the minimum blocks it stamped
-    (Builder.min_word), as (start, m, wires) in id order, or None where no
-    record is known: a circuit from tuples, from text or from gadget_min.
+    (Builder.min_word), or None where no record is known: a circuit from
+    tuples, from text or from gadget_min.  The record is a pair: an
+    array('I') holding, per stamp in id order, its first id and then its
+    2m wires, and the bytes of the stamps' widths m (_recorded reads it).
     The wave pass takes its blocks from the record, and looks for them in
     the columns only where there is none (_min_blocks).
     """
@@ -328,20 +330,6 @@ class Circuit:
                 vals[k] = None
         return [vals[o] for o in self.outputs]
 
-    def evaluate_outputs(self, x) -> tuple:
-        """Evaluate all output wires on one input vector, a sequence of
-        0/1 values with entry i on input i."""
-        in_vals = list(as_bits(x))
-        if len(in_vals) != self.arity:
-            raise ValueError(f"input width {len(in_vals)} != arity {self.arity}")
-        return tuple(self._run(in_vals, 1))
-
-    def evaluate(self, x) -> int:
-        """Evaluate the (single) sink on one input vector."""
-        if len(self.outputs) != 1:
-            raise ValueError("evaluate needs a single-output circuit")
-        return self.evaluate_outputs(x)[0]
-
     def output_masks(self) -> list:
         """Evaluate all 2^arity assignments at once.
 
@@ -399,11 +387,12 @@ class Builder:
     bytes; only the entries that read the copy's input wires are written
     one at a time (at m = 12, 277 of 2,224).
 
-    ``stamps`` records each stamp of width m >= 2 as (start, m, wires), the
-    triple _min_blocks finds, and build() hands it to the circuit, so the
-    wave pass need not look for the blocks.  A caller that writes the
-    columns itself sets the record to match them (reduction._wrap_feedback)
-    or to None, unknown, after which min_word records nothing.
+    ``stamps`` records each stamp of width m >= 2, in Circuit.stamps's
+    form: its start and 2m wires in the array, m in the widths.  build()
+    hands a copy to the circuit, so the wave pass need not look for the
+    blocks.  A caller that writes the columns itself sets the record to
+    match them (reduction._wrap_feedback) or to None, unknown, after which
+    min_word records nothing.
     """
 
     def __init__(self, arity: int):
@@ -413,7 +402,7 @@ class Builder:
         self.kinds = bytearray(arity)            # all IN
         self.a = array("I", range(arity))
         self.b = array("I", range(arity))
-        self.stamps = []
+        self.stamps = (array("I"), bytearray())
         self._cache = {}
 
     def inp(self, i: int) -> int:
@@ -528,7 +517,10 @@ class Builder:
         self.a += cols[0]
         self.b += cols[1]
         if m > 1 and self.stamps is not None:
-            self.stamps.append((base, m, tuple(wires)))
+            at, widths = self.stamps
+            at.append(base)
+            at.extend(wires)
+            widths.append(m)
         return [base - 2 * m + o for o in outs]     # every output is a gate
 
     def embed(self, circ: Circuit, input_wires) -> list:
@@ -546,7 +538,8 @@ class Builder:
     def build(self, outputs) -> Circuit:
         if isinstance(outputs, int):
             outputs = (outputs,)
-        stamps = None if self.stamps is None else tuple(self.stamps)
+        stamps = None if self.stamps is None else (
+            self.stamps[0][:], bytes(self.stamps[1]))
         return Circuit._from_columns(self.arity, bytes(self.kinds), self.a[:],
                                     self.b[:], tuple(outputs), stamps)
 
@@ -669,7 +662,7 @@ def _stamp_wires(a: array, b: array, p: int, m: int):
     block = _min_block(m)
     end = p + len(block.kinds)
     cols = (a[p:end], b[p:end])
-    wires = tuple(cols[c][i] for c, i in block.first)
+    wires = array("I", [cols[c][i] for c, i in block.first])
     if max(wires) >= p:
         return None
     for col, (mask, own, ones, at, slots, _) in zip(cols, block.forms):
@@ -677,6 +670,18 @@ def _stamp_wires(a: array, b: array, p: int, m: int):
                 or at(col) != slots(wires)):
             return None
     return wires
+
+
+def _recorded(stamps: tuple) -> list:
+    """A record of stamps (Circuit.stamps) as (start, m, wires) in id
+    order, the wires a slice of the record's array."""
+    at, widths = stamps
+    out, i = [], 0
+    for m in widths:
+        j = i + 1 + 2 * m
+        out.append((at[i], m, at[i + 1:j]))
+        i = j
+    return out
 
 
 def _min_blocks(circ: Circuit) -> list:
@@ -693,7 +698,7 @@ def _min_blocks(circ: Circuit) -> list:
     if circ.stamps is None:
         found = _scan_stamps(circ)
     else:
-        found = list(circ.stamps)
+        found = _recorded(circ.stamps)
         for p, m, _ in found:
             if not kinds.startswith(_min_block(m).kinds, p):
                 raise InvariantError(f"no width-{m} minimum block at "
@@ -712,7 +717,9 @@ def _min_blocks(circ: Circuit) -> list:
             mask = _min_block(m).inner
             end = p + len(mask)
             inner[p:end] = mask
-    hits = bytes(map(inner.__getitem__, reads))
+    # one C-level gather; reads holds a block's 2m >= 4 wires, so the
+    # getter returns a tuple, never a scalar
+    hits = bytes(itemgetter(*reads)(inner))
     starts = [p for p, _, _ in found]
     plain = set()
     i = hits.find(1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import analysis, reduction, verify
 from .bitvec import bits_to_digits
 from .circuit import STATE_BOUND, decimal, parse_circuit, read_text
-from .fsr import (Fsr, InvariantError, cycle_structure, fsr_circuit_pieces,
+from .fsr import (InvariantError, cycle_structure, fsr_circuit_pieces,
                   fsr_pieces, parse_fsr)
 from .lfsr import LfsrFamily, lfsr_of
 
@@ -75,7 +75,7 @@ def cmd_reduce(args) -> int:
         if inst.f1_circuit is None:
             print("error: no circuit form was built", file=sys.stderr)
             return 2
-        pieces = fsr_circuit_pieces(Fsr(inst.stage, circuit=inst.f1_circuit))
+        pieces = fsr_circuit_pieces(inst.stage, inst.f1_circuit)
     with open(out, "w") as fh:
         fh.writelines(pieces)
     print(f"stage={inst.stage} ell={inst.ell} k={inst.k} r={inst.r}")
@@ -144,9 +144,7 @@ def _base_predicate(spec: str):
             maps = reduction.Alg2Maps(ell)
             return lfsr_of(LfsrFamily.for_ell(ell).p1), maps.lam_table()
         raise ValueError(f"unknown base register {name!r}")
-    base = _load_fsr(spec)
-    if base.stage > STATE_BOUND:
-        raise ValueError(f"base stage {base.stage} exceeds state bound {STATE_BOUND}")
+    base = _load_fsr(spec)     # a register has at most STATE_BOUND stages
     return base, bytes(1 << base.stage)
 
 

@@ -171,71 +171,44 @@ class CycleStructure:
 # ---------------------------------------------------------------------------
 # the register itself
 
-class Fsr:
-    """An n-stage register given by its feedback logic.
+def _check_stage(stage: int) -> None:
+    if stage > STATE_BOUND:
+        raise ValueError(f"stage {stage} exceeds state bound {STATE_BOUND}")
 
-    Backed by a truth table (bytes of length 2^n), a Circuit, or a Python
-    callable on integer states; the table is materialized on demand.  The
-    callable backing serves only the lazy toggled registers that the
-    reductions build above ell = 3 (stages 19 and 36 at ell = 9), whose
-    feedback is a tap parity XOR a field evaluated per state.  No stage
-    above STATE_BOUND has a table: one given is refused here, and a sweep
-    reads `table` first.  Nothing here mutates a register after
-    construction.
+
+class Fsr:
+    """An n-stage register: its stage and its feedback truth table f1, as
+    bytes of 0/1 with entry s the feedback bit of state s.
+
+    The table is given whole, as a 0/1 sequence or an integer mask, and
+    checked here; a register text's feedback circuit is tabulated when it
+    is read (parse_fsr).  No stage above STATE_BOUND has a table, so none
+    has a register: it is refused here before 2^stage is computed.
+    Nothing here mutates a register after construction.
     """
 
-    __slots__ = ("stage", "_table", "_fn", "circuit")
+    __slots__ = ("stage", "table")
 
-    def __init__(self, stage: int, table=None, fn=None, circuit: Circuit = None):
+    def __init__(self, stage: int, table):
         if stage < 1:
             raise ValueError("stage must be >= 1")
-        if table is None and fn is None and circuit is None:
-            raise ValueError("need a feedback table, callable or circuit")
-        if circuit is not None and circuit.arity != stage:
-            raise ValueError(f"feedback arity {circuit.arity} != stage {stage}")
-        self.stage = stage
-        self._fn = fn
-        self.circuit = circuit
-        if table is not None:
-            table = self._coerce_table(stage, table)
-        self._table = table
-
-    @staticmethod
-    def _coerce_table(stage, table) -> bytes:
-        if stage > STATE_BOUND:     # before 1 << stage is computed
-            raise ValueError(f"stage {stage} exceeds state bound {STATE_BOUND}")
+        _check_stage(stage)     # before 1 << stage is computed
         n = 1 << stage
         if isinstance(table, int):
             if not 0 <= table < (1 << n):
                 raise ValueError("table mask out of range")
-            return mask_to_bits(table, n)
-        data = as_bits(table)
-        if len(data) != n:
-            raise ValueError(f"table needs {n} entries, got {len(data)}")
-        return data
-
-    @property
-    def table(self) -> bytes:
-        """The feedback truth table, materializing it if necessary."""
-        if self._table is None:
-            if self.stage > STATE_BOUND:
-                raise ValueError(f"stage {self.stage} exceeds state bound {STATE_BOUND}")
-            if self.circuit is not None:
-                self._table = mask_to_bits(self.circuit.output_masks()[0],
-                                           1 << self.stage)
-            else:
-                self._table = bytes(
-                    self._fn(s) & 1 for s in range(1 << self.stage))
-        return self._table
+            table = mask_to_bits(table, n)
+        else:
+            table = as_bits(table)
+            if len(table) != n:
+                raise ValueError(f"table needs {n} entries, got {len(table)}")
+        self.stage = stage
+        self.table = table
 
     def feedback_bit(self, s: int) -> int:
         if not 0 <= s < 1 << self.stage:
             raise ValueError(f"state {s} out of range for stage {self.stage}")
-        if self._table is not None:
-            return self._table[s]
-        if self._fn is not None:
-            return self._fn(s) & 1
-        return self.circuit.evaluate(mask_to_bits(s, self.stage))
+        return self.table[s]
 
     def step_int(self, s: int) -> int:
         return (s >> 1) | (self.feedback_bit(s) << (self.stage - 1))
@@ -417,14 +390,14 @@ def fsr_pieces(f: Fsr) -> tuple:
     return f"STAGE {f.stage}\nFEEDBACK TABLE ", bits_to_digits(f.table), "\n"
 
 
-def fsr_circuit_pieces(f: Fsr):
-    """The register text of a circuit, the STAGE header plus the feedback
+def fsr_circuit_pieces(stage: int, circ: Circuit):
+    """The register text of a feedback circuit, the STAGE header plus the
     circuit inline, as an iterator of pieces: the header, then
-    circuit_pieces.  A register the format cannot hold is refused here,
-    before the first piece."""
-    if f.circuit is None:
-        raise ValueError("register has no circuit form")
-    return chain((f"STAGE {f.stage}\nFEEDBACK CIRCUIT\n",), circuit_pieces(f.circuit))
+    circuit_pieces.  A circuit whose arity is not the stage is refused
+    here, before the first piece."""
+    if circ.arity != stage:
+        raise ValueError(f"feedback arity {circ.arity} != stage {stage}")
+    return chain((f"STAGE {stage}\nFEEDBACK CIRCUIT\n",), circuit_pieces(circ))
 
 
 def parse_fsr(text, base_dir: str = ".") -> Fsr:
@@ -468,14 +441,16 @@ def parse_fsr(text, base_dir: str = ".") -> Fsr:
     if toks[1] == "TABLE":
         if len(toks) != 3:
             raise FsrParseError("FEEDBACK TABLE takes one digit string", lineno)
-        digits = toks[2]
         # compare lengths without building 2^stage from an untrusted stage
-        size = len(digits)
+        size = len(toks[2])
         if size & (size - 1) or size.bit_length() - 1 != stage:
             raise FsrParseError(
                 f"table needs 2^{stage} digits, got {size}", lineno)
         try:
-            table = digits_to_bits(digits)
+            # the token is dropped once encoded, so at most two copies of
+            # the digits are held: the token and its bytes, then the bytes
+            # and the table
+            table = digits_to_bits(toks.pop().encode("ascii", "replace"))
         except ValueError:
             raise FsrParseError("table digits must be 0 or 1", lineno) from None
         return Fsr(stage, table=table)
@@ -499,7 +474,10 @@ def parse_fsr(text, base_dir: str = ".") -> Fsr:
 
 
 def _circuit_register(stage: int, circ: Circuit, lineno: int) -> Fsr:
+    """The register of a feedback circuit, tabulated; a stage above
+    STATE_BOUND is refused before the circuit is evaluated."""
     if circ.arity != stage:
         raise FsrParseError(
             f"feedback arity {circ.arity} != stage {stage}", lineno)
-    return Fsr(stage, circuit=circ)
+    _check_stage(stage)
+    return Fsr(stage, table=circ.output_masks()[0])

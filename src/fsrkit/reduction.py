@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 
 from .bitvec import xor_bits
-from .circuit import Builder, Circuit, TruthTable
+from .circuit import STATE_BOUND, Builder, Circuit, TruthTable
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
                   state_cycles)
 from .lfsr import GF2Poly, LfsrFamily, lfsr_of, linear_step, tap_mask
@@ -257,7 +257,8 @@ def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
     The toggle circuit's gates are kept, shifted by one vertex to make
     room for the extra x0 input: its kinds are copied and both operand
     columns moved by one in bulk, as is its record of stamped minimum
-    blocks (None stays None).  Each tap then costs one five-gate XOR.
+    blocks, whose ids are all moved and whose widths are not (None stays
+    None).  Each tap then costs one five-gate XOR.
     """
     stage, taps = p.degree, tap_mask(p)
     if f3c.arity != stage - 1:
@@ -265,12 +266,15 @@ def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
     gates = stage - 1
     b = Builder(stage)
     b.kinds += f3c.kinds[gates:]
-    ones = int.from_bytes(array(b.a.typecode, [1]) * (len(f3c.kinds) - gates),
-                          sys.byteorder)
+    ones = _ones(len(f3c.kinds) - gates)
     _plus_one(b.a, memoryview(f3c.a)[gates:], ones)
     _plus_one(b.b, memoryview(f3c.b)[gates:], ones)
-    b.stamps = None if f3c.stamps is None else [
-        (q + 1, m, tuple(w + 1 for w in wires)) for q, m, wires in f3c.stamps]
+    if f3c.stamps is None:
+        b.stamps = None
+    else:
+        at, widths = f3c.stamps
+        b.stamps = (array("I"), bytearray(widths))
+        _plus_one(b.stamps[0], memoryview(at), _ones(len(at)))
     out = f3c.sink + 1
     for tap in range(stage - 1, -1, -1):
         if taps >> tap & 1:
@@ -278,11 +282,15 @@ def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
     return b.build(out)
 
 
+def _ones(n: int) -> int:
+    """The integer whose bytes are n array('I') entries of 1."""
+    return int.from_bytes(array("I", [1]) * n, sys.byteorder)
+
+
 def _plus_one(dest: array, col: memoryview, ones: int) -> None:
     """Append col's entries to dest, each plus 1, as one big-integer
-    addition over col's bytes; ``ones`` is the integer whose entries, read
-    as col's, are all 1.  No entry is its type's maximum, so no carry
-    crosses into the next entry."""
+    addition over col's bytes; ``ones`` is _ones(len(col)).  No entry is
+    its type's maximum, so no carry crosses into the next entry."""
     order = sys.byteorder
     dest.frombytes((int.from_bytes(col, order) + ones).to_bytes(col.nbytes, order))
 
@@ -325,14 +333,16 @@ class SizeReport:
 
 @dataclass
 class ReductionInstance:
-    """One built instance: the register plus both toggle-field forms."""
+    """One built instance: the register plus both toggle-field forms.  A
+    stage above STATE_BOUND has no register (fsr and f3_table are None)."""
 
     kind: str             # "irr" or "dec"
     f0: Circuit
     r: int
     k: int
     ell: int
-    fsr: Fsr
+    stage: int
+    fsr: Fsr | None
     f3_semantic: object   # int -> bit
     f3_table: tuple | None
     f3_circuit: Circuit | None
@@ -340,10 +350,6 @@ class ReductionInstance:
     size_report: SizeReport | None
     f2_circuit: Circuit | None = None
     f2_table: TruthTable | None = None
-
-    @property
-    def stage(self) -> int:
-        return self.fsr.stage
 
 
 def alg1_size_bound(f0_size: int) -> int:
@@ -359,15 +365,15 @@ def alg2_size_bound(f0_size: int) -> int:
     return 264 * f0_size ** 3
 
 
-def _toggled_linear(p: GF2Poly, f3, tabulate: bool) -> tuple:
-    """(register, f3 table or None): the register whose feedback is the
-    linear feedback of p XOR the toggle field f3 on the state's upper
-    bits (x1..x_{n-1}).  Tabulated, f3 is evaluated once per window and
-    the register is checked to be nonsingular; otherwise both are lazy."""
+def _toggled_linear(p: GF2Poly, f3) -> tuple:
+    """(register, f3 table): the register whose feedback is the linear
+    feedback of p XOR the toggle field f3 on the state's upper bits
+    (x1..x_{n-1}).  f3 is evaluated once per window, and the register is
+    checked to be nonsingular.  Above STATE_BOUND there is no table, and
+    both are None: the irreducibility form at ell = 9 has stage 36."""
     n = p.degree
-    if not tabulate:
-        taps = tap_mask(p)
-        return Fsr(n, fn=lambda s: (s & taps).bit_count() ^ f3(s >> 1)), None
+    if n > STATE_BOUND:
+        return None, None
     f3_tab = tuple(f3(x) for x in range(1 << (n - 1)))
     # entry s of the field's table is f3(s >> 1): each entry twice
     field = bytearray(1 << n)
@@ -388,7 +394,7 @@ def build_irreducibility_fsr(f0: Circuit, build_circuit: bool = None
     f3 = alg1_f3_semantic(ell, f0_tt)
     if build_circuit is None:
         build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
-    fsr, f3_tab = _toggled_linear(p2, f3, ell <= EXHAUSTIVE_ELL_BOUND)
+    fsr, f3_tab = _toggled_linear(p2, f3)
 
     f3c = f1c = report = None
     if build_circuit:
@@ -400,7 +406,8 @@ def build_irreducibility_fsr(f0: Circuit, build_circuit: bool = None
             f3_size=f3c.size, f1_size=f1c.size, f1_gates=f1c.gate_count,
             bound=bound, bound_ok=f1c.size < bound,
             formula_value=alg1_size_formula(ell, f0.size))
-    return ReductionInstance(kind="irr", f0=f0, r=r, k=k, ell=ell, fsr=fsr,
+    return ReductionInstance(kind="irr", f0=f0, r=r, k=k, ell=ell,
+                             stage=p2.degree, fsr=fsr,
                              f3_semantic=f3, f3_table=f3_tab, f3_circuit=f3c,
                              f1_circuit=f1c, size_report=report)
 
@@ -417,7 +424,7 @@ def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
     f3 = alg2_f3_semantic(ell, f2t)
     if build_circuit is None:
         build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
-    fsr, f3_tab = _toggled_linear(p1, f3, ell <= EXHAUSTIVE_ELL_BOUND)
+    fsr, f3_tab = _toggled_linear(p1, f3)
 
     f2c = f2_transform(f0)
     f3c = f1c = report = None
@@ -430,7 +437,8 @@ def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
             f3_size=f3c.size, f1_size=f1c.size, f1_gates=f1c.gate_count,
             bound=bound, bound_ok=f1c.size <= bound,
             formula_value=None)
-    return ReductionInstance(kind="dec", f0=f0, r=r, k=k, ell=ell, fsr=fsr,
+    return ReductionInstance(kind="dec", f0=f0, r=r, k=k, ell=ell,
+                             stage=p1.degree, fsr=fsr,
                              f3_semantic=f3, f3_table=f3_tab, f3_circuit=f3c,
                              f1_circuit=f1c, size_report=report,
                              f2_circuit=f2c, f2_table=f2t)

@@ -189,9 +189,9 @@ def sample_circuits(r: int, count: int, seed: int) -> list:
 def population(r: int, count: int, seed: int) -> list:
     """The suites' inputs: every r-input circuit for r <= 2, else a sample.
     r and count are checked before any 2^r work: past 2 *
-    EXHAUSTIVE_ELL_BOUND the builders give stage-19 and stage-36 registers
-    the oracles refuse, and a sample slice to a negative count would drop
-    circuits from its end."""
+    EXHAUSTIVE_ELL_BOUND the builders give a stage-19 register the oracles
+    refuse and a stage-36 instance with no register, and a sample slice to
+    a negative count would drop circuits from its end."""
     r_max = 2 * reduction.EXHAUSTIVE_ELL_BOUND
     if not 1 <= r <= r_max:
         raise ValueError(f"input count r={r} is outside 1..{r_max}")

@@ -41,7 +41,7 @@ def test_irreducibility_of_trinomial():
 
 def test_subfsr_stage_bound():
     with pytest.raises(ValueError):
-        A.find_subfsrs(F.Fsr(13, fn=lambda s: (s & 1)))
+        A.find_subfsrs(F.Fsr(13, table=bytes(1 << 13)))
 
 
 def test_every_subfsr_cycle_set_is_a_subset():

@@ -12,17 +12,15 @@ def min_size(m):
 def test_evaluate_basic_gates():
     b = C.Builder(2)
     c = b.build(b.AND(0, 1))
-    assert c.evaluate([1, 1]) == 1
-    assert c.evaluate([1, 0]) == 0
-    assert C.gadget_xor().evaluate([0, 1]) == 1
-    assert C.gadget_xor().evaluate([0, 0]) == 0
-    assert C.gadget_xor().evaluate([1, 0]) == 1
+    # input vector j has input i at bit i: (x0, x1) = 00, 10, 01, 11
+    assert c.truth_table().bits() == [0, 0, 0, 1]
+    assert C.gadget_xor().truth_table().bits() == [0, 1, 1, 0]
 
 
 def test_evaluate_min2_on_integers_one_and_two():
     g = C.gadget_min(2)
-    # x = 1 = (1,0), y = 2 = (0,1); minimum is 1 = (1,0)
-    assert g.evaluate_outputs([1, 0, 0, 1]) == (1, 0)
+    # x = 1 = (1,0), y = 2 = (0,1), the input vector 1 + 8; minimum is 1 = (1,0)
+    assert g.evaluate_batch([9]) == [1, 0]
 
 
 def test_size_counts_all_vertices():
@@ -31,20 +29,6 @@ def test_size_counts_all_vertices():
     assert ident.size == 1
     assert C.gadget_min(1).size == 3
     assert C.gadget_min(2).size == 41
-
-
-def test_evaluate_arity_mismatch():
-    with pytest.raises(ValueError):
-        C.gadget_xor().evaluate([1, 0, 0])
-
-
-def test_evaluate_rejects_non_bits():
-    for x in ([2, 1], [1, -1], [0, 3]):
-        with pytest.raises(ValueError):
-            C.gadget_xor().evaluate(x)
-    with pytest.raises(ValueError):
-        C.gadget_xor().evaluate_outputs([1, 2])
-    assert C.gadget_xor().evaluate((True, False)) == 1
 
 
 def test_evaluate_batch_rejects_out_of_range_assignments():

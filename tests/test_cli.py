@@ -8,7 +8,7 @@ import pytest
 import fsrkit
 from fsrkit import analysis
 from fsrkit.cli import main
-from fsrkit.circuit import from_bits, write_circuit
+from fsrkit.circuit import Circuit, from_bits, write_circuit
 from fsrkit.fsr import Fsr, InvariantError, fsr_pieces, parse_fsr
 
 
@@ -177,11 +177,17 @@ def test_analyze_huge_stage_exit_2(workdir, capsys):
     assert "table needs 2^100000 digits" in capsys.readouterr().err
 
 
-def test_analyze_bounds_exit_2(workdir, capsys):
+def test_analyze_bounds_exit_2(workdir, capsys, monkeypatch):
     p1 = write(workdir / "p1.fsr", "STAGE 25\nFEEDBACK CIRCUIT\n"
                + "".join(f"v{i} INPUT {i}\n" for i in range(25)) + "SINK v0\n")
+
+    def unevaluated(circ):
+        raise AssertionError("a stage-25 feedback circuit was evaluated")
+
+    # the register is refused as it is read, before its circuit is tabulated
+    monkeypatch.setattr(Circuit, "output_masks", unevaluated)
     assert main(["analyze", "cycles", p1]) == 2
-    assert "stage 25 exceeds state bound 24" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: stage 25 exceeds state bound 24\n"
 
 
 def test_reduce_past_24_stages_hints_at_the_circuit_form(workdir, capsys):
@@ -272,13 +278,13 @@ def test_graph_base_above_the_state_bound_exit_2(workdir, capsys):
     huge = write(workdir / "huge.fsr",
                  "STAGE 1000000\nFEEDBACK CIRCUIT\nv0 INPUT 999999\nSINK v0\n")
     assert main(["graph", f, huge]) == 2
-    assert "base stage 1000000 exceeds state bound 24" in capsys.readouterr().err
+    assert "error: stage 1000000 exceeds state bound 24" in capsys.readouterr().err
     # stage 40 would ask for a 2^40-entry predicate before any check
     big = write(workdir / "big.fsr",
                 "STAGE 40\nFEEDBACK CIRCUIT\nv0 INPUT 39\nSINK v0\n")
     proc = run_limited(workdir, "graph", f, big)
     assert proc.returncode == 2, proc.stderr
-    assert "base stage 40 exceeds state bound 24" in proc.stderr
+    assert "error: stage 40 exceeds state bound 24" in proc.stderr
 
 
 @pytest.mark.parametrize("base,sat,unsat", [

@@ -5,6 +5,7 @@ definitions, and the memory the freeing and wave passes hold."""
 
 import functools
 import tracemalloc
+from array import array
 from unittest import mock
 
 import pytest
@@ -44,7 +45,7 @@ def circuits(draw):
 def evaluations(c):
     assignments = list(range(1 << c.arity))[::-1]
     return (c.output_masks(), c.evaluate_batch(assignments),
-            [c.evaluate_outputs(mask_to_bits(x, c.arity)) for x in range(1 << c.arity)])
+            [tuple(c.evaluate_batch([x])) for x in range(1 << c.arity)])
 
 
 @FIXED
@@ -143,7 +144,7 @@ def test_wave_pass_equals_plain_pass(c):
     assert (waves is None) == (not blocks)
     with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
         assert c.output_masks() == plain
-        each = [c.evaluate_outputs(mask_to_bits(x, r)) for x in range(1 << r)]
+        each = [tuple(c.evaluate_batch([x])) for x in range(1 << r)]
         if waves is not None:
             assert waves.run(lanes, full) == plain
             assert each == [tuple(waves.run([x >> i & 1 for i in range(r)], 1))
@@ -157,7 +158,7 @@ def test_wave_pass_equals_plain_pass(c):
     moved = reduction._wrap_feedback(one, parse_poly(f"x^{r + 1} + 1"))
     assert circuit._min_blocks(parsed) == circuit._min_blocks(one)
     assert circuit._min_blocks(moved) == [
-        (p + 1, m, tuple(w + 1 for w in wires))
+        (p + 1, m, array("I", [w + 1 for w in wires]))
         for p, m, wires in circuit._min_blocks(one)]
     for form, in_vals in ((parsed, lanes), (moved, [0] + lanes)):
         form_waves = waves_of(form)
@@ -180,29 +181,31 @@ def test_wave_pass_agrees_on_lanes_of_any_width(c, lane_bits):
 @FIXED
 @given(stamped_circuits())
 def test_the_record_is_what_the_scan_finds(c):
-    assert list(c.stamps) == circuit._scan_stamps(c)
+    assert circuit._recorded(c.stamps) == circuit._scan_stamps(c)
     assert circuit._min_blocks(c) == circuit._min_blocks(unrecorded(c))
 
 
 def test_wrap_feedback_shifts_the_record_and_keeps_none_none():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
-    assert c.stamps == ((4, 2, (0, 1, 2, 3)),)
+    # the start and wires of each stamp in one array, the widths apart
+    assert c.stamps == (array("I", [4, 0, 1, 2, 3]), b"\x02")
     p = parse_poly("x^5 + 1")
     moved = reduction._wrap_feedback(c, p)
-    assert moved.stamps == ((5, 2, (1, 2, 3, 4)),)
+    assert moved.stamps == (array("I", [5, 1, 2, 3, 4]), b"\x02")
+    assert circuit._recorded(moved.stamps) == [(5, 2, array("I", [1, 2, 3, 4]))]
     parsed = parse_circuit(write_circuit(c))
     assert parsed.stamps is None
     moved_parsed = reduction._wrap_feedback(parsed, p)
     assert moved_parsed.stamps is None
-    assert circuit._min_blocks(moved_parsed) == list(moved.stamps)
+    assert circuit._min_blocks(moved_parsed) == circuit._recorded(moved.stamps)
 
 
 def test_a_record_that_misses_its_block_is_refused():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
     wrong = Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs,
-                                  ((5, 2, (0, 1, 2, 3)),))
+                                  (array("I", [5, 0, 1, 2, 3]), b"\x02"))
     with pytest.raises(circuit.InvariantError, match="vertex 5"):
         circuit._min_blocks(wrong)
 
@@ -340,9 +343,10 @@ def _ell3_circuits() -> dict:
 
 def test_ell3_records_equal_the_blocks_found_without_them():
     for name, c in _ell3_circuits().items():
-        assert list(c.stamps) == circuit._min_blocks(unrecorded(c)), name
-        assert circuit._min_blocks(c) == list(c.stamps), name
-    assert {m for _, m, _ in _ell3_circuits()["dec f3"].stamps} == {6}
+        recorded = circuit._recorded(c.stamps)
+        assert recorded == circuit._min_blocks(unrecorded(c)), name
+        assert circuit._min_blocks(c) == recorded, name
+    assert set(_ell3_circuits()["dec f3"].stamps[1]) == {6}
 
 
 def test_built_circuits_are_evaluated_from_their_record():

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,20 +359,17 @@ def test_cascade_equals_product():
 
 
 def test_cascade_above_the_state_bound_is_refused_before_any_sweep():
-    def untouched(s):
-        raise AssertionError("feedback read before the bound check")
-
-    f, g = F.Fsr(13, fn=untouched), F.Fsr(12, fn=untouched)
-    with pytest.raises(ValueError,
-                       match="cascade stage 25 exceeds state bound 24"):
-        F.simulate_cascade(f, g)
+    f, g = pure_cycling(13), pure_cycling(12)
+    # nonsingular registers, so only the bound can refuse them, and the
+    # 2^25-state orbit walk would take minutes: the refusal comes first
+    with mock.patch.object(F, "orbits", side_effect=AssertionError("swept")):
+        with pytest.raises(ValueError,
+                           match="cascade stage 25 exceeds state bound 24"):
+            F.simulate_cascade(f, g)
 
 
 def test_product_above_the_state_bound_names_the_bound():
-    def untouched(s):
-        raise AssertionError("feedback read before the bound check")
-
-    f, g = F.Fsr(13, fn=untouched), F.Fsr(12, fn=untouched)
+    f, g = pure_cycling(13), pure_cycling(12)
     with pytest.raises(ValueError,
                        match="^product stage 25 exceeds state bound 24$"):
         F.product_fsr(f, g)
@@ -429,11 +427,21 @@ def test_fsr_circuit_file_reference(tmp_path):
     assert list(f.table) == [0, 1, 1, 0]
 
 
+def circuit_register_text(stage: int) -> str:
+    """Register text whose feedback circuit is x0 on ``stage`` inputs."""
+    return (f"STAGE {stage}\nFEEDBACK CIRCUIT\n"
+            + "".join(f"v{i} INPUT {i}\n" for i in range(stage)) + "SINK v0\n")
+
+
 def test_state_bound_env():
-    # a callable-backed register above the state bound has no table to sweep
-    f = F.Fsr(25, fn=lambda s: s & 1)
-    with pytest.raises(ValueError, match="stage 25 exceeds state bound 24"):
-        F.cycle_structure(f)
+    # a circuit register above the state bound has no table: it is refused
+    # when read, before its circuit is evaluated
+    unevaluated = mock.patch.object(
+        C.Circuit, "output_masks", side_effect=AssertionError("evaluated"))
+    with unevaluated, pytest.raises(ValueError,
+                                    match="^stage 25 exceeds state bound 24$"):
+        F.parse_fsr(circuit_register_text(25))
+    assert F.parse_fsr(circuit_register_text(3)).table == bytes([0, 1] * 4)
 
 
 def test_an_explicit_table_past_24_stages_is_refused_unbuilt():
@@ -453,8 +461,8 @@ def test_an_explicit_table_past_24_stages_is_refused_unbuilt():
 
 def test_circuit_and_register_tables_share_one_bound():
     c = C.Builder(25).build(0)
-    for read in (lambda: F.Fsr(25, circuit=c).table, c.truth_table,
-                 c.output_masks):
+    for read in (lambda: F.parse_fsr(circuit_register_text(25)),
+                 c.truth_table, c.output_masks):
         with pytest.raises(ValueError, match="25 exceeds state bound 24"):
             read()
 
@@ -473,22 +481,18 @@ def test_parse_checks_the_table_length_without_building_2_to_the_stage():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20      # 2^100000000 alone would take 12.5 MB
-    # circuit-backed registers above the state bound still parse
-    stage = 30
-    text = (f"STAGE {stage}\nFEEDBACK CIRCUIT\n"
-            + "".join(f"v{i} INPUT {i}\n" for i in range(stage)) + "SINK v0\n")
-    f = F.parse_fsr(text)
-    assert f.stage == stage and f.feedback_bit(5) == 1
-    with pytest.raises(ValueError):
-        f.table
+    # a circuit register above the state bound parses to its refusal
+    with pytest.raises(ValueError, match="^stage 30 exceeds state bound 24$"):
+        F.parse_fsr(circuit_register_text(30))
 
 
 def test_feedback_bit_rejects_states_out_of_range():
     table = F.Fsr(3, table=[0, 1, 1, 0, 1, 0, 0, 1])
     assert table.feedback_bit(7) == 1
     b = C.Builder(3)
-    circ = F.Fsr(3, circuit=b.build(b.xor(*b.inputs()[:2])))
-    assert circ.feedback_bit(3) == 0
+    circ = F.parse_fsr("".join(
+        F.fsr_circuit_pieces(3, b.build(b.xor(*b.inputs()[:2])))))
+    assert circ.feedback_bit(3) == 0 and circ.feedback_bit(5) == 1
     for f in (table, circ):
         for s in (-1, 8, 1 << 40):
             with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from fsrkit import circuit as C
 from fsrkit import cli
 from fsrkit import fsr as F
 from fsrkit import reduction, verify
-from fsrkit.bitvec import digits_to_bits
+from fsrkit.bitvec import digits_to_bits, mask_to_bits
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -63,6 +63,29 @@ def test_circuit_text_round_trip(c):
 
 def columns(c):
     return c.arity, c.kinds, c.a, c.b, c.outputs
+
+
+@contextlib.contextmanager
+def circuits_read():
+    """A list that gets, while it is open, (circuit, traced peak) for each
+    feedback circuit parse_fsr reads: the circuit as read, before parse_fsr
+    tabulates it, and the tracemalloc peak at that point."""
+    read = []
+
+    def parse(*args):
+        c = C.parse_circuit(*args)
+        read.append((c, tracemalloc.get_traced_memory()[1]))
+        return c
+
+    with mock.patch.object(F, "parse_circuit", parse):
+        yield read
+
+
+def inline_circuit(register):
+    """The feedback circuit parse_fsr reads from register text."""
+    with circuits_read() as read:
+        F.parse_fsr(register)
+    return read[0][0]
 
 
 def outcome(read):
@@ -216,7 +239,7 @@ def test_the_ell_3_register_is_read_in_bulk():
     runs once, for the SINK line, and the columns are those written."""
     f0 = verify.sample_circuits(6, 32, 302)[0]
     circ = reduction.build_irreducibility_fsr(f0, build_circuit=True).f1_circuit
-    text = "".join(F.fsr_circuit_pieces(F.Fsr(circ.arity, circuit=circ)))
+    text = "".join(F.fsr_circuit_pieces(circ.arity, circ))
     real = C._TextReader.loop
     looped = []
 
@@ -224,8 +247,9 @@ def test_the_ell_3_register_is_read_in_bulk():
         looped.append(block)
         real(rd, block)
 
-    with mock.patch.object(C._TextReader, "loop", loop):
-        back = F.parse_fsr(text).circuit
+    with mock.patch.object(C._TextReader, "loop", loop), circuits_read() as read:
+        F.parse_fsr(text)
+    back = read[0][0]
     assert looped == [f"SINK v{circ.sink}\n"]
     assert columns(back) == columns(circ)
     assert circ.size == 722_462
@@ -291,7 +315,7 @@ def test_blocks_read_the_lines_of_splitlines(case):
     with mock.patch.object(C, "BLOCK_VERTICES", block):
         assert (outcome(lambda: C.parse_circuit(body))
                 == outcome(lambda: reference(body.splitlines())))
-        assert (outcome(lambda: F.parse_fsr(register).circuit)
+        assert (outcome(lambda: inline_circuit(register))
                 == outcome(lambda: reference_fsr(register, c.arity)))
 
 
@@ -309,8 +333,9 @@ def test_parse_holds_under_40_bytes_per_vertex():
         alone = tracemalloc.get_traced_memory()[1]
         del c
         tracemalloc.reset_peak()
-        c = F.parse_fsr(register).circuit
-        inline = tracemalloc.get_traced_memory()[1]
+        with circuits_read() as read:
+            F.parse_fsr(register)      # the peak is taken before tabulation
+        c, inline = read[0]
     finally:
         tracemalloc.stop()
     assert c.size == 100_008
@@ -384,12 +409,14 @@ def test_parsers_raise_only_their_own_errors(empty_dir, text):
 
 
 def register_outcome(read):
-    """outcome() for a register: its stage and table or circuit columns."""
-    try:
-        f = read()
-    except (C.CircuitParseError, F.FsrParseError) as e:
-        return type(e).__name__, str(e), e.lineno
-    return f.stage, bytes(f.table) if f.circuit is None else columns(f.circuit)
+    """outcome() for a register: its stage and table, and the columns of
+    the feedback circuit it was read from, if any."""
+    with circuits_read() as got:
+        try:
+            f = read()
+        except (C.CircuitParseError, F.FsrParseError) as e:
+            return type(e).__name__, str(e), e.lineno
+    return f.stage, f.table, [columns(c) for c, _ in got]
 
 
 def write_bytes(directory, name, data):
@@ -499,17 +526,20 @@ def long_circuit():
 
 def test_loading_a_register_file_holds_under_40_bytes_per_vertex(long_circuit, tmp_path):
     """The CLI reads a register file in pieces: the file's 2.5 MB of text
-    is never held whole, as bytes or as str."""
+    is never held whole, as bytes or as str, up to the circuit it reads,
+    which it then tabulates."""
     path = str(tmp_path / "long.fsr")
     with open(path, "w") as fh:
-        fh.writelines(F.fsr_circuit_pieces(F.Fsr(8, circuit=long_circuit)))
+        fh.writelines(F.fsr_circuit_pieces(8, long_circuit))
     tracemalloc.start()
     try:
-        f = cli._load_fsr(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        with circuits_read() as read:
+            f = cli._load_fsr(path)
     finally:
         tracemalloc.stop()
-    assert columns(f.circuit) == columns(long_circuit)
+    (c, peak), = read
+    assert columns(c) == columns(long_circuit)
+    assert f.table == mask_to_bits(long_circuit.output_masks()[0], 1 << 8)
     assert peak < 40 * long_circuit.size, peak
 
 
@@ -534,7 +564,7 @@ def test_writing_a_register_file_adds_under_1_mb(long_circuit, workdir_cli):
             tracemalloc.stop()
     assert (code, out.splitlines()[-1]) == (0, "wrote long.fsr")
     with open("long.fsr") as fh:
-        assert fh.read() == "".join(F.fsr_circuit_pieces(F.Fsr(8, circuit=long_circuit)))
+        assert fh.read() == "".join(F.fsr_circuit_pieces(8, long_circuit))
     assert peak < 1 << 20, peak
 
 

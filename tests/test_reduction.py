@@ -11,6 +11,7 @@ from fsrkit import fsr as F
 from fsrkit import lfsr as L
 from fsrkit import reduction as R
 from fsrkit import verify
+from fsrkit.bitvec import mask_to_bits
 
 
 def test_ell_for():
@@ -108,7 +109,8 @@ def test_feedback_circuit_adds_one_xor_per_tap(bits):
         taps = L.tap_mask(getattr(L.LfsrFamily.for_ell(inst.ell), name))
         rep = inst.size_report
         assert rep.f1_size == rep.f3_size + 1 + 5 * taps.bit_count()
-        assert F.Fsr(inst.stage, circuit=inst.f1_circuit) == inst.fsr
+        text = "".join(F.fsr_circuit_pieces(inst.stage, inst.f1_circuit))
+        assert F.parse_fsr(text) == inst.fsr
 
 
 def test_ell3_circuits_are_written_as_pinned():
@@ -344,23 +346,28 @@ def test_large_ell_semantic_only_build():
     b = C.Builder(7)
     f0 = b.build(b.and_chain(b.inputs()))
     inst = R.build_irreducibility_fsr(f0)   # ell = 9, no circuit by default
+    # stage 36 is past the state bound: no table, so no register
     assert inst.ell == 9 and inst.stage == 36
-    assert inst.f3_circuit is None and inst.f3_table is None
+    assert inst.fsr is None and inst.f3_table is None
+    assert inst.f3_circuit is None and inst.f1_circuit is None
     assert inst.f3_semantic(0) in (0, 1)
-    assert inst.fsr.feedback_bit(123456) in (0, 1)
-    inst2 = R.build_indecomposability_fsr(f0)
-    assert inst2.stage == 19
-    assert inst2.f3_semantic(1) in (0, 1)
 
 
-def test_lazy_register_feedback_bit_rejects_states_out_of_range():
-    b = C.Builder(7)
-    inst = R.build_irreducibility_fsr(b.build(b.and_chain(b.inputs())))
-    f = inst.fsr                         # stage 36, backed by a callable
-    assert f.stage == 36 and f.feedback_bit((1 << 36) - 1) in (0, 1)
-    for s in (-1, 1 << 36, (1 << 40) + 3):
-        with pytest.raises(ValueError):
-            f.feedback_bit(s)
+def test_ell9_dec_table_equals_the_gate_level_feedback():
+    # r = 18 gives ell = 9 and the stage-19 register, tabulated when built:
+    # on the AND of 18 inputs (one witness) and on g AND NOT g for that g
+    # (none), its table is the gate-level f1's on all 2^19 states, and the
+    # contradiction's register is the linear register of p1@9
+    p1 = L.lfsr_of(L.LfsrFamily.for_ell(9).p1)
+    for contradiction in (False, True):
+        b = C.Builder(18)
+        g = b.and_chain(b.inputs())
+        f0 = b.build(b.AND(g, b.NOT(g)) if contradiction else g)
+        inst = R.build_indecomposability_fsr(f0, build_circuit=True)
+        assert (inst.ell, inst.stage) == (9, 19)
+        gate_level = mask_to_bits(inst.f1_circuit.output_masks()[0], 1 << 19)
+        assert inst.fsr.table == gate_level
+        assert (inst.fsr == p1) == contradiction
 
 
 def test_oracle_ell_bound():
