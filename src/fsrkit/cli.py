@@ -57,14 +57,19 @@ def cmd_reduce(args) -> int:
         inst = reduction.build_irreducibility_fsr(f0, build_circuit=build)
     else:
         inst = reduction.build_indecomposability_fsr(f0, build_circuit=build)
+    # the feedback circuit is made only here, where it is written
+    f1 = inst.feedback_circuit() if args.emit == "circuit" else None
     elapsed = time.time() - t0
     out = args.out
     if out is None:
         stem, _ = os.path.splitext(args.circuit)
         out = f"{stem}.{args.kind}.fsr"
     if args.emit in ("fsr", "table") and inst.stage > STATE_BOUND:
+        hint = ("" if args.kind == "irr"
+                and inst.ell > reduction.IRR_CIRCUIT_ELL_BOUND
+                else "; use --emit circuit")
         print(f"error: a stage-{inst.stage} feedback table has 2^{inst.stage} "
-              f"entries; use --emit circuit", file=sys.stderr)
+              f"entries{hint}", file=sys.stderr)
         return 2
     # every check that can refuse runs before the output file is opened
     if args.emit == "fsr":
@@ -72,10 +77,10 @@ def cmd_reduce(args) -> int:
     elif args.emit == "table":
         pieces = bits_to_digits(inst.fsr.table), "\n"
     else:
-        if inst.f1_circuit is None:
+        if f1 is None:
             print("error: no circuit form was built", file=sys.stderr)
             return 2
-        pieces = fsr_circuit_pieces(inst.stage, inst.f1_circuit)
+        pieces = fsr_circuit_pieces(inst.stage, f1)
     with open(out, "w") as fh:
         fh.writelines(pieces)
     print(f"stage={inst.stage} ell={inst.ell} k={inst.k} r={inst.r}")

@@ -35,6 +35,10 @@ from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
 from .lfsr import GF2Poly, LfsrFamily, lfsr_of, linear_step, tap_mask
 
 EXHAUSTIVE_ELL_BOUND = 3
+#: the largest ell at which the irreducibility form's gate-level circuit
+#: is built (stage 36, tens of millions of vertices); at ell = 27 it would
+#: take about 4*10^9
+IRR_CIRCUIT_ELL_BOUND = 9
 
 
 def ell_for(r: int) -> tuple:
@@ -188,7 +192,14 @@ def _min_tree(b: Builder, words: list) -> list:
 
 
 def alg1_f3_circuit(ell: int, f0: Circuit) -> Circuit:
-    """Gate-level irreducibility toggle field; one f0 instance per chain step."""
+    """Gate-level irreducibility toggle field; one f0 instance per chain
+    step.  Above IRR_CIRCUIT_ELL_BOUND it is refused before any gate is
+    built."""
+    if ell > IRR_CIRCUIT_ELL_BOUND:
+        raise ValueError(
+            f"an irreducibility circuit at ell={ell} (stage {4 * ell}) is "
+            f"past the bound ell <= {IRR_CIRCUIT_ELL_BOUND} "
+            f"(stage {4 * IRR_CIRCUIT_ELL_BOUND})")
     r = f0.arity
     m = 4 * ell
     span = 6 * ell
@@ -258,7 +269,9 @@ def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
     room for the extra x0 input: its kinds are copied and both operand
     columns moved by one in bulk, as is its record of stamped minimum
     blocks, whose ids are all moved and whose widths are not (None stays
-    None).  Each tap then costs one five-gate XOR.
+    None).  Each tap then costs one five-gate XOR, so the result has the
+    size that _feedback_size reads off the toggle circuit, and a result
+    that does not raises InvariantError.
     """
     stage, taps = p.degree, tap_mask(p)
     if f3c.arity != stage - 1:
@@ -279,12 +292,25 @@ def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
     for tap in range(stage - 1, -1, -1):
         if taps >> tap & 1:
             out = b.xor(tap, out, fresh=True)
-    return b.build(out)
+    f1c = b.build(out)
+    if (f1c.size, f1c.gate_count) != _feedback_size(f3c, p):
+        raise InvariantError("feedback circuit size differs from its count")
+    return f1c
+
+
+def _feedback_size(f3c: Circuit, p: GF2Poly) -> tuple:
+    """(size, gate count) of _wrap_feedback(f3c, p): one more input, and
+    one fresh five-gate XOR per tap of p."""
+    xors = 5 * tap_mask(p).bit_count()
+    return f3c.size + 1 + xors, f3c.gate_count + xors
+
+
+_ONE = array("I", [1]).tobytes()
 
 
 def _ones(n: int) -> int:
     """The integer whose bytes are n array('I') entries of 1."""
-    return int.from_bytes(array("I", [1]) * n, sys.byteorder)
+    return int.from_bytes(_ONE * n, sys.byteorder)
 
 
 def _plus_one(dest: array, col: memoryview, ones: int) -> None:
@@ -334,7 +360,9 @@ class SizeReport:
 @dataclass
 class ReductionInstance:
     """One built instance: the register plus both toggle-field forms.  A
-    stage above STATE_BOUND has no register (fsr and f3_table are None)."""
+    stage above STATE_BOUND has no register (fsr and f3_table are None).
+    The register's feedback circuit is made from f3_circuit on request
+    (feedback_circuit); the size report reads its size off f3_circuit."""
 
     kind: str             # "irr" or "dec"
     f0: Circuit
@@ -346,10 +374,22 @@ class ReductionInstance:
     f3_semantic: object   # int -> bit
     f3_table: tuple | None
     f3_circuit: Circuit | None
-    f1_circuit: Circuit | None
     size_report: SizeReport | None
     f2_circuit: Circuit | None = None
     f2_table: TruthTable | None = None
+
+    def feedback_circuit(self) -> Circuit | None:
+        """The register's feedback circuit f1: f3_circuit wrapped with the
+        taps of the family polynomial (p2 for "irr", p1 for "dec").  Made
+        anew on each call; None when no circuit was built."""
+        if self.f3_circuit is None:
+            return None
+        return _wrap_feedback(self.f3_circuit, _family_poly(self.kind, self.ell))
+
+
+def _family_poly(kind: str, ell: int) -> GF2Poly:
+    fam = LfsrFamily.for_ell(ell)
+    return fam.p2 if kind == "irr" else fam.p1
 
 
 def alg1_size_bound(f0_size: int) -> int:
@@ -389,27 +429,27 @@ def build_irreducibility_fsr(f0: Circuit, build_circuit: bool = None
     """The 4*ell-stage register that is irreducible iff f0 is satisfiable."""
     r = f0.arity
     k, ell = ell_for(r)
-    p2 = LfsrFamily.for_ell(ell).p2
+    p2 = _family_poly("irr", ell)
     f0_tt = f0.truth_table()
     f3 = alg1_f3_semantic(ell, f0_tt)
     if build_circuit is None:
         build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
     fsr, f3_tab = _toggled_linear(p2, f3)
 
-    f3c = f1c = report = None
+    f3c = report = None
     if build_circuit:
         f3c = alg1_f3_circuit(ell, f0)
-        f1c = _wrap_feedback(f3c, p2)
+        f1_size, f1_gates = _feedback_size(f3c, p2)
         bound = alg1_size_bound(f0.size)
         report = SizeReport(
             kind="irr", r=r, k=k, ell=ell, f0_size=f0.size,
-            f3_size=f3c.size, f1_size=f1c.size, f1_gates=f1c.gate_count,
-            bound=bound, bound_ok=f1c.size < bound,
+            f3_size=f3c.size, f1_size=f1_size, f1_gates=f1_gates,
+            bound=bound, bound_ok=f1_size < bound,
             formula_value=alg1_size_formula(ell, f0.size))
     return ReductionInstance(kind="irr", f0=f0, r=r, k=k, ell=ell,
                              stage=p2.degree, fsr=fsr,
                              f3_semantic=f3, f3_table=f3_tab, f3_circuit=f3c,
-                             f1_circuit=f1c, size_report=report)
+                             size_report=report)
 
 
 def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
@@ -419,7 +459,7 @@ def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
     of (x+1) * (x^(2*ell) + x^ell + 1)."""
     r = f0.arity
     k, ell = ell_for(r)
-    p1 = LfsrFamily.for_ell(ell).p1
+    p1 = _family_poly("dec", ell)
     f2t = f2_table(f0.truth_table())
     f3 = alg2_f3_semantic(ell, f2t)
     if build_circuit is None:
@@ -427,20 +467,20 @@ def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
     fsr, f3_tab = _toggled_linear(p1, f3)
 
     f2c = f2_transform(f0)
-    f3c = f1c = report = None
+    f3c = report = None
     if build_circuit:
         f3c = alg2_f3_circuit(ell, f2c)
-        f1c = _wrap_feedback(f3c, p1)
+        f1_size, f1_gates = _feedback_size(f3c, p1)
         bound = alg2_size_bound(f0.size)
         report = SizeReport(
             kind="dec", r=r, k=k, ell=ell, f0_size=f0.size,
-            f3_size=f3c.size, f1_size=f1c.size, f1_gates=f1c.gate_count,
-            bound=bound, bound_ok=f1c.size <= bound,
+            f3_size=f3c.size, f1_size=f1_size, f1_gates=f1_gates,
+            bound=bound, bound_ok=f1_size <= bound,
             formula_value=None)
     return ReductionInstance(kind="dec", f0=f0, r=r, k=k, ell=ell,
                              stage=p1.degree, fsr=fsr,
                              f3_semantic=f3, f3_table=f3_tab, f3_circuit=f3c,
-                             f1_circuit=f1c, size_report=report,
+                             size_report=report,
                              f2_circuit=f2c, f2_table=f2t)
 
 

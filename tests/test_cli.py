@@ -200,6 +200,26 @@ def test_reduce_past_24_stages_hints_at_the_circuit_form(workdir, capsys):
     assert not (workdir / "f0.irr.fsr").exists()
 
 
+def test_reduce_refuses_the_irreducibility_circuit_past_ell_9(workdir, capsys):
+    # 19 inputs give ell = 27 and stage 108, whose circuit would have about
+    # 4*10^9 vertices: refused, under a 1 GB address space, with no
+    # traceback and no file; the table form, refused too, names no
+    # circuit form
+    path = write(workdir / "and19.ckt", "".join(
+        f"v{i} INPUT {i}\n" for i in range(19)) + "".join(
+        f"v{19 + i} AND v{18 + i if i else 0} v{i + 1}\n" for i in range(18))
+        + "SINK v36\n")
+    proc = run_limited(workdir, "reduce", "irr", path, "--emit", "circuit")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: an irreducibility circuit at ell=27 "
+                           "(stage 108) is past the bound ell <= 9 (stage 36)\n")
+    assert proc.stdout == ""
+    assert main(["reduce", "irr", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: a stage-108 feedback table has 2^108 entries\n")
+    assert not (workdir / "and19.irr.fsr").exists()
+
+
 @pytest.mark.parametrize("args", [("analyze", "cycles", "/dev/zero"),
                                   ("reduce", "irr", "/dev/zero"),
                                   ("graph", "/dev/zero", "p2@1")])

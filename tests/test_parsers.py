@@ -238,7 +238,8 @@ def test_the_ell_3_register_is_read_in_bulk():
     """The full-scale register text is read by the decoder: the line loop
     runs once, for the SINK line, and the columns are those written."""
     f0 = verify.sample_circuits(6, 32, 302)[0]
-    circ = reduction.build_irreducibility_fsr(f0, build_circuit=True).f1_circuit
+    inst = reduction.build_irreducibility_fsr(f0, build_circuit=True)
+    circ = inst.feedback_circuit()
     text = "".join(F.fsr_circuit_pieces(circ.arity, circ))
     real = C._TextReader.loop
     looped = []
@@ -548,7 +549,7 @@ def test_writing_a_register_file_adds_under_1_mb(long_circuit, workdir_cli):
     which gives the circuit here, it holds no copy of the file's text."""
     identity = write_bytes(workdir_cli, "f0.ckt", b"v0 INPUT 0\nSINK v0\n")
     inst = SimpleNamespace(stage=8, ell=1, k=1, r=1, fsr=None, size_report=None,
-                           f1_circuit=long_circuit)
+                           feedback_circuit=lambda: long_circuit)
 
     def build(f0, build_circuit):
         tracemalloc.reset_peak()

@@ -85,7 +85,8 @@ def test_alg1_circuit_agrees_with_semantics():
     for bits in ([0, 0], [0, 1], [1, 0], [1, 1], [0, 1, 1, 0]):
         inst = R.build_irreducibility_fsr(C.from_bits(bits))
         assert tuple(inst.f3_circuit.truth_table().bits()) == inst.f3_table
-        assert bytes(inst.f1_circuit.truth_table().bits()) == inst.fsr.table
+        f1 = inst.feedback_circuit()
+        assert bytes(f1.truth_table().bits()) == inst.fsr.table
 
 
 def test_alg1_size_report():
@@ -109,8 +110,59 @@ def test_feedback_circuit_adds_one_xor_per_tap(bits):
         taps = L.tap_mask(getattr(L.LfsrFamily.for_ell(inst.ell), name))
         rep = inst.size_report
         assert rep.f1_size == rep.f3_size + 1 + 5 * taps.bit_count()
-        text = "".join(F.fsr_circuit_pieces(inst.stage, inst.f1_circuit))
+        text = "".join(F.fsr_circuit_pieces(inst.stage,
+                                            inst.feedback_circuit()))
         assert F.parse_fsr(text) == inst.fsr
+
+
+@pytest.mark.parametrize("build", [R.build_irreducibility_fsr,
+                                   R.build_indecomposability_fsr])
+def test_the_builders_make_no_feedback_circuit(build, monkeypatch):
+    def wrap(f3c, p):
+        raise AssertionError("a builder made the feedback circuit")
+
+    monkeypatch.setattr(R, "_wrap_feedback", wrap)
+    inst = build(verify.sample_circuits(6, 32, 41)[0])
+    assert inst.ell == 3 and inst.size_report is not None
+
+
+@pytest.mark.parametrize("r, seed", [(2, 41), (2, 42), (6, 41), (6, 42)])
+def test_the_size_report_counts_the_feedback_circuit(r, seed):
+    # the report reads f1's size off f3; the circuit made from f3 has it
+    f0 = verify.sample_circuits(r, 32, seed)[0]
+    for build in (R.build_irreducibility_fsr, R.build_indecomposability_fsr):
+        inst = build(f0)
+        assert inst.ell == (1 if r == 2 else 3)
+        f1, rep = inst.feedback_circuit(), inst.size_report
+        assert (rep.f1_size, rep.f1_gates) == (f1.size, f1.gate_count)
+
+
+def test_a_wrap_off_its_count_is_refused(monkeypatch):
+    f3 = R.alg1_f3_circuit(1, C.from_bits([0, 1]))
+    p2 = L.LfsrFamily.for_ell(1).p2
+    size, gates = R._feedback_size(f3, p2)
+    monkeypatch.setattr(R, "_feedback_size", lambda c, p: (size, gates + 1))
+    with pytest.raises(F.InvariantError):
+        R._wrap_feedback(f3, p2)
+
+
+def test_the_irreducibility_circuit_is_refused_above_ell_9(monkeypatch):
+    # 19 inputs give ell = 27 and stage 108: no gate is built
+    b = C.Builder(19)
+    f0 = b.build(b.and_chain(b.inputs()))
+
+    def no_gates(*args, **kw):
+        raise AssertionError("a gate was built")
+
+    monkeypatch.setattr(C.Builder, "_add", no_gates)
+    monkeypatch.setattr(C.Builder, "min_word", no_gates)
+    with pytest.raises(ValueError) as info:
+        R.build_irreducibility_fsr(f0, build_circuit=True)
+    assert str(info.value) == ("an irreducibility circuit at ell=27 (stage 108) "
+                               "is past the bound ell <= 9 (stage 36)")
+    inst = R.build_irreducibility_fsr(f0)   # no circuit: built at any ell
+    assert (inst.ell, inst.stage, inst.fsr) == (27, 108, None)
+    assert inst.feedback_circuit() is None
 
 
 def test_ell3_circuits_are_written_as_pinned():
@@ -173,7 +225,8 @@ def test_alg2_circuit_agrees_with_semantics():
     for bits in ([0, 0], [0, 1], [1, 0], [1, 1], [0, 1, 1, 0]):
         inst = R.build_indecomposability_fsr(C.from_bits(bits))
         assert tuple(inst.f3_circuit.truth_table().bits()) == inst.f3_table
-        assert bytes(inst.f1_circuit.truth_table().bits()) == inst.fsr.table
+        f1 = inst.feedback_circuit()
+        assert bytes(f1.truth_table().bits()) == inst.fsr.table
         assert inst.size_report.bound_ok
 
 
@@ -349,7 +402,7 @@ def test_large_ell_semantic_only_build():
     # stage 36 is past the state bound: no table, so no register
     assert inst.ell == 9 and inst.stage == 36
     assert inst.fsr is None and inst.f3_table is None
-    assert inst.f3_circuit is None and inst.f1_circuit is None
+    assert inst.f3_circuit is None and inst.feedback_circuit() is None
     assert inst.f3_semantic(0) in (0, 1)
 
 
@@ -365,7 +418,8 @@ def test_ell9_dec_table_equals_the_gate_level_feedback():
         f0 = b.build(b.AND(g, b.NOT(g)) if contradiction else g)
         inst = R.build_indecomposability_fsr(f0, build_circuit=True)
         assert (inst.ell, inst.stage) == (9, 19)
-        gate_level = mask_to_bits(inst.f1_circuit.output_masks()[0], 1 << 19)
+        f1 = inst.feedback_circuit()
+        gate_level = mask_to_bits(f1.output_masks()[0], 1 << 19)
         assert inst.fsr.table == gate_level
         assert (inst.fsr == p1) == contradiction
 
