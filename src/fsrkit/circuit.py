@@ -164,13 +164,13 @@ class Circuit:
     the Builder each operand it is given, and the parser each line or block
     of text, so no pass over a whole circuit checks it again.
 
-    ``stamps`` is the Builder's record of the minimum blocks it stamped
-    (Builder.min_word), or None where no record is known: a circuit from
-    tuples, from text or from gadget_min.  The record is a pair: an
-    array('I') holding, per stamp in id order, its first id and then its
-    2m wires, and the bytes of the stamps' widths m (_recorded reads it).
-    The wave pass takes its blocks from the record, and looks for them in
-    the columns only where there is none (_min_blocks).
+    ``stamps`` is the Builder's record of the minimum blocks it stamped,
+    None exactly where no Builder made the circuit: from tuples, from text
+    or from gadget_min.  The record is a pair: an array('I') holding, per
+    stamp in id order, its first id and then its 2m wires, and the bytes
+    of the widths m.  The wave pass takes its blocks from the record, and
+    looks for them in the columns where there is none (_min_blocks).  The
+    columns and the record are read only in this module.
     """
 
     __slots__ = ("arity", "kinds", "a", "b", "outputs", "stamps")
@@ -390,9 +390,7 @@ class Builder:
     ``stamps`` records each stamp of width m >= 2, in Circuit.stamps's
     form: its start and 2m wires in the array, m in the widths.  build()
     hands a copy to the circuit, so the wave pass need not look for the
-    blocks.  A caller that writes the columns itself sets the record to
-    match them (reduction._wrap_feedback) or to None, unknown, after which
-    min_word records nothing.
+    blocks.
     """
 
     def __init__(self, arity: int):
@@ -516,7 +514,7 @@ class Builder:
         self.kinds += kinds
         self.a += cols[0]
         self.b += cols[1]
-        if m > 1 and self.stamps is not None:
+        if m > 1:
             at, widths = self.stamps
             at.append(base)
             at.extend(wires)
@@ -535,13 +533,50 @@ class Builder:
             put(add(op, wmap[x], wmap[y], False) if op else input_wires[x])
         return [wmap[o] for o in circ.outputs]
 
+    def splice(self, circ: Circuit) -> list:
+        """Append circ's gates, unmerged, its input i read from vertex
+        v - arity + i, v the vertex count; return its outputs' ids.  Every
+        id moves alike: each operand column and the record a Builder gave
+        circ move by one big-integer add.  ValueError, before anything is
+        added, unless circ has a record, its first arity vertices are
+        INPUT 0..arity-1 in order and no moved id passes _INDEX_MAX."""
+        n = circ.arity
+        by = len(self.kinds) - n
+        kinds, a, b = circ.kinds, circ.a, circ.b
+        if circ.stamps is None:
+            raise ValueError("a spliced circuit must carry a Builder's record")
+        if by < 0 or kinds[:n] != bytes(n) or a[:n] != array("I", range(n)):
+            raise ValueError("a spliced circuit's inputs must be its first "
+                             "vertices, in order, over the builder's last")
+        if by + len(kinds) - 1 > _INDEX_MAX:
+            raise ValueError(f"vertex ids past {_INDEX_MAX}")
+        step = by * _ones(len(kinds) - n)
+        self.kinds += memoryview(kinds)[n:]
+        self.a.frombytes(_moved(memoryview(a)[n:], step))
+        self.b.frombytes(_moved(memoryview(b)[n:], step))
+        at, widths = circ.stamps
+        self.stamps[0].frombytes(_moved(memoryview(at), by * _ones(len(at))))
+        self.stamps[1].extend(widths)
+        return [o + by for o in circ.outputs]
+
     def build(self, outputs) -> Circuit:
         if isinstance(outputs, int):
             outputs = (outputs,)
-        stamps = None if self.stamps is None else (
-            self.stamps[0][:], bytes(self.stamps[1]))
         return Circuit._from_columns(self.arity, bytes(self.kinds), self.a[:],
-                                    self.b[:], tuple(outputs), stamps)
+                                    self.b[:], tuple(outputs),
+                                    (self.stamps[0][:], bytes(self.stamps[1])))
+
+
+def _ones(n: int) -> int:
+    """The integer whose bytes are n column entries of 1."""
+    return int.from_bytes(_ONE * n, _BYTE_ORDER)
+
+
+def _moved(col: memoryview, step: int) -> bytes:
+    """col's bytes with each entry moved up by step / _ones(len(col)); no
+    moved entry may pass _INDEX_MAX, so no carry crosses entries."""
+    return (int.from_bytes(col, _BYTE_ORDER) + step).to_bytes(col.nbytes,
+                                                              _BYTE_ORDER)
 
 
 class _MinBlock:
@@ -916,8 +951,9 @@ _IS_IN = bytes([1]) + bytes(255)
 _INDEX_BYTES = array("I").itemsize
 _INDEX_BITS = 8 * _INDEX_BYTES
 _INDEX_MAX = (1 << _INDEX_BITS) - 1
-#: the byte order of the operand columns' buffers
+#: the byte order of the operand columns' buffers, and one entry of 1
 _BYTE_ORDER = sys.byteorder
+_ONE = array("I", [1]).tobytes()
 
 
 def write_circuit(circ: Circuit) -> str:

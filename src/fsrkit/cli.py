@@ -77,9 +77,6 @@ def cmd_reduce(args) -> int:
     elif args.emit == "table":
         pieces = bits_to_digits(inst.fsr.table), "\n"
     else:
-        if f1 is None:
-            print("error: no circuit form was built", file=sys.stderr)
-            return 2
         pieces = fsr_circuit_pieces(inst.stage, f1)
     with open(out, "w") as fh:
         fh.writelines(pieces)

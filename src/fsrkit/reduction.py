@@ -24,8 +24,6 @@ pointwise, and the acceptance suite checks that they do.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 
 from .bitvec import xor_bits
@@ -265,30 +263,17 @@ def _wrap_feedback(f3c: Circuit, p: GF2Poly) -> Circuit:
     toggled linear register of p on (x0..x_{n-1}), n = deg p, by XORing in
     the taps of p, highest first.
 
-    The toggle circuit's gates are kept, shifted by one vertex to make
-    room for the extra x0 input: its kinds are copied and both operand
-    columns moved by one in bulk, as is its record of stamped minimum
-    blocks, whose ids are all moved and whose widths are not (None stays
-    None).  Each tap then costs one five-gate XOR, so the result has the
-    size that _feedback_size reads off the toggle circuit, and a result
-    that does not raises InvariantError.
+    The toggle circuit, which a Builder must have made, is spliced in one
+    vertex up, over x1..x_{n-1} (Builder.splice).  Each tap then costs one
+    five-gate XOR, so the result has the size that _feedback_size reads
+    off the toggle circuit, and a result that does not raises
+    InvariantError.
     """
     stage, taps = p.degree, tap_mask(p)
     if f3c.arity != stage - 1:
         raise ValueError("toggle field arity must be stage - 1")
-    gates = stage - 1
     b = Builder(stage)
-    b.kinds += f3c.kinds[gates:]
-    ones = _ones(len(f3c.kinds) - gates)
-    _plus_one(b.a, memoryview(f3c.a)[gates:], ones)
-    _plus_one(b.b, memoryview(f3c.b)[gates:], ones)
-    if f3c.stamps is None:
-        b.stamps = None
-    else:
-        at, widths = f3c.stamps
-        b.stamps = (array("I"), bytearray(widths))
-        _plus_one(b.stamps[0], memoryview(at), _ones(len(at)))
-    out = f3c.sink + 1
+    out, = b.splice(f3c)      # a toggle field has one output
     for tap in range(stage - 1, -1, -1):
         if taps >> tap & 1:
             out = b.xor(tap, out, fresh=True)
@@ -303,22 +288,6 @@ def _feedback_size(f3c: Circuit, p: GF2Poly) -> tuple:
     one fresh five-gate XOR per tap of p."""
     xors = 5 * tap_mask(p).bit_count()
     return f3c.size + 1 + xors, f3c.gate_count + xors
-
-
-_ONE = array("I", [1]).tobytes()
-
-
-def _ones(n: int) -> int:
-    """The integer whose bytes are n array('I') entries of 1."""
-    return int.from_bytes(_ONE * n, sys.byteorder)
-
-
-def _plus_one(dest: array, col: memoryview, ones: int) -> None:
-    """Append col's entries to dest, each plus 1, as one big-integer
-    addition over col's bytes; ``ones`` is _ones(len(col)).  No entry is
-    its type's maximum, so no carry crosses into the next entry."""
-    order = sys.byteorder
-    dest.frombytes((int.from_bytes(col, order) + ones).to_bytes(col.nbytes, order))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +344,6 @@ class ReductionInstance:
     f3_table: tuple | None
     f3_circuit: Circuit | None
     size_report: SizeReport | None
-    f2_circuit: Circuit | None = None
     f2_table: TruthTable | None = None
 
     def feedback_circuit(self) -> Circuit | None:
@@ -466,10 +434,9 @@ def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
         build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
     fsr, f3_tab = _toggled_linear(p1, f3)
 
-    f2c = f2_transform(f0)
     f3c = report = None
     if build_circuit:
-        f3c = alg2_f3_circuit(ell, f2c)
+        f3c = alg2_f3_circuit(ell, f2_transform(f0))
         f1_size, f1_gates = _feedback_size(f3c, p1)
         bound = alg2_size_bound(f0.size)
         report = SizeReport(
@@ -480,8 +447,7 @@ def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
     return ReductionInstance(kind="dec", f0=f0, r=r, k=k, ell=ell,
                              stage=p1.degree, fsr=fsr,
                              f3_semantic=f3, f3_table=f3_tab, f3_circuit=f3c,
-                             size_report=report,
-                             f2_circuit=f2c, f2_table=f2t)
+                             size_report=report, f2_table=f2t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The package defines no name that only tests call.
+"""The package defines no name that only tests call, and only circuit.py
+knows the circuit column format.
 
 Every module-level function or class of src/fsrkit, and every public
 method, must be referenced in src/fsrkit or perfbench outside its own
@@ -6,6 +7,9 @@ definition.  Names are matched as written: a module-level name by any
 read of it (a plain name, an import or an attribute), a method by any
 attribute read of its name, whatever the object.  The names in KEPT are
 exempt, each for the reason given.
+
+No other module of src/fsrkit reads or writes an attribute named after
+a circuit column or the stamp record (COLUMNS), whatever the object.
 """
 
 import ast
@@ -25,6 +29,9 @@ KEPT = {
     "rho": "the paper's representative map, checked against its per-state form",
     "d_set": "the paper's deferred set D, checked against its per-state form",
 }
+
+#: the attributes that hold a circuit's columns and record of stamps
+COLUMNS = {"kinds", "a", "b", "stamps"}
 
 
 def definitions(tree):
@@ -78,3 +85,14 @@ def test_every_kept_name_is_defined_and_still_only_called_by_tests():
     # a kept name that the package comes to use, or deletes, leaves KEPT
     names = {entry.split()[1] for entry in unreferenced()}
     assert set(KEPT) <= names, sorted(set(KEPT) - names)
+
+
+def test_only_circuit_py_touches_the_columns_and_the_record():
+    touched = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "circuit.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in COLUMNS:
+                touched.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not touched, touched

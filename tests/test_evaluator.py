@@ -150,10 +150,12 @@ def test_wave_pass_equals_plain_pass(c):
             assert each == [tuple(waves.run([x >> i & 1 for i in range(r)], 1))
                             for x in range(1 << r)]
     assert each == [tuple(m >> x & 1 for m in plain) for x in range(1 << r)]
-    # the same circuit with its first output as sink, written and parsed
-    # back, and moved up by one vertex as the feedback circuits are: the
-    # same blocks, and the same mask (input 0 of the moved one held at 0)
-    one = Circuit(r, c.nodes, (c.outputs[0],))
+    # the same circuit, record kept, with its first output as sink, written
+    # and parsed back, and moved up by one vertex as the feedback circuits
+    # are: the same blocks, and the same mask (input 0 of the moved one held
+    # at 0)
+    one = Circuit._from_columns(r, c.kinds, c.a, c.b, (c.outputs[0],),
+                                c.stamps)
     parsed = parse_circuit(write_circuit(one))
     moved = reduction._wrap_feedback(one, parse_poly(f"x^{r + 1} + 1"))
     assert circuit._min_blocks(parsed) == circuit._min_blocks(one)
@@ -185,7 +187,7 @@ def test_the_record_is_what_the_scan_finds(c):
     assert circuit._min_blocks(c) == circuit._min_blocks(unrecorded(c))
 
 
-def test_wrap_feedback_shifts_the_record_and_keeps_none_none():
+def test_wrap_feedback_shifts_the_record_and_refuses_none():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
     # the start and wires of each stamp in one array, the widths apart
@@ -194,11 +196,63 @@ def test_wrap_feedback_shifts_the_record_and_keeps_none_none():
     moved = reduction._wrap_feedback(c, p)
     assert moved.stamps == (array("I", [5, 1, 2, 3, 4]), b"\x02")
     assert circuit._recorded(moved.stamps) == [(5, 2, array("I", [1, 2, 3, 4]))]
+    assert circuit._min_blocks(moved) == circuit._recorded(moved.stamps)
+    # parsed text has no record, so it is not spliced
     parsed = parse_circuit(write_circuit(c))
     assert parsed.stamps is None
-    moved_parsed = reduction._wrap_feedback(parsed, p)
-    assert moved_parsed.stamps is None
-    assert circuit._min_blocks(moved_parsed) == circuit._recorded(moved.stamps)
+    with pytest.raises(ValueError, match="record"):
+        reduction._wrap_feedback(parsed, p)
+
+
+@FIXED
+@given(stamped_circuits(), st.integers(0, 3))
+def test_splice_moves_every_id_and_the_record(c, extra):
+    # c spliced over the last c.arity of extra + c.arity inputs: its gates,
+    # outputs and record move up by extra, and its outputs are c's
+    n = c.arity
+    b = Builder(n + extra)
+    out = b.splice(c)
+    moved = b.build(tuple(out))
+    assert moved.kinds[n + extra:] == c.kinds[n:]
+    assert moved.a[n + extra:].tolist() == [x + extra for x in c.a[n:]]
+    assert moved.b[n + extra:].tolist() == [y + extra for y in c.b[n:]]
+    assert out == [o + extra for o in c.outputs]
+    assert circuit._recorded(moved.stamps) == [
+        (p + extra, m, array("I", [w + extra for w in wires]))
+        for p, m, wires in circuit._recorded(c.stamps)]
+    assert circuit._recorded(moved.stamps) == circuit._scan_stamps(moved)
+    lanes, full = input_lanes(n + extra), (1 << (1 << (n + extra))) - 1
+    assert moved._run_all(lanes, full) == c._run_all(lanes[extra:], full)
+
+
+def test_splice_refuses_before_adding_anything():
+    b = Builder(4)
+    c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
+    swapped = array("I", [1, 0, 2, 3])
+    refused = {
+        "no record": unrecorded(c),
+        "inputs out of order": Circuit._from_columns(
+            4, c.kinds, swapped + c.a[4:], swapped + c.b[4:], c.outputs,
+            c.stamps),
+    }
+    for name, bad in refused.items():
+        dest = Builder(5)
+        with pytest.raises(ValueError):
+            dest.splice(bad)
+        assert (dest.kinds, dest.a, dest.b, dest.stamps) == (
+            bytearray(5), array("I", range(5)), array("I", range(5)),
+            (array("I"), bytearray())), name
+    with pytest.raises(ValueError):
+        Builder(3).splice(c)
+    last = c.size       # c's last id moved up by one, into Builder(5)
+    with mock.patch.object(circuit, "_INDEX_MAX", last - 1):
+        dest = Builder(5)
+        with pytest.raises(ValueError):
+            dest.splice(c)
+        assert len(dest.kinds) == len(dest.a) == len(dest.b) == 5
+    with mock.patch.object(circuit, "_INDEX_MAX", last):
+        dest = Builder(5)
+        assert dest.splice(c) == [last]
 
 
 def test_a_record_that_misses_its_block_is_refused():

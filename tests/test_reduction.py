@@ -146,6 +146,22 @@ def test_a_wrap_off_its_count_is_refused(monkeypatch):
         R._wrap_feedback(f3, p2)
 
 
+def test_a_toggle_circuit_with_permuted_inputs_is_refused():
+    # x0 XOR f3(x1, x2) is [0,1,0,1,1,0,0,1]; moving every id by one would
+    # read input 1 where input 0 is meant.  Parsed text has no record, and
+    # an instance holding it as f3 makes no feedback circuit either
+    f3 = C.parse_circuit("v0 INPUT 1\nv1 INPUT 0\nv2 NOT v1\n"
+                         "v3 AND v0 v2\nSINK v3\n")
+    p = L.parse_poly("x^3 + 1")
+    with pytest.raises(ValueError):
+        R._wrap_feedback(f3, p)
+    inst = R.build_indecomposability_fsr(C.from_bits([0, 1, 0, 0]))
+    assert R._family_poly(inst.kind, inst.ell) == p
+    inst.f3_circuit = f3
+    with pytest.raises(ValueError):
+        inst.feedback_circuit()
+
+
 def test_the_irreducibility_circuit_is_refused_above_ell_9(monkeypatch):
     # 19 inputs give ell = 27 and stage 108: no gate is built
     b = C.Builder(19)
@@ -166,15 +182,18 @@ def test_the_irreducibility_circuit_is_refused_above_ell_9(monkeypatch):
 
 
 def test_ell3_circuits_are_written_as_pinned():
-    # the text of three ell = 3 circuits over the CI memory-smoke input, as
+    # the text of four ell = 3 circuits over the CI memory-smoke input, as
     # digests: a change to how the Builder lays out vertices (ids, kinds or
     # operands) changes them
     f0 = verify.sample_circuits(6, 32, 302)[0]
     f3 = R.alg1_f3_circuit(3, f0)
+    dec = R.alg2_f3_circuit(3, R.f2_transform(f0))
+    family = L.LfsrFamily.for_ell(3)
     circuits = {
         "irr f3": f3,
-        "irr f1": R._wrap_feedback(f3, L.LfsrFamily.for_ell(3).p2),
-        "dec f3": R.alg2_f3_circuit(3, R.f2_transform(f0)),
+        "irr f1": R._wrap_feedback(f3, family.p2),
+        "dec f3": dec,
+        "dec f1": R._wrap_feedback(dec, family.p1),
     }
     digests = {name: hashlib.sha256(C.write_circuit(c).encode()).hexdigest()
                for name, c in circuits.items()}
@@ -182,7 +201,9 @@ def test_ell3_circuits_are_written_as_pinned():
         "irr f3": "634fa34e3c84184c0ee9c217df17ab6fec5b2ba8961c8556e8a71f47722359e6",
         "irr f1": "110ecb60645f296e3f33ba2abff5f69f0a0f7d30e6c4bb97386ff1d6caea521b",
         "dec f3": "025a5236ab720676ecc26f798aac12b336768264549f9b0908a836f4d24af838",
+        "dec f1": "e0969be0b7bb446b13731b1371ab992b37091acb47641744326a4b1391ef617f",
     }
+    assert circuits["dec f1"].size == 2782
 
 
 def test_alg2_unsat_is_exactly_the_linear_register():
