@@ -17,12 +17,13 @@ an instance was constructed:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
 from .bitvec import FLIP, as_bits, xor_bits
-from .fsr import (Cycle, Fsr, InvariantError, cycle_structure, fsr_from_cycles,
-                  is_nonsingular, product_fsr, state_cycles, window_images)
+from .fsr import (Cycle, Fsr, InvariantError, fsr_from_cycles, is_nonsingular,
+                  product_fsr, state_cycles, window_images)
 
 SUBFSR_STAGE_BOUND = 12
 BRUTE_INNER_STAGE_BOUND = 3
@@ -70,11 +71,25 @@ def _subset_dfs(cands, reach, i, remaining, acc, chosen):
     yield from _subset_dfs(cands, reach, i + 1, remaining, acc, chosen)
 
 
+def _reachable_stages(periods, top: int) -> list:
+    """The stages m in 1..top whose 2^m is a sum of some of the periods:
+    one subset-sum integer, each period's count split into powers of two."""
+    cap = (2 << (1 << top)) - 1
+    reach = 1
+    for period, count in Counter(periods).items():
+        k = (count + 1).bit_length() - 1    # 1, 2, ..., 2^(k-1), the rest
+        for take in [1 << i for i in range(k)] + [count + 1 - (1 << k)]:
+            reach |= reach << take * period & cap
+    return [m for m in range(1, top + 1) if reach >> (1 << m) & 1]
+
+
 def iter_subfsrs(f: Fsr, top: int = None):
     """Yield every sub-register of f of stage at most ``top`` (every stage
     below f's by default), smallest stage first.
 
-    For each stage m < n, the search keeps the cycles whose m-windows are
+    Only the stages m whose 2^m is a sum of cycle periods are searched,
+    found before any cycle is built; one above SUBFSR_STAGE_BOUND is
+    refused.  At each, the search keeps the cycles whose m-windows are
     distinct, with a bitmask of those windows; subsets of them must sum to
     2^m, and a subset-sum reachability mask over their periods prunes.  The
     search adds a cycle only when its m-windows miss the union of the
@@ -84,11 +99,16 @@ def iter_subfsrs(f: Fsr, top: int = None):
     disjoint.  Each subset yielded is therefore realizable, and
     `fsr_from_cycles` failing on one raises InvariantError.
     """
-    if f.stage > SUBFSR_STAGE_BOUND:
-        raise ValueError(f"stage {f.stage} exceeds sub-register bound "
-                         f"{SUBFSR_STAGE_BOUND}")
-    ordered = sorted(cycle_structure(f).cycles, key=lambda c: (-c.period, c.bits))
-    for m in range(1, f.stage if top is None else min(top + 1, f.stage)):
+    orbits = state_cycles(f)[1]
+    top = f.stage - 1 if top is None else min(top, f.stage - 1)
+    stages = _reachable_stages(map(len, orbits), max(top, 0))
+    if stages and stages[-1] > SUBFSR_STAGE_BOUND:
+        raise ValueError(f"reachable stage {stages[-1]} exceeds sub-register "
+                         f"bound {SUBFSR_STAGE_BOUND}")
+    longest = 1 << stages[-1] if stages else 0  # longer repeats a window
+    ordered = sorted((Cycle(b) for b in orbits if len(b) <= longest),
+                     key=lambda c: (-c.period, c.bits))
+    for m in stages:
         target = 1 << m
         cands = [(c, c.period, mask) for c in ordered if c.period <= target
                  and (mask := _window_mask(c, m)) is not None]
@@ -98,8 +118,6 @@ def iter_subfsrs(f: Fsr, top: int = None):
         for i in range(len(cands) - 1, -1, -1):
             r = reach[i + 1]
             reach[i] = (r | (r << cands[i][1])) & cap
-        if not (reach[0] >> target) & 1:
-            continue
         for subset in _subset_dfs(cands, reach, 0, target, 0, []):
             try:
                 sub = fsr_from_cycles(subset, m)
@@ -186,40 +204,32 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
     if max_inner_stage is not None and max_inner_stage < 1:
         raise ValueError(f"max_inner_stage must be >= 1, got {max_inner_stage}")
     n = f.stage
-    tried = 0
     limit = n - 1 if max_inner_stage is None else min(max_inner_stage, n - 1)
     if strategy == "brute":
         if limit > BRUTE_INNER_STAGE_BOUND:
             raise ValueError(
                 f"brute search over inner stage {limit} is infeasible; "
                 f"cap it with max_inner_stage <= {BRUTE_INNER_STAGE_BOUND}")
-        for k in range(1, limit + 1):
-            for mask in range(1 << (1 << k)):
-                g = Fsr(k, table=mask)
-                tried += 1
-                res = decompose_with_inner(f, g)
-                if res is not None:
-                    return DecompositionReport(True, res[0], g, res[1],
-                                               "brute", tried, True)
-        return DecompositionReport(False, None, None, 0, "brute", tried,
-                                   limit == n - 1)
-    if strategy == "guided":
+        inners = (Fsr(k, table=mask) for k in range(1, limit + 1)
+                  for mask in range(1 << (1 << k)))
+    elif strategy == "guided":
         if f.feedback_bit(0) != 0:
             raise ValueError("guided search needs f to fix the all-zero state")
         if not is_nonsingular(f):
             raise ValueError("guided search needs a nonsingular register")
-        for sub in iter_subfsrs(f, limit):
-            if _ZERO_CYCLE not in sub.cycles:
-                continue
-            for g in (sub.fsr, sub.fsr.complement()):
-                tried += 1
-                res = decompose_with_inner(f, g)
-                if res is not None:
-                    return DecompositionReport(True, res[0], g, res[1],
-                                               "guided", tried, True)
-        return DecompositionReport(False, None, None, 0, "guided", tried,
-                                   limit == n - 1)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        inners = (g for sub in iter_subfsrs(f, limit)
+                  if _ZERO_CYCLE in sub.cycles
+                  for g in (sub.fsr, sub.fsr.complement()))
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    tried = 0
+    for tried, g in enumerate(inners, 1):
+        res = decompose_with_inner(f, g)
+        if res is not None:
+            return DecompositionReport(True, res[0], g, res[1], strategy,
+                                       tried, True)
+    return DecompositionReport(False, None, None, 0, strategy, tried,
+                               limit == n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ inputs.  When keeping every lane to the end would hold more than
 LIVE_LANE_BYTES, one of two passes runs instead.  The freeing pass drops
 each lane after its last reader, so it holds only the live frontier.  The
 wave pass runs where the lanes it keeps fit LIVE_LANE_BYTES: it takes the
-stamped integer-minimum blocks from the Builder's record of them, or finds
-them in the columns where there is none, and the blocks of one depth and
-width run together through the freeing pass of the block recorded for
-that width (_min_block), their lanes packed side by side in one integer
-per wire, so each template gate is one Python step per group instead of
-one per copy.  A lane from one block to another stays bytes.
+stamped integer-minimum blocks from the circuit's record of them, and the
+blocks of one depth and width run together through the freeing pass of
+the block recorded for that width (_min_block), their lanes packed side
+by side in one integer per wire, so each template gate is one Python step
+per group instead of one per copy.  A lane from one block to another
+stays bytes.
 """
 
 from __future__ import annotations
@@ -164,13 +164,13 @@ class Circuit:
     the Builder each operand it is given, and the parser each line or block
     of text, so no pass over a whole circuit checks it again.
 
-    ``stamps`` is the Builder's record of the minimum blocks it stamped,
-    None exactly where no Builder made the circuit: from tuples, from text
-    or from gadget_min.  The record is a pair: an array('I') holding, per
-    stamp in id order, its first id and then its 2m wires, and the bytes
-    of the widths m.  The wave pass takes its blocks from the record, and
-    looks for them in the columns where there is none (_min_blocks).  The
-    columns and the record are read only in this module.
+    ``stamps`` records the minimum blocks of width m >= 2 in the columns:
+    an array('I') holding, per stamp in id order, its first id and then
+    its 2m wires, and the bytes of the widths m.  A Builder records each
+    block it stamps; a circuit made from tuples or text gets the record
+    _scan_stamps finds in its columns, once, when it is made.  The wave
+    pass takes its blocks from the record (_min_blocks).  The columns and
+    the record are read only in this module.
     """
 
     __slots__ = ("arity", "kinds", "a", "b", "outputs", "stamps")
@@ -200,15 +200,15 @@ class Circuit:
                 raise ValueError(f"unknown vertex kind {op!r}")
             a.append(x)
             b.append(y)
-        self._set(arity, bytes(kinds), array("I", a), array("I", b), outputs,
-                  None)
+        kinds, a, b = bytes(kinds), array("I", a), array("I", b)
+        self._set(arity, kinds, a, b, outputs, _scan_stamps(kinds, a, b))
 
     @classmethod
     def _from_columns(cls, arity: int, kinds: bytes, a: array, b: array,
-                      outputs: tuple, stamps: tuple = None) -> "Circuit":
-        """A circuit over columns that are already a valid vertex list: the
-        Builder checks every operand it is given, and the parser checks
-        every block it reads in bulk."""
+                      outputs: tuple, stamps: tuple) -> "Circuit":
+        """A circuit over columns that are already a valid vertex list, with
+        their record of stamps: the Builder checks every operand it is
+        given, and the parser checks every block it reads in bulk."""
         c = cls.__new__(cls)
         c._set(arity, kinds, a, b, outputs, stamps)
         return c
@@ -389,8 +389,7 @@ class Builder:
 
     ``stamps`` records each stamp of width m >= 2, in Circuit.stamps's
     form: its start and 2m wires in the array, m in the widths.  build()
-    hands a copy to the circuit, so the wave pass need not look for the
-    blocks.
+    hands a copy to the circuit, so no scan looks for the blocks.
     """
 
     def __init__(self, arity: int):
@@ -536,15 +535,13 @@ class Builder:
     def splice(self, circ: Circuit) -> list:
         """Append circ's gates, unmerged, its input i read from vertex
         v - arity + i, v the vertex count; return its outputs' ids.  Every
-        id moves alike: each operand column and the record a Builder gave
-        circ move by one big-integer add.  ValueError, before anything is
-        added, unless circ has a record, its first arity vertices are
-        INPUT 0..arity-1 in order and no moved id passes _INDEX_MAX."""
+        id moves alike: each operand column and circ's record move by one
+        big-integer add.  ValueError, before anything is added, unless
+        circ's first arity vertices are INPUT 0..arity-1 in order and no
+        moved id passes _INDEX_MAX."""
         n = circ.arity
         by = len(self.kinds) - n
         kinds, a, b = circ.kinds, circ.a, circ.b
-        if circ.stamps is None:
-            raise ValueError("a spliced circuit must carry a Builder's record")
         if by < 0 or kinds[:n] != bytes(n) or a[:n] != array("I", range(n)):
             raise ValueError("a spliced circuit's inputs must be its first "
                              "vertices, in order, over the builder's last")
@@ -582,8 +579,9 @@ def _moved(col: memoryview, step: int) -> bytes:
 class _MinBlock:
     """The m-bit minimum block, recorded once per width (_min_block).
 
-    ``circuit`` is gadget_min(m): inputs 0..2m-1 are the wires xs + ys, so
-    template slot s is vertex s, and the block's own gates follow.  The
+    ``circuit`` has gadget_min(m)'s columns: inputs 0..2m-1 are the wires
+    xs + ys, so template slot s is vertex s, and the block's own gates
+    follow.  The
     recursion of the construction is unrolled: the w-bit block is the
     (w-1)-bit block's gates followed by the gates of step w.  ``kinds``
     holds the gate kinds, ``inner`` one byte per gate (1 unless the gate
@@ -666,15 +664,14 @@ _min_block = lru_cache(maxsize=64)(_MinBlock)
 
 # -- the wave pass ---------------------------------------------------------
 
-def _scan_stamps(circ: Circuit) -> list:
-    """The stamps of the minimum block of width m >= 2 found in circ's
-    columns, as (start, m, wires) in id order.  A candidate starts where
-    the 2-bit template's kinds do, which begin every wider template's, and
-    is widened while the next template's kinds follow; the widest width
-    whose operand columns check out (_stamp_wires) is taken."""
-    kinds, a, b = circ.kinds, circ.a, circ.b
+def _scan_stamps(kinds, a: array, b: array) -> tuple:
+    """The record (Circuit.stamps) of the minimum blocks of width m >= 2
+    found in the columns.  A candidate starts where the 2-bit template's
+    kinds do, which begin every wider template's, and is widened while the
+    next template's kinds follow; the widest width whose operand columns
+    check out (_stamp_wires) is taken."""
     head = _min_block(2).kinds
-    found = []
+    at, widths = array("I"), bytearray()
     p = kinds.find(head)
     while p >= 0:
         top = 2
@@ -683,11 +680,12 @@ def _scan_stamps(circ: Circuit) -> list:
         for m in range(top, 1, -1):
             wires = _stamp_wires(a, b, p, m)
             if wires is not None:
-                found.append((p, m, wires))
+                at.extend((p, *wires))
+                widths.append(m)
                 p += len(_min_block(m).kinds) - 1
                 break
         p = kinds.find(head, p + 1)
-    return found
+    return at, bytes(widths)
 
 
 def _stamp_wires(a: array, b: array, p: int, m: int):
@@ -724,20 +722,15 @@ def _min_blocks(circ: Circuit) -> list:
     pass runs, as (start, m, wires) in id order.
 
     The candidates are circ's record (Circuit.stamps), each of which must
-    start with its width's kinds, or InvariantError is raised.  Where
-    there is no record they are found in the columns (_scan_stamps).  A
-    block one of whose non-output vertices is read from outside it (by a
-    plain gate, as another block's wire, or as a circuit output) stays
-    plain."""
+    start with its width's kinds, or InvariantError is raised.  A block one
+    of whose non-output vertices is read from outside it (by a plain gate,
+    as another block's wire, or as a circuit output) stays plain."""
     kinds, a, b = circ.kinds, circ.a, circ.b
-    if circ.stamps is None:
-        found = _scan_stamps(circ)
-    else:
-        found = _recorded(circ.stamps)
-        for p, m, _ in found:
-            if not kinds.startswith(_min_block(m).kinds, p):
-                raise InvariantError(f"no width-{m} minimum block at "
-                                     f"recorded vertex {p}")
+    found = _recorded(circ.stamps)
+    for p, m, _ in found:
+        if not kinds.startswith(_min_block(m).kinds, p):
+            raise InvariantError(f"no width-{m} minimum block at "
+                                 f"recorded vertex {p}")
     if not found:
         return found
     inner = bytearray(len(kinds))
@@ -901,12 +894,12 @@ def gadget_equal(m: int) -> Circuit:
 
 
 def gadget_min(m: int) -> Circuit:
-    """2m-input, m-output integer minimum; (13m^2+37m-44)/2 vertices.  A
-    copy of the block recorded for width m, which the caller may change."""
+    """2m-input, m-output integer minimum; (13m^2+37m-44)/2 vertices: one
+    stamp on its own inputs, recorded as a Builder records it."""
     if m < 1:
         raise ValueError("width must be >= 1")
-    c = _min_block(m).circuit
-    return Circuit._from_columns(c.arity, c.kinds, c.a[:], c.b[:], c.outputs)
+    b = Builder(2 * m)
+    return b.build(b.min_word(range(m), range(m, 2 * m)))
 
 
 def from_truth_table(t: TruthTable) -> Circuit:
@@ -1080,7 +1073,7 @@ def parse_circuit(text, start: int = 0, first_line: int = 1) -> Circuit:
     if max_input < 0:
         raise CircuitParseError("circuit has no INPUT vertex", first_line)
     return Circuit._from_columns(max_input + 1, bytes(rd.kinds), rd.a, rd.b,
-                                (rd.sink,))
+                                (rd.sink,), _scan_stamps(rd.kinds, rd.a, rd.b))
 
 
 def as_pieces(text):

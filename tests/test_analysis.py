@@ -42,6 +42,66 @@ def test_irreducibility_of_trinomial():
 def test_subfsr_stage_bound():
     with pytest.raises(ValueError):
         A.find_subfsrs(F.Fsr(13, table=bytes(1 << 13)))
+    # (x + 1)(x^13 + x^4 + x^3 + x + 1): periods 1, 1, 8191 and 8191 reach
+    # 2^13, above the bound, so the search is refused unless capped below
+    f = lin("x^14 + x^13 + x^5 + x^3 + x^2 + 1")
+    with pytest.raises(ValueError, match="reachable stage 13 exceeds "
+                                         "sub-register bound 12"):
+        A.find_subfsrs(f)
+    assert [s.stage for s in A.iter_subfsrs(f, 12)] == [1]
+
+
+def test_registers_above_stage_12_are_decided_below_their_reachable_stages():
+    # (x + 1)(x^12 + x^6 + x^4 + x + 1): periods 1, 1, 4095 and 4095 reach
+    # 2^1 and 2^12 only
+    f = lin("x^13 + x^12 + x^7 + x^6 + x^5 + x^4 + x^2 + 1")
+    subs = [(s.stage, sorted(c.period for c in s.cycles))
+            for s in A.find_subfsrs(f)]
+    assert subs == [(1, [1, 1]), (12, [1, 4095]), (12, [1, 4095])]
+    rep = A.is_decomposable(f, "guided")
+    assert (rep.decomposable, rep.complete, rep.inner.stage) == (True, True, 1)
+    assert F.product_fsr(rep.outer, rep.inner) == f
+    # a primitive stage-16 register's periods, 1 and 65535, reach no stage
+    assert A.is_irreducible(lin("x^16 + x^5 + x^3 + x^2 + 1"))
+
+
+def test_stage_19_registers_are_refused_uncapped_and_decided_capped(monkeypatch):
+    # the dec registers (ell = 9) of the 18-input AND and of g AND NOT g
+    # over it: periods 1, 1 and 27 reach 2^1 and 2^18 only, and capped at
+    # 17 the search builds a cycle and a window mask for the two fixed
+    # points alone
+    made, masks = [], []
+    cycle, mask = A.Cycle, A._window_mask
+
+    def cycle_spy(bits):
+        made.append(len(bits))
+        return cycle(bits)
+
+    def mask_spy(c, m):
+        masks.append(m)
+        return mask(c, m)
+
+    monkeypatch.setattr(A, "Cycle", cycle_spy)
+    monkeypatch.setattr(A, "_window_mask", mask_spy)
+    b = C.Builder(18)
+    g = b.and_chain(range(18))
+    and18 = b.build(g)
+    contra18 = b.build(b.AND(g, b.NOT(g)))
+    for f0, decomposable in ((and18, False), (contra18, True)):
+        f = R.build_indecomposability_fsr(f0).fsr
+        assert f.stage == 19
+        for search in (A.is_irreducible, lambda f: A.is_decomposable(f, "guided")):
+            with pytest.raises(ValueError, match="reachable stage 18 exceeds "
+                                                 "sub-register bound 12"):
+                search(f)
+        assert made == masks == []
+        rep = A.is_decomposable(f, "guided", max_inner_stage=17)
+        assert (rep.decomposable, rep.complete) == (decomposable, decomposable)
+        if decomposable:
+            assert (rep.inner.stage, rep.outer.stage) == (1, 18)
+        assert made == [1, 1] and masks == [1, 1]
+        made.clear()
+        masks.clear()
 
 
 def test_every_subfsr_cycle_set_is_a_subset():
@@ -155,22 +215,28 @@ def test_inner_stage_cap_bounds_both_strategies():
 
 def test_capped_guided_search_stops_at_the_cap(monkeypatch):
     # a primitive degree-12 register has no sub-register at all, so only
-    # the cap ends the search short of stage 11
+    # the cap ends the search short of stage 11; its periods, 1 and 4095,
+    # reach no 2^m below 2^12, so no window mask is built
     f = lin("x^12 + x^6 + x^4 + x + 1")
-    stages = []
-    mask = A._window_mask
+    tops, stages = [], []
+    reachable, mask = A._reachable_stages, A._window_mask
 
-    def spy(c, m):
+    def reach_spy(periods, top):
+        tops.append(top)
+        return reachable(periods, top)
+
+    def mask_spy(c, m):
         stages.append(m)
         return mask(c, m)
 
-    monkeypatch.setattr(A, "_window_mask", spy)
+    monkeypatch.setattr(A, "_reachable_stages", reach_spy)
+    monkeypatch.setattr(A, "_window_mask", mask_spy)
     rep = A.is_decomposable(f, "guided", max_inner_stage=1)
     assert (rep.decomposable, rep.candidates_tried, rep.complete) == (False, 0, False)
-    assert set(stages) == {1}
-    stages.clear()
+    assert tops == [1]
     assert A.is_decomposable(f, "guided").complete
-    assert set(stages) == set(range(1, 12))
+    assert tops == [1, 11]
+    assert stages == []
 
 
 def test_brute_and_guided_agree_exhaustively():

@@ -124,8 +124,10 @@ def stamped_circuits(draw):
 
 
 def unrecorded(c):
-    """c's columns with no record of their stamps, as parsed text has."""
-    return Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs)
+    """c's columns without the record a Builder gave them: the record is
+    found in the columns, as for parsed text."""
+    return Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs,
+                                 circuit._scan_stamps(c.kinds, c.a, c.b))
 
 
 def waves_of(c):
@@ -183,11 +185,21 @@ def test_wave_pass_agrees_on_lanes_of_any_width(c, lane_bits):
 @FIXED
 @given(stamped_circuits())
 def test_the_record_is_what_the_scan_finds(c):
-    assert circuit._recorded(c.stamps) == circuit._scan_stamps(c)
+    assert c.stamps == circuit._scan_stamps(c.kinds, c.a, c.b)
     assert circuit._min_blocks(c) == circuit._min_blocks(unrecorded(c))
 
 
-def test_wrap_feedback_shifts_the_record_and_refuses_none():
+@FIXED
+@given(stamped_circuits())
+def test_tuples_and_text_carry_the_builders_record(c):
+    # made from tuples or from text, the same columns get the same record
+    one = Circuit._from_columns(c.arity, c.kinds, c.a, c.b, (c.outputs[0],),
+                                c.stamps)
+    assert Circuit(c.arity, c.nodes, c.outputs).stamps == c.stamps
+    assert parse_circuit(write_circuit(one)).stamps == c.stamps
+
+
+def test_wrap_feedback_shifts_the_record_of_built_and_parsed_circuits():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
     # the start and wires of each stamp in one array, the widths apart
@@ -197,11 +209,13 @@ def test_wrap_feedback_shifts_the_record_and_refuses_none():
     assert moved.stamps == (array("I", [5, 1, 2, 3, 4]), b"\x02")
     assert circuit._recorded(moved.stamps) == [(5, 2, array("I", [1, 2, 3, 4]))]
     assert circuit._min_blocks(moved) == circuit._recorded(moved.stamps)
-    # parsed text has no record, so it is not spliced
+    # parsed text carries the record its columns hold, so it is spliced
+    # as the built circuit is
     parsed = parse_circuit(write_circuit(c))
-    assert parsed.stamps is None
-    with pytest.raises(ValueError, match="record"):
-        reduction._wrap_feedback(parsed, p)
+    assert parsed.stamps == c.stamps
+    again = reduction._wrap_feedback(parsed, p)
+    assert write_circuit(again) == write_circuit(moved)
+    assert again.stamps == moved.stamps
 
 
 @FIXED
@@ -220,7 +234,7 @@ def test_splice_moves_every_id_and_the_record(c, extra):
     assert circuit._recorded(moved.stamps) == [
         (p + extra, m, array("I", [w + extra for w in wires]))
         for p, m, wires in circuit._recorded(c.stamps)]
-    assert circuit._recorded(moved.stamps) == circuit._scan_stamps(moved)
+    assert moved.stamps == circuit._scan_stamps(moved.kinds, moved.a, moved.b)
     lanes, full = input_lanes(n + extra), (1 << (1 << (n + extra))) - 1
     assert moved._run_all(lanes, full) == c._run_all(lanes[extra:], full)
 
@@ -229,19 +243,14 @@ def test_splice_refuses_before_adding_anything():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
     swapped = array("I", [1, 0, 2, 3])
-    refused = {
-        "no record": unrecorded(c),
-        "inputs out of order": Circuit._from_columns(
-            4, c.kinds, swapped + c.a[4:], swapped + c.b[4:], c.outputs,
-            c.stamps),
-    }
-    for name, bad in refused.items():
-        dest = Builder(5)
-        with pytest.raises(ValueError):
-            dest.splice(bad)
-        assert (dest.kinds, dest.a, dest.b, dest.stamps) == (
-            bytearray(5), array("I", range(5)), array("I", range(5)),
-            (array("I"), bytearray())), name
+    bad = Circuit._from_columns(4, c.kinds, swapped + c.a[4:],
+                                swapped + c.b[4:], c.outputs, c.stamps)
+    dest = Builder(5)
+    with pytest.raises(ValueError):
+        dest.splice(bad)
+    assert (dest.kinds, dest.a, dest.b, dest.stamps) == (
+        bytearray(5), array("I", range(5)), array("I", range(5)),
+        (array("I"), bytearray()))
     with pytest.raises(ValueError):
         Builder(3).splice(c)
     last = c.size       # c's last id moved up by one, into Builder(5)
@@ -318,6 +327,16 @@ def test_gadget_min_is_a_stamp_on_its_own_inputs_and_a_copy():
         g.a[-1] = g.b[-1] = 0
         assert layout(gadget_min(m)) == stamped
         assert layout(stamp_on_inputs(m)) == stamped
+
+
+def test_gadget_min_carries_the_builders_record():
+    for m in range(1, 14):
+        g = gadget_min(m)
+        assert g.stamps == stamp_on_inputs(m).stamps
+        assert g.stamps == Circuit(g.arity, g.nodes, g.outputs).stamps
+        assert g.stamps == (
+            (array("I", [2 * m, *range(2 * m)]), bytes([m])) if m > 1
+            else (array("I"), b""))
 
 
 def test_min_word_refuses_ids_past_the_column_entries():
@@ -403,21 +422,31 @@ def test_ell3_records_equal_the_blocks_found_without_them():
     assert set(_ell3_circuits()["dec f3"].stamps[1]) == {6}
 
 
+def test_parsed_ell3_toggle_circuits_wrap_as_the_built_ones():
+    family = LfsrFamily.for_ell(3)
+    for name, p in (("irr f3", family.p2), ("dec f3", family.p1)):
+        built = _ell3_circuits()[name]
+        parsed = parse_circuit(write_circuit(built))
+        want, got = (reduction._wrap_feedback(c, p) for c in (built, parsed))
+        assert write_circuit(got) == write_circuit(want), name
+        assert got.stamps == want.stamps, name
+
+
 def test_built_circuits_are_evaluated_from_their_record():
     circuits = _ell3_circuits()
+    # text's blocks are found in its columns once, when it is parsed
+    spy = mock.patch.object(circuit, "_stamp_wires",
+                            side_effect=circuit._stamp_wires)
+    with spy as scan:
+        parsed = parse_circuit(write_circuit(circuits["irr f1"]))
+    assert scan.call_count >= 646
     scan = mock.patch.object(circuit, "_stamp_wires",
                              side_effect=AssertionError("columns scanned"))
     with scan:
         f3 = circuits["irr f3"].output_masks()
         f1 = circuits["irr f1"].output_masks()
-    assert f3 == unrecorded(circuits["irr f3"]).output_masks()
-    # text has no record: its blocks are found in the columns
-    parsed = parse_circuit(write_circuit(circuits["irr f1"]))
-    spy = mock.patch.object(circuit, "_stamp_wires",
-                            side_effect=circuit._stamp_wires)
-    with spy as scan:
         assert parsed.output_masks() == f1
-    assert scan.call_count >= 646
+    assert f3 == unrecorded(circuits["irr f3"]).output_masks()
 
 
 def test_wave_pass_holds_only_the_lanes_its_plan_counts():

@@ -148,8 +148,8 @@ def test_a_wrap_off_its_count_is_refused(monkeypatch):
 
 def test_a_toggle_circuit_with_permuted_inputs_is_refused():
     # x0 XOR f3(x1, x2) is [0,1,0,1,1,0,0,1]; moving every id by one would
-    # read input 1 where input 0 is meant.  Parsed text has no record, and
-    # an instance holding it as f3 makes no feedback circuit either
+    # read input 1 where input 0 is meant.  An instance holding it as f3
+    # makes no feedback circuit either
     f3 = C.parse_circuit("v0 INPUT 1\nv1 INPUT 0\nv2 NOT v1\n"
                          "v3 AND v0 v2\nSINK v3\n")
     p = L.parse_poly("x^3 + 1")
