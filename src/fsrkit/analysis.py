@@ -140,24 +140,19 @@ def is_irreducible(f: Fsr) -> bool:
 # ---------------------------------------------------------------------------
 # cascade decomposition
 
-def decompose_with_inner(f: Fsr, g: Fsr):
-    """Solve for an outer factor h with h-product-g equal to f.
-
-    Propagates the constraint h(window image of x under g) = f(x) over all
-    x, then completes h to characteristic form.  Returns (h, free) where
-    free counts outer feedback entries no constraint reached (defaulted to
-    0), or None on any conflict.  Raises InvariantError if the solved h
-    does not give back f as h-product-g.
-    """
-    n, k = f.stage, g.stage
-    if not 1 <= k < n:
-        raise ValueError("inner stage must be at least 1 and below f's")
-    hn = n - k
+def _characteristic(f: Fsr) -> bytes:
+    """f's characteristic function f1(x mod 2^n) ^ x_n over x0..xn."""
     f1 = f.table
+    return f1 + f1.translate(FLIP)
+
+
+def _solve_outer(f: Fsr, char: bytes, g: Fsr):
+    """decompose_with_inner with f's characteristic table given."""
+    hn = f.stage - g.stage
     top = 1 << hn
     h_char = bytearray([2]) * (2 * top)     # 2: no constraint reached it
-    # f's characteristic function over x0..xn, and the images read in step
-    for val, w in zip(f1 + f1.translate(FLIP), window_images(g, hn + 1)):
+    # the images are read in step with the characteristic table
+    for val, w in zip(char, window_images(g, hn + 1)):
         if h_char[w] == 2:
             h_char[w] = val
         elif h_char[w] != val:
@@ -172,6 +167,33 @@ def decompose_with_inner(f: Fsr, g: Fsr):
     if product_fsr(h, g) != f:
         raise InvariantError("solved outer factor does not reproduce f")
     return h, free
+
+
+def decompose_with_inner(f: Fsr, g: Fsr):
+    """Solve for an outer factor h with h-product-g equal to f.
+
+    Propagates the constraint h(window image of x under g) = f(x) over all
+    x, then completes h to characteristic form.  Returns (h, free) where
+    free counts outer feedback entries no constraint reached (defaulted to
+    0), or None on any conflict.  Raises InvariantError if the solved h
+    does not give back f as h-product-g.
+    """
+    if not 1 <= g.stage < f.stage:
+        raise ValueError("inner stage must be at least 1 and below f's")
+    return _solve_outer(f, _characteristic(f), g)
+
+
+def _brute_inners(limit: int, nonsingular: bool):
+    """Each inner table of stages 1..limit in mask order, as the register
+    to solve, or None where a nonsingular f rules it out unsolved: a table
+    with g1(s) = g1(s ^ 1) for some s."""
+    for k in range(1, limit + 1):
+        even = ((1 << (1 << k)) - 1) // 3     # the bits of the even states
+        for mask in range(1 << (1 << k)):
+            if not nonsingular or ((mask >> 1) ^ mask) & even == even:
+                yield Fsr(k, table=mask)
+            else:
+                yield None
 
 
 @dataclass(frozen=True)
@@ -193,7 +215,8 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
 
     brute: enumerate every inner register of each admissible stage and
     constraint-solve the outer; inner stages above 3 are refused unless
-    max_inner_stage caps the search.
+    max_inner_stage caps the search.  Lemma: a nonsingular f has no inner
+    factor g with g1(s) = g1(s ^ 1) for some s; brute counts each unsolved.
     guided: try exactly the sub-registers of f containing the zero cycle,
     and their complements; complete whenever f sends the all-zero state to
     zero and is nonsingular.
@@ -210,8 +233,7 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
             raise ValueError(
                 f"brute search over inner stage {limit} is infeasible; "
                 f"cap it with max_inner_stage <= {BRUTE_INNER_STAGE_BOUND}")
-        inners = (Fsr(k, table=mask) for k in range(1, limit + 1)
-                  for mask in range(1 << (1 << k)))
+        inners = _brute_inners(limit, is_nonsingular(f))
     elif strategy == "guided":
         if f.feedback_bit(0) != 0:
             raise ValueError("guided search needs f to fix the all-zero state")
@@ -222,9 +244,10 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
                   for g in (sub.fsr, sub.fsr.complement()))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    char = _characteristic(f)
     tried = 0
     for tried, g in enumerate(inners, 1):
-        res = decompose_with_inner(f, g)
+        res = None if g is None else _solve_outer(f, char, g)
         if res is not None:
             return DecompositionReport(True, res[0], g, res[1], strategy,
                                        tried, True)

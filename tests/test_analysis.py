@@ -289,6 +289,77 @@ def test_brute_and_guided_agree_on_random_registers(f):
             assert F.product_fsr(rep.outer, rep.inner) == f
 
 
+def brute_by_every_table(f, cap):
+    """The brute report by a literal loop that solves every inner table of
+    stages 1..cap and counts each."""
+    limit = min(cap, f.stage - 1)
+    tried = 0
+    for k in range(1, limit + 1):
+        for mask in range(1 << (1 << k)):
+            tried += 1
+            g = F.Fsr(k, table=mask)
+            res = A.decompose_with_inner(f, g)
+            if res is not None:
+                return A.DecompositionReport(True, res[0], g, res[1], "brute",
+                                             tried, True)
+    return A.DecompositionReport(False, None, None, 0, "brute", tried,
+                                 limit == f.stage - 1)
+
+
+@st.composite
+def any_register(draw, n):
+    """A nonsingular or a singular register of stage n."""
+    if draw(st.booleans()):
+        gmask = draw(st.integers(0, (1 << (1 << (n - 1))) - 1))
+        return F.Fsr(n, table=[(s & 1) ^ ((gmask >> (s >> 1)) & 1)
+                               for s in range(1 << n)])
+    table = bytearray(b & 1 for b in draw(st.binary(min_size=1 << n,
+                                                    max_size=1 << n)))
+    s = draw(st.integers(0, (1 << n) - 1))
+    table[s ^ 1] = table[s]         # f1(s) = f1(s ^ 1): singular
+    return F.Fsr(n, table=table)
+
+
+@st.composite
+def brute_registers(draw):
+    """A register of stage 2..7, nonsingular or singular, or a product of
+    an outer and an inner factor each nonsingular or singular."""
+    if draw(st.booleans()):
+        return draw(any_register(draw(st.integers(2, 7))))
+    inner = draw(st.integers(1, 3))
+    outer = draw(st.integers(1, 7 - inner))
+    return F.product_fsr(draw(any_register(outer)), draw(any_register(inner)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(brute_registers(), st.integers(1, 3))
+def test_brute_matches_a_loop_over_every_inner_table(f, cap):
+    assert A.is_decomposable(f, "brute", max_inner_stage=cap) \
+        == brute_by_every_table(f, cap)
+
+
+def test_nonsingular_registers_have_no_singular_inner_factor():
+    for n in (2, 3, 4):
+        singular = [g for k in range(1, min(3, n - 1) + 1)
+                    for mask in range(1 << (1 << k))
+                    if not F.is_nonsingular(g := F.Fsr(k, table=mask))]
+        for gmask in range(1 << (1 << (n - 1))):
+            f = F.Fsr(n, table=[(s & 1) ^ ((gmask >> (s >> 1)) & 1)
+                                for s in range(1 << n)])
+            for g in singular:
+                assert A.decompose_with_inner(f, g) is None, (n, gmask, g)
+    # a singular register keeps its singular inner factors
+    zero = F.Fsr(1, table=[0, 0])
+    for h in (lin("x + 1"), lin("x^2 + x + 1"), F.Fsr(3, table=[0, 1] * 4),
+              F.Fsr(2, table=[1, 1, 0, 1])):
+        f = F.product_fsr(h, zero)
+        assert not F.is_nonsingular(f)
+        rep = A.is_decomposable(f, "brute", max_inner_stage=3)
+        assert rep.decomposable
+        assert F.product_fsr(rep.outer, rep.inner) == f
+        assert not F.is_nonsingular(rep.inner)
+
+
 def test_product_of_zero_fixing_registers_is_reducible():
     rng = random.Random(13)
     found = 0
