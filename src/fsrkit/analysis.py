@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
-from .bitvec import FLIP, as_bits, xor_bits
+from .bitvec import as_bits, xor_bits
 from .fsr import (Cycle, Fsr, InvariantError, fsr_from_cycles, is_nonsingular,
                   product_fsr, state_cycles, window_images)
 
@@ -29,10 +29,6 @@ SUBFSR_STAGE_BOUND = 12
 BRUTE_INNER_STAGE_BOUND = 3
 
 _ZERO_CYCLE = Cycle([0])
-#: decompose_with_inner reads outer entry y off a = h(y) and
-#: b = 1 ^ h(y | top), each 2 where no constraint reached it: 3 * a + b maps
-#: to the feedback bit, or 3 where a and b disagree, or 4 where neither is set
-_COMPLETE = bytes([0, 3, 0, 3, 1, 1, 0, 1, 4]) + bytes(247)
 
 
 # ---------------------------------------------------------------------------
@@ -56,19 +52,30 @@ def _window_mask(c: Cycle, m: int):
     return sum(1 << w for w in wins)
 
 
-def _subset_dfs(cands, reach, i, remaining, acc, chosen):
-    if remaining == 0:
-        yield tuple(chosen)
-        return
-    if i >= len(cands) or not (reach[i] >> remaining) & 1:
-        return
-    c, period, mask = cands[i]
-    if period <= remaining and not acc & mask:
-        chosen.append(c)
-        yield from _subset_dfs(cands, reach, i + 1, remaining - period,
-                               acc | mask, chosen)
-        chosen.pop()
-    yield from _subset_dfs(cands, reach, i + 1, remaining, acc, chosen)
+def _subset_dfs(cands, target: int):
+    """Yield each subset of the (cycle, period, mask) candidates whose
+    periods sum to target and whose masks are disjoint, as a tuple of
+    cycles: a depth-first walk over an explicit stack, each candidate
+    taken before it is left out.  A subset-sum reachability mask over the
+    periods of cands[i:] prunes at each index i."""
+    cap = (2 << target) - 1
+    reach = [1]
+    for _, period, _ in reversed(cands):
+        reach.append((reach[-1] | reach[-1] << period) & cap)
+    reach.reverse()
+    chosen = []
+    stack = [(0, target, 0, 0)]     # index, remaining sum, union, depth
+    while stack:
+        i, remaining, acc, depth = stack.pop()
+        del chosen[depth:]
+        if remaining == 0:
+            yield tuple(chosen)
+        elif i < len(cands) and (reach[i] >> remaining) & 1:
+            c, period, mask = cands[i]
+            stack.append((i + 1, remaining, acc, depth))
+            if period <= remaining and not acc & mask:
+                chosen.append(c)
+                stack.append((i + 1, remaining - period, acc | mask, depth + 1))
 
 
 def _reachable_stages(periods, top: int) -> list:
@@ -112,13 +119,7 @@ def iter_subfsrs(f: Fsr, top: int = None):
         target = 1 << m
         cands = [(c, c.period, mask) for c in ordered if c.period <= target
                  and (mask := _window_mask(c, m)) is not None]
-        cap = (2 << target) - 1
-        reach = [0] * (len(cands) + 1)
-        reach[len(cands)] = 1
-        for i in range(len(cands) - 1, -1, -1):
-            r = reach[i + 1]
-            reach[i] = (r | (r << cands[i][1])) & cap
-        for subset in _subset_dfs(cands, reach, 0, target, 0, []):
+        for subset in _subset_dfs(cands, target):
             try:
                 sub = fsr_from_cycles(subset, m)
             except ValueError as e:
@@ -140,47 +141,32 @@ def is_irreducible(f: Fsr) -> bool:
 # ---------------------------------------------------------------------------
 # cascade decomposition
 
-def _characteristic(f: Fsr) -> bytes:
-    """f's characteristic function f1(x mod 2^n) ^ x_n over x0..xn."""
-    f1 = f.table
-    return f1 + f1.translate(FLIP)
-
-
-def _solve_outer(f: Fsr, char: bytes, g: Fsr):
-    """decompose_with_inner with f's characteristic table given."""
-    hn = f.stage - g.stage
-    top = 1 << hn
-    h_char = bytearray([2]) * (2 * top)     # 2: no constraint reached it
-    # the images are read in step with the characteristic table
-    for val, w in zip(char, window_images(g, hn + 1)):
-        if h_char[w] == 2:
-            h_char[w] = val
-        elif h_char[w] != val:
-            return None
-    pairs = (int.from_bytes(h_char[:top], "little") * 3 + int.from_bytes(
-        h_char[top:].translate(FLIP), "little")).to_bytes(top, "little")
-    h1 = pairs.translate(_COMPLETE)
-    if 3 in h1:
-        return None  # h would not be a register
-    free = h1.count(4)
-    h = Fsr(hn, table=h1.replace(b"\x04", b"\x00"))
-    if product_fsr(h, g) != f:
-        raise InvariantError("solved outer factor does not reproduce f")
-    return h, free
-
-
 def decompose_with_inner(f: Fsr, g: Fsr):
     """Solve for an outer factor h with h-product-g equal to f.
 
-    Propagates the constraint h(window image of x under g) = f(x) over all
-    x, then completes h to characteristic form.  Returns (h, free) where
-    free counts outer feedback entries no constraint reached (defaulted to
-    0), or None on any conflict.  Raises InvariantError if the solved h
-    does not give back f as h-product-g.
+    product_fsr(h, g) has feedback g1(x >> hn) ^ h1(w(x)) at state x, with
+    hn the stage of h and w(x) the window image of x under g, so one pass
+    over f's states sets h1(w(x)) = f1(x) ^ g1(x >> hn).  Returns (h, free)
+    where free counts outer feedback entries no constraint reached
+    (defaulted to 0), or None on any conflict.  Raises InvariantError if
+    the solved h does not give back f as h-product-g.
     """
     if not 1 <= g.stage < f.stage:
         raise ValueError("inner stage must be at least 1 and below f's")
-    return _solve_outer(f, _characteristic(f), g)
+    hn = f.stage - g.stage
+    f1, g1 = f.table, g.table
+    h1 = bytearray([2]) * (1 << hn)     # 2: no constraint reached it
+    for x, w in enumerate(window_images(g, hn)):
+        val = f1[x] ^ g1[x >> hn]
+        if h1[w] == 2:
+            h1[w] = val
+        elif h1[w] != val:
+            return None
+    free = h1.count(2)
+    h = Fsr(hn, table=h1.replace(b"\x02", b"\x00"))
+    if product_fsr(h, g) != f:
+        raise InvariantError("solved outer factor does not reproduce f")
+    return h, free
 
 
 def _brute_inners(limit: int, nonsingular: bool):
@@ -216,7 +202,10 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
     brute: enumerate every inner register of each admissible stage and
     constraint-solve the outer; inner stages above 3 are refused unless
     max_inner_stage caps the search.  Lemma: a nonsingular f has no inner
-    factor g with g1(s) = g1(s ^ 1) for some s; brute counts each unsolved.
+    factor g of stage k with g1(s) = g1(s ^ 1) for some s, since states x
+    and x ^ 1 with x mod 2^k = s then share a window image while
+    f1(x) ^ g1(x >> (n - k)) differs on them; brute counts each such g
+    unsolved.
     guided: try exactly the sub-registers of f containing the zero cycle,
     and their complements; complete whenever f sends the all-zero state to
     zero and is nonsingular.
@@ -244,10 +233,9 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
                   for g in (sub.fsr, sub.fsr.complement()))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    char = _characteristic(f)
     tried = 0
     for tried, g in enumerate(inners, 1):
-        res = None if g is None else _solve_outer(f, char, g)
+        res = None if g is None else decompose_with_inner(f, g)
         if res is not None:
             return DecompositionReport(True, res[0], g, res[1], strategy,
                                        tried, True)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -149,6 +150,13 @@ def test_find_subfsrs_is_complete_and_ordered():
         assert got == _subfsrs_by_every_subset(f)
 
 
+def test_subset_search_walks_past_the_recursion_limit():
+    # 1,500 candidates of period 2 with disjoint windows: a subset summing
+    # to 2048 takes 1,024 of them, one search level each
+    cands = [(i, 2, 1 << i) for i in range(1500)]
+    assert next(A._subset_dfs(cands, 2048)) == tuple(range(1024))
+
+
 def test_decompose_with_inner_examples():
     f = F.Fsr(2, table=[0, 1, 0, 1])     # x2 + x0
     one = lin("x + 1")
@@ -165,6 +173,48 @@ def test_decompose_with_inner_checks_the_product(monkeypatch):
     monkeypatch.setattr(A, "product_fsr", lambda h, g: lin("x^2 + x + 1"))
     with pytest.raises(A.InvariantError):
         A.decompose_with_inner(f, lin("x + 1"))
+
+
+def test_decompose_with_inner_solves_its_definition():
+    # decomposable with inner g: some h of stage n - k has h-product-g = f;
+    # every h is tried for every g, and the products of each are counted
+    for n in (2, 3):
+        for k in range(1, n):
+            for gmask in range(1 << (1 << k)):
+                g = F.Fsr(k, table=gmask)
+                works = Counter(F.product_fsr(F.Fsr(n - k, table=hmask), g).table
+                                for hmask in range(1 << (1 << (n - k))))
+                for fmask in range(1 << (1 << n)):
+                    f = F.Fsr(n, table=fmask)
+                    res = A.decompose_with_inner(f, g)
+                    if res is None:
+                        assert works[f.table] == 0, (fmask, gmask)
+                    else:
+                        h, free = res
+                        assert F.product_fsr(h, g) == f
+                        assert works[f.table] == 1 << free, (fmask, gmask)
+
+
+@st.composite
+def products(draw):
+    """(f, g, h, x): f = h-product-g of stage 4..7 for an outer h and an
+    inner g each nonsingular or singular, and a state x of f."""
+    n = draw(st.integers(4, 7))
+    k = draw(st.integers(1, n - 1))
+    h, g = draw(any_register(n - k)), draw(any_register(k))
+    return F.product_fsr(h, g), g, h, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(products())
+def test_decompose_with_inner_recovers_the_outer_factor(case):
+    f, g, h, x = case
+    assert A.decompose_with_inner(f, g) == (h, 0)
+    # each outer entry is read at the 2^k states sharing a window image, so
+    # flipping f at one of them leaves no h to solve for
+    table = bytearray(f.table)
+    table[x] ^= 1
+    assert A.decompose_with_inner(F.Fsr(f.stage, table=table), g) is None
 
 
 def test_brute_decomposition():
@@ -399,6 +449,22 @@ def test_join_graph_precondition_errors():
     lam = [0] * 16
     lam[6], lam[7] = 1, 1
     with pytest.raises(ValueError):
+        A.cycle_join_graph(base, base, lam)
+    with pytest.raises(ValueError, match="stage mismatch"):
+        A.cycle_join_graph(base, lin("x^3 + x + 1"), [0] * 16)
+    one = lin("x + 1")
+    with pytest.raises(ValueError, match="stage >= 2"):
+        A.cycle_join_graph(one, one, [0, 0])
+    for size in (8, 15, 17, 32):
+        with pytest.raises(ValueError, match="wrong length"):
+            A.cycle_join_graph(base, base, [0] * size)
+    # two windows of one base cycle, neither the conjugate of the other
+    c = next(c for c in F.cycle_structure(base) if c.period == 6)
+    v, w = sorted(c.window_ints(4))[:2]
+    assert v ^ 1 != w
+    lam = [0] * 16
+    lam[v] = lam[w] = 1
+    with pytest.raises(ValueError, match="marks a cycle more than once"):
         A.cycle_join_graph(base, base, lam)
 
 

@@ -276,6 +276,13 @@ def test_graph_mismatched_base_exit_2(workdir, capsys):
     assert main(["graph", f, "p2@1"]) == 2
 
 
+def test_graph_unknown_base_register_exit_2(workdir, capsys):
+    f = write(workdir / "f.fsr", "STAGE 4\nFEEDBACK TABLE 0110100110010110\n")
+    assert main(["graph", f, "p3@3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown base register 'p3'" in err
+
+
 @pytest.mark.parametrize("base", ["p2@٣", "p2@+1", "p1@1_0", "p2@-1"])
 def test_graph_base_ell_is_ascii_decimal_exit_2(workdir, capsys, base):
     f = write(workdir / "f.fsr", "STAGE 4\nFEEDBACK TABLE 0110100110010110\n")
@@ -351,6 +358,17 @@ def test_verify_family_counts_suite(capsys):
 def test_verify_biconditional_irr_r2(capsys):
     assert main(["verify", "biconditional-irr", "--r", "2"]) == 0
     assert "16/16 truth tables consistent" in capsys.readouterr().out
+
+
+def test_verify_biconditional_dec_r2(capsys):
+    assert main(["verify", "biconditional-dec", "--r", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == "16/16 truth tables consistent\nbiconditional-dec r=2: PASS\n"
+
+
+def test_verify_lemma11(capsys):
+    assert main(["verify", "lemma11", "--ell", "1"]) == 0
+    assert "lemma11 ell=1: PASS" in capsys.readouterr().out
 
 
 def test_verify_conjprop(capsys):

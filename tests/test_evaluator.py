@@ -432,6 +432,26 @@ def test_parsed_ell3_toggle_circuits_wrap_as_the_built_ones():
         assert got.stamps == want.stamps, name
 
 
+@pytest.mark.parametrize("line,damaged", [
+    # the first reader of wire v1 reads the block's first gate instead
+    ("v5 NOT v1", "v5 NOT v4"),
+    # an own gate reads another own gate than the template's
+    ("v13 AND v9 v11", "v13 AND v9 v12")], ids=["wire", "own"])
+def test_a_block_shaped_run_off_the_template_gets_no_stamp(line, damaged):
+    b = Builder(4)
+    low = b.min_word([0, 1], [2, 3])
+    text = write_circuit(b.build(b.OR(*low)))
+    assert parse_circuit(text).stamps[1] == bytes([2])
+    assert f"\n{line}\n" in text
+    c = parse_circuit(text.replace(f"\n{line}\n", f"\n{damaged}\n"))
+    assert c.stamps[1] == b""
+    lanes, full = input_lanes(4), (1 << 16) - 1
+    plain = c._run_all(lanes, full)
+    assert c.output_masks() == plain
+    with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
+        assert c.output_masks() == plain
+
+
 def test_built_circuits_are_evaluated_from_their_record():
     circuits = _ell3_circuits()
     # text's blocks are found in its columns once, when it is parsed

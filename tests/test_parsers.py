@@ -573,3 +573,19 @@ def test_unreadable_circuit_paths_are_parse_errors(empty_dir):
     for path in ("a\x00b", ".", "missing.ckt"):
         with pytest.raises(F.FsrParseError, match="line 2: cannot read"):
             F.parse_fsr(f"STAGE 1\nFEEDBACK CIRCUIT {path}\n", base_dir=empty_dir)
+
+
+def test_feedback_circuit_of_another_arity_is_refused_on_its_line(workdir_cli):
+    circ = "v0 INPUT 0\nv1 INPUT 1\nv2 AND v0 v1\nSINK v2\n"
+    with open("and2.ckt", "w") as fh:
+        fh.write(circ)
+    for text, line in (("STAGE 3\nFEEDBACK CIRCUIT\n" + circ, 2),
+                       ("# a comment\nSTAGE 3\nFEEDBACK CIRCUIT and2.ckt\n", 3)):
+        with pytest.raises(F.FsrParseError,
+                           match=f"line {line}: feedback arity 2 != stage 3"):
+            F.parse_fsr(text, base_dir=workdir_cli)
+        with open("f.fsr", "w") as fh:
+            fh.write(text)
+        code, out, err = run_main(["analyze", "cycles", "f.fsr"])
+        assert (code, out) == (2, "")
+        assert "feedback arity 2 != stage 3" in err and "Traceback" not in err
