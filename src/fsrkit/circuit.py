@@ -19,16 +19,14 @@ the convention the rest of the package relies on for gadget bookkeeping.
 
 Satisfiability and truth tables are computed by exhaustive scan, batched
 as bitmask integers (one bit per assignment), for at most STATE_BOUND
-inputs.  When keeping every lane to the end would hold more than
-LIVE_LANE_BYTES, one of two passes runs instead.  The freeing pass drops
-each lane after its last reader, so it holds only the live frontier.  The
-wave pass runs where the lanes it keeps fit LIVE_LANE_BYTES: it takes the
-stamped integer-minimum blocks from the circuit's record of them, and the
-blocks of one depth and width run together through the freeing pass of
-the block recorded for that width (_min_block), their lanes packed side
-by side in one integer per wire, so each template gate is one Python step
-per group instead of one per copy.  A lane from one block to another
-stays bytes.
+inputs.  A pass takes the stamped integer-minimum blocks from the
+circuit's record of them (_min_blocks) and runs each through a
+bit-sliced comparator (_min_lanes), about 8m integer operations in place
+of the block's (13m^2 + 37m - 44)/2 - 2m template gates; the blocks'
+inner vertices get no lane.  The pass keeps every lane it makes to the
+end, unless those lanes would hold more than LIVE_LANE_BYTES: then the
+freeing pass runs, which drops each lane after its last reader and so
+holds only the live frontier.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from operator import getitem, itemgetter, lt
 
 from .bitvec import bits_to_mask, mask_to_bits
@@ -47,9 +45,10 @@ from .bitvec import bits_to_mask, mask_to_bits
 #: the most inputs or stages swept: a 2^n-entry table is refused above it
 STATE_BOUND = 24
 
-#: a lane pass that would keep more bytes of lanes than this (vertices times
-#: lane bits / 8) frees each lane after its last reader; below it finding
-#: the last readers costs more time than the freed memory saves
+#: a lane pass that would keep more bytes of lanes than this (its plain
+#: vertices and block outputs, or all vertices of a circuit without blocks,
+#: times lane bits / 8) frees each lane after its last reader; below it
+#: finding the last readers costs more time than the freed memory saves
 LIVE_LANE_BYTES = 1 << 26
 
 #: read_text refuses a longer file: 256 MiB, far above any the package writes
@@ -66,8 +65,9 @@ BLOCK_VERTICES = 1 << 12
 #: the vertex kinds; parsed circuits share these strings
 IN, AND, OR, NOT = "IN", "AND", "OR", "NOT"
 
-#: their codes in Circuit.kinds
-_IN, _AND, _OR, _NOT = range(4)
+#: their codes in Circuit.kinds, and the code of a lane pass's step that
+#: runs a minimum block (Circuit._steps)
+_IN, _AND, _OR, _NOT, _MIN = range(5)
 
 
 class InvariantError(RuntimeError):
@@ -168,9 +168,9 @@ class Circuit:
     an array('I') holding, per stamp in id order, its first id and then
     its 2m wires, and the bytes of the widths m.  A Builder records each
     block it stamps; a circuit made from tuples or text gets the record
-    _scan_stamps finds in its columns, once, when it is made.  The wave
-    pass takes its blocks from the record (_min_blocks).  The columns and
-    the record are read only in this module.
+    _scan_stamps finds in its columns, once, when it is made.  The lane
+    passes take their blocks from the record (_min_blocks).  The columns
+    and the record are read only in this module.
     """
 
     __slots__ = ("arity", "kinds", "a", "b", "outputs", "stamps")
@@ -260,60 +260,87 @@ class Circuit:
         Values are integers treated as bit-parallel lanes; ``full`` is the
         all-ones lane mask used for NOT.  Returns the output wires' values.
 
-        A pass that keeps every lane within LIVE_LANE_BYTES is the plain
-        pass.  Past that, the wave pass runs if the circuit has stamped
-        minimum blocks and the lanes it keeps fit LIVE_LANE_BYTES (see
-        _Waves); otherwise the freeing pass does.
+        The blocks _min_blocks accepts run through _min_lanes.  The pass
+        keeps a lane per plain vertex and block output; if those fit
+        LIVE_LANE_BYTES it is the plain pass, and otherwise the freeing
+        pass.
         """
-        bits = full.bit_length()
-        if len(self.kinds) * bits <= 8 * LIVE_LANE_BYTES:
-            return self._run_all(in_vals, full)
-        waves = _Waves.plan(self, LIVE_LANE_BYTES // ((bits + 7) // 8))
-        if waves is None:
-            return self._run_live(in_vals, full)
-        return waves.run(in_vals, full)
+        blocks = _min_blocks(self)
+        kept = len(self.kinds) - sum(len(_min_block(m).kinds) - m
+                                     for _, m, _ in blocks)
+        if kept * full.bit_length() <= 8 * LIVE_LANE_BYTES:
+            return self._run_all(in_vals, full, blocks)
+        return self._run_live(in_vals, full, blocks)
 
-    def _run_all(self, in_vals, full) -> list:
-        """The plain pass: every lane is kept until the pass ends."""
-        vals = []
-        put = vals.append
-        for op, x, y in zip(self.kinds, self.a, self.b):
+    def _steps(self, blocks) -> chain:
+        """What a lane pass runs, in id order: each vertex as its column
+        entries (k, kind code, a, b), except that each block (p, m, wires)
+        of ``blocks`` (_min_blocks) is the one step (p, _MIN, m, wires) in
+        place of its own gates."""
+        kinds, a, b = (memoryview(col) for col in (self.kinds, self.a, self.b))
+
+        def parts():        # made as the pass reaches them
+            end = 0
+            for p, m, wires in blocks:
+                yield zip(range(end, p), kinds[end:p], a[end:p], b[end:p])
+                yield (p, _MIN, m, wires),
+                end = p + len(_min_block(m).kinds)
+            yield zip(range(end, len(kinds)), kinds[end:], a[end:], b[end:])
+        return chain.from_iterable(parts())
+
+    def _run_all(self, in_vals, full, blocks=()) -> list:
+        """The plain pass: every lane is kept until the pass ends.  With no
+        ``blocks`` (_min_blocks) every gate runs one by one."""
+        # a dict where the blocks leave most vertices without a lane
+        vals = {} if blocks else [None] * len(self.kinds)
+        for k, op, x, y in self._steps(blocks):
             if op == _AND:
-                put(vals[x] & vals[y])
+                vals[k] = vals[x] & vals[y]
             elif op == _OR:
-                put(vals[x] | vals[y])
+                vals[k] = vals[x] | vals[y]
             elif op == _NOT:
-                put(vals[x] ^ full)
+                vals[k] = vals[x] ^ full
+            elif op == _IN:
+                vals[k] = in_vals[x]
             else:
-                put(in_vals[x])
+                _put_min(vals, k, x, y, full)
         return [vals[o] for o in self.outputs]
 
-    def _last_readers(self) -> array:
-        """Per vertex, the id of the last gate that reads it: its own id if
-        none does, and the vertex count if it is an output wire."""
-        kinds, a, b = self.kinds, self.a, self.b
-        n = len(kinds)
+    def _last_readers(self, blocks=()) -> array:
+        """Per vertex, the id of the last step (_steps) that reads it: its
+        own id if none does, and the vertex count if it is an output wire.
+        A block's step reads its wires, and its inner vertices are never
+        looked at."""
+        n = len(self.kinds)
         last = array("I", range(n))
-        for k, op, x, y in zip(range(n), kinds, a, b):
-            if op:
+        for k, op, x, y in self._steps(blocks):
+            if op == _MIN:
+                for w in y:
+                    last[w] = k
+            elif op:
                 last[x] = k
                 last[y] = k
         for o in self.outputs:
             last[o] = n
         return last
 
-    def _run_live(self, in_vals, full, last: array = None) -> list:
+    def _run_live(self, in_vals, full, blocks=()) -> list:
         """The freeing pass: a lane is dropped right after its last reader,
-        so only the live frontier is held.  Output wires are kept.  ``last``
-        is _last_readers(), found here unless the caller holds it."""
-        kinds, a, b = self.kinds, self.a, self.b
-        ids = range(len(kinds))
-        if last is None:
-            last = self._last_readers()
-        vals = [None] * len(kinds)
-        for k, op, x, y in zip(ids, kinds, a, b):
+        so only the live frontier is held.  Output wires are kept."""
+        last = self._last_readers(blocks)
+        # a dict where the blocks leave most vertices without a lane
+        vals = {} if blocks else [None] * len(self.kinds)
+        for k, op, x, y in self._steps(blocks):
             if op == _IN:
                 vals[k] = in_vals[x]
+            elif op == _MIN:
+                for o in _put_min(vals, k, x, y, full):
+                    if last[o] == o:
+                        vals[o] = None
+                for w in y:
+                    if last[w] == k:
+                        vals[w] = None
+                continue
             else:
                 if op == _NOT:
                     vals[k] = vals[x] ^ full
@@ -348,6 +375,7 @@ class Circuit:
         assignments[j] (each assignment an integer-encoded vector).  An
         assignment outside [0, 2^arity) raises ValueError.
         """
+        assignments = list(assignments)
         if assignments and not (0 <= min(assignments)
                                 and max(assignments) < 1 << self.arity):
             raise ValueError(f"assignment out of range for arity {self.arity}")
@@ -581,14 +609,10 @@ class _MinBlock:
 
     ``circuit`` has gadget_min(m)'s columns: inputs 0..2m-1 are the wires
     xs + ys, so template slot s is vertex s, and the block's own gates
-    follow.  The
-    recursion of the construction is unrolled: the w-bit block is the
-    (w-1)-bit block's gates followed by the gates of step w.  ``kinds``
-    holds the gate kinds, ``inner`` one byte per gate (1 unless the gate
-    is an output), ``last`` the circuit's last readers, which every wave
-    group's freeing pass reads, and ``live`` the most lanes held at once
-    while that pass runs, its 2m input lanes all counted, as the wave
-    pass's caller holds them.
+    follow.  The recursion of the construction is unrolled: the w-bit
+    block is the (w-1)-bit block's gates followed by the gates of step w.
+    ``kinds`` holds the gate kinds and ``inner`` one byte per gate (1
+    unless the gate is an output).
 
     ``first`` gives, per input slot, the (column, gate) of its first
     reader, where a stamp's wire is read off.  Each column's form in
@@ -600,8 +624,7 @@ class _MinBlock:
     those entries out of a column, so Builder.min_word writes and
     _stamp_wires checks the same entries."""
 
-    __slots__ = ("circuit", "kinds", "inner", "last", "live", "first",
-                 "forms")
+    __slots__ = ("circuit", "kinds", "inner", "first", "forms")
 
     def __init__(self, m: int):
         b = Builder(2 * m)
@@ -628,15 +651,6 @@ class _MinBlock:
         for o in out:
             inner[o - w] = 0
         self.inner = bytes(inner)
-        self.last = c._last_readers()
-        freed = [0] * (len(c.kinds) + 1)
-        for k in self.last[w:]:
-            freed[k] += 1
-        held = self.live = w
-        for k in range(w, len(c.kinds)):
-            held += 1
-            self.live = max(self.live, held)
-            held -= freed[k]
         first = {}
         forms = []
         for col, slots_of in enumerate((c.a[w:], c.b[w:])):
@@ -662,7 +676,7 @@ class _MinBlock:
 _min_block = lru_cache(maxsize=64)(_MinBlock)
 
 
-# -- the wave pass ---------------------------------------------------------
+# -- the minimum blocks ----------------------------------------------------
 
 def _scan_stamps(kinds, a: array, b: array) -> tuple:
     """The record (Circuit.stamps) of the minimum blocks of width m >= 2
@@ -718,8 +732,8 @@ def _recorded(stamps: tuple) -> list:
 
 
 def _min_blocks(circ: Circuit) -> list:
-    """circ's stamps of the minimum block of width m >= 2 that the wave
-    pass runs, as (start, m, wires) in id order.
+    """circ's stamps of the minimum block of width m >= 2 that the lane
+    passes run through _min_lanes, as (start, m, wires) in id order.
 
     The candidates are circ's record (Circuit.stamps), each of which must
     start with its width's kinds, or InvariantError is raised.  A block one
@@ -757,124 +771,31 @@ def _min_blocks(circ: Circuit) -> list:
     return [blk for j, blk in enumerate(found) if j not in plain]
 
 
-class _Waves:
-    """The wave pass: a circuit's stamped minimum blocks run depth by depth,
-    the blocks of one depth and width together, as bit-slicing across
-    copies (Biham, "A fast new DES implementation in software", FSE 1997).
-
-    A block's depth is 1 + the largest depth among its wires; a plain
-    vertex's (one outside every block) is the largest among its operands.
-    For each depth d the pass runs the plain vertices of depth d - 1 in id
-    order, then each group of blocks of depth d and one width: their
-    lanes are packed side by side at a fixed byte stride into one integer
-    per wire, the width's recorded block takes the freeing pass once over
-    those (NOT flips against the full lane mask repeated once per member),
-    and the output lanes are cut back apart.  A block output stays the
-    bytes cut from its group's output unless ``ints`` holds it, the
-    vertices plain gates or circuit outputs read, so a lane from one block
-    to another is never an int.  The plain and block-output lanes are kept
-    to the end."""
-
-    __slots__ = ("circ", "plain", "groups", "ints")
-
-    def __init__(self, circ: Circuit, plain: list, groups: list, ints: set):
-        self.circ = circ
-        self.plain = plain      # per depth: plain vertex ids in id order
-        self.groups = groups    # per depth, one more: (m, starts, wire columns)
-        self.ints = ints        # the vertices plain gates and outputs read
-
-    @classmethod
-    def plan(cls, circ: Circuit, lanes: int):
-        """The schedule of circ's blocks, or None if it has none or the pass
-        would keep more than ``lanes`` lanes: its plain vertices, its block
-        outputs and its widest group's live template lanes."""
-        blocks = _min_blocks(circ)
-        if not blocks:
-            return None
-        kinds, a, b = circ.kinds, circ.a, circ.b
-        kept = len(kinds) - sum(len(_min_block(m).kinds) - m
-                                for _, m, _ in blocks)
-        if kept > lanes:
-            return None
-        depth = {}
-        plain, grouped = [[]], [{}]
-        reads = set(circ.outputs)
-        end = 0
-        for p, m, wires in blocks + [(len(kinds), 0, ())]:
-            for k in range(end, p):
-                d = max(depth[a[k]], depth[b[k]]) if kinds[k] else 0
-                depth[k] = d
-                plain[d].append(k)
-            gates = kinds[end:p]
-            reads.update(compress(a[end:p], gates), compress(b[end:p], gates))
-            if not m:
-                break
-            d = 1 + max(map(depth.__getitem__, wires))
-            if d == len(plain):
-                plain.append([])
-                grouped.append({})
-            grouped[d].setdefault(m, []).append((p, wires))
-            for o in _min_block(m).circuit.outputs:
-                depth[p - 2 * m + o] = d
-            end = p + len(_min_block(m).kinds)
-        widest = max(len(members) * _min_block(m).live
-                     for g in grouped for m, members in g.items())
-        if kept + widest > lanes:
-            return None
-        groups = [[(m, [p for p, _ in members],
-                    list(zip(*(wires for _, wires in members))))
-                   for m, members in sorted(g.items())] for g in grouped]
-        return cls(circ, plain, groups + [[]], reads)
-
-    def run(self, in_vals, full) -> list:
-        """The pass over lanes in_vals, each at most ``full``; returns the
-        output wires' values."""
-        kinds, a, b = self.circ.kinds, self.circ.a, self.circ.b
-        stride = (full.bit_length() + 7) // 8
-        vals = {}
-        for d, ids in enumerate(self.plain):
-            for k in ids:
-                op = kinds[k]
-                if op == _AND:
-                    vals[k] = vals[a[k]] & vals[b[k]]
-                elif op == _OR:
-                    vals[k] = vals[a[k]] | vals[b[k]]
-                elif op == _NOT:
-                    vals[k] = vals[a[k]] ^ full
-                else:
-                    vals[k] = in_vals[a[k]]
-            for m, starts, columns in self.groups[d + 1]:
-                _run_group(m, starts, columns, vals, full, stride, self.ints)
-        return [vals[o] for o in self.circ.outputs]
+def _min_lanes(v: list, m: int, full: int) -> list:
+    """The m output lanes, low bit first, of the m-bit minimum block over
+    its 2m input lanes v, xs then ys, each at most ``full``: bit-sliced
+    comparison (Biham, "A fast new DES implementation in software", FSE
+    1997).  Scanning from the top bit, ``lt`` gathers the lanes where x < y
+    and ``eq`` those where the bits so far agree; then each output bit is
+    x's where x < y and y's elsewhere.  About 8m integer operations, and
+    3m + 2 lanes held with the inputs."""
+    xs, ys = v[:m], v[m:]
+    lt, eq = 0, full
+    for x, y in zip(reversed(xs), reversed(ys)):
+        d = eq & (x ^ y)
+        lt |= d & y
+        eq ^= d
+    return [y ^ ((x ^ y) & lt) for x, y in zip(xs, ys)]
 
 
-def _run_group(m: int, starts: list, columns: list, vals: dict, full: int,
-               stride: int, ints: set) -> None:
-    """Run the m-bit blocks at ``starts`` together, wire slot s of each
-    read from vals at columns[s], an int lane or its ``stride`` bytes:
-    _min_block(m)'s circuit takes the freeing pass, with the record's last
-    readers, over the packed lanes, NOT flipping against ``full`` repeated
-    once per member.  Put the members' output lanes into vals, as ints
-    where ``ints`` holds them and as bytes otherwise."""
-    record = _min_block(m)
-    block = record.circuit
-    count = len(starts)
-    width = count * stride
-    wide = int.from_bytes(full.to_bytes(stride, "little") * count, "little")
-    wired = {w: vals[w] for w in set().union(*columns)}
-    for w, lane in wired.items():       # an int lane is cut to bytes once
-        if lane.__class__ is int:
-            wired[w] = lane.to_bytes(stride, "little")
-    v = [int.from_bytes(b"".join(map(wired.__getitem__, col)), "little")
-         for col in columns]
-    del wired       # the cut int lanes go before the template pass runs
-    shift = -2 * m
-    for o, lane in zip(block.outputs, block._run_live(v, wide, record.last)):
-        buf = lane.to_bytes(width, "little")
-        for i, p in enumerate(starts):
-            k = p + o + shift
-            piece = buf[i * stride:(i + 1) * stride]
-            vals[k] = int.from_bytes(piece, "little") if k in ints else piece
+def _put_min(vals: dict, p: int, m: int, wires, full: int) -> list:
+    """Put the output lanes of the m-bit block stamped at vertex p over
+    ``wires`` into vals, each wire's lane read from vals (_min_lanes), and
+    return the outputs' ids."""
+    ids = [p - 2 * m + o for o in _min_block(m).circuit.outputs]
+    for k, lane in zip(ids, _min_lanes([vals[w] for w in wires], m, full)):
+        vals[k] = lane
+    return ids
 
 
 # -- gadgets ---------------------------------------------------------------

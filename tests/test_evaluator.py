@@ -1,9 +1,12 @@
-"""The bit-parallel lane pass: the freeing and wave passes against the
-plain pass, the wave pass's blocks and the columns that stamp them, the
-input lanes and the batch transposition against their bitwise
-definitions, and the memory the freeing and wave passes hold."""
+"""The bit-parallel lane pass: the minimum-block comparator against the
+block's template, the freeing pass and the passes that run stamped
+blocks through the comparator against the plain gate-by-gate pass, the
+blocks and the columns that stamp them, the input lanes and the batch
+transposition against their bitwise definitions, and the memory the
+passes hold."""
 
 import functools
+import sys
 import tracemalloc
 from array import array
 from unittest import mock
@@ -79,6 +82,73 @@ def test_repeated_operand_and_input_outputs():
     assert live == c.output_masks() == [0b1100, 0b0001, 0b0001, 0b1010]
 
 
+def every_input(m: int):
+    """Lanes over all 2^(2m) inputs of the m-bit minimum block, as (v,
+    full) chunks of at most 2^16-bit lanes: the low inputs vary within a
+    lane, the high ones are constant over a chunk."""
+    low = min(2 * m, 16)
+    lanes, full = input_lanes(low), (1 << (1 << low)) - 1
+    for high in range(1 << (2 * m - low)):
+        yield lanes + [full if high >> i & 1 else 0
+                       for i in range(2 * m - low)], full
+
+
+def template(v: list, m: int, full: int) -> list:
+    """The m-bit block's outputs, its template run gate by gate."""
+    return circuit._min_block(m).circuit._run_all(v, full)
+
+
+def equals_template(compare, widths) -> bool:
+    return all(compare(v, m, full) == template(v, m, full)
+               for m in widths for v, full in every_input(m))
+
+
+def test_comparator_equals_the_template_on_every_input():
+    assert equals_template(circuit._min_lanes, range(1, 13))
+
+
+@FIXED
+@given(st.data())
+def test_comparator_equals_the_template_on_wide_words(data):
+    # up to 18 bits, the width of the ell = 9 indecomposability blocks;
+    # ys agrees with xs in its top bits, so the scan runs past them
+    m = data.draw(st.integers(13, 18))
+    bits = data.draw(st.integers(1, 200))
+    full = (1 << bits) - 1
+    word = st.lists(st.integers(0, full), min_size=m, max_size=m)
+    xs, ys = data.draw(word), data.draw(word)
+    same = data.draw(st.integers(0, m))
+    ys[m - same:] = xs[m - same:]
+    v = xs + ys
+    assert circuit._min_lanes(v, m, full) == template(v, m, full)
+
+
+def scan_from_the_low_bit(v, m, full):
+    xs, ys = v[:m], v[m:]
+    lt, eq = 0, full
+    for x, y in zip(xs, ys):
+        d = eq & (x ^ y)
+        lt |= d & y
+        eq ^= d
+    return [y ^ ((x ^ y) & lt) for x, y in zip(xs, ys)]
+
+
+def pick_x_where_y_is_smaller(v, m, full):
+    xs, ys = v[:m], v[m:]
+    lt, eq = 0, full
+    for x, y in zip(reversed(xs), reversed(ys)):
+        d = eq & (x ^ y)
+        lt |= d & y
+        eq ^= d
+    return [x ^ ((x ^ y) & lt) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("mutant", [scan_from_the_low_bit,
+                                    pick_x_where_y_is_smaller])
+def test_comparator_mutants_differ_from_the_template(mutant):
+    assert not equals_template(mutant, range(1, 5))
+
+
 @st.composite
 def stamped_circuits(draw):
     """Builder circuits that mix random gates with min_word stamps of widths
@@ -130,27 +200,29 @@ def unrecorded(c):
                                  circuit._scan_stamps(c.kinds, c.a, c.b))
 
 
-def waves_of(c):
-    """The wave pass's schedule of c, whatever the lanes it keeps."""
-    return circuit._Waves.plan(c, 1 << 62)
+def block_passes(c):
+    """c's plain and freeing passes, each running c's blocks through the
+    comparator."""
+    blocks = circuit._min_blocks(c)
+    return [functools.partial(run, blocks=blocks)
+            for run in (c._run_all, c._run_live)]
 
 
 @FIXED
 @given(stamped_circuits())
-def test_wave_pass_equals_plain_pass(c):
+def test_comparator_pass_equals_plain_pass(c):
     r = c.arity
     lanes, full = input_lanes(r), (1 << (1 << r)) - 1
-    plain = c._run_all(lanes, full)
-    blocks = circuit._min_blocks(c)
-    waves = waves_of(c)
-    assert (waves is None) == (not blocks)
+    plain = c._run_all(lanes, full)     # gate by gate
+    for run in block_passes(c):
+        assert run(lanes, full) == plain
+        assert [tuple(run([x >> i & 1 for i in range(r)], 1))
+                for x in range(1 << r)] == [
+            tuple(m >> x & 1 for m in plain) for x in range(1 << r)]
+    assert c.output_masks() == plain
     with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
         assert c.output_masks() == plain
         each = [tuple(c.evaluate_batch([x])) for x in range(1 << r)]
-        if waves is not None:
-            assert waves.run(lanes, full) == plain
-            assert each == [tuple(waves.run([x >> i & 1 for i in range(r)], 1))
-                            for x in range(1 << r)]
     assert each == [tuple(m >> x & 1 for m in plain) for x in range(1 << r)]
     # the same circuit, record kept, with its first output as sink, written
     # and parsed back, and moved up by one vertex as the feedback circuits
@@ -165,21 +237,19 @@ def test_wave_pass_equals_plain_pass(c):
         (p + 1, m, array("I", [w + 1 for w in wires]))
         for p, m, wires in circuit._min_blocks(one)]
     for form, in_vals in ((parsed, lanes), (moved, [0] + lanes)):
-        form_waves = waves_of(form)
-        if form_waves is not None:
-            assert form_waves.run(in_vals, full) == [plain[0]]
+        for run in block_passes(form):
+            assert run(in_vals, full) == [plain[0]]
         assert form._run_live(in_vals, full) == [plain[0]]
 
 
 @FIXED
 @given(stamped_circuits(), st.integers(1, 300))
-def test_wave_pass_agrees_on_lanes_of_any_width(c, lane_bits):
+def test_comparator_pass_agrees_on_lanes_of_any_width(c, lane_bits):
     in_vals = [(0x5A5A5A5A5A5A5A5A * (i + 3)) % (1 << lane_bits)
                for i in range(c.arity)]
     full = (1 << lane_bits) - 1
-    waves = waves_of(c)
-    if waves is not None:
-        assert waves.run(in_vals, full) == c._run_all(in_vals, full)
+    for run in block_passes(c):
+        assert run(in_vals, full) == c._run_all(in_vals, full)
 
 
 @FIXED
@@ -375,21 +445,34 @@ def test_block_read_from_outside_stays_plain():
         want = [p for p in starts if not (read_inner and p == starts[1])]
         assert [p for p, _, _ in blocks] == want
         lanes, full = input_lanes(4), 0xFFFF
-        assert (waves_of(c).run(lanes, full) == c._run_live(lanes, full)
-                == c._run_all(lanes, full))
+        want = c._run_all(lanes, full)
+        assert c._run_live(lanes, full) == want
+        for run in block_passes(c):
+            assert run(lanes, full) == want
 
 
-def test_wave_pass_edge_lanes():
+def test_comparator_pass_edge_lanes():
     c, _ = _three_stamps(True)
-    waves = waves_of(c)
+    passes = block_passes(c)
     # no lanes at all, and one-bit lanes
-    assert waves.run([0] * 4, 0) == c._run_all([0] * 4, 0) == [0, 0]
+    for run in passes:
+        assert run([0] * 4, 0) == c._run_all([0] * 4, 0) == [0, 0]
     with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
         assert c.evaluate_batch([]) == [0, 0]
         for x in range(16):
             bits = [x >> i & 1 for i in range(4)]
-            assert waves.run(bits, 1) == c._run_all(bits, 1)
+            for run in passes:
+                assert run(bits, 1) == c._run_all(bits, 1)
             assert c.evaluate_batch([x]) == c._run_all(bits, 1)
+
+
+def test_evaluate_batch_reads_an_iterator_once():
+    c, _ = _three_stamps(True)
+    xs = [1, 3, 7]
+    assert c.evaluate_batch(x for x in xs) == c.evaluate_batch(xs)
+    assert c.evaluate_batch(iter([])) == c.evaluate_batch([]) == [0, 0]
+    with pytest.raises(ValueError):
+        c.evaluate_batch(x for x in [3, 16])
 
 
 def _and6():
@@ -469,61 +552,88 @@ def test_built_circuits_are_evaluated_from_their_record():
     assert f3 == unrecorded(circuits["irr f3"]).output_masks()
 
 
-def test_wave_pass_holds_only_the_lanes_its_plan_counts():
-    f3 = reduction.alg1_f3_circuit(3, _and6())
+def test_comparator_pass_holds_only_its_kept_lanes():
+    f3 = _ell3_circuits()["irr f3"]
     lanes, full = input_lanes(f3.arity), (1 << (1 << f3.arity)) - 1
-    stride = (full.bit_length() + 7) // 8
-    waves = waves_of(f3)
-    groups = [(m, len(starts)) for g in waves.groups for m, starts, _ in g]
-    kept = f3.size - sum(n * (len(circuit._min_block(m).kinds) - m)
-                         for m, n in groups)
-    widest = max(n * circuit._min_block(m).live for m, n in groups)
+    blocks = circuit._min_blocks(f3)
+    kept = f3.size - sum(len(circuit._min_block(m).kinds) - m
+                         for _, m, _ in blocks)
+    # a lane is its int object, and its key and entry in the pass's dict
+    # of lanes, with room for the dict to grow
+    lane = sys.getsizeof(full) + 128
     tracemalloc.start()
     try:
-        out = waves.run(lanes, full)
+        out = f3.output_masks()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out == f3._run_live(lanes, full)
-    # the plain vertices, the block outputs and the widest group's lanes
-    assert peak <= (kept + widest) * stride, (peak, kept, widest, stride)
+    # the plain vertices, the block outputs and the comparator's lanes
+    assert peak <= (kept + 3 * 12 + 2) * lane, (peak, kept, lane)
 
 
-def test_wave_groups_read_the_records_last_readers():
-    f3 = reduction.alg1_f3_circuit(3, _and6())
+def test_freeing_pass_walks_only_plain_gates_and_block_wires():
+    f3 = _ell3_circuits()["irr f3"]
     # the first 64 inputs, so that the plain pass holds 64-bit lanes
     full = (1 << 64) - 1
     lanes = [lane & full for lane in input_lanes(f3.arity)]
-    waves = waves_of(f3)
-    spy = mock.patch.object(Circuit, "_last_readers", autospec=True,
-                            side_effect=Circuit._last_readers)
-    with spy as last:
-        out = waves.run(lanes, full)
-    assert last.call_count == 0
+    blocks = circuit._min_blocks(f3)
+    inner = set()
+    for p, m, _ in blocks:
+        inner.update(range(p, p + len(circuit._min_block(m).kinds)))
+    steps = Circuit._steps
+    walked = []
+
+    def walk(c, blocks):
+        got = list(steps(c, blocks))
+        walked.append([k for k, *_ in got])
+        return iter(got)
+
+    with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0), \
+            mock.patch.object(Circuit, "_steps", walk):
+        out = f3._run(lanes, full)
+    # the last readers are found, and the lanes run, over the plain
+    # vertices and one step per block: no inner vertex is looked at
+    want = sorted(set(range(f3.size)) - inner | {p for p, _, _ in blocks})
+    assert walked == [want, want]
     assert out == f3._run_all(lanes, full)
 
 
-def test_run_takes_the_wave_pass_only_past_the_bound_and_where_it_fits():
-    spy = mock.patch.object(circuit._Waves, "run", autospec=True,
-                            side_effect=circuit._Waves.run)
-    # gadget_min(5): 233 vertices of 1024-bit lanes, 15 kept lanes and 28
-    # live template lanes of 128 bytes
+def test_run_keeps_every_lane_only_within_the_bound():
+    spies = [mock.patch.object(Circuit, name, autospec=True,
+                               side_effect=getattr(Circuit, name))
+             for name in ("_run_all", "_run_live")]
+    # gadget_min(5): 233 vertices of 1024-bit lanes, of which its 10
+    # inputs and 5 outputs get a lane: 15 lanes of 128 bytes
     c = gadget_min(5)
-    with spy as run:
-        want = c.output_masks()                     # the plain pass
-        assert run.call_count == 0
-        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 43 * 128):
-            assert c.output_masks() == want         # the wave pass
-        assert run.call_count == 1
-        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 42 * 128):
-            assert c.output_masks() == want         # the freeing pass
-        assert run.call_count == 1
+    want = c._run_all(input_lanes(10), (1 << 1024) - 1)
+    for bound, plain in ((15 * 128, True), (15 * 128 - 1, False)):
+        with spies[0] as run_all, spies[1] as run_live:
+            with mock.patch.object(circuit, "LIVE_LANE_BYTES", bound):
+                assert c.output_masks() == want
+        ran = run_all if plain else run_live
+        assert (run_all.call_count, run_live.call_count) == (
+            (1, 0) if plain else (0, 1))
+        assert ran.call_args.args[3] == circuit._min_blocks(c)
+    # a circuit without blocks counts every vertex: 11 lanes of 8 bytes
+    and6 = _and6()
+    for bound, plain in ((11 * 8, True), (11 * 8 - 1, False)):
+        with spies[0] as run_all, spies[1] as run_live:
+            with mock.patch.object(circuit, "LIVE_LANE_BYTES", bound):
+                and6.output_masks()
+        assert (run_all.call_count, run_live.call_count) == (
+            (1, 0) if plain else (0, 1))
     # the ell = 3 indecomposability toggle circuit (2^6-bit lanes) keeps
-    # every lane, so no block is even looked for
-    dec = reduction.alg2_f3_circuit(3, reduction.f2_transform(_and6()))
-    with mock.patch.object(circuit._Waves, "plan") as plan:
-        dec.output_masks()
-    assert plan.call_count == 0
+    # every lane and runs its 8 width-6 blocks through the comparator
+    dec = _ell3_circuits()["dec f3"]
+    spy = mock.patch.object(circuit, "_min_lanes",
+                            side_effect=circuit._min_lanes)
+    with spies[0] as run_all, spy as compare:
+        out = dec.output_masks()
+    assert run_all.call_count == 1
+    assert [(call.args[1], call.args[2]) for call in compare.call_args_list
+            ] == [(6, (1 << 64) - 1)] * 8
+    assert out == dec._run_all(input_lanes(6), (1 << 64) - 1)
 
 
 def test_input_lanes_match_the_bitwise_definition():
@@ -567,6 +677,29 @@ def test_freeing_pass_holds_only_the_live_frontier():
     top = input_lanes(r)[r - 1]
     assert mask == (top if length % 2 == 0 else top ^ ((1 << (1 << r)) - 1))
     # the r input lanes, a couple of chain lanes and the schedule
+    assert peak < 40 * lane_bytes, peak
+
+
+def test_freeing_pass_drops_block_wires_and_unread_outputs():
+    # a chain of width-2 stamps, each reading the low output of the one
+    # before, so no vertex reads any high output
+    r = 16
+    lane_bytes = (1 << r) // 8
+    b = Builder(r)
+    low = 0
+    for _ in range(200):
+        low = b.min_word([low, 1], [2, 3])[0]
+    c = b.build(low)
+    assert len(circuit._min_blocks(c)) == 200
+    tracemalloc.start()
+    try:
+        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
+            mask = c.output_masks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask == c._run_live(input_lanes(r), (1 << (1 << r)) - 1)
+    # the r input lanes and a few block lanes, not one per stamp
     assert peak < 40 * lane_bytes, peak
 
 
