@@ -37,7 +37,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import getitem, itemgetter, lt
 
 from .bitvec import bits_to_mask, mask_to_bits
@@ -171,6 +171,15 @@ class Circuit:
     _scan_stamps finds in its columns, once, when it is made.  The lane
     passes take their blocks from the record (_min_blocks).  The columns
     and the record are read only in this module.
+
+    A recorded block is its record: its kinds are in ``kinds``, but no
+    reader takes its operand entries from ``a`` and ``b``.  Those hold
+    zeros where a Builder stamped the block, and the text's own entries
+    where the circuit was parsed or made from tuples; Builder.splice
+    moves them with every other entry.  The readers that need a block's
+    inner operands (``nodes``, the text, Builder.embed, and a lane pass
+    that runs the block gate by gate) derive them from the record
+    (_operands); the others read only entries outside the blocks.
     """
 
     __slots__ = ("arity", "kinds", "a", "b", "outputs", "stamps")
@@ -228,11 +237,12 @@ class Circuit:
 
     @property
     def nodes(self) -> list:
+        a, b = _operands(self, 0, len(self.kinds), _recorded(self.stamps))
         return [(AND, x, y) if op == _AND else
                 (NOT, x) if op == _NOT else
                 (OR, x, y) if op == _OR else
                 (IN, x)
-                for op, x, y in zip(self.kinds, self.a, self.b)]
+                for op, x, y in zip(self.kinds, a, b)]
 
     # -- accounting ---------------------------------------------------------
 
@@ -276,15 +286,26 @@ class Circuit:
         """What a lane pass runs, in id order: each vertex as its column
         entries (k, kind code, a, b), except that each block (p, m, wires)
         of ``blocks`` (_min_blocks) is the one step (p, _MIN, m, wires) in
-        place of its own gates."""
+        place of its own gates.  A recorded block that is not in
+        ``blocks`` runs gate by gate, its entries derived (_operands)."""
         kinds, a, b = (memoryview(col) for col in (self.kinds, self.a, self.b))
+        # blocks is a part of the record: all of it, or the record is walked
+        if len(blocks) == len(self.stamps[1]):
+            found, run = blocks, None
+        else:
+            found, run = _recorded(self.stamps), {p for p, _, _ in blocks}
 
         def parts():        # made as the pass reaches them
             end = 0
-            for p, m, wires in blocks:
+            for blk in found:
+                p, m, wires = blk
                 yield zip(range(end, p), kinds[end:p], a[end:p], b[end:p])
-                yield (p, _MIN, m, wires),
                 end = p + len(_min_block(m).kinds)
+                if run is None or p in run:
+                    yield (p, _MIN, m, wires),
+                else:
+                    yield zip(range(p, end), kinds[p:end],
+                              *_operands(self, p, end, (blk,)))
             yield zip(range(end, len(kinds)), kinds[end:], a[end:], b[end:])
         return chain.from_iterable(parts())
 
@@ -409,11 +430,10 @@ class Builder:
 
     The integer-minimum block is all fresh gates, so its layout depends
     only on its width m: it is recorded once per m (``_min_block``), and
-    each ``min_word`` stamps a copy by column arithmetic.  The entries
-    that read the block's own gates are one big integer per operand
-    column, the recorded ids shifted by the copy's first id, appended as
-    bytes; only the entries that read the copy's input wires are written
-    one at a time (at m = 12, 277 of 2,224).
+    each ``min_word`` of width m >= 2 appends the template's kinds, zero
+    operand entries and a record of the stamp, which is all that
+    describes the copy: its operands are derived from the record where
+    they are read (_operands).
 
     ``stamps`` records each stamp of width m >= 2, in Circuit.stamps's
     form: its start and 2m wires in the array, m in the widths.  build()
@@ -511,12 +531,13 @@ class Builder:
         gate is fresh, so the block costs exactly 13m + 12 vertices over the
         (m-1)-bit block, i.e. (13m^2 + 37m - 44)/2 total with its 2m inputs.
 
-        Stamped from the block recorded for width m, one operand column at
-        a time (see _MinBlock): the entries that read the block's own gates
-        are the integer ``own + base * ones`` at base id ``base``, appended
-        as bytes, and only the entries that read a wire are then written
-        one by one.  The wires must be earlier vertices and the block's
-        last id must fit a column entry, or nothing is added.
+        A block of width m >= 2 is its record: min_word appends the
+        template's kinds and zero operand entries, and the block's start
+        and wires to ``stamps``; the readers that need its operands derive
+        them (_operands).  At m = 1 the block is one AND gate of the two
+        wires, written as a plain gate, with no record.  The wires must be
+        earlier vertices and the block's last id must fit a column entry,
+        or nothing is added.
         """
         xs, ys = list(xs), list(ys)
         m = len(xs)
@@ -530,22 +551,18 @@ class Builder:
             raise ValueError("a word wire is not a vertex")
         if base + len(kinds) - 1 > _INDEX_MAX:
             raise ValueError(f"vertex ids past {_INDEX_MAX}")
-        size = len(kinds) * _INDEX_BYTES
-        cols = []
-        for _, own, ones, _, slots, pos in block.forms:
-            col = array("I", (own + base * ones).to_bytes(size, _BYTE_ORDER))
-            reads = slots(wires)    # one wire read: a scalar
-            for i, w in zip(pos, reads if len(pos) > 1 else (reads,)):
-                col[i] = w
-            cols.append(col)
         self.kinds += kinds
-        self.a += cols[0]
-        self.b += cols[1]
-        if m > 1:
-            at, widths = self.stamps
-            at.append(base)
-            at.extend(wires)
-            widths.append(m)
+        if m == 1:
+            self.a.append(xs[0])
+            self.b.append(ys[0])
+            return [base]
+        zeros = bytes(len(kinds) * _INDEX_BYTES)
+        self.a.frombytes(zeros)
+        self.b.frombytes(zeros)
+        at, widths = self.stamps
+        at.append(base)
+        at.extend(wires)
+        widths.append(m)
         return [base - 2 * m + o for o in outs]     # every output is a gate
 
     def embed(self, circ: Circuit, input_wires) -> list:
@@ -556,7 +573,8 @@ class Builder:
         wmap = []
         put = wmap.append
         add = self._add
-        for op, x, y in zip(circ.kinds, circ.a, circ.b):
+        a, b = _operands(circ, 0, len(circ.kinds), _recorded(circ.stamps))
+        for op, x, y in zip(circ.kinds, a, b):
             put(add(op, wmap[x], wmap[y], False) if op else input_wires[x])
         return [wmap[o] for o in circ.outputs]
 
@@ -621,8 +639,8 @@ class _MinBlock:
     ``start``, masked to the gates that read the block's own slots, is
     ``own + start * ones``; and the entries at positions ``pos``, the gates
     that read an input slot, are the ``slots`` of the wires.  ``at`` picks
-    those entries out of a column, so Builder.min_word writes and
-    _stamp_wires checks the same entries."""
+    those entries out of a column, so _operands derives and _stamp_wires
+    checks the same entries."""
 
     __slots__ = ("circuit", "kinds", "inner", "first", "forms")
 
@@ -729,6 +747,33 @@ def _recorded(stamps: tuple) -> list:
         out.append((at[i], m, at[i + 1:j]))
         i = j
     return out
+
+
+def _operands(circ, lo: int, hi: int, found) -> tuple:
+    """circ's operand columns over ids lo..hi-1 (clipped to its vertices),
+    as two arrays: the stored entries, except that each entry of a block in
+    ``found`` (circ's record as _recorded lists it, or an id-ordered part
+    of it) is derived from the block's record, as the block's template
+    reads (_MinBlock.forms): the own part as the integer
+    ``own + start * ones``, then each read of a wire written in turn."""
+    a, b = circ.a[lo:hi], circ.b[lo:hi]
+    i = max(bisect_right(found, lo, key=itemgetter(0)) - 1, 0)
+    for p, m, wires in islice(found, i, None):
+        if p >= hi:
+            break
+        block = _min_block(m)
+        size = len(block.kinds)
+        if p + size <= lo:
+            continue
+        s, e = max(p, lo), min(p + size, hi)
+        for col, (_, own, ones, _, slots, pos) in zip((a, b), block.forms):
+            entries = array("I", (own + p * ones).to_bytes(
+                size * _INDEX_BYTES, _BYTE_ORDER))
+            reads = slots(wires)    # one wire read: a scalar
+            for j, w in zip(pos, reads if len(pos) > 1 else (reads,)):
+                entries[j] = w
+            col[s - lo:e - lo] = entries[s - p:e - p]
+    return a, b
 
 
 def _min_blocks(circ: Circuit) -> list:
@@ -882,19 +927,21 @@ def circuit_pieces(circ: Circuit):
     refused here, before the first piece."""
     if len(circ.outputs) != 1:
         raise ValueError("text format holds single-sink circuits only")
-    return _vertex_pieces(circ.kinds, circ.a, circ.b, circ.sink)
+    return _vertex_pieces(circ)
 
 
-def _vertex_pieces(kinds: bytes, a: array, b: array, sink: int):
+def _vertex_pieces(circ: Circuit):
+    kinds, found = circ.kinds, _recorded(circ.stamps)
     for lo in range(0, len(kinds), BLOCK_VERTICES):
         hi = lo + BLOCK_VERTICES
+        a, b = _operands(circ, lo, hi, found)
         yield "".join([
             f"v{k} AND v{x} v{y}\n" if op == _AND else
             f"v{k} NOT v{x}\n" if op == _NOT else
             f"v{k} OR v{x} v{y}\n" if op == _OR else
             f"v{k} INPUT {x}\n"
-            for k, op, x, y in zip(range(lo, hi), kinds[lo:hi], a[lo:hi], b[lo:hi])])
-    yield f"SINK v{sink}\n"
+            for k, op, x, y in zip(range(lo, hi), kinds[lo:hi], a, b)])
+    yield f"SINK v{circ.sink}\n"
 
 
 def read_text(path: str):

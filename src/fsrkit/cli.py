@@ -52,14 +52,14 @@ def cmd_reduce(args) -> int:
         build = False
     else:
         build = None  # builder default: gate-level form for ell <= 3
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.kind == "irr":
         inst = reduction.build_irreducibility_fsr(f0, build_circuit=build)
     else:
         inst = reduction.build_indecomposability_fsr(f0, build_circuit=build)
     # the feedback circuit is made only here, where it is written
     f1 = inst.feedback_circuit() if args.emit == "circuit" else None
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     out = args.out
     if out is None:
         stem, _ = os.path.splitext(args.circuit)
@@ -107,11 +107,12 @@ def cmd_analyze(args) -> int:
         print(f"subfsr-count={len(subs)}")
         return 0
     if args.mode == "irreducible":
-        t0 = time.time()
+        t0 = time.perf_counter()
         irr = analysis.is_irreducible(f)
-        return Verdict("IRREDUCIBLE", irr, None, time.time() - t0).emit()
+        return Verdict("IRREDUCIBLE", irr, None,
+                       time.perf_counter() - t0).emit()
     if args.mode == "decompose":
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = analysis.is_decomposable(f, args.strategy, args.max_inner_stage)
         witness = None
         if rep.decomposable:
@@ -123,7 +124,7 @@ def cmd_analyze(args) -> int:
         print(f"strategy={rep.strategy} candidates={rep.candidates_tried} "
               f"complete={rep.complete}")
         return Verdict("DECOMPOSABLE", rep.decomposable, witness,
-                       time.time() - t0).emit()
+                       time.perf_counter() - t0).emit()
     raise ValueError(f"unknown mode {args.mode!r}")
 
 

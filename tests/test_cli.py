@@ -1,7 +1,9 @@
+import itertools
 import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -75,6 +77,23 @@ def test_reduce_stdout_is_the_same_on_every_run(workdir, capsys):
     assert runs[0].out == runs[1].out
     assert runs[0].out.splitlines()[-1] == "wrote f1.fsr"
     assert all(run.err.startswith("time=") for run in runs)
+
+
+def test_elapsed_times_ignore_a_wall_clock_that_steps_back(workdir, capsys,
+                                                          monkeypatch):
+    # the wall clock steps back 100 s at each read; the time= lines are
+    # measured on a monotonic clock, so none is negative
+    clock = itertools.count(1e9, -100.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    path = identity_circuit(workdir)
+    p0 = write(workdir / "p0.fsr", "STAGE 2\nFEEDBACK TABLE 0110\n")
+    codes = [main(["reduce", "dec", path, "--out", "f1.fsr"]),
+             main(["analyze", "irreducible", p0]),
+             main(["analyze", "decompose", p0])]
+    assert codes == [0, 0, 1]
+    lines = capsys.readouterr().err.splitlines()
+    assert [line[:5] for line in lines] == ["time="] * 3
+    assert all(0 <= float(line[5:-1]) < 60 for line in lines), lines
 
 
 def test_reduce_parse_error_exit_2(workdir, capsys):

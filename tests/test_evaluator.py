@@ -193,11 +193,18 @@ def stamped_circuits(draw):
     return b.build(tuple(outputs))
 
 
+def derived(c) -> tuple:
+    """c's operand columns, each recorded block's entries derived from its
+    record, as the readers of block interiors see them."""
+    return circuit._operands(c, 0, c.size, circuit._recorded(c.stamps))
+
+
 def unrecorded(c):
-    """c's columns without the record a Builder gave them: the record is
-    found in the columns, as for parsed text."""
-    return Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs,
-                                 circuit._scan_stamps(c.kinds, c.a, c.b))
+    """c's derived columns without the record a Builder gave them: the
+    record is found in the columns, as for parsed text."""
+    a, b = derived(c)
+    return Circuit._from_columns(c.arity, c.kinds, a, b, c.outputs,
+                                 circuit._scan_stamps(c.kinds, a, b))
 
 
 def block_passes(c):
@@ -255,7 +262,7 @@ def test_comparator_pass_agrees_on_lanes_of_any_width(c, lane_bits):
 @FIXED
 @given(stamped_circuits())
 def test_the_record_is_what_the_scan_finds(c):
-    assert c.stamps == circuit._scan_stamps(c.kinds, c.a, c.b)
+    assert c.stamps == circuit._scan_stamps(c.kinds, *derived(c))
     assert circuit._min_blocks(c) == circuit._min_blocks(unrecorded(c))
 
 
@@ -297,16 +304,61 @@ def test_splice_moves_every_id_and_the_record(c, extra):
     b = Builder(n + extra)
     out = b.splice(c)
     moved = b.build(tuple(out))
+    (a, b), (moved_a, moved_b) = derived(c), derived(moved)
     assert moved.kinds[n + extra:] == c.kinds[n:]
-    assert moved.a[n + extra:].tolist() == [x + extra for x in c.a[n:]]
-    assert moved.b[n + extra:].tolist() == [y + extra for y in c.b[n:]]
+    assert moved_a[n + extra:].tolist() == [x + extra for x in a[n:]]
+    assert moved_b[n + extra:].tolist() == [y + extra for y in b[n:]]
     assert out == [o + extra for o in c.outputs]
     assert circuit._recorded(moved.stamps) == [
         (p + extra, m, array("I", [w + extra for w in wires]))
         for p, m, wires in circuit._recorded(c.stamps)]
-    assert moved.stamps == circuit._scan_stamps(moved.kinds, moved.a, moved.b)
+    assert moved.stamps == circuit._scan_stamps(moved.kinds, moved_a, moved_b)
     lanes, full = input_lanes(n + extra), (1 << (1 << (n + extra))) - 1
     assert moved._run_all(lanes, full) == c._run_all(lanes[extra:], full)
+
+
+@FIXED
+@given(stamped_circuits(), st.integers(0, 3), st.data())
+def test_every_reader_of_block_interiors_sees_the_per_entry_columns(
+        c, extra, data):
+    # each reader that derives a block's operands from its record agrees
+    # with the same circuit stamped entry by entry and read as stored
+    want = by_entry(c)
+    assert derived(c) == (want.a, want.b)
+    lo = data.draw(st.integers(0, c.size))
+    hi = data.draw(st.integers(lo, c.size + 2))
+    found = circuit._recorded(c.stamps)
+    assert circuit._operands(c, lo, hi, found) == (want.a[lo:hi],
+                                                   want.b[lo:hi])
+    assert c.nodes == want.nodes
+    # text, in whole pieces and in pieces that cut blocks, and parsed back
+    sink = Circuit._from_columns(c.arity, c.kinds, c.a, c.b,
+                                 (c.outputs[0],), c.stamps)
+    text = write_circuit(sink)
+    assert text == write_circuit(by_entry(sink))
+    with mock.patch.object(circuit, "BLOCK_VERTICES", 7):
+        assert write_circuit(sink) == text
+    parsed = parse_circuit(text)
+    assert (parsed.kinds, parsed.a, parsed.b, parsed.stamps) == (
+        c.kinds, want.a, want.b, c.stamps)
+    # embedded into, and spliced over, a fresh builder
+    n = c.arity
+
+    def moved(form) -> tuple:
+        dest = Builder(n)
+        embedded = dest.build(tuple(dest.embed(form, range(n))))
+        dest = Builder(n + extra)
+        spliced = dest.build(tuple(dest.splice(form)))
+        return layout(embedded), spliced.kinds, derived(spliced), spliced.outputs
+
+    assert moved(c) == moved(want)
+    # gate by gate, and with each block through the comparator
+    lanes, full = input_lanes(n), (1 << (1 << n)) - 1
+    plain = want._run_all(lanes, full)
+    assert c._run_all(lanes, full, blocks=()) == plain
+    assert c._run_live(lanes, full, blocks=()) == plain
+    for run in block_passes(c):
+        assert run(lanes, full) == plain
 
 
 def test_splice_refuses_before_adding_anything():
@@ -343,16 +395,33 @@ def test_a_record_that_misses_its_block_is_refused():
         circuit._min_blocks(wrong)
 
 
-def stamp_by_entry(b, xs, ys) -> tuple:
-    """What min_word(xs, ys) appends to b, entry by entry: (kinds, a, b,
-    outputs), vertex s of the recorded block being wire s of xs + ys and
-    then the block's own gates from the next id."""
-    block = circuit._min_block(len(xs)).circuit
-    w = 2 * len(xs)
-    base = len(b.kinds)
-    look = list(xs) + list(ys) + list(range(base, base + block.size - w))
+def entries_of(m: int, wires, base: int) -> tuple:
+    """The width-m block over wires at first id base, entry by entry:
+    (kinds, a, b, outputs), vertex s of the recorded block being wire s of
+    wires and then the block's own gates from base."""
+    block = circuit._min_block(m).circuit
+    w = 2 * m
+    look = list(wires) + list(range(base, base + block.size - w))
     return (block.kinds[w:], [look[s] for s in block.a[w:]],
             [look[s] for s in block.b[w:]], [look[s] for s in block.outputs])
+
+
+def stamp_by_entry(b, xs, ys) -> tuple:
+    """What min_word(xs, ys) stamps on b, entry by entry (entries_of)."""
+    return entries_of(len(xs), list(xs) + list(ys), len(b.kinds))
+
+
+def by_entry(c) -> Circuit:
+    """c with each recorded block's operand entries written one by one
+    (entries_of), and no record, so that every reader takes the entries
+    as stored."""
+    a, b = c.a[:], c.b[:]
+    for p, m, wires in circuit._recorded(c.stamps):
+        _, xs, ys, _ = entries_of(m, wires, p)
+        a[p:p + len(xs)] = array("I", xs)
+        b[p:p + len(ys)] = array("I", ys)
+    return Circuit._from_columns(c.arity, c.kinds, a, b, c.outputs,
+                                 (array("I"), b""))
 
 
 @FIXED
@@ -372,8 +441,13 @@ def test_stamped_columns_equal_the_per_entry_mapping(data):
         want = stamp_by_entry(b, xs, ys)
         start = len(b.kinds)
         out = b.min_word(xs, ys)
-        assert (b.kinds[start:], b.a[start:].tolist(), b.b[start:].tolist(),
-                out) == want
+        got = derived(b.build(tuple(out)))
+        assert (b.kinds[start:], got[0][start:].tolist(),
+                got[1][start:].tolist(), out) == want
+        # a block is its record: the Builder stores zero operand entries,
+        # and a width-1 block is one plain AND gate of the two wires
+        stored = (b.a[start:].tolist(), b.b[start:].tolist())
+        assert stored == (want[1:3] if m == 1 else ([0] * len(want[1]),) * 2)
         wires += out
 
 

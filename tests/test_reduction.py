@@ -206,6 +206,23 @@ def test_ell3_circuits_are_written_as_pinned():
     assert circuits["dec f1"].size == 2782
 
 
+def test_stage19_dec_circuits_are_written_as_pinned():
+    # the text of the ell = 9 indecomposability circuits over and18, whose
+    # 26 width-18 minimum blocks are written from their record, as digests
+    b = C.Builder(18)
+    and18 = b.build(b.and_chain(range(18)))
+    f3 = R.alg2_f3_circuit(9, R.f2_transform(and18))
+    f1 = R._wrap_feedback(f3, L.LfsrFamily.for_ell(9).p1)
+    digests = [hashlib.sha256(C.write_circuit(c).encode()).hexdigest()
+               for c in (f3, f1)]
+    assert digests == [
+        "7f73663330680e332025a328dd1a47a82fe5920e98fea321e954d1971971f51b",
+        "291d0bcfaa6e2684b6c9d1bba54d60fcdbd289406757fd2b2206b77b72d28d9c",
+    ]
+    assert f1.size == 63_241
+    assert list(f1.stamps[1]) == [18] * 26
+
+
 def test_alg2_unsat_is_exactly_the_linear_register():
     for ell, bits in ((1, [0, 0]), (1, [0, 0, 0, 0]), (3, [0] * 32)):
         inst = R.build_indecomposability_fsr(C.from_bits(bits),
