@@ -146,27 +146,27 @@ def decompose_with_inner(f: Fsr, g: Fsr):
 
     product_fsr(h, g) has feedback g1(x >> hn) ^ h1(w(x)) at state x, with
     hn the stage of h and w(x) the window image of x under g, so one pass
-    over f's states sets h1(w(x)) = f1(x) ^ g1(x >> hn).  Returns (h, free)
-    where free counts outer feedback entries no constraint reached
-    (defaulted to 0), or None on any conflict.  Raises InvariantError if
-    the solved h does not give back f as h-product-g.
+    over f's states sets h1(w(x)) = f1(x) ^ g1(x >> hn).  The low g.stage
+    bits of x and w(x) fix x, so the pass reaches every entry of h1, and h
+    is the one outer factor for g.  Returns h, or None on any conflict.
+    Raises InvariantError if the solved h does not give back f as
+    h-product-g.
     """
     if not 1 <= g.stage < f.stage:
         raise ValueError("inner stage must be at least 1 and below f's")
     hn = f.stage - g.stage
     f1, g1 = f.table, g.table
-    h1 = bytearray([2]) * (1 << hn)     # 2: no constraint reached it
+    h1 = bytearray([2]) * (1 << hn)     # 2: not yet reached
     for x, w in enumerate(window_images(g, hn)):
         val = f1[x] ^ g1[x >> hn]
         if h1[w] == 2:
             h1[w] = val
         elif h1[w] != val:
             return None
-    free = h1.count(2)
-    h = Fsr(hn, table=h1.replace(b"\x02", b"\x00"))
+    h = Fsr(hn, table=h1)
     if product_fsr(h, g) != f:
         raise InvariantError("solved outer factor does not reproduce f")
-    return h, free
+    return h
 
 
 def _brute_inners(limit: int, nonsingular: bool):
@@ -189,7 +189,6 @@ class DecompositionReport:
     decomposable: bool
     outer: Fsr | None
     inner: Fsr | None
-    free_entries: int
     strategy: str
     candidates_tried: int
     complete: bool  # False when a search was capped below stage n-1
@@ -235,11 +234,10 @@ def is_decomposable(f: Fsr, strategy: str = "brute",
         raise ValueError(f"unknown strategy {strategy!r}")
     tried = 0
     for tried, g in enumerate(inners, 1):
-        res = None if g is None else decompose_with_inner(f, g)
-        if res is not None:
-            return DecompositionReport(True, res[0], g, res[1], strategy,
-                                       tried, True)
-    return DecompositionReport(False, None, None, 0, strategy, tried,
+        h = None if g is None else decompose_with_inner(f, g)
+        if h is not None:
+            return DecompositionReport(True, h, g, strategy, tried, True)
+    return DecompositionReport(False, None, None, strategy, tried,
                                limit == n - 1)
 
 

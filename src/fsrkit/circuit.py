@@ -35,7 +35,7 @@ import json
 import re
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import chain, compress, islice
 from operator import getitem, itemgetter, lt
@@ -165,12 +165,12 @@ class Circuit:
     of text, so no pass over a whole circuit checks it again.
 
     ``stamps`` records the minimum blocks of width m >= 2 in the columns:
-    an array('I') holding, per stamp in id order, its first id and then
-    its 2m wires, and the bytes of the widths m.  A Builder records each
-    block it stamps; a circuit made from tuples or text gets the record
-    _scan_stamps finds in its columns, once, when it is made.  The lane
-    passes take their blocks from the record (_min_blocks).  The columns
-    and the record are read only in this module.
+    a tuple, in id order, of one (start, m, wires) per stamp, its first
+    id, its width and its 2m wires as an array('I').  A Builder records
+    each block it stamps; a circuit made from tuples or text gets the
+    record _scan_stamps finds in its columns, once, when it is made.  The
+    lane passes take their blocks from the record (_min_blocks).  The
+    columns and the record are read only in this module.
 
     A recorded block is its record: its kinds are in ``kinds``, but no
     reader takes its operand entries from ``a`` and ``b``.  Those hold
@@ -237,7 +237,7 @@ class Circuit:
 
     @property
     def nodes(self) -> list:
-        a, b = _operands(self, 0, len(self.kinds), _recorded(self.stamps))
+        a, b = _operands(self, 0, len(self.kinds), self.stamps)
         return [(AND, x, y) if op == _AND else
                 (NOT, x) if op == _NOT else
                 (OR, x, y) if op == _OR else
@@ -289,19 +289,15 @@ class Circuit:
         place of its own gates.  A recorded block that is not in
         ``blocks`` runs gate by gate, its entries derived (_operands)."""
         kinds, a, b = (memoryview(col) for col in (self.kinds, self.a, self.b))
-        # blocks is a part of the record: all of it, or the record is walked
-        if len(blocks) == len(self.stamps[1]):
-            found, run = blocks, None
-        else:
-            found, run = _recorded(self.stamps), {p for p, _, _ in blocks}
+        run = {p for p, _, _ in blocks}
 
         def parts():        # made as the pass reaches them
             end = 0
-            for blk in found:
+            for blk in self.stamps:
                 p, m, wires = blk
                 yield zip(range(end, p), kinds[end:p], a[end:p], b[end:p])
                 end = p + len(_min_block(m).kinds)
-                if run is None or p in run:
+                if p in run:
                     yield (p, _MIN, m, wires),
                 else:
                     yield zip(range(p, end), kinds[p:end],
@@ -435,9 +431,9 @@ class Builder:
     describes the copy: its operands are derived from the record where
     they are read (_operands).
 
-    ``stamps`` records each stamp of width m >= 2, in Circuit.stamps's
-    form: its start and 2m wires in the array, m in the widths.  build()
-    hands a copy to the circuit, so no scan looks for the blocks.
+    ``stamps`` lists each stamp of width m >= 2 as Circuit.stamps holds
+    it, (start, m, wires).  build() hands the circuit a tuple of it, so no
+    scan looks for the blocks.
     """
 
     def __init__(self, arity: int):
@@ -447,7 +443,7 @@ class Builder:
         self.kinds = bytearray(arity)            # all IN
         self.a = array("I", range(arity))
         self.b = array("I", range(arity))
-        self.stamps = (array("I"), bytearray())
+        self.stamps = []
         self._cache = {}
 
     def inp(self, i: int) -> int:
@@ -532,9 +528,9 @@ class Builder:
         (m-1)-bit block, i.e. (13m^2 + 37m - 44)/2 total with its 2m inputs.
 
         A block of width m >= 2 is its record: min_word appends the
-        template's kinds and zero operand entries, and the block's start
-        and wires to ``stamps``; the readers that need its operands derive
-        them (_operands).  At m = 1 the block is one AND gate of the two
+        template's kinds and zero operand entries, and (start, m, wires)
+        to ``stamps``; the readers that need its operands derive them
+        (_operands).  At m = 1 the block is one AND gate of the two
         wires, written as a plain gate, with no record.  The wires must be
         earlier vertices and the block's last id must fit a column entry,
         or nothing is added.
@@ -559,10 +555,7 @@ class Builder:
         zeros = bytes(len(kinds) * _INDEX_BYTES)
         self.a.frombytes(zeros)
         self.b.frombytes(zeros)
-        at, widths = self.stamps
-        at.append(base)
-        at.extend(wires)
-        widths.append(m)
+        self.stamps.append((base, m, array("I", wires)))
         return [base - 2 * m + o for o in outs]     # every output is a gate
 
     def embed(self, circ: Circuit, input_wires) -> list:
@@ -573,7 +566,7 @@ class Builder:
         wmap = []
         put = wmap.append
         add = self._add
-        a, b = _operands(circ, 0, len(circ.kinds), _recorded(circ.stamps))
+        a, b = _operands(circ, 0, len(circ.kinds), circ.stamps)
         for op, x, y in zip(circ.kinds, a, b):
             put(add(op, wmap[x], wmap[y], False) if op else input_wires[x])
         return [wmap[o] for o in circ.outputs]
@@ -581,10 +574,10 @@ class Builder:
     def splice(self, circ: Circuit) -> list:
         """Append circ's gates, unmerged, its input i read from vertex
         v - arity + i, v the vertex count; return its outputs' ids.  Every
-        id moves alike: each operand column and circ's record move by one
-        big-integer add.  ValueError, before anything is added, unless
-        circ's first arity vertices are INPUT 0..arity-1 in order and no
-        moved id passes _INDEX_MAX."""
+        id moves alike: each operand column, and the wires of each block of
+        circ's record, move by one big-integer add.  ValueError, before
+        anything is added, unless circ's first arity vertices are INPUT
+        0..arity-1 in order and no moved id passes _INDEX_MAX."""
         n = circ.arity
         by = len(self.kinds) - n
         kinds, a, b = circ.kinds, circ.a, circ.b
@@ -597,9 +590,11 @@ class Builder:
         self.kinds += memoryview(kinds)[n:]
         self.a.frombytes(_moved(memoryview(a)[n:], step))
         self.b.frombytes(_moved(memoryview(b)[n:], step))
-        at, widths = circ.stamps
-        self.stamps[0].frombytes(_moved(memoryview(at), by * _ones(len(at))))
-        self.stamps[1].extend(widths)
+        # one add per block, not one int per wire: those ints left the heap
+        # fragmented enough to raise cli-roundtrip's peak RSS by about 2 MB
+        self.stamps += [(p + by, m, array("I", _moved(memoryview(wires),
+                                                      by * _ones(2 * m))))
+                        for p, m, wires in circ.stamps]
         return [o + by for o in circ.outputs]
 
     def build(self, outputs) -> Circuit:
@@ -607,7 +602,7 @@ class Builder:
             outputs = (outputs,)
         return Circuit._from_columns(self.arity, bytes(self.kinds), self.a[:],
                                     self.b[:], tuple(outputs),
-                                    (self.stamps[0][:], bytes(self.stamps[1])))
+                                    tuple(self.stamps))
 
 
 def _ones(n: int) -> int:
@@ -703,7 +698,7 @@ def _scan_stamps(kinds, a: array, b: array) -> tuple:
     next template's kinds follow; the widest width whose operand columns
     check out (_stamp_wires) is taken."""
     head = _min_block(2).kinds
-    at, widths = array("I"), bytearray()
+    found = []
     p = kinds.find(head)
     while p >= 0:
         top = 2
@@ -712,12 +707,11 @@ def _scan_stamps(kinds, a: array, b: array) -> tuple:
         for m in range(top, 1, -1):
             wires = _stamp_wires(a, b, p, m)
             if wires is not None:
-                at.extend((p, *wires))
-                widths.append(m)
+                found.append((p, m, wires))
                 p += len(_min_block(m).kinds) - 1
                 break
         p = kinds.find(head, p + 1)
-    return at, bytes(widths)
+    return tuple(found)
 
 
 def _stamp_wires(a: array, b: array, p: int, m: int):
@@ -737,23 +731,11 @@ def _stamp_wires(a: array, b: array, p: int, m: int):
     return wires
 
 
-def _recorded(stamps: tuple) -> list:
-    """A record of stamps (Circuit.stamps) as (start, m, wires) in id
-    order, the wires a slice of the record's array."""
-    at, widths = stamps
-    out, i = [], 0
-    for m in widths:
-        j = i + 1 + 2 * m
-        out.append((at[i], m, at[i + 1:j]))
-        i = j
-    return out
-
-
 def _operands(circ, lo: int, hi: int, found) -> tuple:
     """circ's operand columns over ids lo..hi-1 (clipped to its vertices),
     as two arrays: the stored entries, except that each entry of a block in
-    ``found`` (circ's record as _recorded lists it, or an id-ordered part
-    of it) is derived from the block's record, as the block's template
+    ``found`` (circ's record, Circuit.stamps, or an id-ordered part of it)
+    is derived from the block's record, as the block's template
     reads (_MinBlock.forms): the own part as the integer
     ``own + start * ones``, then each read of a wire written in turn."""
     a, b = circ.a[lo:hi], circ.b[lo:hi]
@@ -785,17 +767,17 @@ def _min_blocks(circ: Circuit) -> list:
     of whose non-output vertices is read from outside it (by a plain gate,
     as another block's wire, or as a circuit output) stays plain."""
     kinds, a, b = circ.kinds, circ.a, circ.b
-    found = _recorded(circ.stamps)
+    found = circ.stamps
     for p, m, _ in found:
         if not kinds.startswith(_min_block(m).kinds, p):
             raise InvariantError(f"no width-{m} minimum block at "
                                  f"recorded vertex {p}")
     if not found:
-        return found
+        return []
     inner = bytearray(len(kinds))
     reads = list(circ.outputs)
     end = 0
-    for p, m, wires in found + [(len(kinds), 0, ())]:
+    for p, m, wires in (*found, (len(kinds), 0, ())):
         gates = kinds[end:p]
         reads += compress(a[end:p], gates)
         reads += compress(b[end:p], gates)
@@ -921,19 +903,26 @@ def write_circuit(circ: Circuit) -> str:
 
 
 def circuit_pieces(circ: Circuit):
-    """write_circuit's text as an iterator of pieces, BLOCK_VERTICES
+    """write_circuit's text as an iterator of pieces, about BLOCK_VERTICES
     vertex lines each and the SINK line last, so a file can be written
-    without the whole text in memory.  A circuit the format cannot hold is
-    refused here, before the first piece."""
+    without the whole text in memory.  A piece that would cut a recorded
+    block ends after it, so each block's operands are derived once
+    (_operands).  A circuit the format cannot hold is refused here, before
+    the first piece."""
     if len(circ.outputs) != 1:
         raise ValueError("text format holds single-sink circuits only")
     return _vertex_pieces(circ)
 
 
 def _vertex_pieces(circ: Circuit):
-    kinds, found = circ.kinds, _recorded(circ.stamps)
-    for lo in range(0, len(kinds), BLOCK_VERTICES):
+    kinds, found = circ.kinds, circ.stamps
+    lo = 0
+    while lo < len(kinds):
         hi = lo + BLOCK_VERTICES
+        i = bisect_left(found, hi, key=itemgetter(0))   # blocks before hi
+        if i:
+            p, m, _ = found[i - 1]
+            hi = max(hi, p + len(_min_block(m).kinds))
         a, b = _operands(circ, lo, hi, found)
         yield "".join([
             f"v{k} AND v{x} v{y}\n" if op == _AND else
@@ -941,6 +930,7 @@ def _vertex_pieces(circ: Circuit):
             f"v{k} OR v{x} v{y}\n" if op == _OR else
             f"v{k} INPUT {x}\n"
             for k, op, x, y in zip(range(lo, hi), kinds[lo:hi], a, b)])
+        lo = hi
     yield f"SINK v{circ.sink}\n"
 
 

@@ -119,8 +119,7 @@ def cmd_analyze(args) -> int:
             inner = bits_to_digits(rep.inner.table)
             outer = bits_to_digits(rep.outer.table)
             witness = [f"inner stage={rep.inner.stage} table={inner}",
-                       f"outer stage={rep.outer.stage} table={outer}",
-                       f"free-entries={rep.free_entries}"]
+                       f"outer stage={rep.outer.stage} table={outer}"]
         print(f"strategy={rep.strategy} candidates={rep.candidates_tried} "
               f"complete={rep.complete}")
         return Verdict("DECOMPOSABLE", rep.decomposable, witness,

@@ -160,10 +160,8 @@ def test_subset_search_walks_past_the_recursion_limit():
 def test_decompose_with_inner_examples():
     f = F.Fsr(2, table=[0, 1, 0, 1])     # x2 + x0
     one = lin("x + 1")
-    h, free = A.decompose_with_inner(f, one)
-    assert h == one and free == 0
-    h, free = A.decompose_with_inner(lin("x^3 + 1"), one)
-    assert h == lin("x^2 + x + 1") and free == 0
+    assert A.decompose_with_inner(f, one) == one
+    assert A.decompose_with_inner(lin("x^3 + 1"), one) == lin("x^2 + x + 1")
     with pytest.raises(ValueError):
         A.decompose_with_inner(one, one)
 
@@ -177,7 +175,8 @@ def test_decompose_with_inner_checks_the_product(monkeypatch):
 
 def test_decompose_with_inner_solves_its_definition():
     # decomposable with inner g: some h of stage n - k has h-product-g = f;
-    # every h is tried for every g, and the products of each are counted
+    # every h is tried for every g, and the products of each are counted:
+    # given g, the outer factor is unique
     for n in (2, 3):
         for k in range(1, n):
             for gmask in range(1 << (1 << k)):
@@ -186,13 +185,12 @@ def test_decompose_with_inner_solves_its_definition():
                                 for hmask in range(1 << (1 << (n - k))))
                 for fmask in range(1 << (1 << n)):
                     f = F.Fsr(n, table=fmask)
-                    res = A.decompose_with_inner(f, g)
-                    if res is None:
+                    h = A.decompose_with_inner(f, g)
+                    if h is None:
                         assert works[f.table] == 0, (fmask, gmask)
                     else:
-                        h, free = res
                         assert F.product_fsr(h, g) == f
-                        assert works[f.table] == 1 << free, (fmask, gmask)
+                        assert works[f.table] == 1, (fmask, gmask)
 
 
 @st.composite
@@ -209,7 +207,7 @@ def products(draw):
 @given(products())
 def test_decompose_with_inner_recovers_the_outer_factor(case):
     f, g, h, x = case
-    assert A.decompose_with_inner(f, g) == (h, 0)
+    assert A.decompose_with_inner(f, g) == h
     # each outer entry is read at the 2^k states sharing a window image, so
     # flipping f at one of them leaves no h to solve for
     table = bytearray(f.table)
@@ -348,11 +346,10 @@ def brute_by_every_table(f, cap):
         for mask in range(1 << (1 << k)):
             tried += 1
             g = F.Fsr(k, table=mask)
-            res = A.decompose_with_inner(f, g)
-            if res is not None:
-                return A.DecompositionReport(True, res[0], g, res[1], "brute",
-                                             tried, True)
-    return A.DecompositionReport(False, None, None, 0, "brute", tried,
+            h = A.decompose_with_inner(f, g)
+            if h is not None:
+                return A.DecompositionReport(True, h, g, "brute", tried, True)
+    return A.DecompositionReport(False, None, None, "brute", tried,
                                  limit == f.stage - 1)
 
 

@@ -156,8 +156,10 @@ def test_analyze_irreducible_exit_codes(workdir, capsys):
 def test_analyze_decompose(workdir, capsys):
     sq = write(workdir / "sq.fsr", "STAGE 2\nFEEDBACK TABLE 0101\n")
     assert main(["analyze", "decompose", sq, "--strategy", "brute"]) == 0
-    out = capsys.readouterr().out
-    assert "decomposable=True" in out and "inner stage=1" in out
+    # the verdict and the two factors, and nothing else
+    assert capsys.readouterr().out.splitlines() == [
+        "strategy=brute candidates=2 complete=True", "decomposable=True",
+        "inner stage=1 table=10", "outer stage=1 table=01"]
     p0 = write(workdir / "p0.fsr", "STAGE 2\nFEEDBACK TABLE 0110\n")
     assert main(["analyze", "decompose", p0]) == 1
     # a cap below 1 once searched nothing and answered "no"

@@ -196,7 +196,7 @@ def stamped_circuits(draw):
 def derived(c) -> tuple:
     """c's operand columns, each recorded block's entries derived from its
     record, as the readers of block interiors see them."""
-    return circuit._operands(c, 0, c.size, circuit._recorded(c.stamps))
+    return circuit._operands(c, 0, c.size, c.stamps)
 
 
 def unrecorded(c):
@@ -240,6 +240,9 @@ def test_comparator_pass_equals_plain_pass(c):
     parsed = parse_circuit(write_circuit(one))
     moved = reduction._wrap_feedback(one, parse_poly(f"x^{r + 1} + 1"))
     assert circuit._min_blocks(parsed) == circuit._min_blocks(one)
+    assert moved.stamps == tuple(
+        (p + 1, m, array("I", [w + 1 for w in wires]))
+        for p, m, wires in one.stamps)
     assert circuit._min_blocks(moved) == [
         (p + 1, m, array("I", [w + 1 for w in wires]))
         for p, m, wires in circuit._min_blocks(one)]
@@ -262,6 +265,11 @@ def test_comparator_pass_agrees_on_lanes_of_any_width(c, lane_bits):
 @FIXED
 @given(stamped_circuits())
 def test_the_record_is_what_the_scan_finds(c):
+    # one (start, m, wires) per stamp, in id order, the 2m wires an array
+    assert type(c.stamps) is tuple
+    assert [p for p, _, _ in c.stamps] == sorted(p for p, _, _ in c.stamps)
+    for _, m, wires in c.stamps:
+        assert (type(wires), wires.typecode, len(wires)) == (array, "I", 2 * m)
     assert c.stamps == circuit._scan_stamps(c.kinds, *derived(c))
     assert circuit._min_blocks(c) == circuit._min_blocks(unrecorded(c))
 
@@ -279,13 +287,12 @@ def test_tuples_and_text_carry_the_builders_record(c):
 def test_wrap_feedback_shifts_the_record_of_built_and_parsed_circuits():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
-    # the start and wires of each stamp in one array, the widths apart
-    assert c.stamps == (array("I", [4, 0, 1, 2, 3]), b"\x02")
+    # each stamp's start, width and wires
+    assert c.stamps == ((4, 2, array("I", [0, 1, 2, 3])),)
     p = parse_poly("x^5 + 1")
     moved = reduction._wrap_feedback(c, p)
-    assert moved.stamps == (array("I", [5, 1, 2, 3, 4]), b"\x02")
-    assert circuit._recorded(moved.stamps) == [(5, 2, array("I", [1, 2, 3, 4]))]
-    assert circuit._min_blocks(moved) == circuit._recorded(moved.stamps)
+    assert moved.stamps == ((5, 2, array("I", [1, 2, 3, 4])),)
+    assert circuit._min_blocks(moved) == list(moved.stamps)
     # parsed text carries the record its columns hold, so it is spliced
     # as the built circuit is
     parsed = parse_circuit(write_circuit(c))
@@ -309,9 +316,9 @@ def test_splice_moves_every_id_and_the_record(c, extra):
     assert moved_a[n + extra:].tolist() == [x + extra for x in a[n:]]
     assert moved_b[n + extra:].tolist() == [y + extra for y in b[n:]]
     assert out == [o + extra for o in c.outputs]
-    assert circuit._recorded(moved.stamps) == [
+    assert moved.stamps == tuple(
         (p + extra, m, array("I", [w + extra for w in wires]))
-        for p, m, wires in circuit._recorded(c.stamps)]
+        for p, m, wires in c.stamps)
     assert moved.stamps == circuit._scan_stamps(moved.kinds, moved_a, moved_b)
     lanes, full = input_lanes(n + extra), (1 << (1 << (n + extra))) - 1
     assert moved._run_all(lanes, full) == c._run_all(lanes[extra:], full)
@@ -327,9 +334,8 @@ def test_every_reader_of_block_interiors_sees_the_per_entry_columns(
     assert derived(c) == (want.a, want.b)
     lo = data.draw(st.integers(0, c.size))
     hi = data.draw(st.integers(lo, c.size + 2))
-    found = circuit._recorded(c.stamps)
-    assert circuit._operands(c, lo, hi, found) == (want.a[lo:hi],
-                                                   want.b[lo:hi])
+    assert circuit._operands(c, lo, hi, c.stamps) == (want.a[lo:hi],
+                                                      want.b[lo:hi])
     assert c.nodes == want.nodes
     # text, in whole pieces and in pieces that cut blocks, and parsed back
     sink = Circuit._from_columns(c.arity, c.kinds, c.a, c.b,
@@ -361,6 +367,31 @@ def test_every_reader_of_block_interiors_sees_the_per_entry_columns(
         assert run(lanes, full) == plain
 
 
+@FIXED
+@given(stamped_circuits(), st.integers(1, 60))
+def test_the_text_writer_derives_each_block_once(c, piece):
+    # pieces of about ``piece`` lines, most shorter than a block: each
+    # piece ends past any block it would cut, so the ranges whose operands
+    # are derived tile the circuit and each block lies in one of them
+    sink = Circuit._from_columns(c.arity, c.kinds, c.a, c.b,
+                                 (c.outputs[0],), c.stamps)
+    text = write_circuit(sink)
+    derive, ranges = circuit._operands, []
+
+    def operands(circ, lo, hi, found):
+        ranges.append((lo, hi))
+        return derive(circ, lo, hi, found)
+
+    with mock.patch.object(circuit, "BLOCK_VERTICES", piece), \
+            mock.patch.object(circuit, "_operands", operands):
+        assert write_circuit(sink) == text
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] >= c.size
+    for p, m, _ in c.stamps:
+        end = p + len(circuit._min_block(m).kinds)
+        assert sum(lo < end and p < hi for lo, hi in ranges) == 1, (p, ranges)
+
+
 def test_splice_refuses_before_adding_anything():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
@@ -371,8 +402,7 @@ def test_splice_refuses_before_adding_anything():
     with pytest.raises(ValueError):
         dest.splice(bad)
     assert (dest.kinds, dest.a, dest.b, dest.stamps) == (
-        bytearray(5), array("I", range(5)), array("I", range(5)),
-        (array("I"), bytearray()))
+        bytearray(5), array("I", range(5)), array("I", range(5)), [])
     with pytest.raises(ValueError):
         Builder(3).splice(c)
     last = c.size       # c's last id moved up by one, into Builder(5)
@@ -390,7 +420,7 @@ def test_a_record_that_misses_its_block_is_refused():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
     wrong = Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs,
-                                  (array("I", [5, 0, 1, 2, 3]), b"\x02"))
+                                  ((5, 2, array("I", [0, 1, 2, 3])),))
     with pytest.raises(circuit.InvariantError, match="vertex 5"):
         circuit._min_blocks(wrong)
 
@@ -416,12 +446,11 @@ def by_entry(c) -> Circuit:
     (entries_of), and no record, so that every reader takes the entries
     as stored."""
     a, b = c.a[:], c.b[:]
-    for p, m, wires in circuit._recorded(c.stamps):
+    for p, m, wires in c.stamps:
         _, xs, ys, _ = entries_of(m, wires, p)
         a[p:p + len(xs)] = array("I", xs)
         b[p:p + len(ys)] = array("I", ys)
-    return Circuit._from_columns(c.arity, c.kinds, a, b, c.outputs,
-                                 (array("I"), b""))
+    return Circuit._from_columns(c.arity, c.kinds, a, b, c.outputs, ())
 
 
 @FIXED
@@ -478,9 +507,8 @@ def test_gadget_min_carries_the_builders_record():
         g = gadget_min(m)
         assert g.stamps == stamp_on_inputs(m).stamps
         assert g.stamps == Circuit(g.arity, g.nodes, g.outputs).stamps
-        assert g.stamps == (
-            (array("I", [2 * m, *range(2 * m)]), bytes([m])) if m > 1
-            else (array("I"), b""))
+        assert g.stamps == (((2 * m, m, array("I", range(2 * m))),) if m > 1
+                            else ())
 
 
 def test_min_word_refuses_ids_past_the_column_entries():
@@ -573,10 +601,10 @@ def _ell3_circuits() -> dict:
 
 def test_ell3_records_equal_the_blocks_found_without_them():
     for name, c in _ell3_circuits().items():
-        recorded = circuit._recorded(c.stamps)
+        recorded = list(c.stamps)
         assert recorded == circuit._min_blocks(unrecorded(c)), name
         assert circuit._min_blocks(c) == recorded, name
-    assert set(_ell3_circuits()["dec f3"].stamps[1]) == {6}
+    assert {m for _, m, _ in _ell3_circuits()["dec f3"].stamps} == {6}
 
 
 def test_parsed_ell3_toggle_circuits_wrap_as_the_built_ones():
@@ -598,10 +626,10 @@ def test_a_block_shaped_run_off_the_template_gets_no_stamp(line, damaged):
     b = Builder(4)
     low = b.min_word([0, 1], [2, 3])
     text = write_circuit(b.build(b.OR(*low)))
-    assert parse_circuit(text).stamps[1] == bytes([2])
+    assert [m for _, m, _ in parse_circuit(text).stamps] == [2]
     assert f"\n{line}\n" in text
     c = parse_circuit(text.replace(f"\n{line}\n", f"\n{damaged}\n"))
-    assert c.stamps[1] == b""
+    assert c.stamps == ()
     lanes, full = input_lanes(4), (1 << 16) - 1
     plain = c._run_all(lanes, full)
     assert c.output_masks() == plain

@@ -220,7 +220,7 @@ def test_stage19_dec_circuits_are_written_as_pinned():
         "291d0bcfaa6e2684b6c9d1bba54d60fcdbd289406757fd2b2206b77b72d28d9c",
     ]
     assert f1.size == 63_241
-    assert list(f1.stamps[1]) == [18] * 26
+    assert [m for _, m, _ in f1.stamps] == [18] * 26
 
 
 def test_alg2_unsat_is_exactly_the_linear_register():
