@@ -23,10 +23,12 @@ inputs.  A pass takes the stamped integer-minimum blocks from the
 circuit's record of them (_min_blocks) and runs each through a
 bit-sliced comparator (_min_lanes), about 8m integer operations in place
 of the block's (13m^2 + 37m - 44)/2 - 2m template gates; the blocks'
-inner vertices get no lane.  The pass keeps every lane it makes to the
-end, unless those lanes would hold more than LIVE_LANE_BYTES: then the
-freeing pass runs, which drops each lane after its last reader and so
-holds only the live frontier.
+inner vertices get no lane.  One loop runs every pass (Circuit._pass): it
+keeps every lane it makes to the end, unless those lanes would hold more
+than LIVE_LANE_BYTES; then it drops each lane after its last reader and
+so holds only the live frontier.  A stamped block's operand columns have
+one definition, _block_columns, which the readers of its inner vertices
+and the scan that finds blocks in text all use.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ class Circuit:
     moves them with every other entry.  The readers that need a block's
     inner operands (``nodes``, the text, Builder.embed, and a lane pass
     that runs the block gate by gate) derive them from the record
-    (_operands); the others read only entries outside the blocks.
+    (_block_columns); the others read only entries outside the blocks.
     """
 
     __slots__ = ("arity", "kinds", "a", "b", "outputs", "stamps")
@@ -237,7 +239,7 @@ class Circuit:
 
     @property
     def nodes(self) -> list:
-        a, b = _operands(self, 0, len(self.kinds), self.stamps)
+        a, b = _operands(self, 0, len(self.kinds))
         return [(AND, x, y) if op == _AND else
                 (NOT, x) if op == _NOT else
                 (OR, x, y) if op == _OR else
@@ -271,43 +273,45 @@ class Circuit:
         all-ones lane mask used for NOT.  Returns the output wires' values.
 
         The blocks _min_blocks accepts run through _min_lanes.  The pass
-        keeps a lane per plain vertex and block output; if those fit
-        LIVE_LANE_BYTES it is the plain pass, and otherwise the freeing
-        pass.
+        keeps a lane per plain vertex and block output; if those would
+        pass LIVE_LANE_BYTES it frees each lane after its last reader.
         """
         blocks = _min_blocks(self)
         kept = len(self.kinds) - sum(len(_min_block(m).kinds) - m
                                      for _, m, _ in blocks)
-        if kept * full.bit_length() <= 8 * LIVE_LANE_BYTES:
-            return self._run_all(in_vals, full, blocks)
-        return self._run_live(in_vals, full, blocks)
+        return self._pass(in_vals, full, blocks,
+                          free=kept * full.bit_length() > 8 * LIVE_LANE_BYTES)
 
     def _steps(self, blocks) -> chain:
         """What a lane pass runs, in id order: each vertex as its column
         entries (k, kind code, a, b), except that each block (p, m, wires)
         of ``blocks`` (_min_blocks) is the one step (p, _MIN, m, wires) in
         place of its own gates.  A recorded block that is not in
-        ``blocks`` runs gate by gate, its entries derived (_operands)."""
+        ``blocks`` runs gate by gate, its entries derived
+        (_block_columns)."""
         kinds, a, b = (memoryview(col) for col in (self.kinds, self.a, self.b))
         run = {p for p, _, _ in blocks}
 
         def parts():        # made as the pass reaches them
             end = 0
-            for blk in self.stamps:
-                p, m, wires = blk
+            for p, m, wires in self.stamps:
                 yield zip(range(end, p), kinds[end:p], a[end:p], b[end:p])
                 end = p + len(_min_block(m).kinds)
                 if p in run:
                     yield (p, _MIN, m, wires),
                 else:
                     yield zip(range(p, end), kinds[p:end],
-                              *_operands(self, p, end, (blk,)))
+                              *_block_columns(m, p, wires))
             yield zip(range(end, len(kinds)), kinds[end:], a[end:], b[end:])
         return chain.from_iterable(parts())
 
-    def _run_all(self, in_vals, full, blocks=()) -> list:
-        """The plain pass: every lane is kept until the pass ends.  With no
-        ``blocks`` (_min_blocks) every gate runs one by one."""
+    def _pass(self, in_vals, full, blocks=(), free=False) -> list:
+        """Run the steps (_steps) of ``blocks`` (_min_blocks) over the
+        lanes; with no ``blocks`` every gate runs one by one.  Every lane
+        is kept until the pass ends, unless ``free``: then each lane is
+        dropped right after its last reader (_last_readers), so only the
+        live frontier is held.  Output wires are kept."""
+        last = self._last_readers(blocks) if free else None
         # a dict where the blocks leave most vertices without a lane
         vals = {} if blocks else [None] * len(self.kinds)
         for k, op, x, y in self._steps(blocks):
@@ -320,16 +324,32 @@ class Circuit:
             elif op == _IN:
                 vals[k] = in_vals[x]
             else:
-                _put_min(vals, k, x, y, full)
+                outs = _put_min(vals, k, x, y, full)
+                if free:
+                    for o in outs:
+                        if not last[o]:
+                            vals[o] = None
+                    for w in y:
+                        if last[w] == k:
+                            vals[w] = None
+                continue
+            if free:
+                if op:      # a gate; an IN step's x is an input index
+                    if last[x] == k:
+                        vals[x] = None
+                    if last[y] == k:
+                        vals[y] = None
+                if not last[k]:
+                    vals[k] = None
         return [vals[o] for o in self.outputs]
 
     def _last_readers(self, blocks=()) -> array:
-        """Per vertex, the id of the last step (_steps) that reads it: its
-        own id if none does, and the vertex count if it is an output wire.
-        A block's step reads its wires, and its inner vertices are never
-        looked at."""
+        """Per vertex, the id of the last step (_steps) that reads it: 0 if
+        none does, as no step 0 reads anything (vertex 0 is an input), and
+        the vertex count if it is an output wire.  A block's step reads
+        its wires, and its inner vertices are never looked at."""
         n = len(self.kinds)
-        last = array("I", range(n))
+        last = array("I", bytes(n * _INDEX_BYTES))
         for k, op, x, y in self._steps(blocks):
             if op == _MIN:
                 for w in y:
@@ -340,39 +360,6 @@ class Circuit:
         for o in self.outputs:
             last[o] = n
         return last
-
-    def _run_live(self, in_vals, full, blocks=()) -> list:
-        """The freeing pass: a lane is dropped right after its last reader,
-        so only the live frontier is held.  Output wires are kept."""
-        last = self._last_readers(blocks)
-        # a dict where the blocks leave most vertices without a lane
-        vals = {} if blocks else [None] * len(self.kinds)
-        for k, op, x, y in self._steps(blocks):
-            if op == _IN:
-                vals[k] = in_vals[x]
-            elif op == _MIN:
-                for o in _put_min(vals, k, x, y, full):
-                    if last[o] == o:
-                        vals[o] = None
-                for w in y:
-                    if last[w] == k:
-                        vals[w] = None
-                continue
-            else:
-                if op == _NOT:
-                    vals[k] = vals[x] ^ full
-                else:
-                    if op == _AND:
-                        vals[k] = vals[x] & vals[y]
-                    else:
-                        vals[k] = vals[x] | vals[y]
-                    if last[y] == k:
-                        vals[y] = None
-                if last[x] == k:
-                    vals[x] = None
-            if last[k] == k:
-                vals[k] = None
-        return [vals[o] for o in self.outputs]
 
     def output_masks(self) -> list:
         """Evaluate all 2^arity assignments at once.
@@ -429,7 +416,7 @@ class Builder:
     each ``min_word`` of width m >= 2 appends the template's kinds, zero
     operand entries and a record of the stamp, which is all that
     describes the copy: its operands are derived from the record where
-    they are read (_operands).
+    they are read (_block_columns).
 
     ``stamps`` lists each stamp of width m >= 2 as Circuit.stamps holds
     it, (start, m, wires).  build() hands the circuit a tuple of it, so no
@@ -530,7 +517,7 @@ class Builder:
         A block of width m >= 2 is its record: min_word appends the
         template's kinds and zero operand entries, and (start, m, wires)
         to ``stamps``; the readers that need its operands derive them
-        (_operands).  At m = 1 the block is one AND gate of the two
+        (_block_columns).  At m = 1 the block is one AND gate of the two
         wires, written as a plain gate, with no record.  The wires must be
         earlier vertices and the block's last id must fit a column entry,
         or nothing is added.
@@ -566,7 +553,7 @@ class Builder:
         wmap = []
         put = wmap.append
         add = self._add
-        a, b = _operands(circ, 0, len(circ.kinds), circ.stamps)
+        a, b = _operands(circ, 0, len(circ.kinds))
         for op, x, y in zip(circ.kinds, a, b):
             put(add(op, wmap[x], wmap[y], False) if op else input_wires[x])
         return [wmap[o] for o in circ.outputs]
@@ -575,15 +562,21 @@ class Builder:
         """Append circ's gates, unmerged, its input i read from vertex
         v - arity + i, v the vertex count; return its outputs' ids.  Every
         id moves alike: each operand column, and the wires of each block of
-        circ's record, move by one big-integer add.  ValueError, before
-        anything is added, unless circ's first arity vertices are INPUT
-        0..arity-1 in order and no moved id passes _INDEX_MAX."""
+        circ's record, move by one big-integer add; so does the index of an
+        INPUT vertex after circ's first arity, which then reads vertex
+        v - arity + i only while that vertex is an input.  ValueError,
+        before anything is added, unless circ's first arity vertices are
+        INPUT 0..arity-1 in order, circ has no later INPUT vertex or the
+        builder no gate, and no moved id passes _INDEX_MAX."""
         n = circ.arity
         by = len(self.kinds) - n
         kinds, a, b = circ.kinds, circ.a, circ.b
         if by < 0 or kinds[:n] != bytes(n) or a[:n] != array("I", range(n)):
             raise ValueError("a spliced circuit's inputs must be its first "
                              "vertices, in order, over the builder's last")
+        if len(self.kinds) > self.arity and kinds.find(_IN, n) >= 0:
+            raise ValueError("a spliced circuit's later INPUT vertex must "
+                             "read one of the builder's inputs")
         if by + len(kinds) - 1 > _INDEX_MAX:
             raise ValueError(f"vertex ids past {_INDEX_MAX}")
         step = by * _ones(len(kinds) - n)
@@ -629,13 +622,11 @@ class _MinBlock:
 
     ``first`` gives, per input slot, the (column, gate) of its first
     reader, where a stamp's wire is read off.  Each column's form in
-    ``forms`` (mask, own, ones, at, slots, pos) holds it in bulk: read as
-    one integer of _INDEX_BITS-bit entries, the column of a stamp at
-    ``start``, masked to the gates that read the block's own slots, is
-    ``own + start * ones``; and the entries at positions ``pos``, the gates
-    that read an input slot, are the ``slots`` of the wires.  ``at`` picks
-    those entries out of a column, so _operands derives and _stamp_wires
-    checks the same entries."""
+    ``forms`` (own, ones, slots, pos) holds it in bulk for _block_columns:
+    read as one integer of _INDEX_BITS-bit entries, the column of a stamp
+    at ``start`` is ``own + start * ones`` at the gates that read the
+    block's own slots, and zero at the others, the positions ``pos``,
+    whose entries are the ``slots`` of the wires."""
 
     __slots__ = ("circuit", "kinds", "inner", "first", "forms")
 
@@ -679,9 +670,8 @@ class _MinBlock:
                     own[i] = s - w
                     ones[i] = 1
             ones = int.from_bytes(ones, _BYTE_ORDER)
-            forms.append(((ones << _INDEX_BITS) - ones,
-                          int.from_bytes(own, _BYTE_ORDER), ones,
-                          itemgetter(*pos), itemgetter(*slots), tuple(pos)))
+            forms.append((int.from_bytes(own, _BYTE_ORDER), ones,
+                          itemgetter(*slots), tuple(pos)))
         self.first = tuple(first[s] for s in range(w))
         self.forms = tuple(forms)
 
@@ -716,44 +706,49 @@ def _scan_stamps(kinds, a: array, b: array) -> tuple:
 
 def _stamp_wires(a: array, b: array, p: int, m: int):
     """The 2m wires of a stamp of _min_block(m) at vertex p, or None
-    unless the operand columns there are the template's slots mapped onto
-    those wires, all before p, and onto the block's own ids."""
+    unless they are all before p and the operand columns there are the
+    stamp's over them (_block_columns)."""
     block = _min_block(m)
     end = p + len(block.kinds)
     cols = (a[p:end], b[p:end])
     wires = array("I", [cols[c][i] for c, i in block.first])
-    if max(wires) >= p:
+    if max(wires) >= p or cols != _block_columns(m, p, wires):
         return None
-    for col, (mask, own, ones, at, slots, _) in zip(cols, block.forms):
-        if (int.from_bytes(col, _BYTE_ORDER) & mask != own + p * ones
-                or at(col) != slots(wires)):
-            return None
     return wires
 
 
-def _operands(circ, lo: int, hi: int, found) -> tuple:
+def _block_columns(m: int, p: int, wires) -> tuple:
+    """The two operand columns, as arrays, of the width-m block stamped at
+    vertex p over ``wires``, as the block's template reads
+    (_MinBlock.forms): the own part as the integer ``own + p * ones``,
+    then each read of a wire written in turn."""
+    block = _min_block(m)
+    size = len(block.kinds) * _INDEX_BYTES
+    cols = []
+    for own, ones, slots, pos in block.forms:
+        col = array("I", (own + p * ones).to_bytes(size, _BYTE_ORDER))
+        reads = slots(wires)    # one wire read: a scalar
+        for j, w in zip(pos, reads if len(pos) > 1 else (reads,)):
+            col[j] = w
+        cols.append(col)
+    return tuple(cols)
+
+
+def _operands(circ, lo: int, hi: int) -> tuple:
     """circ's operand columns over ids lo..hi-1 (clipped to its vertices),
-    as two arrays: the stored entries, except that each entry of a block in
-    ``found`` (circ's record, Circuit.stamps, or an id-ordered part of it)
-    is derived from the block's record, as the block's template
-    reads (_MinBlock.forms): the own part as the integer
-    ``own + start * ones``, then each read of a wire written in turn."""
+    as two arrays: the stored entries, except that each entry of a block
+    of circ's record (Circuit.stamps) is the block's own (_block_columns)."""
+    found = circ.stamps
     a, b = circ.a[lo:hi], circ.b[lo:hi]
     i = max(bisect_right(found, lo, key=itemgetter(0)) - 1, 0)
     for p, m, wires in islice(found, i, None):
         if p >= hi:
             break
-        block = _min_block(m)
-        size = len(block.kinds)
+        size = len(_min_block(m).kinds)
         if p + size <= lo:
             continue
         s, e = max(p, lo), min(p + size, hi)
-        for col, (_, own, ones, _, slots, pos) in zip((a, b), block.forms):
-            entries = array("I", (own + p * ones).to_bytes(
-                size * _INDEX_BYTES, _BYTE_ORDER))
-            reads = slots(wires)    # one wire read: a scalar
-            for j, w in zip(pos, reads if len(pos) > 1 else (reads,)):
-                entries[j] = w
+        for col, entries in zip((a, b), _block_columns(m, p, wires)):
             col[s - lo:e - lo] = entries[s - p:e - p]
     return a, b
 
@@ -923,7 +918,7 @@ def _vertex_pieces(circ: Circuit):
         if i:
             p, m, _ = found[i - 1]
             hi = max(hi, p + len(_min_block(m).kinds))
-        a, b = _operands(circ, lo, hi, found)
+        a, b = _operands(circ, lo, hi)
         yield "".join([
             f"v{k} AND v{x} v{y}\n" if op == _AND else
             f"v{k} NOT v{x}\n" if op == _NOT else

@@ -582,13 +582,13 @@ class Alg2Maps:
     registers on 2*ell and 2*ell+1 bits."""
 
     def __init__(self, ell: int):
+        fam = LfsrFamily.for_ell(ell)       # refuses an ell below 1 first
         if ell > EXHAUSTIVE_ELL_BOUND:
             raise ValueError(f"maps enumerate 2^(2*ell+1) states; ell <= "
                              f"{EXHAUSTIVE_ELL_BOUND} only")
         self.ell = ell
         self.stage = 2 * ell + 1
         self._pi_mask = (1 << (2 * ell)) - 1
-        fam = LfsrFamily.for_ell(ell)
         self.p0_step = linear_step(fam.p0)
         self.p1_step = linear_step(fam.p1)
 

@@ -255,6 +255,7 @@ def suite_lemma11(ell: int, seed: int = 1) -> SuiteResult:
     in the unsatisfiable case."""
     lines = []
     ok = True
+    oracle = reduction.Alg1Oracle(ell)      # refuses a bad ell first
     r = 2 if ell == 1 else 2 * ell - 1
     rng = random.Random(seed)
     n = 1 << r
@@ -262,7 +263,6 @@ def suite_lemma11(ell: int, seed: int = 1) -> SuiteResult:
     sat_bits[rng.randrange(n)] = 1
     cases = [("sat", circuit.from_bits(sat_bits)),
              ("unsat", circuit.from_bits([0] * n))]
-    oracle = reduction.Alg1Oracle(ell)
     base = lfsr.lfsr_of(oracle.family.p2)
     lam = oracle.lam_table()
     for tag, f0 in cases:

@@ -397,6 +397,21 @@ def test_verify_conjprop(capsys):
     assert "conjprop ell=1: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args,message", [
+    # ell = 27 is a power of three: lemma11 once built a 2^53-entry list
+    # before the oracle could refuse it
+    (("lemma11", "--ell", "27"), "ell <= 3 only"),
+    # the sizes once came from a negative shift before any check
+    (("lemma11", "--ell", "0"), "ell must be a power of three"),
+    (("conjprop", "--ell", "-3"), "ell must be a power of three")])
+def test_verify_refuses_a_bad_ell_before_allocating(workdir, args, message):
+    proc = run_limited(workdir, "verify", *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_verify_min_sizes(capsys):
     assert main(["verify", "min-sizes"]) == 0
     assert "min-sizes: PASS" in capsys.readouterr().out

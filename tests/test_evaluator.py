@@ -6,6 +6,7 @@ transposition against their bitwise definitions, and the memory the
 passes hold."""
 
 import functools
+import random
 import sys
 import tracemalloc
 from array import array
@@ -70,7 +71,8 @@ def test_both_passes_agree_on_wide_lanes(c, lane_bits):
     in_vals = [(0x5A5A5A5A5A5A5A5A * (i + 3)) % (1 << lane_bits)
                for i in range(c.arity)]
     full = (1 << lane_bits) - 1
-    assert c._run_live(in_vals, full) == c._run_all(in_vals, full)
+    assert (c._pass(in_vals, full, free=True)
+            == c._pass(in_vals, full, free=False))
 
 
 def test_repeated_operand_and_input_outputs():
@@ -95,7 +97,7 @@ def every_input(m: int):
 
 def template(v: list, m: int, full: int) -> list:
     """The m-bit block's outputs, its template run gate by gate."""
-    return circuit._min_block(m).circuit._run_all(v, full)
+    return circuit._min_block(m).circuit._pass(v, full, free=False)
 
 
 def equals_template(compare, widths) -> bool:
@@ -196,7 +198,7 @@ def stamped_circuits(draw):
 def derived(c) -> tuple:
     """c's operand columns, each recorded block's entries derived from its
     record, as the readers of block interiors see them."""
-    return circuit._operands(c, 0, c.size, c.stamps)
+    return circuit._operands(c, 0, c.size)
 
 
 def unrecorded(c):
@@ -211,8 +213,8 @@ def block_passes(c):
     """c's plain and freeing passes, each running c's blocks through the
     comparator."""
     blocks = circuit._min_blocks(c)
-    return [functools.partial(run, blocks=blocks)
-            for run in (c._run_all, c._run_live)]
+    return [functools.partial(c._pass, blocks=blocks, free=free)
+            for free in (False, True)]
 
 
 @FIXED
@@ -220,7 +222,7 @@ def block_passes(c):
 def test_comparator_pass_equals_plain_pass(c):
     r = c.arity
     lanes, full = input_lanes(r), (1 << (1 << r)) - 1
-    plain = c._run_all(lanes, full)     # gate by gate
+    plain = c._pass(lanes, full, free=False)     # gate by gate
     for run in block_passes(c):
         assert run(lanes, full) == plain
         assert [tuple(run([x >> i & 1 for i in range(r)], 1))
@@ -249,7 +251,7 @@ def test_comparator_pass_equals_plain_pass(c):
     for form, in_vals in ((parsed, lanes), (moved, [0] + lanes)):
         for run in block_passes(form):
             assert run(in_vals, full) == [plain[0]]
-        assert form._run_live(in_vals, full) == [plain[0]]
+        assert form._pass(in_vals, full, free=True) == [plain[0]]
 
 
 @FIXED
@@ -259,7 +261,7 @@ def test_comparator_pass_agrees_on_lanes_of_any_width(c, lane_bits):
                for i in range(c.arity)]
     full = (1 << lane_bits) - 1
     for run in block_passes(c):
-        assert run(in_vals, full) == c._run_all(in_vals, full)
+        assert run(in_vals, full) == c._pass(in_vals, full, free=False)
 
 
 @FIXED
@@ -321,7 +323,8 @@ def test_splice_moves_every_id_and_the_record(c, extra):
         for p, m, wires in c.stamps)
     assert moved.stamps == circuit._scan_stamps(moved.kinds, moved_a, moved_b)
     lanes, full = input_lanes(n + extra), (1 << (1 << (n + extra))) - 1
-    assert moved._run_all(lanes, full) == c._run_all(lanes[extra:], full)
+    assert (moved._pass(lanes, full, free=False)
+            == c._pass(lanes[extra:], full, free=False))
 
 
 @FIXED
@@ -334,8 +337,7 @@ def test_every_reader_of_block_interiors_sees_the_per_entry_columns(
     assert derived(c) == (want.a, want.b)
     lo = data.draw(st.integers(0, c.size))
     hi = data.draw(st.integers(lo, c.size + 2))
-    assert circuit._operands(c, lo, hi, c.stamps) == (want.a[lo:hi],
-                                                      want.b[lo:hi])
+    assert circuit._operands(c, lo, hi) == (want.a[lo:hi], want.b[lo:hi])
     assert c.nodes == want.nodes
     # text, in whole pieces and in pieces that cut blocks, and parsed back
     sink = Circuit._from_columns(c.arity, c.kinds, c.a, c.b,
@@ -360,9 +362,9 @@ def test_every_reader_of_block_interiors_sees_the_per_entry_columns(
     assert moved(c) == moved(want)
     # gate by gate, and with each block through the comparator
     lanes, full = input_lanes(n), (1 << (1 << n)) - 1
-    plain = want._run_all(lanes, full)
-    assert c._run_all(lanes, full, blocks=()) == plain
-    assert c._run_live(lanes, full, blocks=()) == plain
+    plain = want._pass(lanes, full, free=False)
+    assert c._pass(lanes, full, blocks=(), free=False) == plain
+    assert c._pass(lanes, full, blocks=(), free=True) == plain
     for run in block_passes(c):
         assert run(lanes, full) == plain
 
@@ -378,9 +380,9 @@ def test_the_text_writer_derives_each_block_once(c, piece):
     text = write_circuit(sink)
     derive, ranges = circuit._operands, []
 
-    def operands(circ, lo, hi, found):
+    def operands(circ, lo, hi):
         ranges.append((lo, hi))
-        return derive(circ, lo, hi, found)
+        return derive(circ, lo, hi)
 
     with mock.patch.object(circuit, "BLOCK_VERTICES", piece), \
             mock.patch.object(circuit, "_operands", operands):
@@ -414,6 +416,36 @@ def test_splice_refuses_before_adding_anything():
     with mock.patch.object(circuit, "_INDEX_MAX", last):
         dest = Builder(5)
         assert dest.splice(c) == [last]
+
+
+# a circuit whose input 0 is read again by an INPUT line after a gate, and
+# the same function with its INPUT lines first
+LATE_INPUT = ("v0 INPUT 0\nv1 INPUT 1\nv2 AND v0 v1\nv3 INPUT 0\n"
+              "v4 NOT v3\nv5 OR v2 v4\nSINK v5\n")
+INPUTS_FIRST = ("v0 INPUT 0\nv1 INPUT 1\nv2 AND v0 v1\nv3 NOT v0\n"
+                "v4 OR v2 v3\nSINK v4\n")
+
+
+def test_splice_refuses_a_later_input_over_the_builders_gates():
+    # moved by the builder's two gates, v3 INPUT 0 would read input 2 of a
+    # 2-input builder
+    dest = Builder(2)
+    dest.NOT(0)
+    dest.NOT(1)
+    before = (dest.kinds[:], dest.a[:], dest.b[:], list(dest.stamps))
+    with pytest.raises(ValueError, match="later INPUT"):
+        dest.splice(parse_circuit(LATE_INPUT))
+    assert (dest.kinds, dest.a, dest.b, dest.stamps) == before
+    # a circuit with no later INPUT vertex still reads the builder's gates
+    dest.splice(parse_circuit(INPUTS_FIRST))
+
+
+def test_wrap_feedback_reads_a_later_input_line_as_its_input():
+    p = parse_poly("x^3 + x + 1")
+    late, first = (reduction._wrap_feedback(parse_circuit(text), p)
+                   for text in (LATE_INPUT, INPUTS_FIRST))
+    assert late.truth_table() == first.truth_table()
+    assert late.nodes[1 + 3] == ("IN", 1)     # moved up one, as its wires
 
 
 def test_a_record_that_misses_its_block_is_refused():
@@ -547,8 +579,8 @@ def test_block_read_from_outside_stays_plain():
         want = [p for p in starts if not (read_inner and p == starts[1])]
         assert [p for p, _, _ in blocks] == want
         lanes, full = input_lanes(4), 0xFFFF
-        want = c._run_all(lanes, full)
-        assert c._run_live(lanes, full) == want
+        want = c._pass(lanes, full, free=False)
+        assert c._pass(lanes, full, free=True) == want
         for run in block_passes(c):
             assert run(lanes, full) == want
 
@@ -558,14 +590,14 @@ def test_comparator_pass_edge_lanes():
     passes = block_passes(c)
     # no lanes at all, and one-bit lanes
     for run in passes:
-        assert run([0] * 4, 0) == c._run_all([0] * 4, 0) == [0, 0]
+        assert run([0] * 4, 0) == c._pass([0] * 4, 0, free=False) == [0, 0]
     with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
         assert c.evaluate_batch([]) == [0, 0]
         for x in range(16):
             bits = [x >> i & 1 for i in range(4)]
             for run in passes:
-                assert run(bits, 1) == c._run_all(bits, 1)
-            assert c.evaluate_batch([x]) == c._run_all(bits, 1)
+                assert run(bits, 1) == c._pass(bits, 1, free=False)
+            assert c.evaluate_batch([x]) == c._pass(bits, 1, free=False)
 
 
 def test_evaluate_batch_reads_an_iterator_once():
@@ -631,10 +663,56 @@ def test_a_block_shaped_run_off_the_template_gets_no_stamp(line, damaged):
     c = parse_circuit(text.replace(f"\n{line}\n", f"\n{damaged}\n"))
     assert c.stamps == ()
     lanes, full = input_lanes(4), (1 << 16) - 1
-    plain = c._run_all(lanes, full)
+    plain = c._pass(lanes, full, free=False)
     assert c.output_masks() == plain
     with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
         assert c.output_masks() == plain
+
+
+def damaged_texts(m: int, sample, seed: int):
+    """The text of two width-m stamps over 2m inputs, the second over the
+    first's outputs and a rotation of the inputs, as (text with one operand
+    of one block line changed to another earlier vertex, start and width
+    of the damaged block): for every such operand entry, or for ``sample``
+    of them drawn with ``seed``."""
+    b = Builder(2 * m)
+    first = b.min_word(range(m), range(m, 2 * m))
+    second = b.min_word(first, [2 * m - 1, *range(m - 1)])
+    c = b.build(b.or_chain(second))
+    lines = write_circuit(c).splitlines(keepends=True)
+    sites = [(k, j, p, width) for p, width, _ in c.stamps
+             for k in range(p, p + len(circuit._min_block(width).kinds))
+             for j in range(2, len(lines[k].split()))]
+    rng = random.Random(seed)
+    if sample is not None:
+        sites = rng.sample(sites, sample)
+    for k, j, p, width in sites:
+        toks = lines[k].split()
+        old = int(toks[j][1:])
+        toks[j] = f"v{rng.choice([v for v in range(k) if v != old])}"
+        yield "".join(lines[:k] + [" ".join(toks) + "\n"] + lines[k + 1:]), p, width
+
+
+@pytest.mark.parametrize("m,sample", [(2, None), (3, 60)],
+                         ids=["width-2 every entry", "width-3 sampled"])
+def test_a_single_damaged_entry_leaves_every_record_faithful(m, sample):
+    for text, p, width in damaged_texts(m, sample, seed=m):
+        c = parse_circuit(text)
+        # the damaged block keeps no record of its width at its start
+        assert (p, width) not in [(q, w) for q, w, _ in c.stamps]
+        # every recorded block's stored columns are the ones its record gives
+        for q, w, wires in c.stamps:
+            end = q + len(circuit._min_block(w).kinds)
+            assert (c.a[q:end], c.b[q:end]) == circuit._block_columns(
+                w, q, wires), (text, q)
+        # and both lane policies give the stored entries' truth table
+        lanes, full = input_lanes(c.arity), (1 << (1 << c.arity)) - 1
+        bare = Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs, ())
+        plain = bare._pass(lanes, full, blocks=())
+        assert c._pass(lanes, full, blocks=()) == plain
+        assert c.output_masks() == plain, text
+        with mock.patch.object(circuit, "LIVE_LANE_BYTES", 0):
+            assert c.output_masks() == plain, text
 
 
 def test_built_circuits_are_evaluated_from_their_record():
@@ -669,7 +747,7 @@ def test_comparator_pass_holds_only_its_kept_lanes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == f3._run_live(lanes, full)
+    assert out == f3._pass(lanes, full, free=True)
     # the plain vertices, the block outputs and the comparator's lanes
     assert peak <= (kept + 3 * 12 + 2) * lane, (peak, kept, lane)
 
@@ -698,44 +776,43 @@ def test_freeing_pass_walks_only_plain_gates_and_block_wires():
     # vertices and one step per block: no inner vertex is looked at
     want = sorted(set(range(f3.size)) - inner | {p for p, _, _ in blocks})
     assert walked == [want, want]
-    assert out == f3._run_all(lanes, full)
+    assert out == f3._pass(lanes, full, free=False)
 
 
 def test_run_keeps_every_lane_only_within_the_bound():
-    spies = [mock.patch.object(Circuit, name, autospec=True,
-                               side_effect=getattr(Circuit, name))
-             for name in ("_run_all", "_run_live")]
+    spy = mock.patch.object(Circuit, "_pass", autospec=True,
+                            side_effect=Circuit._pass)
     # gadget_min(5): 233 vertices of 1024-bit lanes, of which its 10
     # inputs and 5 outputs get a lane: 15 lanes of 128 bytes
     c = gadget_min(5)
-    want = c._run_all(input_lanes(10), (1 << 1024) - 1)
+    want = c._pass(input_lanes(10), (1 << 1024) - 1, free=False)
     for bound, plain in ((15 * 128, True), (15 * 128 - 1, False)):
-        with spies[0] as run_all, spies[1] as run_live:
+        with spy as run:
             with mock.patch.object(circuit, "LIVE_LANE_BYTES", bound):
                 assert c.output_masks() == want
-        ran = run_all if plain else run_live
-        assert (run_all.call_count, run_live.call_count) == (
-            (1, 0) if plain else (0, 1))
-        assert ran.call_args.args[3] == circuit._min_blocks(c)
+        assert run.call_count == 1
+        assert run.call_args.kwargs["free"] is not plain
+        assert run.call_args.args[3] == circuit._min_blocks(c)
     # a circuit without blocks counts every vertex: 11 lanes of 8 bytes
     and6 = _and6()
     for bound, plain in ((11 * 8, True), (11 * 8 - 1, False)):
-        with spies[0] as run_all, spies[1] as run_live:
+        with spy as run:
             with mock.patch.object(circuit, "LIVE_LANE_BYTES", bound):
                 and6.output_masks()
-        assert (run_all.call_count, run_live.call_count) == (
-            (1, 0) if plain else (0, 1))
+        assert run.call_count == 1
+        assert run.call_args.kwargs["free"] is not plain
     # the ell = 3 indecomposability toggle circuit (2^6-bit lanes) keeps
     # every lane and runs its 8 width-6 blocks through the comparator
     dec = _ell3_circuits()["dec f3"]
-    spy = mock.patch.object(circuit, "_min_lanes",
-                            side_effect=circuit._min_lanes)
-    with spies[0] as run_all, spy as compare:
+    compare_spy = mock.patch.object(circuit, "_min_lanes",
+                                    side_effect=circuit._min_lanes)
+    with spy as run, compare_spy as compare:
         out = dec.output_masks()
-    assert run_all.call_count == 1
+    assert run.call_count == 1
+    assert run.call_args.kwargs["free"] is False
     assert [(call.args[1], call.args[2]) for call in compare.call_args_list
             ] == [(6, (1 << 64) - 1)] * 8
-    assert out == dec._run_all(input_lanes(6), (1 << 64) - 1)
+    assert out == dec._pass(input_lanes(6), (1 << 64) - 1, free=False)
 
 
 def test_input_lanes_match_the_bitwise_definition():
@@ -800,7 +877,7 @@ def test_freeing_pass_drops_block_wires_and_unread_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mask == c._run_live(input_lanes(r), (1 << (1 << r)) - 1)
+    assert mask == c._pass(input_lanes(r), (1 << (1 << r)) - 1, free=True)
     # the r input lanes and a few block lanes, not one per stamp
     assert peak < 40 * lane_bytes, peak
 

@@ -64,7 +64,7 @@ def test_circuit_text_round_trip(c):
 def columns(c):
     """c's columns, each recorded block's operand entries derived from its
     record, as the readers of block interiors see them."""
-    a, b = C._operands(c, 0, c.size, c.stamps)
+    a, b = C._operands(c, 0, c.size)
     return c.arity, c.kinds, a, b, c.outputs
 
 
