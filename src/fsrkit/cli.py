@@ -168,13 +168,15 @@ def cmd_lfsr(args) -> int:
     from .lfsr import parse_poly
     p = parse_poly(args.poly)
     f = lfsr_of(p)
+    # the listing, which a singular register refuses, is made before any
+    # output
+    listing = cycle_structure(f).format_listing() if args.cycles else ""
     print(f"poly={p} degree={p.degree} stage={f.stage}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(fsr_pieces(f))
         print(f"wrote {args.out}")
-    if args.cycles:
-        print(cycle_structure(f).format_listing(), end="")
+    print(listing, end="")
     return 0
 
 

@@ -10,14 +10,12 @@ States are integers under the low-bit-first encoding, so one step is
 Periodic output sequences are kept as Cycle values: the minimal-period bit
 string in its lexicographically least rotation.
 
-Every sweep of a whole state map in the package goes through `orbits`,
-which splits a permutation of range(n) into its orbits and keeps, per
-orbit, its least state and the low bit of each of its states in turn (the
-orbit's output cycle), and per state the index of its orbit.
-`state_cycles` is that walk over a nonsingular register's state map.  A
-walk along one orbit only, such as the p1 orbit that
-`reduction.f3_reference_dec` follows from each marked window, steps the
-map itself.
+Every orbit walk in the package goes through `orbits`, which splits a
+permutation of range(n) into its orbits and keeps, per orbit, its least
+state and the low bit of each of its states in turn (the orbit's output
+cycle), and per state the index of its orbit.  `state_cycles` is that
+walk over a nonsingular register's state map; the proof-side maps of both
+reductions read their orbits from it.
 """
 
 from __future__ import annotations

@@ -579,7 +579,12 @@ class Alg2Maps:
     """The window-difference map, the three-tap parity, and the marking
     predicate for the indecomposability form, over (2*ell+1)-bit states;
     p0_step and p1_step are the state maps of the family's linear
-    registers on 2*ell and 2*ell+1 bits."""
+    registers on 2*ell and 2*ell+1 bits.
+
+    Like Alg1Oracle it sweeps each register once with state_cycles: it
+    holds the marking predicate lam as bytes, and the index of each
+    state's p1 orbit, which f3_reference_dec reads.
+    """
 
     def __init__(self, ell: int):
         fam = LfsrFamily.for_ell(ell)       # refuses an ell below 1 first
@@ -591,6 +596,15 @@ class Alg2Maps:
         self._pi_mask = (1 << (2 * ell)) - 1
         self.p0_step = linear_step(fam.p0)
         self.p1_step = linear_step(fam.p1)
+        seeds, _, p0_id = state_cycles(lfsr_of(fam.p0))
+        self._p1_id = state_cycles(lfsr_of(fam.p1))[2]
+        # lam(v) = [chi(v) = 0 and pi(v) is its p0 orbit's seed].  The seed
+        # test is the 3*ell-step walk c from u = pi(v) testing c[0] ==
+        # min(c[1:]): every p0 period divides 3*ell, so c[1:] is all of u's
+        # orbit, and its least state is the seed
+        self._lam = bytes(
+            not self.chi(v) and seeds[p0_id[u]] == u
+            for v, u in enumerate(map(self.pi_int, range(1 << self.stage))))
 
     def pi_int(self, v: int) -> int:
         return (v ^ (v >> 1)) & self._pi_mask
@@ -599,13 +613,10 @@ class Alg2Maps:
         return (v ^ (v >> self.ell) ^ (v >> (2 * self.ell))) & 1
 
     def lam(self, v: int) -> int:
-        if self.chi(v):
-            return 0
-        c = _walk(self.p0_step, self.pi_int(v), 3 * self.ell)
-        return int(c[0] == min(c[1:]))
+        return self._lam[v]
 
     def lam_table(self) -> list:
-        return [self.lam(v) for v in range(1 << self.stage)]
+        return list(self._lam)
 
 
 def f3_reference_dec(ell: int, f2_tt: TruthTable, maps: Alg2Maps = None):
@@ -613,21 +624,19 @@ def f3_reference_dec(ell: int, f2_tt: TruthTable, maps: Alg2Maps = None):
     toggle field; must agree with the built one pointwise."""
     if maps is None:
         maps = Alg2Maps(ell)
-    r = f2_tt.arity
+    if maps.ell != ell:
+        raise ValueError("maps built for a different ell")
     m2 = 2 * ell
     f2b = f2_tt.bits()
-    shift_r = m2 - r
+    shift_r = m2 - f2_tt.arity
+    ids = maps._p1_id
+    hit = bytearray(len(ids))   # hit[i]: f2 is 1 at pi of a state of orbit i
+    for v, i in enumerate(ids):
+        if f2b[maps.pi_int(v) >> shift_r]:
+            hit[i] = 1
 
     def ref(x: int) -> int:
         y = (((x >> (m2 - 1)) ^ (x >> (ell - 1))) & 1) | (x << 1)
-        if not maps.lam(y):
-            return 0
-        v = y
-        while True:
-            if f2b[maps.pi_int(v) >> shift_r]:
-                return 1
-            v = maps.p1_step(v)
-            if v == y:
-                return 0
+        return maps.lam(y) & hit[ids[y]]
 
     return ref

@@ -369,6 +369,16 @@ def test_lfsr_command(workdir, capsys):
     assert "degree 1000000 above 64" in capsys.readouterr().err
 
 
+def test_lfsr_singular_cycles_refused_before_output(workdir, capsys):
+    # x^2 has no constant term: its register is singular and has no cycle
+    # listing, which is refused before the file or any line is written
+    assert main(["lfsr", "x^2", "--out", "p.fsr", "--cycles"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "singular register has no cycle partition" in err
+    assert not (workdir / "p.fsr").exists()
+
+
 def test_verify_family_counts_suite(capsys):
     assert main(["verify", "lemma7", "--ell", "1"]) == 0
     out = capsys.readouterr().out
@@ -415,6 +425,26 @@ def test_verify_refuses_a_bad_ell_before_allocating(workdir, args, message):
 def test_verify_min_sizes(capsys):
     assert main(["verify", "min-sizes"]) == 0
     assert "min-sizes: PASS" in capsys.readouterr().out
+
+
+def test_verify_min_sizes_runs_the_gadgets_gates(monkeypatch):
+    # a width-3 template with one output gate's AND/OR kind flipped: the
+    # stamped gadget still runs through the comparator and gives the
+    # minimum, so only an evaluation of its own gates can catch it
+    from fsrkit import circuit, verify
+    real = circuit._min_block
+    bad = circuit._MinBlock(3)
+    kinds = bytearray(bad.kinds)
+    out = bad.circuit.outputs[0] - 6
+    kinds[out] = 3 - kinds[out]
+    bad.kinds = bytes(kinds)
+    monkeypatch.setattr(circuit, "_min_block",
+                        lambda m: bad if m == 3 else real(m))
+    result = verify.suite_min_sizes()
+    assert not result.ok
+    fails = [line for line in result.lines if line.startswith("FAIL")]
+    assert fails == ["FAIL min_3 gates and comparator match integer minimum "
+                     "on 64 pairs"]
 
 
 @pytest.mark.parametrize("suite", ["biconditional-irr", "biconditional-dec"])

@@ -388,6 +388,74 @@ def test_alg2_reference_matches_pseudocode():
         assert all(ref(x) == sem(x) for x in range(4))
 
 
+def walk_lam(maps, v):
+    """lam as first written: the 3*ell-step p0 walk from pi(v), and a mark
+    where it starts at its least state."""
+    if maps.chi(v):
+        return 0
+    c = [maps.pi_int(v)]
+    for _ in range(3 * maps.ell):
+        c.append(maps.p0_step(c[-1]))
+    return int(c[0] == min(c[1:]))
+
+
+def orbit_walk_reference_dec(ell, f2_tt, maps):
+    """f3_reference_dec as first written: from each marked window, step
+    its p1 orbit until f2 hits the window difference or the walk is back."""
+    m2 = 2 * ell
+    f2b = f2_tt.bits()
+    shift_r = m2 - f2_tt.arity
+
+    def ref(x):
+        y = (((x >> (m2 - 1)) ^ (x >> (ell - 1))) & 1) | (x << 1)
+        if not walk_lam(maps, y):
+            return 0
+        v = y
+        while True:
+            if f2b[maps.pi_int(v) >> shift_r]:
+                return 1
+            v = maps.p1_step(v)
+            if v == y:
+                return 0
+
+    return ref
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_alg2_lam_matches_the_per_state_walk(ell):
+    maps = R.Alg2Maps(ell)
+    want = [walk_lam(maps, v) for v in range(1 << (2 * ell + 1))]
+    assert maps.lam_table() == want
+    assert [maps.lam(v) for v in range(1 << (2 * ell + 1))] == want
+
+
+def test_alg2_reference_matches_the_orbit_walk():
+    # every two-input table at ell = 1, raw (f2 need not be normalized)
+    maps = R.Alg2Maps(1)
+    for mask in range(16):
+        f2 = C.TruthTable(2, mask)
+        ref = R.f3_reference_dec(1, f2, maps)
+        want = orbit_walk_reference_dec(1, f2, maps)
+        assert [ref(x) for x in range(4)] == [want(x) for x in range(4)]
+    # sampled r = 5 and r = 6 tables at ell = 3, sparse to dense
+    maps = R.Alg2Maps(3)
+    rng = random.Random(33)
+    for r in (5, 6):
+        for density in (0.02, 0.05, 0.1, 0.3, 0.5) * 3:
+            bits = [int(rng.random() < density) for _ in range(1 << r)]
+            f2 = R.f2_table(C.TruthTable.from_bits(bits))
+            ref = R.f3_reference_dec(3, f2, maps)
+            want = orbit_walk_reference_dec(3, f2, maps)
+            assert [ref(x) for x in range(64)] == [want(x) for x in range(64)]
+
+
+@pytest.mark.parametrize("ell,maps_ell", [(3, 1), (1, 3)])
+def test_alg2_reference_refuses_maps_of_another_ell(ell, maps_ell):
+    f2 = R.f2_table(C.TruthTable.from_bits([0, 1, 1, 0]))
+    with pytest.raises(ValueError, match="different ell"):
+        R.f3_reference_dec(ell, f2, R.Alg2Maps(maps_ell))
+
+
 def test_alg2_zero_subregister_is_unique():
     # with a satisfiable input, any sub-register of the built register
     # whose cycles include [0] can only be the stage-1 linear register
