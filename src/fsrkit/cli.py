@@ -46,20 +46,11 @@ def cmd_reduce(args) -> int:
               file=sys.stderr)
         return 2
     f0 = parse_circuit(read_text(args.circuit))
-    if args.emit == "circuit":
-        build = True
-    elif args.skip_circuit:
-        build = False
-    else:
-        build = None  # builder default: gate-level form for ell <= 3
     t0 = time.perf_counter()
     if args.kind == "irr":
-        inst = reduction.build_irreducibility_fsr(f0, build_circuit=build)
+        inst = reduction.build_irreducibility_fsr(f0)
     else:
-        inst = reduction.build_indecomposability_fsr(f0, build_circuit=build)
-    # the feedback circuit is made only here, where it is written
-    f1 = inst.feedback_circuit() if args.emit == "circuit" else None
-    elapsed = time.perf_counter() - t0
+        inst = reduction.build_indecomposability_fsr(f0)
     out = args.out
     if out is None:
         stem, _ = os.path.splitext(args.circuit)
@@ -71,18 +62,23 @@ def cmd_reduce(args) -> int:
         print(f"error: a stage-{inst.stage} feedback table has 2^{inst.stage} "
               f"entries{hint}", file=sys.stderr)
         return 2
-    # every check that can refuse runs before the output file is opened
+    # every instance part the command writes or prints is made, and every
+    # check that can refuse runs, before the output file is opened
+    wants_report = args.emit == "circuit" or (
+        not args.skip_circuit and inst.ell <= reduction.EXHAUSTIVE_ELL_BOUND)
+    report = inst.size_report if wants_report else None
     if args.emit == "fsr":
         pieces = fsr_pieces(inst.fsr)
     elif args.emit == "table":
         pieces = bits_to_digits(inst.fsr.table), "\n"
     else:
-        pieces = fsr_circuit_pieces(inst.stage, f1)
+        pieces = fsr_circuit_pieces(inst.stage, inst.feedback_circuit())
     with open(out, "w") as fh:
         fh.writelines(pieces)
+    elapsed = time.perf_counter() - t0
     print(f"stage={inst.stage} ell={inst.ell} k={inst.k} r={inst.r}")
-    if inst.size_report is not None:
-        for line in inst.size_report.lines():
+    if report is not None:
+        for line in report.lines():
             print(line)
     print(f"wrote {out}")
     print(f"time={elapsed:.2f}s", file=sys.stderr)

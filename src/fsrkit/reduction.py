@@ -25,6 +25,7 @@ pointwise, and the acceptance suite checks that they do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitvec import xor_bits
 from .circuit import STATE_BOUND, Builder, Circuit, TruthTable
@@ -328,36 +329,73 @@ class SizeReport:
 
 @dataclass
 class ReductionInstance:
-    """One built instance: the register plus both toggle-field forms.  A
-    stage above STATE_BOUND has no register (fsr and f3_table are None).
-    The register's feedback circuit is made from f3_circuit on request
-    (feedback_circuit); the size report reads its size off f3_circuit."""
+    """One instance: its circuit, ell, family polynomial (whose degree is
+    the stage) and semantic toggle field, with each further part made the
+    first time it is read and kept.
+
+    fsr and f3_table come from one tabulation (_toggled_linear), and a
+    stage above STATE_BOUND has neither (both read None).  f3_circuit is
+    the gate-level toggle field, and size_report reads the feedback
+    circuit's size off it; above IRR_CIRCUIT_ELL_BOUND the irreducibility
+    form refuses both on each read, before any gate is built.  The
+    feedback circuit itself is made anew on each feedback_circuit() call.
+    """
 
     kind: str             # "irr" or "dec"
     f0: Circuit
     r: int
     k: int
     ell: int
-    stage: int
-    fsr: Fsr | None
+    poly: GF2Poly         # the family polynomial: p2 for "irr", p1 for "dec"
     f3_semantic: object   # int -> bit
-    f3_table: tuple | None
-    f3_circuit: Circuit | None
-    size_report: SizeReport | None
     f2_table: TruthTable | None = None
 
-    def feedback_circuit(self) -> Circuit | None:
+    @property
+    def stage(self) -> int:
+        return self.poly.degree
+
+    @cached_property
+    def _toggled(self) -> tuple:
+        return _toggled_linear(self.poly, self.f3_semantic)
+
+    @property
+    def fsr(self) -> Fsr | None:
+        return self._toggled[0]
+
+    @property
+    def f3_table(self) -> tuple | None:
+        return self._toggled[1]
+
+    @cached_property
+    def f3_circuit(self) -> Circuit:
+        """The gate-level toggle field: alg1's over f0, or alg2's over the
+        normalized f0 (f2_transform)."""
+        if self.kind == "irr":
+            return alg1_f3_circuit(self.ell, self.f0)
+        return alg2_f3_circuit(self.ell, f2_transform(self.f0))
+
+    @cached_property
+    def size_report(self) -> SizeReport:
+        """f3_circuit's size and the feedback circuit's, against the
+        form's ceiling (strict for "irr")."""
+        f3c = self.f3_circuit
+        f1_size, f1_gates = _feedback_size(f3c, self.poly)
+        n = self.f0.size
+        if self.kind == "irr":
+            bound = alg1_size_bound(n)
+            bound_ok, formula = f1_size < bound, alg1_size_formula(self.ell, n)
+        else:
+            bound = alg2_size_bound(n)
+            bound_ok, formula = f1_size <= bound, None
+        return SizeReport(
+            kind=self.kind, r=self.r, k=self.k, ell=self.ell, f0_size=n,
+            f3_size=f3c.size, f1_size=f1_size, f1_gates=f1_gates,
+            bound=bound, bound_ok=bound_ok, formula_value=formula)
+
+    def feedback_circuit(self) -> Circuit:
         """The register's feedback circuit f1: f3_circuit wrapped with the
-        taps of the family polynomial (p2 for "irr", p1 for "dec").  Made
-        anew on each call; None when no circuit was built."""
-        if self.f3_circuit is None:
-            return None
-        return _wrap_feedback(self.f3_circuit, _family_poly(self.kind, self.ell))
-
-
-def _family_poly(kind: str, ell: int) -> GF2Poly:
-    fam = LfsrFamily.for_ell(ell)
-    return fam.p2 if kind == "irr" else fam.p1
+        taps of poly.  Made anew on each call."""
+        return _wrap_feedback(self.f3_circuit, self.poly)
 
 
 def alg1_size_bound(f0_size: int) -> int:
@@ -392,62 +430,30 @@ def _toggled_linear(p: GF2Poly, f3) -> tuple:
     return fsr, f3_tab
 
 
-def build_irreducibility_fsr(f0: Circuit, build_circuit: bool = None
-                             ) -> ReductionInstance:
-    """The 4*ell-stage register that is irreducible iff f0 is satisfiable."""
-    r = f0.arity
-    k, ell = ell_for(r)
-    p2 = _family_poly("irr", ell)
-    f0_tt = f0.truth_table()
-    f3 = alg1_f3_semantic(ell, f0_tt)
-    if build_circuit is None:
-        build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
-    fsr, f3_tab = _toggled_linear(p2, f3)
-
-    f3c = report = None
-    if build_circuit:
-        f3c = alg1_f3_circuit(ell, f0)
-        f1_size, f1_gates = _feedback_size(f3c, p2)
-        bound = alg1_size_bound(f0.size)
-        report = SizeReport(
-            kind="irr", r=r, k=k, ell=ell, f0_size=f0.size,
-            f3_size=f3c.size, f1_size=f1_size, f1_gates=f1_gates,
-            bound=bound, bound_ok=f1_size < bound,
-            formula_value=alg1_size_formula(ell, f0.size))
-    return ReductionInstance(kind="irr", f0=f0, r=r, k=k, ell=ell,
-                             stage=p2.degree, fsr=fsr,
-                             f3_semantic=f3, f3_table=f3_tab, f3_circuit=f3c,
-                             size_report=report)
+def build_irreducibility_fsr(f0: Circuit) -> ReductionInstance:
+    """The 4*ell-stage instance whose register is irreducible iff f0 is
+    satisfiable.  Only the semantic toggle field is made here; the
+    register, its table, the circuits and the size report are made when
+    first read (ReductionInstance)."""
+    k, ell = ell_for(f0.arity)
+    return ReductionInstance(
+        kind="irr", f0=f0, r=f0.arity, k=k, ell=ell,
+        poly=LfsrFamily.for_ell(ell).p2,
+        f3_semantic=alg1_f3_semantic(ell, f0.truth_table()))
 
 
-def build_indecomposability_fsr(f0: Circuit, build_circuit: bool = None
-                                ) -> ReductionInstance:
-    """The (2*ell+1)-stage register that is indecomposable iff f0 is
-    satisfiable; on unsatisfiable inputs it is exactly the linear register
-    of (x+1) * (x^(2*ell) + x^ell + 1)."""
-    r = f0.arity
-    k, ell = ell_for(r)
-    p1 = _family_poly("dec", ell)
+def build_indecomposability_fsr(f0: Circuit) -> ReductionInstance:
+    """The (2*ell+1)-stage instance whose register is indecomposable iff
+    f0 is satisfiable; on unsatisfiable inputs the register is exactly
+    the linear register of (x+1) * (x^(2*ell) + x^ell + 1).  Only the
+    normalized table f2_table and the semantic toggle field are made
+    here; the rest is made when first read (ReductionInstance)."""
+    k, ell = ell_for(f0.arity)
     f2t = f2_table(f0.truth_table())
-    f3 = alg2_f3_semantic(ell, f2t)
-    if build_circuit is None:
-        build_circuit = ell <= EXHAUSTIVE_ELL_BOUND
-    fsr, f3_tab = _toggled_linear(p1, f3)
-
-    f3c = report = None
-    if build_circuit:
-        f3c = alg2_f3_circuit(ell, f2_transform(f0))
-        f1_size, f1_gates = _feedback_size(f3c, p1)
-        bound = alg2_size_bound(f0.size)
-        report = SizeReport(
-            kind="dec", r=r, k=k, ell=ell, f0_size=f0.size,
-            f3_size=f3c.size, f1_size=f1_size, f1_gates=f1_gates,
-            bound=bound, bound_ok=f1_size <= bound,
-            formula_value=None)
-    return ReductionInstance(kind="dec", f0=f0, r=r, k=k, ell=ell,
-                             stage=p1.degree, fsr=fsr,
-                             f3_semantic=f3, f3_table=f3_tab, f3_circuit=f3c,
-                             size_report=report, f2_table=f2t)
+    return ReductionInstance(
+        kind="dec", f0=f0, r=f0.arity, k=k, ell=ell,
+        poly=LfsrFamily.for_ell(ell).p1,
+        f3_semantic=alg2_f3_semantic(ell, f2t), f2_table=f2t)
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +589,18 @@ class Alg2Maps:
 
     Like Alg1Oracle it sweeps each register once with state_cycles: it
     holds the marking predicate lam as bytes, and the index of each
-    state's p1 orbit, which f3_reference_dec reads.
+    state's p1 orbit, which f3_reference_dec reads.  A stage above
+    STATE_BOUND is refused, so ell = 9 (stage 19) is the largest built.
     """
 
     def __init__(self, ell: int):
         fam = LfsrFamily.for_ell(ell)       # refuses an ell below 1 first
-        if ell > EXHAUSTIVE_ELL_BOUND:
-            raise ValueError(f"maps enumerate 2^(2*ell+1) states; ell <= "
-                             f"{EXHAUSTIVE_ELL_BOUND} only")
         self.ell = ell
         self.stage = 2 * ell + 1
+        if self.stage > STATE_BOUND:
+            raise ValueError(f"maps enumerate 2^{self.stage} states; stage "
+                             f"{self.stage} is past the state bound "
+                             f"{STATE_BOUND}")
         self._pi_mask = (1 << (2 * ell)) - 1
         self.p0_step = linear_step(fam.p0)
         self.p1_step = linear_step(fam.p1)

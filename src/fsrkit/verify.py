@@ -218,7 +218,7 @@ def suite_biconditional_irr(r: int, seed: int = 1, count: int = 20) -> SuiteResu
     agree = 0
     for f0 in pop:
         sat = f0.is_satisfiable() is not None
-        inst = reduction.build_irreducibility_fsr(f0, build_circuit=False)
+        inst = reduction.build_irreducibility_fsr(f0)
         irr = analysis.is_irreducible(inst.fsr)
         good = irr == sat
         agree += good
@@ -239,7 +239,7 @@ def suite_biconditional_dec(r: int, seed: int = 1, count: int = 20) -> SuiteResu
     agree = 0
     for f0 in pop:
         sat = f0.is_satisfiable() is not None
-        inst = reduction.build_indecomposability_fsr(f0, build_circuit=False)
+        inst = reduction.build_indecomposability_fsr(f0)
         if inst.stage <= 4:
             rep = analysis.is_decomposable(inst.fsr, "brute")
         else:
@@ -274,7 +274,7 @@ def suite_lemma11(ell: int, seed: int = 1) -> SuiteResult:
     base = lfsr.lfsr_of(oracle.family.p2)
     lam = oracle.lam_table()
     for tag, f0 in cases:
-        inst = reduction.build_irreducibility_fsr(f0, build_circuit=False)
+        inst = reduction.build_irreducibility_fsr(f0)
         graph = analysis.cycle_join_graph(base, inst.fsr, lam)
         ok = _line(lines, ok, graph.is_acyclic(), f"{tag}: graph acyclic")
         ok = _line(lines, ok, all(not graph.isolated(c) for c in oracle.c6),

@@ -32,9 +32,9 @@ def build_records(kind, circuits):
     for f0 in circuits:
         sat = f0.is_satisfiable() is not None
         if kind == "irr":
-            inst = R.build_irreducibility_fsr(f0, build_circuit=True)
+            inst = R.build_irreducibility_fsr(f0)
         else:
-            inst = R.build_indecomposability_fsr(f0, build_circuit=True)
+            inst = R.build_indecomposability_fsr(f0)
         out.append(Record(f0=f0, sat=sat, inst=inst))
     return out
 

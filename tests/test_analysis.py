@@ -142,8 +142,7 @@ def test_find_subfsrs_is_complete_and_ordered():
     regs = [random_nonsingular(rng, n, fix_zero)
             for n in range(2, 7) for fix_zero in (False, True)
             for _ in range(4)]
-    regs += [R.build_indecomposability_fsr(C.from_bits(bits),
-                                           build_circuit=False).fsr
+    regs += [R.build_indecomposability_fsr(C.from_bits(bits)).fsr
              for bits in ([0, 0], [0, 1])]
     for f in regs:
         got = [(s.stage, s.cycles) for s in A.find_subfsrs(f)]
@@ -582,7 +581,7 @@ def test_join_graph_cycles_follow_the_state_ids():
 
 def test_dot_export():
     f0 = __import__("fsrkit.circuit", fromlist=["from_bits"]).from_bits([0, 1])
-    inst = R.build_irreducibility_fsr(f0, build_circuit=False)
+    inst = R.build_irreducibility_fsr(f0)
     oracle = R.Alg1Oracle(1)
     base = L.lfsr_of(oracle.family.p2)
     graph = A.cycle_join_graph(base, inst.fsr, oracle.lam_table())

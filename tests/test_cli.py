@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import resource
@@ -8,9 +9,9 @@ import time
 import pytest
 
 import fsrkit
-from fsrkit import analysis
+from fsrkit import analysis, reduction
 from fsrkit.cli import main
-from fsrkit.circuit import Circuit, from_bits, write_circuit
+from fsrkit.circuit import Builder, Circuit, from_bits, write_circuit
 from fsrkit.fsr import Fsr, InvariantError, fsr_pieces, parse_fsr
 
 
@@ -241,6 +242,29 @@ def test_reduce_refuses_the_irreducibility_circuit_past_ell_9(workdir, capsys):
     assert not (workdir / "and19.irr.fsr").exists()
 
 
+def test_reduce_emit_circuit_tabulates_no_register(workdir, capsys,
+                                                   monkeypatch):
+    # the stage-19 dec register of an 18-input AND is written in circuit
+    # form without its 2^18-window toggle table; the circuit is the one
+    # whose text test_stage19_dec_circuits_are_written_as_pinned pins
+    b = Builder(18)
+    path = write(workdir / "and18.ckt",
+                 write_circuit(b.build(b.and_chain(range(18)))))
+
+    def tabulated(*args):
+        raise AssertionError("the register was tabulated")
+
+    monkeypatch.setattr(reduction, "_toggled_linear", tabulated)
+    assert main(["reduce", "dec", path, "--emit", "circuit",
+                 "--out", "and18.fsr"]) == 0
+    assert "f1-size=63241 " in capsys.readouterr().out
+    header, _, circuit = (workdir / "and18.fsr").read_text().partition(
+        "FEEDBACK CIRCUIT\n")
+    assert header == "STAGE 19\n"
+    assert hashlib.sha256(circuit.encode()).hexdigest() == (
+        "291d0bcfaa6e2684b6c9d1bba54d60fcdbd289406757fd2b2206b77b72d28d9c")
+
+
 @pytest.mark.parametrize("args", [("analyze", "cycles", "/dev/zero"),
                                   ("reduce", "irr", "/dev/zero"),
                                   ("graph", "/dev/zero", "p2@1")])
@@ -413,7 +437,9 @@ def test_verify_conjprop(capsys):
     (("lemma11", "--ell", "27"), "ell <= 3 only"),
     # the sizes once came from a negative shift before any check
     (("lemma11", "--ell", "0"), "ell must be a power of three"),
-    (("conjprop", "--ell", "-3"), "ell must be a power of three")])
+    (("conjprop", "--ell", "-3"), "ell must be a power of three"),
+    # the dec maps stop at the state bound: ell = 9 has stage 19
+    (("conjprop", "--ell", "27"), "stage 55 is past the state bound 24")])
 def test_verify_refuses_a_bad_ell_before_allocating(workdir, args, message):
     proc = run_limited(workdir, "verify", *args)
     assert proc.returncode == 2, proc.stderr

@@ -241,7 +241,7 @@ def test_the_ell_3_register_is_read_in_bulk():
     """The full-scale register text is read by the decoder: the line loop
     runs once, for the SINK line, and the columns are those written."""
     f0 = verify.sample_circuits(6, 32, 302)[0]
-    inst = reduction.build_irreducibility_fsr(f0, build_circuit=True)
+    inst = reduction.build_irreducibility_fsr(f0)
     circ = inst.feedback_circuit()
     text = "".join(F.fsr_circuit_pieces(circ.arity, circ))
     real = C._TextReader.loop
@@ -554,7 +554,7 @@ def test_writing_a_register_file_adds_under_1_mb(long_circuit, workdir_cli):
     inst = SimpleNamespace(stage=8, ell=1, k=1, r=1, fsr=None, size_report=None,
                            feedback_circuit=lambda: long_circuit)
 
-    def build(f0, build_circuit):
+    def build(f0):
         tracemalloc.reset_peak()
         return inst
 

@@ -156,29 +156,64 @@ def test_a_toggle_circuit_with_permuted_inputs_is_refused():
     with pytest.raises(ValueError):
         R._wrap_feedback(f3, p)
     inst = R.build_indecomposability_fsr(C.from_bits([0, 1, 0, 0]))
-    assert R._family_poly(inst.kind, inst.ell) == p
+    assert inst.poly == p
     inst.f3_circuit = f3
     with pytest.raises(ValueError):
         inst.feedback_circuit()
 
 
-def test_the_irreducibility_circuit_is_refused_above_ell_9(monkeypatch):
-    # 19 inputs give ell = 27 and stage 108: no gate is built
-    b = C.Builder(19)
-    f0 = b.build(b.and_chain(b.inputs()))
-
-    def no_gates(*args, **kw):
+def forbid_gates(monkeypatch):
+    """Make building any gate raise from here on."""
+    def built(*args, **kw):
         raise AssertionError("a gate was built")
 
-    monkeypatch.setattr(C.Builder, "_add", no_gates)
-    monkeypatch.setattr(C.Builder, "min_word", no_gates)
-    with pytest.raises(ValueError) as info:
-        R.build_irreducibility_fsr(f0, build_circuit=True)
-    assert str(info.value) == ("an irreducibility circuit at ell=27 (stage 108) "
-                               "is past the bound ell <= 9 (stage 36)")
-    inst = R.build_irreducibility_fsr(f0)   # no circuit: built at any ell
+    monkeypatch.setattr(C.Builder, "_add", built)
+    monkeypatch.setattr(C.Builder, "min_word", built)
+
+
+def test_the_irreducibility_circuit_is_refused_above_ell_9(monkeypatch):
+    # 19 inputs give ell = 27 and stage 108: the instance is built, with no
+    # register, and each read of a circuit part is refused before any gate
+    b = C.Builder(19)
+    f0 = b.build(b.and_chain(b.inputs()))
+    forbid_gates(monkeypatch)
+    inst = R.build_irreducibility_fsr(f0)
     assert (inst.ell, inst.stage, inst.fsr) == (27, 108, None)
-    assert inst.feedback_circuit() is None
+    for read in (lambda: inst.f3_circuit, lambda: inst.size_report,
+                 inst.feedback_circuit):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == ("an irreducibility circuit at ell=27 "
+                                   "(stage 108) is past the bound ell <= 9 "
+                                   "(stage 36)")
+
+
+@pytest.mark.parametrize("kind,circuit_builder", [
+    ("irr", "alg1_f3_circuit"), ("dec", "alg2_f3_circuit")])
+def test_each_instance_part_is_made_once_when_first_read(monkeypatch, kind,
+                                                          circuit_builder):
+    calls = []
+
+    def spy(name):
+        real = getattr(R, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(R, name, counted)
+
+    spy(circuit_builder)
+    spy("_toggled_linear")
+    build = {"irr": R.build_irreducibility_fsr,
+             "dec": R.build_indecomposability_fsr}[kind]
+    inst = build(C.from_bits([0, 1, 1, 0]))
+    assert calls == []
+    for _ in range(2):
+        inst.fsr, inst.f3_table
+    assert calls == ["_toggled_linear"]
+    for _ in range(2):
+        inst.size_report, inst.f3_circuit
+    assert calls == ["_toggled_linear", circuit_builder]
 
 
 def test_ell3_circuits_are_written_as_pinned():
@@ -225,8 +260,7 @@ def test_stage19_dec_circuits_are_written_as_pinned():
 
 def test_alg2_unsat_is_exactly_the_linear_register():
     for ell, bits in ((1, [0, 0]), (1, [0, 0, 0, 0]), (3, [0] * 32)):
-        inst = R.build_indecomposability_fsr(C.from_bits(bits),
-                                             build_circuit=False)
+        inst = R.build_indecomposability_fsr(C.from_bits(bits))
         assert inst.ell == ell
         assert inst.fsr == L.lfsr_of(L.LfsrFamily.for_ell(ell).p1)
 
@@ -240,8 +274,7 @@ def test_alg2_join_graph_over_p1():
         base = L.lfsr_of(L.LfsrFamily.for_ell(ell).p1)
         lam = maps.lam_table()
         for bits in tables:
-            inst = R.build_indecomposability_fsr(C.from_bits(bits),
-                                                 build_circuit=False)
+            inst = R.build_indecomposability_fsr(C.from_bits(bits))
             graph = A.cycle_join_graph(base, inst.fsr, lam)
             assert graph.is_acyclic()
             assert graph.verify_join_identity()
@@ -465,7 +498,7 @@ def test_alg2_zero_subregister_is_unique():
                 for m in range(1, 16)]
     circuits.append(C.from_bits([0, 1] + [0] * 30))
     for f0 in circuits:
-        inst = R.build_indecomposability_fsr(f0, build_circuit=False)
+        inst = R.build_indecomposability_fsr(f0)
         for sub in A.find_subfsrs(inst.fsr):
             if zero in sub.cycles:
                 assert sub.fsr == x1_x0
@@ -487,54 +520,64 @@ def test_biconditional_at_odd_input_widths():
     # r = 3 and r = 4 also land on ell = 3; the window extraction width
     # differs from the usual r in {5, 6} population
     for r, sat_bits in ((3, [0, 0, 1] + [0] * 5), (4, [0] * 15 + [1])):
-        sat_inst = R.build_irreducibility_fsr(C.from_bits(sat_bits),
-                                              build_circuit=False)
+        sat_inst = R.build_irreducibility_fsr(C.from_bits(sat_bits))
         assert sat_inst.ell == 3 and A.is_irreducible(sat_inst.fsr)
-        unsat_inst = R.build_irreducibility_fsr(C.from_bits([0] * (1 << r)),
-                                                build_circuit=False)
+        unsat_inst = R.build_irreducibility_fsr(C.from_bits([0] * (1 << r)))
         assert not A.is_irreducible(unsat_inst.fsr)
-        dec_sat = R.build_indecomposability_fsr(C.from_bits(sat_bits),
-                                                build_circuit=False)
+        dec_sat = R.build_indecomposability_fsr(C.from_bits(sat_bits))
         assert not A.is_decomposable(dec_sat.fsr, "guided").decomposable
-        dec_unsat = R.build_indecomposability_fsr(C.from_bits([0] * (1 << r)),
-                                                  build_circuit=False)
+        dec_unsat = R.build_indecomposability_fsr(C.from_bits([0] * (1 << r)))
         assert dec_unsat.fsr == L.lfsr_of(L.LfsrFamily.for_ell(3).p1)
 
 
-def test_large_ell_semantic_only_build():
+def test_large_ell_semantic_only_build(monkeypatch):
     b = C.Builder(7)
     f0 = b.build(b.and_chain(b.inputs()))
-    inst = R.build_irreducibility_fsr(f0)   # ell = 9, no circuit by default
-    # stage 36 is past the state bound: no table, so no register
+    forbid_gates(monkeypatch)
+    inst = R.build_irreducibility_fsr(f0)   # ell = 9
+    # stage 36 is past the state bound: no table, so no register, and
+    # reading them builds no circuit
     assert inst.ell == 9 and inst.stage == 36
     assert inst.fsr is None and inst.f3_table is None
-    assert inst.f3_circuit is None and inst.feedback_circuit() is None
     assert inst.f3_semantic(0) in (0, 1)
 
 
 def test_ell9_dec_table_equals_the_gate_level_feedback():
-    # r = 18 gives ell = 9 and the stage-19 register, tabulated when built:
-    # on the AND of 18 inputs (one witness) and on g AND NOT g for that g
-    # (none), its table is the gate-level f1's on all 2^19 states, and the
+    # r = 18 gives ell = 9 and the stage-19 register: on the AND of 18
+    # inputs (one witness) and on g AND NOT g for that g (none), its table
+    # is the gate-level f1's on all 2^19 states, its toggle table is the
+    # reference field's on all 2^18 windows, its join graph over p1@9 is
+    # acyclic with each component mapping onto one joined cycle, and the
     # contradiction's register is the linear register of p1@9
     p1 = L.lfsr_of(L.LfsrFamily.for_ell(9).p1)
+    maps = R.Alg2Maps(9)
+    lam = maps.lam_table()
     for contradiction in (False, True):
         b = C.Builder(18)
         g = b.and_chain(b.inputs())
         f0 = b.build(b.AND(g, b.NOT(g)) if contradiction else g)
-        inst = R.build_indecomposability_fsr(f0, build_circuit=True)
+        inst = R.build_indecomposability_fsr(f0)
         assert (inst.ell, inst.stage) == (9, 19)
         f1 = inst.feedback_circuit()
         gate_level = mask_to_bits(f1.output_masks()[0], 1 << 19)
         assert inst.fsr.table == gate_level
         assert (inst.fsr == p1) == contradiction
+        ref = R.f3_reference_dec(9, inst.f2_table, maps)
+        assert tuple(map(ref, range(1 << 18))) == inst.f3_table
+        graph = A.cycle_join_graph(p1, inst.fsr, lam)
+        assert graph.is_acyclic() and graph.verify_join_identity()
+        assert len(graph.arcs) == (0 if contradiction else 1)
 
 
 def test_oracle_ell_bound():
+    # the irreducibility oracle stops at ell = 3; the dec maps at the state
+    # bound, so ell = 9 (stage 19) is built and ell = 27 (stage 55) refused
     with pytest.raises(ValueError):
         R.Alg1Oracle(9)
-    with pytest.raises(ValueError):
-        R.Alg2Maps(9)
+    assert R.Alg2Maps(9).stage == 19
+    with pytest.raises(ValueError, match="stage 55 is past the state "
+                                         "bound 24"):
+        R.Alg2Maps(27)
 
 
 # ---------------------------------------------------------------------------
