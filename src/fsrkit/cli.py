@@ -18,7 +18,7 @@ from .bitvec import bits_to_digits
 from .circuit import STATE_BOUND, decimal, parse_circuit, read_text
 from .fsr import (InvariantError, cycle_structure, fsr_circuit_pieces,
                   fsr_pieces, parse_fsr)
-from .lfsr import LfsrFamily, lfsr_of
+from .lfsr import lfsr_of
 
 
 @dataclass
@@ -137,10 +137,10 @@ def _base_predicate(spec: str):
         ell = decimal(ells)
         if name == "p2":
             oracle = reduction.Alg1Oracle(ell)
-            return lfsr_of(oracle.family.p2), oracle.lam_table()
+            return oracle.base, oracle.lam_table()
         if name == "p1":
             maps = reduction.Alg2Maps(ell)
-            return lfsr_of(LfsrFamily.for_ell(ell).p1), maps.lam_table()
+            return maps.base, maps.lam_table()
         raise ValueError(f"unknown base register {name!r}")
     base = _load_fsr(spec)     # a register has at most STATE_BOUND stages
     return base, bytes(1 << base.stage)

@@ -464,7 +464,9 @@ class Alg1Oracle:
 
     Holds, for every cycle of x^(4*ell)+x^(2*ell)+1: its period, least
     window, the long-cycle set, the deferred subset D, the representative
-    map rho, and the marking predicate lam built from rho.
+    map rho, and the marking predicate lam built from rho.  The linear
+    register it sweeps is kept as base, the base of the join graph over
+    p2@ell.
     """
 
     def __init__(self, ell: int):
@@ -473,8 +475,9 @@ class Alg1Oracle:
                              f"{EXHAUSTIVE_ELL_BOUND} only")
         self.ell = ell
         self.family = LfsrFamily.for_ell(ell)
-        lin = lfsr_of(self.family.p2)
-        seeds, bits, cycle_id = state_cycles(lin)   # seeds: the least windows
+        self.base = lfsr_of(self.family.p2)
+        # seeds: the least windows
+        seeds, bits, cycle_id = state_cycles(self.base)
         self._cycle_id = cycle_id
         self._period = [len(b) for b in bits]
         self._cycle_obj = [Cycle(b) for b in bits]
@@ -493,7 +496,7 @@ class Alg1Oracle:
         rho = []
         for cid, v in enumerate(seeds):
             if cid in d_ids:
-                v = _walk(lin.step_int, v, 5 * ell)[-1]
+                v = _walk(self.base.step_int, v, 5 * ell)[-1]
             rho.append(v)
         self._rho = rho
         rho_set = set(rho)
@@ -582,15 +585,16 @@ def f3_reference_irr(ell: int, f0: Circuit, oracle: Alg1Oracle = None):
 # proof-side bookkeeping for the indecomposability form
 
 class Alg2Maps:
-    """The window-difference map, the three-tap parity, and the marking
-    predicate for the indecomposability form, over (2*ell+1)-bit states;
-    p0_step and p1_step are the state maps of the family's linear
-    registers on 2*ell and 2*ell+1 bits.
+    """The window-difference map pi, the three-tap parity chi, and the
+    marking predicate lam for the indecomposability form, over
+    (2*ell+1)-bit states; base is the linear register of p1, the base of
+    the join graph over p1@ell.
 
-    Like Alg1Oracle it sweeps each register once with state_cycles: it
-    holds the marking predicate lam as bytes, and the index of each
-    state's p1 orbit, which f3_reference_dec reads.  A stage above
-    STATE_BOUND is refused, so ell = 9 (stage 19) is the largest built.
+    Like Alg1Oracle it makes each family register once and sweeps it once
+    with state_cycles: the p0 sweep's orbit seeds, marked in a bytearray,
+    give lam, held as bytes, and of the p1 sweep it keeps each state's
+    orbit index, which f3_reference_dec reads.  A stage above STATE_BOUND
+    is refused, so ell = 9 (stage 19) is the largest built.
     """
 
     def __init__(self, ell: int):
@@ -601,18 +605,19 @@ class Alg2Maps:
             raise ValueError(f"maps enumerate 2^{self.stage} states; stage "
                              f"{self.stage} is past the state bound "
                              f"{STATE_BOUND}")
-        self._pi_mask = (1 << (2 * ell)) - 1
-        self.p0_step = linear_step(fam.p0)
-        self.p1_step = linear_step(fam.p1)
-        seeds, _, p0_id = state_cycles(lfsr_of(fam.p0))
-        self._p1_id = state_cycles(lfsr_of(fam.p1))[2]
+        self._pi_mask = mask = (1 << (2 * ell)) - 1
+        seed = bytearray(1 << (2 * ell))    # 1 at each p0 orbit's least state
+        for u in state_cycles(lfsr_of(fam.p0))[0]:
+            seed[u] = 1
+        self.base = lfsr_of(fam.p1)
+        self._p1_id = state_cycles(self.base)[2]
         # lam(v) = [chi(v) = 0 and pi(v) is its p0 orbit's seed].  The seed
         # test is the 3*ell-step walk c from u = pi(v) testing c[0] ==
         # min(c[1:]): every p0 period divides 3*ell, so c[1:] is all of u's
         # orbit, and its least state is the seed
         self._lam = bytes(
-            not self.chi(v) and seeds[p0_id[u]] == u
-            for v, u in enumerate(map(self.pi_int, range(1 << self.stage))))
+            not (v ^ v >> ell ^ v >> 2 * ell) & 1
+            and seed[(v ^ v >> 1) & mask] for v in range(1 << self.stage))
 
     def pi_int(self, v: int) -> int:
         return (v ^ (v >> 1)) & self._pi_mask
@@ -637,10 +642,11 @@ def f3_reference_dec(ell: int, f2_tt: TruthTable, maps: Alg2Maps = None):
     m2 = 2 * ell
     f2b = f2_tt.bits()
     shift_r = m2 - f2_tt.arity
+    mask = maps._pi_mask
     ids = maps._p1_id
     hit = bytearray(len(ids))   # hit[i]: f2 is 1 at pi of a state of orbit i
     for v, i in enumerate(ids):
-        if f2b[maps.pi_int(v) >> shift_r]:
+        if f2b[((v ^ v >> 1) & mask) >> shift_r]:
             hit[i] = 1
 
     def ref(x: int) -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import analysis, circuit, fsr, lfsr, reduction
+from . import analysis, circuit, lfsr, reduction
+from .bitvec import FLIP
 
 
 @dataclass
@@ -98,43 +99,41 @@ def suite_conjprop(ell: int) -> SuiteResult:
     total = 1 << n
     ones = total - 1
     pi, chi = maps.pi_int, maps.chi
-    p0_step = maps.p0_step
+    fam = lfsr.LfsrFamily.for_ell(ell)
+    p0_step, p1_step = lfsr.linear_step(fam.p0), lfsr.linear_step(fam.p1)
 
     ok = _line(lines, ok, all(
         chi(v ^ 1) == chi(v) ^ 1 and chi(v ^ ones) == chi(v) ^ 1
-        and pi(v ^ 1) == pi(v) ^ 1 and p0_step(pi(v)) == pi(maps.p1_step(v))
+        and pi(v ^ 1) == pi(v) ^ 1 and p0_step(pi(v)) == pi(p1_step(v))
         for v in range(total)), "(i) conjugate/complement parity and map commutation")
 
+    # pi maps the 2^n states onto the 2^(n-1) words: when every word has
+    # the two distinct preimages u and u ^ ones, no word has room for a third
     good = True
-    preim = {}
-    for v in range(total):
-        preim.setdefault(pi(v), set()).add(v)
     for w in range(1 << (2 * ell)):
         u = 0
         acc = 0
         for j in range(2 * ell):
             acc ^= (w >> j) & 1
             u |= acc << (j + 1)
-        if preim.get(w) != {u, u ^ ones}:
+        if not pi(u) == pi(u ^ ones) == w:
             good = False
             break
     ok = _line(lines, ok, good, "(ii) each difference word has the two prefix-parity preimages")
 
-    fam = lfsr.LfsrFamily.for_ell(ell)
-    p0_cycles = fsr.cycle_structure(lfsr.lfsr_of(fam.p0))
-    p0_side = set()
-    for c in p0_cycles:
-        p0_side |= c.window_ints(n)
-    comp_side = set(range(total)) - p0_side
-    ok = _line(lines, ok,
-               all(chi(v) == 0 for v in p0_side)
-               and all(chi(v) == 1 for v in comp_side),
+    # marks[v] = 1 where v is an n-window of a p0 cycle: the window from
+    # state s is s with its successor's bits one place up
+    marks = bytearray(total)
+    for s in range(1 << (2 * ell)):
+        marks[s | p0_step(s) << 1] = 1
+    ok = _line(lines, ok, bytes(map(chi, range(total))) == marks.translate(FLIP),
                "(iii) parity separates the two cycle families")
-    ok = _line(lines, ok, all((v ^ 1) in comp_side for v in p0_side),
+    ok = _line(lines, ok, not int.from_bytes(marks[0::2], "little")
+               & int.from_bytes(marks[1::2], "little"),
                "(iv) conjugation crosses to the complement family")
     w0_shift = 2 * ell - 1
     ok = _line(lines, ok, all(
-        (maps.p1_step(v) >> 1) == p0_step(v >> 1) ^ (chi(v) << w0_shift)
+        (p1_step(v) >> 1) == p0_step(v >> 1) ^ (chi(v) << w0_shift)
         for v in range(total)), "(v) window of the long step is the short step plus parity")
     return SuiteResult(f"conjprop ell={ell}", lines, ok)
 
@@ -271,11 +270,10 @@ def suite_lemma11(ell: int, seed: int = 1) -> SuiteResult:
     sat_bits[rng.randrange(n)] = 1
     cases = [("sat", circuit.from_bits(sat_bits)),
              ("unsat", circuit.from_bits([0] * n))]
-    base = lfsr.lfsr_of(oracle.family.p2)
     lam = oracle.lam_table()
     for tag, f0 in cases:
         inst = reduction.build_irreducibility_fsr(f0)
-        graph = analysis.cycle_join_graph(base, inst.fsr, lam)
+        graph = analysis.cycle_join_graph(oracle.base, inst.fsr, lam)
         ok = _line(lines, ok, graph.is_acyclic(), f"{tag}: graph acyclic")
         ok = _line(lines, ok, all(not graph.isolated(c) for c in oracle.c6),
                    f"{tag}: every long cycle non-isolated")

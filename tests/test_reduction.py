@@ -421,14 +421,22 @@ def test_alg2_reference_matches_pseudocode():
         assert all(ref(x) == sem(x) for x in range(4))
 
 
+@functools.lru_cache(maxsize=None)
+def family_steps(ell):
+    """The p0 and p1 state maps, made apart from Alg2Maps."""
+    fam = L.LfsrFamily.for_ell(ell)
+    return L.linear_step(fam.p0), L.linear_step(fam.p1)
+
+
 def walk_lam(maps, v):
     """lam as first written: the 3*ell-step p0 walk from pi(v), and a mark
     where it starts at its least state."""
     if maps.chi(v):
         return 0
+    p0_step = family_steps(maps.ell)[0]
     c = [maps.pi_int(v)]
     for _ in range(3 * maps.ell):
-        c.append(maps.p0_step(c[-1]))
+        c.append(p0_step(c[-1]))
     return int(c[0] == min(c[1:]))
 
 
@@ -438,6 +446,7 @@ def orbit_walk_reference_dec(ell, f2_tt, maps):
     m2 = 2 * ell
     f2b = f2_tt.bits()
     shift_r = m2 - f2_tt.arity
+    p1_step = family_steps(ell)[1]
 
     def ref(x):
         y = (((x >> (m2 - 1)) ^ (x >> (ell - 1))) & 1) | (x << 1)
@@ -447,7 +456,7 @@ def orbit_walk_reference_dec(ell, f2_tt, maps):
         while True:
             if f2b[maps.pi_int(v) >> shift_r]:
                 return 1
-            v = maps.p1_step(v)
+            v = p1_step(v)
             if v == y:
                 return 0
 
@@ -487,6 +496,45 @@ def test_alg2_reference_refuses_maps_of_another_ell(ell, maps_ell):
     f2 = R.f2_table(C.TruthTable.from_bits([0, 1, 1, 0]))
     with pytest.raises(ValueError, match="different ell"):
         R.f3_reference_dec(ell, f2, R.Alg2Maps(maps_ell))
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_proof_side_makes_one_register_per_polynomial(ell, monkeypatch):
+    # Alg2Maps makes the p0 and p1 registers once each and keeps the p1
+    # one as base; Alg1Oracle keeps the p2 register it sweeps
+    made = []
+    init = F.Fsr.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(F.Fsr, "__init__", counting_init)
+    maps = R.Alg2Maps(ell)
+    assert len(made) == 2
+    fam = L.LfsrFamily.for_ell(ell)
+    assert maps.base == L.lfsr_of(fam.p1)
+    assert R.Alg1Oracle(ell).base == L.lfsr_of(fam.p2)
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("name,broken,failing", [
+    ("chi", lambda self, v: (v ^ v >> (self.ell + 1) ^ v >> 2 * self.ell) & 1,
+     ["(iii) parity separates the two cycle families",
+      "(v) window of the long step is the short step plus parity"]),
+    ("pi_int", lambda self, v: (v ^ v >> 2) & self._pi_mask,
+     ["(i) conjugate/complement parity and map commutation",
+      "(ii) each difference word has the two prefix-parity preimages"])])
+def test_conjprop_fails_on_a_broken_map(ell, name, broken, failing,
+                                        monkeypatch):
+    # chi reading tap ell + 1 in place of ell breaks facts (iii) and (v),
+    # and pi differencing bits two apart breaks (i) and (ii); the suite
+    # must fail exactly those, and no other
+    monkeypatch.setattr(R.Alg2Maps, name, broken)
+    result = verify.suite_conjprop(ell)
+    assert not result.ok
+    assert [line for line in result.lines
+            if line.startswith("FAIL ")] == ["FAIL " + f for f in failing]
 
 
 def test_alg2_zero_subregister_is_unique():
@@ -549,8 +597,8 @@ def test_ell9_dec_table_equals_the_gate_level_feedback():
     # reference field's on all 2^18 windows, its join graph over p1@9 is
     # acyclic with each component mapping onto one joined cycle, and the
     # contradiction's register is the linear register of p1@9
-    p1 = L.lfsr_of(L.LfsrFamily.for_ell(9).p1)
     maps = R.Alg2Maps(9)
+    p1 = maps.base
     lam = maps.lam_table()
     for contradiction in (False, True):
         b = C.Builder(18)
