@@ -7,7 +7,9 @@ an instance was constructed:
   the analyzed register's cycles, found by a subset DFS pruned by subset
   sums over cycle periods and by window overlap (per-stage bitmasks of
   each cycle's windows; no two chosen cycles may share one), followed by
-  the window-injectivity realizability check;
+  the window-injectivity realizability check; the stage one below the
+  register's is read instead off a 2-colouring of its cycles, since each
+  window there lies on exactly two states;
 * cascade decomposition: brute force over small inner factors, or the
   guided search that only tries sub-registers containing the zero cycle
   (complete whenever the register maps the all-zero state to zero);
@@ -90,25 +92,104 @@ def _reachable_stages(periods, top: int) -> list:
     return [m for m in range(1, top + 1) if reach >> (1 << m) & 1]
 
 
+def _top_colouring(ids, k: int, half: int):
+    """The colours of the k orbits, as bytes, in a 2-colouring in which
+    the orbits of states s and s + half differ for each s < half; None
+    when one orbit holds both states of a pair, or an odd cycle of pairs
+    allows no colouring.  A union-find with parity and path compression
+    over the pairs, in one pass.
+
+    The states of the orbits joined by pairs are closed under the step and
+    under flipping the top bit; so their low windows are closed under a
+    shift in of either bit, which reaches every window.  Every orbit is
+    therefore joined to every other, and there are exactly two colourings,
+    the bytes returned and their complement: a second component raises
+    InvariantError."""
+    parent = list(range(k))
+    parity = bytearray(k)       # i's colour relative to parent[i]'s
+
+    def find(i):
+        # the root of i and i's parity to it; then every orbit on the path
+        # is pointed at the root, with its own parity to it
+        p, j = 0, i
+        while parent[j] != j:
+            p ^= parity[j]
+            j = parent[j]
+        q = p
+        while parent[i] != j:
+            parent[i], parity[i], i, q = j, q, parent[i], q ^ parity[i]
+        return j, p
+
+    view = memoryview(ids)
+    for a, b in zip(view[:half], view[half:]):
+        if a == b:
+            return None
+        (ra, pa), (rb, pb) = find(a), find(b)
+        if ra != rb:
+            parent[ra], parity[ra] = rb, pa ^ pb ^ 1
+        elif pa == pb:
+            return None
+    roots = {find(i)[0] for i in range(k)}
+    if len(roots) > 1:
+        raise InvariantError(f"the top pairs split {k} orbits into "
+                             f"{len(roots)} components")
+    return bytes(parity)
+
+
+def _top_subfsrs(orbits, ids, m: int):
+    """Yield the stage-m sub-registers of a stage-(m + 1) register with
+    these orbits, in the order the subset search would find them.
+
+    Each m-window w is the low m bits of exactly two states, w and
+    w + 2^m, so a sub-register takes exactly one of their two cycles: the
+    sub-registers are the two colour classes of _top_colouring, if it has
+    one.  The subset search, over the cycles in (-period, bits) order,
+    takes each cycle before it leaves it out, so it finds first the class
+    holding the first cycle in that order."""
+    colour = _top_colouring(ids, len(orbits), 1 << m)
+    if colour is None:
+        return
+    cycles = [Cycle(b) for b in orbits]
+    first = min(range(len(cycles)),
+                key=lambda i: (-cycles[i].period, cycles[i].bits))
+    for taken in (colour[first], colour[first] ^ 1):
+        yield _subfsr([c for c, x in zip(cycles, colour) if x == taken], m)
+
+
+def _subfsr(subset, m: int) -> SubFsr:
+    try:
+        sub = fsr_from_cycles(subset, m)
+    except ValueError as e:
+        raise InvariantError(f"stage-{m} subset from the window "
+                             f"search: {e}") from e
+    return SubFsr(stage=m, cycles=frozenset(subset), fsr=sub)
+
+
 def iter_subfsrs(f: Fsr, top: int = None):
     """Yield every sub-register of f of stage at most ``top`` (every stage
     below f's by default), smallest stage first.
 
     Only the stages m whose 2^m is a sum of cycle periods are searched,
-    found before any cycle is built; one above SUBFSR_STAGE_BOUND is
-    refused.  At each, the search keeps the cycles whose m-windows are
-    distinct, with a bitmask of those windows; subsets of them must sum to
-    2^m, and a subset-sum reachability mask over their periods prunes.  The
-    search adds a cycle only when its m-windows miss the union of the
-    chosen cycles' windows.  On an m-stage register every m-window occurs
-    once across all positions of all cycles, so a subset whose periods sum
-    to 2^m is realizable exactly when its m-windows are distinct and
-    disjoint.  Each subset yielded is therefore realizable, and
-    `fsr_from_cycles` failing on one raises InvariantError.
+    found before any cycle is built.  Stage n - 1, for f of stage n, is
+    taken from a 2-colouring of f's cycles (_top_subfsrs), one pass over
+    the states at any stage; below it, a stage above SUBFSR_STAGE_BOUND
+    is refused, and at each the search keeps the cycles whose m-windows
+    are distinct, with a bitmask of those windows; subsets of them must
+    sum to 2^m, and a subset-sum reachability mask over their periods
+    prunes.  The search adds a cycle only when its m-windows miss
+    the union of the chosen cycles' windows.  On an m-stage register every
+    m-window occurs once across all positions of all cycles, so a subset
+    whose periods sum to 2^m is realizable exactly when its m-windows are
+    distinct and disjoint.  Each subset yielded is therefore realizable,
+    and `fsr_from_cycles` failing on one raises InvariantError.
     """
-    orbits = state_cycles(f)[1]
-    top = f.stage - 1 if top is None else min(top, f.stage - 1)
+    _, orbits, ids = state_cycles(f)
+    n = f.stage
+    top = n - 1 if top is None else min(top, n - 1)
     stages = _reachable_stages(map(len, orbits), max(top, 0))
+    coloured = stages[-1:] == [n - 1]
+    if coloured:
+        stages.pop()
     if stages and stages[-1] > SUBFSR_STAGE_BOUND:
         raise ValueError(f"reachable stage {stages[-1]} exceeds sub-register "
                          f"bound {SUBFSR_STAGE_BOUND}")
@@ -120,12 +201,9 @@ def iter_subfsrs(f: Fsr, top: int = None):
         cands = [(c, c.period, mask) for c in ordered if c.period <= target
                  and (mask := _window_mask(c, m)) is not None]
         for subset in _subset_dfs(cands, target):
-            try:
-                sub = fsr_from_cycles(subset, m)
-            except ValueError as e:
-                raise InvariantError(f"stage-{m} subset from the window "
-                                     f"search: {e}") from e
-            yield SubFsr(stage=m, cycles=frozenset(subset), fsr=sub)
+            yield _subfsr(subset, m)
+    if coloured:
+        yield from _top_subfsrs(orbits, ids, n - 1)
 
 
 def find_subfsrs(f: Fsr) -> list:

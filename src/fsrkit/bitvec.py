@@ -66,6 +66,16 @@ def xor_bits(a: bytes, b: bytes) -> bytes:
             ).to_bytes(len(a), "little")
 
 
+def prefix_xor(w: int, width: int) -> int:
+    """The width-bit word whose bit i is the XOR of bits 0..i of w: a
+    shift and XOR for each doubling of the prefix length."""
+    shift = 1
+    while shift < width:
+        w ^= w << shift
+        shift <<= 1
+    return w & ((1 << width) - 1)
+
+
 def bits_to_mask(bits) -> int:
     """The mask whose bit i is entry i of a sequence of 0/1 values."""
     return int("0" + bits_to_digits(bits)[::-1], 2)

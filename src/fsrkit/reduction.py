@@ -25,9 +25,10 @@ pointwise, and the acceptance suite checks that they do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import compress
 
-from .bitvec import xor_bits
+from .bitvec import mask_to_bits, prefix_xor
 from .circuit import STATE_BOUND, Builder, Circuit, TruthTable
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
                   state_cycles)
@@ -175,6 +176,40 @@ def alg2_f3_semantic(ell: int, f2_tt: TruthTable):
         return int(c[-1] == min(c) and any(f2b[s >> shift_r] for s in c))
 
     return f3
+
+
+@lru_cache(maxsize=None)
+def _p0_orbits(ell: int) -> tuple:
+    """(ids, seeds) of one sweep of the linear register of p0 at ell: each
+    2*ell-bit state's orbit index, and each orbit's least state."""
+    seeds, _, ids = state_cycles(lfsr_of(LfsrFamily.for_ell(ell).p0))
+    return ids, seeds
+
+
+def _alg2_f3_table(ell: int, f2_tt: TruthTable) -> bytes:
+    """alg2_f3_semantic's table over all 2*ell-bit windows, from the p0
+    orbits.
+
+    Every p0 period divides 3*ell, so the walk from u = u(x) is all of u's
+    orbit: f3(x) is 1 exactly when u is its orbit's least state and f2 is
+    1 on some state of the orbit.  The map x -> u is a linear bijection of
+    the windows, with x_i = x_0 ^ u_1 ^ ... ^ u_i, so the table is 1 at
+    the preimages of the hit orbits' seeds and 0 elsewhere."""
+    ids, seeds = _p0_orbits(ell)
+    m2 = 2 * ell
+    shift_r = m2 - f2_tt.arity
+    hit = bytearray(len(seeds))     # hit[i]: f2 is 1 on a state of orbit i
+    f2b = mask_to_bits(f2_tt.mask, 1 << f2_tt.arity)
+    for w in compress(range(len(f2b)), f2b):
+        for i in ids[w << shift_r:(w + 1) << shift_r]:
+            hit[i] = 1
+    ones = (1 << m2) - 1
+    table = bytearray(1 << m2)
+    for u in compress(seeds, hit):
+        p = prefix_xor(u >> 1, m2 - 1) << 1     # bit i: u_1 ^ ... ^ u_i
+        x0 = (u ^ p >> (m2 - 1) ^ p >> (ell - 1)) & 1
+        table[p ^ ones if x0 else p] = 1
+    return bytes(table)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +368,15 @@ class ReductionInstance:
     the stage) and semantic toggle field, with each further part made the
     first time it is read and kept.
 
-    fsr and f3_table come from one tabulation (_toggled_linear), and a
-    stage above STATE_BOUND has neither (both read None).  f3_circuit is
-    the gate-level toggle field, and size_report reads the feedback
-    circuit's size off it; above IRR_CIRCUIT_ELL_BOUND the irreducibility
-    form refuses both on each read, before any gate is built.  The
-    feedback circuit itself is made anew on each feedback_circuit() call.
+    fsr and f3_table come from one tabulation of the toggle field, as
+    bytes: window by window off f3_semantic for "irr", and off the p0
+    orbits (_alg2_f3_table) for "dec".  f3_table is that table as a
+    tuple, made when read; a stage above STATE_BOUND has neither (both
+    read None).  f3_circuit is the gate-level toggle field, and
+    size_report reads the feedback circuit's size off it; above
+    IRR_CIRCUIT_ELL_BOUND the irreducibility form refuses both on each
+    read, before any gate is built.  The feedback circuit itself is made
+    anew on each feedback_circuit() call.
     """
 
     kind: str             # "irr" or "dec"
@@ -356,15 +394,23 @@ class ReductionInstance:
 
     @cached_property
     def _toggled(self) -> tuple:
-        return _toggled_linear(self.poly, self.f3_semantic)
+        if self.stage > STATE_BOUND:
+            return None, None
+        if self.kind == "dec":
+            f3_tab = _alg2_f3_table(self.ell, self.f2_table)
+        else:
+            f3_tab = bytes(map(self.f3_semantic,
+                               range(1 << (self.stage - 1))))
+        return _toggled_linear(self.poly, f3_tab), f3_tab
 
     @property
     def fsr(self) -> Fsr | None:
         return self._toggled[0]
 
-    @property
+    @cached_property
     def f3_table(self) -> tuple | None:
-        return self._toggled[1]
+        f3_tab = self._toggled[1]
+        return None if f3_tab is None else tuple(f3_tab)
 
     @cached_property
     def f3_circuit(self) -> Circuit:
@@ -411,23 +457,19 @@ def alg2_size_bound(f0_size: int) -> int:
     return 264 * f0_size ** 3
 
 
-def _toggled_linear(p: GF2Poly, f3) -> tuple:
-    """(register, f3 table): the register whose feedback is the linear
-    feedback of p XOR the toggle field f3 on the state's upper bits
-    (x1..x_{n-1}).  f3 is evaluated once per window, and the register is
-    checked to be nonsingular.  Above STATE_BOUND there is no table, and
-    both are None: the irreducibility form at ell = 9 has stage 36."""
-    n = p.degree
-    if n > STATE_BOUND:
-        return None, None
-    f3_tab = tuple(f3(x) for x in range(1 << (n - 1)))
-    # entry s of the field's table is f3(s >> 1): each entry twice
-    field = bytearray(1 << n)
-    field[0::2] = field[1::2] = f3_tab
-    fsr = Fsr(n, table=xor_bits(lfsr_of(p).table, field))
+def _toggled_linear(p: GF2Poly, f3_tab: bytes) -> Fsr:
+    """The register whose feedback is the linear feedback of p XOR the
+    toggle field on the state's upper bits (x1..x_{n-1}), given as its
+    bytes over those windows; it is checked to be nonsingular."""
+    table = bytearray(lfsr_of(p).table)
+    # the field at state s is f3(s >> 1): each window x toggles 2x and 2x + 1
+    for x in compress(range(len(f3_tab)), f3_tab):
+        table[2 * x] ^= 1
+        table[2 * x + 1] ^= 1
+    fsr = Fsr(p.degree, table=table)
     if not is_nonsingular(fsr):
         raise InvariantError("toggled linear register is singular")
-    return fsr, f3_tab
+    return fsr
 
 
 def build_irreducibility_fsr(f0: Circuit) -> ReductionInstance:
@@ -590,11 +632,12 @@ class Alg2Maps:
     (2*ell+1)-bit states; base is the linear register of p1, the base of
     the join graph over p1@ell.
 
-    Like Alg1Oracle it makes each family register once and sweeps it once
-    with state_cycles: the p0 sweep's orbit seeds, marked in a bytearray,
-    give lam, held as bytes, and of the p1 sweep it keeps each state's
-    orbit index, which f3_reference_dec reads.  A stage above STATE_BOUND
-    is refused, so ell = 9 (stage 19) is the largest built.
+    Like Alg1Oracle it makes each family register once and sweeps it at
+    most once with state_cycles: the p0 sweep's orbit seeds, marked in a
+    bytearray, give lam, held as bytes, and the p1 sweep's orbit index of
+    each state is made when f3_reference_dec first reads it.  A stage
+    above STATE_BOUND is refused, so ell = 9 (stage 19) is the largest
+    built.
     """
 
     def __init__(self, ell: int):
@@ -610,7 +653,6 @@ class Alg2Maps:
         for u in state_cycles(lfsr_of(fam.p0))[0]:
             seed[u] = 1
         self.base = lfsr_of(fam.p1)
-        self._p1_id = state_cycles(self.base)[2]
         # lam(v) = [chi(v) = 0 and pi(v) is its p0 orbit's seed].  The seed
         # test is the 3*ell-step walk c from u = pi(v) testing c[0] ==
         # min(c[1:]): every p0 period divides 3*ell, so c[1:] is all of u's
@@ -618,6 +660,11 @@ class Alg2Maps:
         self._lam = bytes(
             not (v ^ v >> ell ^ v >> 2 * ell) & 1
             and seed[(v ^ v >> 1) & mask] for v in range(1 << self.stage))
+
+    @cached_property
+    def _p1_id(self):
+        """Each state's p1 orbit index; only f3_reference_dec reads it."""
+        return state_cycles(self.base)[2]
 
     def pi_int(self, v: int) -> int:
         return (v ^ (v >> 1)) & self._pi_mask

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import analysis, circuit, lfsr, reduction
-from .bitvec import FLIP
+from .bitvec import FLIP, prefix_xor
 
 
 @dataclass
@@ -108,18 +108,12 @@ def suite_conjprop(ell: int) -> SuiteResult:
         for v in range(total)), "(i) conjugate/complement parity and map commutation")
 
     # pi maps the 2^n states onto the 2^(n-1) words: when every word has
-    # the two distinct preimages u and u ^ ones, no word has room for a third
-    good = True
-    for w in range(1 << (2 * ell)):
-        u = 0
-        acc = 0
-        for j in range(2 * ell):
-            acc ^= (w >> j) & 1
-            u |= acc << (j + 1)
-        if not pi(u) == pi(u ^ ones) == w:
-            good = False
-            break
-    ok = _line(lines, ok, good, "(ii) each difference word has the two prefix-parity preimages")
+    # the two distinct preimages u and u ^ ones, no word has room for a third.
+    # Bit j + 1 of u is the parity of bits 0..j of w
+    ok = _line(lines, ok, all(
+        pi(u := prefix_xor(w, 2 * ell) << 1) == pi(u ^ ones) == w
+        for w in range(1 << (2 * ell))),
+        "(ii) each difference word has the two prefix-parity preimages")
 
     # marks[v] = 1 where v is an n-window of a p0 cycle: the window from
     # state s is s with its successor's bits one place up

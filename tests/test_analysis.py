@@ -44,12 +44,20 @@ def test_subfsr_stage_bound():
     with pytest.raises(ValueError):
         A.find_subfsrs(F.Fsr(13, table=bytes(1 << 13)))
     # (x + 1)(x^13 + x^4 + x^3 + x + 1): periods 1, 1, 8191 and 8191 reach
-    # 2^13, above the bound, so the search is refused unless capped below
+    # 2^13 = 2^(n - 1), the stage read off the colouring, exempt from the
+    # bound
     f = lin("x^14 + x^13 + x^5 + x^3 + x^2 + 1")
+    subs = [(s.stage, sorted(c.period for c in s.cycles))
+            for s in A.find_subfsrs(f)]
+    assert subs == [(1, [1, 1]), (13, [1, 8191]), (13, [1, 8191])]
+    # (x^2 + x + 1)(x^13 + x^4 + x^3 + x + 1): periods 1, 3, 8191 and 24573
+    # reach 2^2 and 2^13 = 2^(n - 2), above the bound, so the search is
+    # refused unless capped below
+    f = lin("x^15 + x^14 + x^13 + x^6 + 1")
     with pytest.raises(ValueError, match="reachable stage 13 exceeds "
                                          "sub-register bound 12"):
         A.find_subfsrs(f)
-    assert [s.stage for s in A.iter_subfsrs(f, 12)] == [1]
+    assert [s.stage for s in A.iter_subfsrs(f, 12)] == [2]
 
 
 def test_registers_above_stage_12_are_decided_below_their_reachable_stages():
@@ -66,10 +74,11 @@ def test_registers_above_stage_12_are_decided_below_their_reachable_stages():
     assert A.is_irreducible(lin("x^16 + x^5 + x^3 + x^2 + 1"))
 
 
-def test_stage_19_registers_are_refused_uncapped_and_decided_capped(monkeypatch):
+def test_stage_19_registers_are_decided_uncapped_and_capped(monkeypatch):
     # the dec registers (ell = 9) of the 18-input AND and of g AND NOT g
-    # over it: periods 1, 1 and 27 reach 2^1 and 2^18 only, and capped at
-    # 17 the search builds a cycle and a window mask for the two fixed
+    # over it: periods 1, 1 and 27 reach 2^1 and 2^18 only.  Stage 18 is
+    # read off the colouring of the cycles, so with no cap and capped at 17
+    # the searches build a cycle and a window mask for the two fixed
     # points alone
     made, masks = [], []
     cycle, mask = A.Cycle, A._window_mask
@@ -91,18 +100,24 @@ def test_stage_19_registers_are_refused_uncapped_and_decided_capped(monkeypatch)
     for f0, decomposable in ((and18, False), (contra18, True)):
         f = R.build_indecomposability_fsr(f0).fsr
         assert f.stage == 19
-        for search in (A.is_irreducible, lambda f: A.is_decomposable(f, "guided")):
-            with pytest.raises(ValueError, match="reachable stage 18 exceeds "
-                                                 "sub-register bound 12"):
-                search(f)
-        assert made == masks == []
-        rep = A.is_decomposable(f, "guided", max_inner_stage=17)
-        assert (rep.decomposable, rep.complete) == (decomposable, decomposable)
-        if decomposable:
-            assert (rep.inner.stage, rep.outer.stage) == (1, 18)
-        assert made == [1, 1] and masks == [1, 1]
         made.clear()
         masks.clear()
+        # the two fixed points make a stage-1 sub-register
+        assert not A.is_irreducible(f)
+        assert made == [1, 1] and masks == [1, 1]
+        for cap in (None, 17):
+            made.clear()
+            masks.clear()
+            rep = A.is_decomposable(f, "guided", max_inner_stage=cap)
+            assert (rep.decomposable, rep.complete) == (
+                decomposable, decomposable or cap is None)
+            if decomposable:
+                assert (rep.inner.stage, rep.outer.stage) == (1, 18)
+                assert rep.candidates_tried == 1
+            else:
+                # the stage-1 register and its complement; no stage 18
+                assert rep.candidates_tried == 2
+            assert made == [1, 1] and masks == [1, 1]
 
 
 def test_every_subfsr_cycle_set_is_a_subset():
@@ -147,6 +162,53 @@ def test_find_subfsrs_is_complete_and_ordered():
     for f in regs:
         got = [(s.stage, s.cycles) for s in A.find_subfsrs(f)]
         assert got == _subfsrs_by_every_subset(f)
+
+
+@st.composite
+def top_registers(draw):
+    """A nonsingular register of stage 2..9: a random one, a product with
+    a stage-1 register on either side, or the linear register of a product
+    of two polynomials, so that registers with a top sub-register are
+    drawn too."""
+    def register(n):
+        gmask = draw(st.integers(0, (1 << (1 << (n - 1))) - 1))
+        return F.Fsr(n, table=[(s & 1) ^ ((gmask >> (s >> 1)) & 1)
+                               for s in range(1 << n)])
+
+    def poly(d):
+        # degree d, constant term 1
+        return L.GF2Poly(1 << d | draw(st.integers(0, (1 << d) - 1)) | 1)
+
+    kind = draw(st.sampled_from(["random", "product", "linear"]))
+    if kind == "random":
+        return register(draw(st.integers(2, 9)))
+    if kind == "product":
+        pair = [register(1), register(draw(st.integers(1, 8)))]
+        if draw(st.booleans()):
+            pair.reverse()
+        return F.product_fsr(*pair)
+    d = draw(st.integers(1, 4))
+    return L.lfsr_of(poly(d) * poly(draw(st.integers(1, 9 - d))))
+
+
+def top_subfsrs_by_the_subset_search(f):
+    """The cycle sets of f's stage n - 1 sub-registers, in order, from the
+    subset search that iter_subfsrs runs below that stage."""
+    m = f.stage - 1
+    cys = sorted(F.cycle_structure(f).cycles,
+                 key=lambda c: (-c.period, c.bits))
+    cands = [(c, c.period, mask) for c in cys if c.period <= 1 << m
+             and (mask := A._window_mask(c, m)) is not None]
+    return [frozenset(s) for s in A._subset_dfs(cands, 1 << m)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(top_registers())
+def test_top_subfsrs_by_colouring_match_the_subset_search(f):
+    subs = [s for s in A.iter_subfsrs(f) if s.stage == f.stage - 1]
+    assert [s.cycles for s in subs] == top_subfsrs_by_the_subset_search(f)
+    for s in subs:
+        assert F.cycle_structure(s.fsr).cycles == s.cycles
 
 
 def test_subset_search_walks_past_the_recursion_limit():

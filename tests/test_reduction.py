@@ -491,6 +491,28 @@ def test_alg2_reference_matches_the_orbit_walk():
             assert [ref(x) for x in range(64)] == [want(x) for x in range(64)]
 
 
+def test_alg2_orbit_table_equals_the_semantic_field():
+    # the dec table read off the p0 orbits is the per-window walk's on all
+    # windows: every one- and two-input table at ell = 1 (raw, so f2 may be
+    # 1 at the zero input), sampled r = 5 and r = 6 tables at ell = 3,
+    # sparse to dense, and the 18-input AND and g AND NOT g at ell = 9
+    cases = [(1, C.TruthTable(r, mask))
+             for r in (1, 2) for mask in range(1 << (1 << r))]
+    rng = random.Random(36)
+    for r in (5, 6):
+        for density in (0.02, 0.1, 0.5, 0.9):
+            bits = [int(rng.random() < density) for _ in range(1 << r)]
+            cases.append((3, R.f2_table(C.TruthTable.from_bits(bits))))
+    b = C.Builder(18)
+    g = b.and_chain(b.inputs())
+    for f0 in (b.build(g), b.build(b.AND(g, b.NOT(g)))):
+        cases.append((9, R.f2_table(f0.truth_table())))
+    for ell, f2 in cases:
+        sem = R.alg2_f3_semantic(ell, f2)
+        assert R._alg2_f3_table(ell, f2) == bytes(
+            map(sem, range(1 << (2 * ell)))), (ell, f2)
+
+
 @pytest.mark.parametrize("ell,maps_ell", [(3, 1), (1, 3)])
 def test_alg2_reference_refuses_maps_of_another_ell(ell, maps_ell):
     f2 = R.f2_table(C.TruthTable.from_bits([0, 1, 1, 0]))
@@ -501,17 +523,27 @@ def test_alg2_reference_refuses_maps_of_another_ell(ell, maps_ell):
 @pytest.mark.parametrize("ell", [1, 3])
 def test_proof_side_makes_one_register_per_polynomial(ell, monkeypatch):
     # Alg2Maps makes the p0 and p1 registers once each and keeps the p1
-    # one as base; Alg1Oracle keeps the p2 register it sweeps
-    made = []
-    init = F.Fsr.__init__
+    # one as base, sweeping p1 only when f3_reference_dec first reads its
+    # orbits; Alg1Oracle keeps the p2 register it sweeps
+    made, swept = [], []
+    init, sweep = F.Fsr.__init__, R.state_cycles
 
     def counting_init(self, *args, **kwargs):
         made.append(args)
         init(self, *args, **kwargs)
 
+    def counting_sweep(f):
+        swept.append(f.stage)
+        return sweep(f)
+
     monkeypatch.setattr(F.Fsr, "__init__", counting_init)
+    monkeypatch.setattr(R, "state_cycles", counting_sweep)
     maps = R.Alg2Maps(ell)
-    assert len(made) == 2
+    assert len(made) == 2 and swept == [2 * ell]
+    f2 = R.f2_table(C.TruthTable.from_bits([0, 1, 1, 0]))
+    for _ in range(2):
+        R.f3_reference_dec(ell, f2, maps)
+    assert swept == [2 * ell, 2 * ell + 1]
     fam = L.LfsrFamily.for_ell(ell)
     assert maps.base == L.lfsr_of(fam.p1)
     assert R.Alg1Oracle(ell).base == L.lfsr_of(fam.p2)
