@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
-from .bitvec import as_bits, xor_bits
+from .bitvec import FLIP, as_bits, xor_bits
 from .fsr import (Cycle, Fsr, InvariantError, fsr_from_cycles, is_nonsingular,
                   product_fsr, state_cycles, window_images)
 
@@ -145,15 +145,23 @@ def _top_subfsrs(orbits, ids, m: int):
     sub-registers are the two colour classes of _top_colouring, if it has
     one.  The subset search, over the cycles in (-period, bits) order,
     takes each cycle before it leaves it out, so it finds first the class
-    holding the first cycle in that order."""
-    colour = _top_colouring(ids, len(orbits), 1 << m)
+    holding the first cycle in that order.  A class's state after w is
+    w + 2^m's exactly when that state's orbit is in the class, so its
+    feedback table is the colour of w + 2^m's orbit, or its complement,
+    one pass over the top half of the ids."""
+    half = 1 << m
+    colour = _top_colouring(ids, len(orbits), half)
     if colour is None:
         return
     cycles = [Cycle(b) for b in orbits]
     first = min(range(len(cycles)),
                 key=lambda i: (-cycles[i].period, cycles[i].bits))
+    top = bytes(map(colour.__getitem__, memoryview(ids)[half:]))
     for taken in (colour[first], colour[first] ^ 1):
-        yield _subfsr([c for c, x in zip(cycles, colour) if x == taken], m)
+        yield SubFsr(stage=m,
+                     cycles=frozenset(c for c, x in zip(cycles, colour)
+                                      if x == taken),
+                     fsr=Fsr(m, table=top if taken else top.translate(FLIP)))
 
 
 def _subfsr(subset, m: int) -> SubFsr:

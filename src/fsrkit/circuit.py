@@ -28,7 +28,9 @@ keeps every lane it makes to the end, unless those lanes would hold more
 than LIVE_LANE_BYTES; then it drops each lane after its last reader and
 so holds only the live frontier.  A stamped block's operand columns have
 one definition, _block_columns, which the readers of its inner vertices
-and the scan that finds blocks in text all use.
+and the scan that finds blocks in text all use; its text has one form
+per width (_text_form), which the writer writes and against which
+the parser checks a block it reads whole.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ import json
 import re
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import getitem, itemgetter, lt
 
 from .bitvec import bits_to_mask, mask_to_bits
@@ -179,9 +181,10 @@ class Circuit:
     zeros where a Builder stamped the block, and the text's own entries
     where the circuit was parsed or made from tuples; Builder.splice
     moves them with every other entry.  The readers that need a block's
-    inner operands (``nodes``, the text, Builder.embed, and a lane pass
-    that runs the block gate by gate) derive them from the record
-    (_block_columns); the others read only entries outside the blocks.
+    inner operands (``nodes``, Builder.embed, and a lane pass that runs
+    the block gate by gate) derive them from the record (_block_columns),
+    and the text writer writes the block's lines from the record
+    (_stamp_text); the others read only entries outside the blocks.
     """
 
     __slots__ = ("arity", "kinds", "a", "b", "outputs", "stamps")
@@ -239,7 +242,7 @@ class Circuit:
 
     @property
     def nodes(self) -> list:
-        a, b = _operands(self, 0, len(self.kinds))
+        a, b = _operands(self)
         return [(AND, x, y) if op == _AND else
                 (NOT, x) if op == _NOT else
                 (OR, x, y) if op == _OR else
@@ -553,7 +556,7 @@ class Builder:
         wmap = []
         put = wmap.append
         add = self._add
-        a, b = _operands(circ, 0, len(circ.kinds))
+        a, b = _operands(circ)
         for op, x, y in zip(circ.kinds, a, b):
             put(add(op, wmap[x], wmap[y], False) if op else input_wires[x])
         return [wmap[o] for o in circ.outputs]
@@ -621,14 +624,15 @@ class _MinBlock:
     unless the gate is an output).
 
     ``first`` gives, per input slot, the (column, gate) of its first
-    reader, where a stamp's wire is read off.  Each column's form in
-    ``forms`` (own, ones, slots, pos) holds it in bulk for _block_columns:
-    read as one integer of _INDEX_BITS-bit entries, the column of a stamp
-    at ``start`` is ``own + start * ones`` at the gates that read the
-    block's own slots, and zero at the others, the positions ``pos``,
-    whose entries are the ``slots`` of the wires."""
+    reader, where a stamp's wire is read off; ``reads`` lists the same as
+    (gate, column, slot) in gate order, as they lie in a stamp's text.
+    Each column's form in ``forms`` (own, ones, slots, pos) holds it in
+    bulk for _block_columns: read as one integer of _INDEX_BITS-bit
+    entries, the column of a stamp at ``start`` is ``own + start * ones``
+    at the gates that read the block's own slots, and zero at the others,
+    the positions ``pos``, whose entries are the ``slots`` of the wires."""
 
-    __slots__ = ("circuit", "kinds", "inner", "first", "forms")
+    __slots__ = ("circuit", "kinds", "inner", "first", "reads", "forms")
 
     def __init__(self, m: int):
         b = Builder(2 * m)
@@ -673,6 +677,8 @@ class _MinBlock:
             forms.append((int.from_bytes(own, _BYTE_ORDER), ones,
                           itemgetter(*slots), tuple(pos)))
         self.first = tuple(first[s] for s in range(w))
+        self.reads = tuple(sorted((g, col, s)
+                                  for s, (col, g) in enumerate(self.first)))
         self.forms = tuple(forms)
 
 
@@ -734,22 +740,51 @@ def _block_columns(m: int, p: int, wires) -> tuple:
     return tuple(cols)
 
 
-def _operands(circ, lo: int, hi: int) -> tuple:
-    """circ's operand columns over ids lo..hi-1 (clipped to its vertices),
-    as two arrays: the stored entries, except that each entry of a block
-    of circ's record (Circuit.stamps) is the block's own (_block_columns)."""
-    found = circ.stamps
-    a, b = circ.a[lo:hi], circ.b[lo:hi]
-    i = max(bisect_right(found, lo, key=itemgetter(0)) - 1, 0)
-    for p, m, wires in islice(found, i, None):
-        if p >= hi:
-            break
-        size = len(_min_block(m).kinds)
-        if p + size <= lo:
-            continue
-        s, e = max(p, lo), min(p + size, hi)
-        for col, entries in zip((a, b), _block_columns(m, p, wires)):
-            col[s - lo:e - lo] = entries[s - p:e - p]
+@lru_cache(maxsize=64)
+def _text_form(m: int) -> tuple:
+    """(pick, words): the text form of the width-m block, made only for
+    the widths that are written or read whole.  ``pick`` is an itemgetter
+    that takes a stamp's text, its vertex lines as write_circuit writes
+    them, out of the list of its own ids, its 2m wires and the line
+    literals ``words``, all as strings (_stamp_text)."""
+    block = _min_block(m)
+    size, w = len(block.kinds), 2 * m
+    c = block.circuit
+    words = {}
+    picks = []
+
+    def word(s):
+        picks.append(size + w + words.setdefault(s, len(words)))
+
+    for g, (op, x, y) in enumerate(zip(block.kinds, c.a[w:], c.b[w:])):
+        word("\nv" if g else "v")
+        picks.append(g)
+        word(_KIND_WORD[op])
+        picks.append(size + x if x < w else x - w)
+        if op != _NOT:
+            word(" v")
+            picks.append(size + y if y < w else y - w)
+    word("\n")
+    at = list(range(size + w + len(words)))     # one int object per entry
+    return itemgetter(*map(at.__getitem__, picks)), tuple(words)
+
+
+def _stamp_text(m: int, p: int, wires) -> str:
+    """The vertex lines, as write_circuit writes them, of the width-m block
+    stamped at vertex p over ``wires``, made by the block's text form."""
+    pick, words = _text_form(m)
+    return "".join(pick([*map(str, range(p, p + len(_min_block(m).kinds))),
+                         *map(str, wires), *words]))
+
+
+def _operands(circ) -> tuple:
+    """circ's operand columns as two arrays: the stored entries, except
+    that each entry of a block of circ's record (Circuit.stamps) is the
+    block's own (_block_columns)."""
+    a, b = circ.a[:], circ.b[:]
+    for p, m, wires in circ.stamps:
+        end = p + len(_min_block(m).kinds)
+        a[p:end], b[p:end] = _block_columns(m, p, wires)
     return a, b
 
 
@@ -866,6 +901,8 @@ def from_bits(bits) -> Circuit:
 
 #: the text's kind words; INPUT is the text's name for IN
 _WORD_CODE = {"INPUT": _IN, AND: _AND, OR: _OR, NOT: _NOT}
+#: a gate line's text between its id and its first operand's number
+_KIND_WORD = {_AND: " AND v", _OR: " OR v", _NOT: " NOT v"}
 #: a vertex line as write_circuit writes it: single spaces, ASCII digits,
 #: and an id without leading zeros
 _PLAIN_LINE = ("v(?:0|[1-9][0-9]*) "
@@ -878,6 +915,15 @@ _PLAIN_LINE = ("v(?:0|[1-9][0-9]*) "
 _ONE_OPERAND_WORDS = ((" INPUT ", ",0,0,"), (" NOT ", ",3,0,"))
 _JSON_CHARS = str.maketrans({"A": "1", "N": None, "D": None, "O": "2",
                              "R": None, "v": None, " ": ",", "\n": ","})
+#: what guesses the kind codes of a window of plain vertex lines, one per
+#: line, from the text's ASCII bytes: D (of AND) becomes 1, R (of OR) 2, T
+#: (of NOT) 3 and P 0, every other byte is dropped, and then INPUT's 0, 3
+#: is made 0
+_KIND_GUESS = bytes.maketrans(b"DRTP", b"\1\2\3\0")
+_NOT_KIND_GUESS = bytes(sorted(set(range(256)) - set(b"DRTP")))
+#: a window guessed at once takes about BLOCK_VERTICES lines of this many
+#: characters
+_GUESS_LINE_CHARS = 32
 #: kind code -> 1 for IN and NOT, else 0
 _ONE_OPERAND = bytes([1, 0, 0, 1]) + bytes(252)
 #: kind code -> 1 for IN, else 0
@@ -898,34 +944,32 @@ def write_circuit(circ: Circuit) -> str:
 
 
 def circuit_pieces(circ: Circuit):
-    """write_circuit's text as an iterator of pieces, about BLOCK_VERTICES
-    vertex lines each and the SINK line last, so a file can be written
-    without the whole text in memory.  A piece that would cut a recorded
-    block ends after it, so each block's operands are derived once
-    (_operands).  A circuit the format cannot hold is refused here, before
-    the first piece."""
+    """write_circuit's text as an iterator of pieces, the SINK line last,
+    so a file can be written without the whole text in memory: each
+    recorded block is one piece, made by its width's text form
+    (_stamp_text), and the vertices between blocks come in pieces of at
+    most BLOCK_VERTICES lines, read off the stored columns.  A circuit
+    the format cannot hold is refused here, before the first piece."""
     if len(circ.outputs) != 1:
         raise ValueError("text format holds single-sink circuits only")
     return _vertex_pieces(circ)
 
 
 def _vertex_pieces(circ: Circuit):
-    kinds, found = circ.kinds, circ.stamps
+    kinds, a, b = circ.kinds, circ.a, circ.b
     lo = 0
-    while lo < len(kinds):
-        hi = lo + BLOCK_VERTICES
-        i = bisect_left(found, hi, key=itemgetter(0))   # blocks before hi
-        if i:
-            p, m, _ = found[i - 1]
-            hi = max(hi, p + len(_min_block(m).kinds))
-        a, b = _operands(circ, lo, hi)
-        yield "".join([
-            f"v{k} AND v{x} v{y}\n" if op == _AND else
-            f"v{k} NOT v{x}\n" if op == _NOT else
-            f"v{k} OR v{x} v{y}\n" if op == _OR else
-            f"v{k} INPUT {x}\n"
-            for k, op, x, y in zip(range(lo, hi), kinds[lo:hi], a, b)])
-        lo = hi
+    for p, m, wires in (*circ.stamps, (len(kinds), 0, ())):
+        for s in range(lo, p, BLOCK_VERTICES):
+            e = min(s + BLOCK_VERTICES, p)
+            yield "".join([
+                f"v{k} AND v{x} v{y}\n" if op == _AND else
+                f"v{k} NOT v{x}\n" if op == _NOT else
+                f"v{k} OR v{x} v{y}\n" if op == _OR else
+                f"v{k} INPUT {x}\n"
+                for k, op, x, y in zip(range(s, e), kinds[s:e], a[s:e], b[s:e])])
+        if m:
+            yield _stamp_text(m, p, wires)
+            lo = p + len(_min_block(m).kinds)
     yield f"SINK v{circ.sink}\n"
 
 
@@ -1057,6 +1101,72 @@ def _other_lines(n: int) -> re.Pattern:
                       rf"[^\n]*\n){{0,{n - 1}}}|[^\n]+")
 
 
+def _guess_stamps(text: str, pos: int, k: int) -> tuple:
+    """(end, heads): a window text[pos:end] of at most one piece and about
+    BLOCK_VERTICES lines, cut after a "\\n" unless it reaches the end of
+    the text, and the blocks its guessed kinds propose, last first.
+
+    The guess takes one kind code per plain vertex line (_KIND_GUESS), so
+    its entry i is vertex k + i while every line is a plain vertex line.
+    A head (p, top, whole) starts where the 2-bit template's kinds do,
+    vertex p, and is widened as _scan_stamps widens, to top; ``whole`` is
+    False where the window ends before the text does and inside the next
+    width's kinds.  Only a guess: the lines are checked when they are read
+    (_TextReader.stamp)."""
+    end = pos + BLOCK_VERTICES * _GUESS_LINE_CHARS
+    if end < len(text):
+        end = text.rfind("\n", pos, end) + 1
+        if not end:     # a line longer than a window: no block starts here
+            return (text.find("\n", pos) + 1 or len(text)), []
+    else:
+        end = len(text)
+    kinds = (text[pos:end].encode("ascii", "replace")
+             .translate(_KIND_GUESS, _NOT_KIND_GUESS).replace(b"\0\3", b"\0"))
+    head = _min_block(2).kinds
+    heads = []
+    i = kinds.find(head)
+    while i >= 0:
+        top = 2
+        while kinds.startswith(_min_block(top + 1).kinds, i):
+            top += 1
+        wider = _min_block(top + 1).kinds
+        whole = (end == len(text) or i + len(wider) <= len(kinds)
+                 or not wider.startswith(kinds[i:]))
+        heads.append((k + i, top, whole))
+        i = kinds.find(head, i + len(_min_block(top).kinds))
+    heads.reverse()
+    return end, heads
+
+
+def _line_start(text: str, p: int, pos: int, end: int) -> int:
+    """The offset of the line of vertex p in text[pos:end], pos being the
+    start of a line, or -1 if no line there starts with p's id."""
+    word = f"v{p} "
+    if text.startswith(word, pos):
+        return pos
+    return text.find("\n" + word, pos, end) + 1 or -1
+
+
+def _text_wires(text: str, pos: int, end: int, p: int, block: _MinBlock):
+    """The wires, as a list, of a stamp of ``block`` at vertex p whose text
+    starts at offset pos, read off the lines that first read them
+    (_MinBlock.reads) in text[pos:end]; None where such a line or number
+    is missing.  Only a reading: the caller checks the whole text."""
+    wires = [0] * len(block.first)
+    at = pos
+    for g, col, s in block.reads:
+        if g:       # moving forward; a gate's second read finds its line again
+            at = text.find(f"\nv{p + g} ", at - 1, end) + 1
+            if not at:
+                return None
+        eol = text.find("\n", at, end)
+        try:
+            wires[s] = int(text[at:eol if eol >= 0 else end].split(" ")[2 + col][1:])
+        except (IndexError, ValueError):
+            return None
+    return wires
+
+
 def significant_lines(text: str, lineno: int = 1):
     """Yield (line number, tokens, end offset) for each line of ``text``
     with a token outside its '#' comment: lines as str.splitlines cuts
@@ -1101,16 +1211,57 @@ class _TextReader:
 
     def read(self, text: str, pos: int) -> None:
         """Read text from offset pos to its end, which is the end of a line.
-        One anchored match finds up to BLOCK_VERTICES plain vertex lines,
-        as write_circuit writes them, and they are decoded column by column
-        (see bulk).  A run the decoder declines goes through the line loop,
-        which alone reports errors; so do the lines up to the next plain
-        line, where no plain line starts (a comment, a blank line, other
-        spacing or line breaks, the SINK line; see _other_lines)."""
+
+        A window of text, at most one piece and about BLOCK_VERTICES lines,
+        gets a guess of its kinds (_guess_stamps), and where the guess has
+        a stamped block's kinds, the block's lines are read whole as the
+        text of a stamp (see stamp).  The other lines go in runs: one
+        anchored match finds up to BLOCK_VERTICES plain vertex lines, as
+        write_circuit writes them, up to the next guessed block, and they
+        are decoded column by column (see bulk).  A block or run that is
+        declined goes through the line loop, which alone reports errors;
+        so do the lines up to the next plain line, where no plain line
+        starts (a comment, a blank line, other spacing or line breaks, the
+        SINK line; see _other_lines).  After a window with no block's
+        kinds, no window is guessed until the lines read hold a block's
+        kinds, so text without blocks pays for one guess per piece."""
         run = _plain_run(BLOCK_VERTICES).match
         cut = _other_lines(BLOCK_VERTICES).match
+        head = _min_block(2).kinds
+        guessing = True         # until a window has no block
+        heads = []              # the window's guessed blocks, the next last
+        start = seen = pos      # the window: text[start:seen]
         while pos < len(text):
-            m = self.sink is None and run(text, pos)
+            end = len(text)
+            k = len(self.kinds)
+            if self.sink is None and guessing:
+                if pos >= seen:
+                    start = pos
+                    seen, heads = _guess_stamps(text, pos, k)
+                    guessing = bool(heads)
+                while heads and heads[-1][0] < k:
+                    heads.pop()
+                if heads:
+                    p, top, whole = heads[-1]
+                    off = _line_start(text, p, pos, seen)
+                    if off < 0:
+                        heads.pop()
+                        continue
+                    if not whole and off > start:
+                        # cut by the window's end: guess again from it
+                        heads.clear()
+                        seen = off
+                        if off == pos:
+                            continue
+                    elif off == pos:
+                        heads.pop()
+                        if p == k:
+                            pos = self.stamp(text, pos, p, top, seen) or pos
+                        continue
+                    end = off
+                elif guessing:
+                    end = seen
+            m = self.sink is None and run(text, pos, end)
             if m:
                 if not self.bulk(m.group()):
                     self.loop(m.group())
@@ -1119,6 +1270,30 @@ class _TextReader:
                 m = cut(text, pos)
                 self.loop(m.group())
                 pos = m.end()
+            if not guessing and self.kinds.find(head, k) >= 0:
+                guessing = True         # a block was read line by line
+                seen = pos
+
+    def stamp(self, text: str, pos: int, p: int, top: int, end: int) -> int:
+        """Read the lines at pos, up to at most end, as a block stamped at
+        the next vertex p, of the widest width m <= top whose text they
+        begin with: the wires are read off the lines that first read them
+        (_text_wires), and the block is taken only if every wire is
+        before p and the text at pos is the stamp's (_stamp_text).  Return
+        the offset past the block, or 0, having read nothing."""
+        for m in range(top, 1, -1):
+            wires = _text_wires(text, pos, end, p, _min_block(m))
+            if not (wires and 0 <= min(wires) and max(wires) < p):
+                continue
+            expected = _stamp_text(m, p, wires)
+            if text.startswith(expected, pos):
+                a, b = _block_columns(m, p, wires)
+                self.kinds += _min_block(m).kinds
+                self.a += a
+                self.b += b
+                self.lineno += len(a)
+                return pos + len(expected)
+        return 0
 
     def bulk(self, block: str) -> bool:
         """Read plain vertex lines (a _plain_run match) column by column if

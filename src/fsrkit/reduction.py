@@ -58,14 +58,11 @@ def ell_for(r: int) -> tuple:
 # the satisfiability-preserving input normalization (indecomposability form)
 
 def f2_table(f0_tt: TruthTable) -> TruthTable:
-    """Pin the all-zero input to 0, moving any witness there onto all-ones."""
-    r = f0_tt.arity
-    n = 1 << r
-    bits = f0_tt.bits()
-    out = list(bits)
-    out[0] = 0
-    out[n - 1] = 1 if bits[n - 1] else bits[0]
-    return TruthTable.from_bits(out)
+    """Pin the all-zero input to 0, moving any witness there onto all-ones:
+    bit 0 of the mask is cleared and ORed into bit 2^r - 1."""
+    mask = f0_tt.mask
+    return TruthTable(f0_tt.arity,
+                      mask >> 1 << 1 | (mask & 1) << (1 << f0_tt.arity) - 1)
 
 
 def f2_transform(f0: Circuit) -> Circuit:
@@ -121,7 +118,7 @@ def alg1_f3_semantic(ell: int, f0_tt: TruthTable):
     span = 6 * ell
     half = 3 * ell
     L = linear_step(LfsrFamily.for_ell(ell).p2)
-    f0b = f0_tt.bits()
+    f0b = mask_to_bits(f0_tt.mask, 1 << r)
 
     def orbit_flag(s):
         # the c/d test for the conjugate of chain state s
@@ -165,11 +162,14 @@ def alg2_f3_semantic(ell: int, f2_tt: TruthTable):
     m2 = 2 * ell
     shift_r = m2 - r
     span = 3 * ell
-    L = linear_step(LfsrFamily.for_ell(ell).p0)
-    f2b = f2_tt.bits()
+    f2b = mask_to_bits(f2_tt.mask, 1 << r)
     low = (1 << (m2 - 1)) - 1
+    L = None    # the p0 step (linear_step), made at the first call
 
     def f3(x: int) -> int:
+        nonlocal L
+        if L is None:
+            L = linear_step(LfsrFamily.for_ell(ell).p0)
         u = ((x >> (m2 - 1)) ^ (x >> (ell - 1)) ^ x) & 1
         u |= ((x ^ (x >> 1)) & low) << 1
         c = _walk(L, u, span)[1:]
@@ -597,7 +597,7 @@ def f3_reference_irr(ell: int, f0: Circuit, oracle: Alg1Oracle = None):
         raise ValueError("oracle built for a different ell")
     r = f0.arity
     m = 4 * ell
-    f0b = f0.truth_table().bits()
+    f0b = mask_to_bits(f0.truth_table().mask, 1 << r)
     shift_r = m - r
     cid_of = oracle._cycle_id
     rho = oracle._rho
@@ -687,7 +687,7 @@ def f3_reference_dec(ell: int, f2_tt: TruthTable, maps: Alg2Maps = None):
     if maps.ell != ell:
         raise ValueError("maps built for a different ell")
     m2 = 2 * ell
-    f2b = f2_tt.bits()
+    f2b = mask_to_bits(f2_tt.mask, 1 << f2_tt.arity)
     shift_r = m2 - f2_tt.arity
     mask = maps._pi_mask
     ids = maps._p1_id

@@ -198,7 +198,7 @@ def stamped_circuits(draw):
 def derived(c) -> tuple:
     """c's operand columns, each recorded block's entries derived from its
     record, as the readers of block interiors see them."""
-    return circuit._operands(c, 0, c.size)
+    return circuit._operands(c)
 
 
 def unrecorded(c):
@@ -328,18 +328,14 @@ def test_splice_moves_every_id_and_the_record(c, extra):
 
 
 @FIXED
-@given(stamped_circuits(), st.integers(0, 3), st.data())
-def test_every_reader_of_block_interiors_sees_the_per_entry_columns(
-        c, extra, data):
+@given(stamped_circuits(), st.integers(0, 3))
+def test_every_reader_of_block_interiors_sees_the_per_entry_columns(c, extra):
     # each reader that derives a block's operands from its record agrees
     # with the same circuit stamped entry by entry and read as stored
     want = by_entry(c)
     assert derived(c) == (want.a, want.b)
-    lo = data.draw(st.integers(0, c.size))
-    hi = data.draw(st.integers(lo, c.size + 2))
-    assert circuit._operands(c, lo, hi) == (want.a[lo:hi], want.b[lo:hi])
     assert c.nodes == want.nodes
-    # text, in whole pieces and in pieces that cut blocks, and parsed back
+    # text, in pieces of the default size and of 7 lines, and parsed back
     sink = Circuit._from_columns(c.arity, c.kinds, c.a, c.b,
                                  (c.outputs[0],), c.stamps)
     text = write_circuit(sink)
@@ -371,27 +367,32 @@ def test_every_reader_of_block_interiors_sees_the_per_entry_columns(
 
 @FIXED
 @given(stamped_circuits(), st.integers(1, 60))
-def test_the_text_writer_derives_each_block_once(c, piece):
+def test_the_text_writer_makes_each_block_once_by_its_form(c, piece):
     # pieces of about ``piece`` lines, most shorter than a block: each
-    # piece ends past any block it would cut, so the ranges whose operands
-    # are derived tile the circuit and each block lies in one of them
+    # recorded block is one piece, made once by its width's text form, no
+    # block's operands are derived, and the text is that of the same
+    # circuit with every entry stored and no record
     sink = Circuit._from_columns(c.arity, c.kinds, c.a, c.b,
                                  (c.outputs[0],), c.stamps)
-    text = write_circuit(sink)
-    derive, ranges = circuit._operands, []
+    want = write_circuit(by_entry(sink))
+    form, made = circuit._stamp_text, []
 
-    def operands(circ, lo, hi):
-        ranges.append((lo, hi))
-        return derive(circ, lo, hi)
+    def stamp_text(m, p, wires):
+        made.append((p, m, wires))
+        return form(m, p, wires)
+
+    def operands(circ):
+        raise AssertionError("the writer derived a block's operands")
 
     with mock.patch.object(circuit, "BLOCK_VERTICES", piece), \
+            mock.patch.object(circuit, "_stamp_text", stamp_text), \
             mock.patch.object(circuit, "_operands", operands):
-        assert write_circuit(sink) == text
-    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
-    assert ranges[-1][1] >= c.size
-    for p, m, _ in c.stamps:
-        end = p + len(circuit._min_block(m).kinds)
-        assert sum(lo < end and p < hi for lo, hi in ranges) == 1, (p, ranges)
+        pieces = list(circuit.circuit_pieces(sink))
+    assert "".join(pieces) == want
+    assert made == list(c.stamps)
+    blocks = [form(m, p, wires) for p, m, wires in c.stamps]
+    assert [s for s in pieces if s in blocks] == blocks
+    assert all(len(s.splitlines()) <= piece for s in pieces if s not in blocks)
 
 
 def test_splice_refuses_before_adding_anything():

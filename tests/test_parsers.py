@@ -64,7 +64,7 @@ def test_circuit_text_round_trip(c):
 def columns(c):
     """c's columns, each recorded block's operand entries derived from its
     record, as the readers of block interiors see them."""
-    a, b = C._operands(c, 0, c.size)
+    a, b = C._operands(c)
     return c.arity, c.kinds, a, b, c.outputs
 
 
@@ -321,6 +321,106 @@ def test_blocks_read_the_lines_of_splitlines(case):
                 == outcome(lambda: reference(body.splitlines())))
         assert (outcome(lambda: inline_circuit(register))
                 == outcome(lambda: reference_fsr(register, c.arity)))
+
+
+def block_lines(m, p, wires):
+    """The vertex lines of a width-m block stamped at vertex p over wires,
+    from gadget_min(m)'s vertex tuples, its input slot s read as wires[s]."""
+    ids = list(wires) + list(range(p, p + C.gadget_min(m).size))
+    return [f"v{ids[k]} {op} " + " ".join(f"v{ids[x]}" for x in ops)
+            for k, (op, *ops) in enumerate(C.gadget_min(m).nodes)
+            if k >= 2 * m]
+
+
+@st.composite
+def stamped_texts(draw):
+    """(text lines, the line breaks, the pieces, a parse block size, the
+    kind of damage) for a Builder circuit that mixes plain gates with
+    min_word stamps of widths 2 to 6, damaged inside a block or not."""
+    r = draw(st.integers(1, 4))
+    b = C.Builder(r)
+    wires = list(range(r))
+    for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(0, 4))):
+            op = draw(st.sampled_from(["AND", "OR", "NOT"]))
+            x, y = draw(st.sampled_from(wires)), draw(st.sampled_from(wires))
+            wires.append(b.NOT(x) if op == "NOT" else getattr(b, op)(x, y))
+        m = draw(st.integers(2, 6))
+        xs, ys = ([draw(st.sampled_from(wires)) for _ in range(m)]
+                  for _ in range(2))
+        wires += b.min_word(xs, ys)
+    c = b.build(draw(st.sampled_from(wires)))
+    lines = C.write_circuit(c).splitlines()
+    breaks = ["\n"] * len(lines)
+    damage = draw(st.sampled_from(["none", "digit", "wire", "drop", "copy",
+                                   "crlf", "comment", "line"]))
+    p, m, wires = draw(st.sampled_from(c.stamps))
+    size = len(C.gadget_min(m).kinds) - 2 * m
+    i = draw(st.integers(p, p + size - 1))      # a line of that block
+    if damage == "digit":
+        digits = [j for j, ch in enumerate(lines[i]) if ch.isdigit()]
+        j = draw(st.sampled_from(digits))
+        new = draw(st.sampled_from("0123456789".replace(lines[i][j], "")))
+        lines[i] = lines[i][:j] + new + lines[i][j + 1:]
+    elif damage == "wire":      # one wire read past the block's start
+        wires = list(wires)
+        wires[draw(st.integers(0, 2 * m - 1))] = draw(
+            st.integers(p, p + size + 3))
+        lines[p:p + size] = block_lines(m, p, wires)
+    elif damage in ("drop", "copy"):
+        lines[i:i + 1] = [] if damage == "drop" else [lines[i]] * 2
+        del breaks[0]
+        breaks += ["\n"] if damage == "copy" else []
+    elif damage == "crlf":
+        breaks[i] = "\r\n"
+    elif damage == "comment":
+        if draw(st.booleans()):
+            lines[i] += " # c"
+        else:
+            lines.insert(i, "# c")
+            breaks.append("\n")
+    elif damage == "line":      # a damaged line anywhere, most after a block
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(
+            st.sampled_from(DAMAGE))
+    text = "".join(map(str.__add__, lines, breaks))
+    cuts = sorted(draw(st.lists(st.integers(1, len(lines) - 1), max_size=2)))
+    ends = [len("".join(map(str.__add__, lines[:k], breaks[:k]))) for k in cuts]
+    pieces = [text[lo:hi] for lo, hi in zip([0] + ends, ends + [len(text)])]
+    block = draw(st.sampled_from([4, 64, 256, C.BLOCK_VERTICES]))
+    return text, pieces, block, damage
+
+
+def raw_outcome(read):
+    """The stored columns, outputs and record of the circuit read() gives,
+    or its error's class, text and line number."""
+    try:
+        c = read()
+    except C.CircuitParseError as e:
+        return type(e).__name__, str(e), e.lineno
+    return c.kinds, c.a, c.b, c.outputs, c.stamps
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(stamped_texts())
+def test_stamped_blocks_read_whole_give_the_line_loop_outcome(case):
+    """Text with stamped blocks, whole or damaged, in one piece or cut
+    inside a block, reads as the line loop reads it; read whole, each
+    undamaged stamp is read as a block's text and written back the same."""
+    text, pieces, block, damage = case
+    real, whole = C._TextReader.stamp, []
+
+    def stamp(rd, *args):
+        whole.append(real(rd, *args))
+        return whole[-1]
+
+    with mock.patch.object(C, "BLOCK_VERTICES", block), \
+            mock.patch.object(C._TextReader, "stamp", stamp):
+        got = raw_outcome(lambda: C.parse_circuit(iter(pieces)))
+    assert got == raw_outcome(lambda: reference(text.splitlines()))
+    if damage == "none":
+        assert C.write_circuit(C.parse_circuit(text)) == text
+        if len(pieces) == 1 and block == C.BLOCK_VERTICES:
+            assert sum(map(bool, whole)) == len(got[4])
 
 
 def test_parse_holds_under_40_bytes_per_vertex():
