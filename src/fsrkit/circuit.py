@@ -687,25 +687,36 @@ _min_block = lru_cache(maxsize=64)(_MinBlock)
 
 # -- the minimum blocks ----------------------------------------------------
 
-def _scan_stamps(kinds, a: array, b: array) -> tuple:
+def _scan_stamps(kinds, a: array, b: array, taken=None) -> tuple:
     """The record (Circuit.stamps) of the minimum blocks of width m >= 2
     found in the columns.  A candidate starts where the 2-bit template's
     kinds do, which begin every wider template's, and is widened while the
     next template's kinds follow; the widest width whose operand columns
-    check out (_stamp_wires) is taken."""
+    check out (_stamp_wires) is taken.
+
+    ``taken`` maps p to (p, m, wires) for blocks known to be stamped in
+    the columns, as the text reader reads them whole: where the scan
+    reaches such a p and the next width's kinds do not follow, it takes the
+    block as the check would, without reading its columns, so only the
+    rest of the columns are checked."""
     head = _min_block(2).kinds
     found = []
     p = kinds.find(head)
     while p >= 0:
-        top = 2
-        while kinds.startswith(_min_block(top + 1).kinds, p):
-            top += 1
-        for m in range(top, 1, -1):
-            wires = _stamp_wires(a, b, p, m)
-            if wires is not None:
-                found.append((p, m, wires))
-                p += len(_min_block(m).kinds) - 1
-                break
+        blk = taken and taken.get(p)
+        if blk and not kinds.startswith(_min_block(blk[1] + 1).kinds, p):
+            found.append(blk)
+            p += len(_min_block(blk[1]).kinds) - 1
+        else:
+            top = 2
+            while kinds.startswith(_min_block(top + 1).kinds, p):
+                top += 1
+            for m in range(top, 1, -1):
+                wires = _stamp_wires(a, b, p, m)
+                if wires is not None:
+                    found.append((p, m, wires))
+                    p += len(_min_block(m).kinds) - 1
+                    break
         p = kinds.find(head, p + 1)
     return tuple(found)
 
@@ -740,13 +751,24 @@ def _block_columns(m: int, p: int, wires) -> tuple:
     return tuple(cols)
 
 
+@lru_cache(maxsize=1)
+def _digits() -> tuple:
+    """The strings of 0 to 999 with three digits, and without leading
+    zeros; from 100 on, the two tables share their strings."""
+    three = tuple(f"{i:03d}" for i in range(1000))
+    return three, tuple(map(str, range(100))) + three[100:]
+
+
 @lru_cache(maxsize=64)
 def _text_form(m: int) -> tuple:
     """(pick, words): the text form of the width-m block, made only for
     the widths that are written or read whole.  ``pick`` is an itemgetter
     that takes a stamp's text, its vertex lines as write_circuit writes
-    them, out of the list of its own ids, its 2m wires and the line
-    literals ``words``, all as strings (_stamp_text)."""
+    them, out of the list of its own ids' high parts, their low parts, its
+    2m wires and the line literals ``words``, all as strings (_stamp_text):
+    own id g is its high part, entry g, then its low part, entry size + g.
+    Each entry's picks share one int object: the form takes 131 KB at
+    width 12 and 288 KB at width 18."""
     block = _min_block(m)
     size, w = len(block.kinds), 2 * m
     c = block.circuit
@@ -754,27 +776,44 @@ def _text_form(m: int) -> tuple:
     picks = []
 
     def word(s):
-        picks.append(size + w + words.setdefault(s, len(words)))
+        picks.append(2 * size + w + words.setdefault(s, len(words)))
+
+    def vertex(v):
+        picks.extend((2 * size + v,) if v < w else (v - w, size + v - w))
 
     for g, (op, x, y) in enumerate(zip(block.kinds, c.a[w:], c.b[w:])):
         word("\nv" if g else "v")
-        picks.append(g)
+        vertex(g + w)
         word(_KIND_WORD[op])
-        picks.append(size + x if x < w else x - w)
+        vertex(x)
         if op != _NOT:
             word(" v")
-            picks.append(size + y if y < w else y - w)
+            vertex(y)
     word("\n")
-    at = list(range(size + w + len(words)))     # one int object per entry
+    at = list(range(2 * size + w + len(words)))     # one int object per entry
     return itemgetter(*map(at.__getitem__, picks)), tuple(words)
 
 
 def _stamp_text(m: int, p: int, wires) -> str:
     """The vertex lines, as write_circuit writes them, of the width-m block
-    stamped at vertex p over ``wires``, made by the block's text form."""
+    stamped at vertex p over ``wires``, made by the block's text form.  Its
+    own ids k come in runs of one k // 1000: a run's high parts are one
+    str(k // 1000) repeated, and its low parts one slice of the three-digit
+    strings of k % 1000; below 1000, "" and str(k)."""
     pick, words = _text_form(m)
-    return "".join(pick([*map(str, range(p, p + len(_min_block(m).kinds))),
-                         *map(str, wires), *words]))
+    three, short = _digits()
+    end = p + len(_min_block(m).kinds)
+    high, low = [], []
+    while p < end:
+        h, r = divmod(p, 1000)
+        n = min(1000 - r, end - p)
+        high += [str(h) if h else ""] * n
+        low += (three if h else short)[r:r + n]
+        p += n
+    high += low
+    high += map(str, wires)
+    high += words
+    return "".join(pick(high))
 
 
 def _operands(circ) -> tuple:
@@ -1066,11 +1105,11 @@ def parse_circuit(text, start: int = 0, first_line: int = 1) -> Circuit:
         raise CircuitParseError("empty circuit", first_line)
     if rd.sink is None:
         raise CircuitParseError("missing SINK line", rd.lineno - 1)
-    max_input = max(compress(rd.a, rd.kinds.translate(_IS_IN)), default=-1)
-    if max_input < 0:
+    if rd.max_input < 0:
         raise CircuitParseError("circuit has no INPUT vertex", first_line)
-    return Circuit._from_columns(max_input + 1, bytes(rd.kinds), rd.a, rd.b,
-                                (rd.sink,), _scan_stamps(rd.kinds, rd.a, rd.b))
+    return Circuit._from_columns(rd.max_input + 1, bytes(rd.kinds), rd.a,
+                                rd.b, (rd.sink,),
+                                _scan_stamps(rd.kinds, rd.a, rd.b, rd.stamps))
 
 
 def as_pieces(text):
@@ -1111,7 +1150,10 @@ def _guess_stamps(text: str, pos: int, k: int) -> tuple:
     A head (p, top, whole) starts where the 2-bit template's kinds do,
     vertex p, and is widened as _scan_stamps widens, to top; ``whole`` is
     False where the window ends before the text does and inside the next
-    width's kinds.  Only a guess: the lines are checked when they are read
+    width's kinds.  Where the text itself ends there with no SINK line in
+    the window, it is a piece that read_text cut inside a block, and the
+    block is not proposed: its lines go in runs, and the scan finds it.
+    Only a guess: the lines are checked when they are read
     (_TextReader.stamp)."""
     end = pos + BLOCK_VERTICES * _GUESS_LINE_CHARS
     if end < len(text):
@@ -1130,9 +1172,11 @@ def _guess_stamps(text: str, pos: int, k: int) -> tuple:
         while kinds.startswith(_min_block(top + 1).kinds, i):
             top += 1
         wider = _min_block(top + 1).kinds
-        whole = (end == len(text) or i + len(wider) <= len(kinds)
-                 or not wider.startswith(kinds[i:]))
-        heads.append((k + i, top, whole))
+        whole = i + len(wider) <= len(kinds) or not wider.startswith(kinds[i:])
+        if whole or end < len(text):
+            heads.append((k + i, top, whole))
+        elif text.find("SINK", pos, end) >= 0:
+            heads.append((k + i, top, True))
         i = kinds.find(head, i + len(_min_block(top).kinds))
     heads.reverse()
     return end, heads
@@ -1199,8 +1243,10 @@ def piece_lines(pieces, lineno: int = 1):
 
 
 class _TextReader:
-    """The columns read so far from circuit text, with its SINK and the
-    number of the next line to read."""
+    """The columns read so far from circuit text, with its SINK, the
+    number of the next line to read, the largest INPUT index read (-1
+    before the first) and the blocks read whole, each start p mapped to
+    (p, m, wires) (see stamp)."""
 
     def __init__(self, lineno: int):
         self.kinds = bytearray()
@@ -1208,6 +1254,8 @@ class _TextReader:
         self.b = array("I")
         self.sink = None
         self.lineno = lineno
+        self.max_input = -1
+        self.stamps = {}
 
     def read(self, text: str, pos: int) -> None:
         """Read text from offset pos to its end, which is the end of a line.
@@ -1279,8 +1327,9 @@ class _TextReader:
         the next vertex p, of the widest width m <= top whose text they
         begin with: the wires are read off the lines that first read them
         (_text_wires), and the block is taken only if every wire is
-        before p and the text at pos is the stamp's (_stamp_text).  Return
-        the offset past the block, or 0, having read nothing."""
+        before p and the text at pos is the stamp's (_stamp_text); it is
+        added to ``stamps``.  Return the offset past the block, or 0,
+        having read nothing."""
         for m in range(top, 1, -1):
             wires = _text_wires(text, pos, end, p, _min_block(m))
             if not (wires and 0 <= min(wires) and max(wires) < p):
@@ -1292,6 +1341,7 @@ class _TextReader:
                 self.a += a
                 self.b += b
                 self.lineno += len(a)
+                self.stamps[p] = (p, m, array("I", wires))
                 return pos + len(expected)
         return 0
 
@@ -1318,6 +1368,8 @@ class _TextReader:
             b = array("I", b)
         except OverflowError:   # an input index past the columns' range
             return False
+        self.max_input = max(self.max_input,
+                             max(compress(b, kinds.translate(_IS_IN)), default=-1))
         self.kinds += kinds
         self.a += a
         self.b += b
@@ -1357,6 +1409,7 @@ class _TextReader:
                 if i > _INDEX_MAX:
                     raise CircuitParseError(f"input index {i} too large", lineno)
                 x = y = i
+                self.max_input = max(self.max_input, i)
             elif op in (AND, OR):
                 if len(toks) != 4:
                     raise CircuitParseError(f"{op} takes two operands", lineno)

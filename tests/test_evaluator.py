@@ -13,7 +13,7 @@ from array import array
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fsrkit import circuit, reduction
 from fsrkit.bitvec import mask_to_bits
@@ -395,6 +395,56 @@ def test_the_text_writer_makes_each_block_once_by_its_form(c, piece):
     assert all(len(s.splitlines()) <= piece for s in pieces if s not in blocks)
 
 
+def line_by_line(m, p, wires) -> str:
+    """The vertex lines of the width-m block stamped at vertex p over
+    wires, one f-string per line over the block's columns."""
+    kinds = circuit._min_block(m).kinds
+    a, b = circuit._block_columns(m, p, wires)
+    return "".join(f"v{k} AND v{x} v{y}\n" if op == circuit._AND else
+                   f"v{k} OR v{x} v{y}\n" if op == circuit._OR else
+                   f"v{k} NOT v{x}\n"
+                   for k, op, x, y in zip(range(p, p + len(kinds)), kinds, a, b))
+
+
+@st.composite
+def block_sites(draw):
+    """(m, p, wires): a block width, a start whose ids lie below 1000,
+    across a multiple of 1000, across a power of ten or up to the largest
+    id, and 2m wires before p."""
+    m = draw(st.integers(2, 6))
+    size = len(circuit._min_block(m).kinds)
+    p = draw(st.one_of(
+        st.integers(0, 999),
+        st.builds(lambda k, d: k * 1000 - d,
+                  st.integers(1, 10 ** 6), st.integers(0, size)),
+        st.builds(lambda e, d: max(10 ** e - d, 0),
+                  st.integers(1, 9), st.integers(0, size)),
+        st.integers(circuit._INDEX_MAX - size - 2000,
+                    circuit._INDEX_MAX - size + 1)))
+    wires = draw(st.lists(st.integers(0, max(p - 1, 0)),
+                          min_size=2 * m, max_size=2 * m))
+    return m, p, array("I", wires)
+
+
+def wide_site(m, p):
+    return m, p, array("I", [p // (i + 2) for i in range(2 * m)])
+
+
+@FIXED
+@given(block_sites())
+# the widths of the ell = 3 and ell = 9 reductions (1,112 and 2,381
+# vertices): across 1000 from below, across 10^5 (two runs of one high
+# part) and 10^4 (three), from 998 (four), and up to the largest id
+@example(wide_site(12, 0))
+@example(wide_site(12, 99_500))
+@example(wide_site(12, circuit._INDEX_MAX - 1111))
+@example(wide_site(18, 9_000))
+@example(wide_site(18, 998))
+@example(wide_site(18, circuit._INDEX_MAX - 2380))
+def test_stamp_text_is_the_lines_written_one_by_one(site):
+    assert circuit._stamp_text(*site) == line_by_line(*site)
+
+
 def test_splice_refuses_before_adding_anything():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
@@ -718,12 +768,24 @@ def test_a_single_damaged_entry_leaves_every_record_faithful(m, sample):
 
 def test_built_circuits_are_evaluated_from_their_record():
     circuits = _ell3_circuits()
-    # text's blocks are found in its columns once, when it is parsed
+    # written text's blocks are all read whole, so its record is the
+    # blocks the reader took, and no columns are scanned
+    f1 = circuits["irr f1"]
+    text = write_circuit(f1)
     spy = mock.patch.object(circuit, "_stamp_wires",
                             side_effect=circuit._stamp_wires)
     with spy as scan:
-        parsed = parse_circuit(write_circuit(circuits["irr f1"]))
-    assert scan.call_count >= 646
+        parsed = parse_circuit(text)
+    assert scan.call_count == 0
+    assert parsed.stamps == f1.stamps
+    # a comment inside one block sends its lines through the line loop;
+    # the scan then finds that block, and only that one, in its columns
+    p, m, _ = f1.stamps[len(f1.stamps) // 2]
+    at = text.index(f"\nv{p + 5} ") + 1
+    with spy as scan:
+        commented = parse_circuit(text[:at] + "# inside a block\n" + text[at:])
+    assert [c.args[2:] for c in scan.call_args_list] == [(p, m)]
+    assert commented.stamps == f1.stamps
     scan = mock.patch.object(circuit, "_stamp_wires",
                              side_effect=AssertionError("columns scanned"))
     with scan:
@@ -731,6 +793,30 @@ def test_built_circuits_are_evaluated_from_their_record():
         f1 = circuits["irr f1"].output_masks()
         assert parsed.output_masks() == f1
     assert f3 == unrecorded(circuits["irr f3"]).output_masks()
+
+
+def test_a_block_cut_by_a_piece_is_left_to_the_scan():
+    # a piece that ends inside a block, as read_text's pieces may: the
+    # block is read at no narrower width, and the scan finds it whole
+    f1 = _ell3_circuits()["irr f1"]
+    text = write_circuit(f1)
+    p, m, _ = f1.stamps[len(f1.stamps) // 2]
+    form = circuit._stamp_text
+    for g in (1, 1000):
+        cut = text.index(f"\nv{p + g} ") + 1
+        made = []
+
+        def stamp_text(width, start, wires):
+            made.append(width)
+            return form(width, start, wires)
+
+        with mock.patch.object(circuit, "_stamp_text", stamp_text), \
+                mock.patch.object(circuit, "_stamp_wires",
+                                  side_effect=circuit._stamp_wires) as scan:
+            parsed = parse_circuit(iter([text[:cut], text[cut:]]))
+        assert made == [m] * (len(f1.stamps) - 1)
+        assert [c.args[2:] for c in scan.call_args_list] == [(p, m)]
+        assert parsed.stamps == f1.stamps
 
 
 def test_comparator_pass_holds_only_its_kept_lanes():
