@@ -954,15 +954,11 @@ _PLAIN_LINE = ("v(?:0|[1-9][0-9]*) "
 _ONE_OPERAND_WORDS = ((" INPUT ", ",0,0,"), (" NOT ", ",3,0,"))
 _JSON_CHARS = str.maketrans({"A": "1", "N": None, "D": None, "O": "2",
                              "R": None, "v": None, " ": ",", "\n": ","})
-#: what guesses the kind codes of a window of plain vertex lines, one per
-#: line, from the text's ASCII bytes: D (of AND) becomes 1, R (of OR) 2, T
-#: (of NOT) 3 and P 0, every other byte is dropped, and then INPUT's 0, 3
-#: is made 0
+#: what guesses the kind codes of plain vertex lines, one per line, from
+#: the text's ASCII bytes: D (of AND) becomes 1, R (of OR) 2, T (of NOT) 3
+#: and P 0, every other byte is dropped, and then INPUT's 0, 3 is made 0
 _KIND_GUESS = bytes.maketrans(b"DRTP", b"\1\2\3\0")
 _NOT_KIND_GUESS = bytes(sorted(set(range(256)) - set(b"DRTP")))
-#: a window guessed at once takes about BLOCK_VERTICES lines of this many
-#: characters
-_GUESS_LINE_CHARS = 32
 #: kind code -> 1 for IN and NOT, else 0
 _ONE_OPERAND = bytes([1, 0, 0, 1]) + bytes(252)
 #: kind code -> 1 for IN, else 0
@@ -1140,67 +1136,68 @@ def _other_lines(n: int) -> re.Pattern:
                       rf"[^\n]*\n){{0,{n - 1}}}|[^\n]+")
 
 
-def _guess_stamps(text: str, pos: int, k: int) -> tuple:
-    """(end, heads): a window text[pos:end] of at most one piece and about
-    BLOCK_VERTICES lines, cut after a "\\n" unless it reaches the end of
-    the text, and the blocks its guessed kinds propose, last first.
-
-    The guess takes one kind code per plain vertex line (_KIND_GUESS), so
-    its entry i is vertex k + i while every line is a plain vertex line.
-    A head (p, top, whole) starts where the 2-bit template's kinds do,
-    vertex p, and is widened as _scan_stamps widens, to top; ``whole`` is
-    False where the window ends before the text does and inside the next
-    width's kinds.  Where the text itself ends there with no SINK line in
-    the window, it is a piece that read_text cut inside a block, and the
-    block is not proposed: its lines go in runs, and the scan finds it.
-    Only a guess: the lines are checked when they are read
-    (_TextReader.stamp)."""
-    end = pos + BLOCK_VERTICES * _GUESS_LINE_CHARS
-    if end < len(text):
-        end = text.rfind("\n", pos, end) + 1
-        if not end:     # a line longer than a window: no block starts here
-            return (text.find("\n", pos) + 1 or len(text)), []
-    else:
-        end = len(text)
-    kinds = (text[pos:end].encode("ascii", "replace")
-             .translate(_KIND_GUESS, _NOT_KIND_GUESS).replace(b"\0\3", b"\0"))
+def _guess_stamps(text: str, pos: int, k: int):
+    """Yield (p, top), in text order, for each block that the guessed kinds
+    of text[pos:] propose, one code per plain vertex line (_KIND_GUESS):
+    entry i is vertex k + i while every line is a plain vertex line.  The
+    text is encoded BLOCK_VERTICES * 32 characters at a time, cut after a
+    "\\n" where there is one.  A head starts where the 2-bit template's
+    kinds do, vertex p, and is widened as _scan_stamps widens, to top, but
+    never to a template of more than BLOCK_VERTICES gates, so no comment's
+    letters make a wider one be built.  A head whose kinds run into the
+    text's end inside the next width's kinds is proposed only if the last
+    part of the text holds the SINK line: else read_text cut the block,
+    and the scan finds it.  Only a guess: stamp checks the lines."""
     head = _min_block(2).kinds
-    heads = []
-    i = kinds.find(head)
-    while i >= 0:
-        top = 2
-        while kinds.startswith(_min_block(top + 1).kinds, i):
-            top += 1
-        wider = _min_block(top + 1).kinds
-        whole = i + len(wider) <= len(kinds) or not wider.startswith(kinds[i:])
-        if whole or end < len(text):
-            heads.append((k + i, top, whole))
-        elif text.find("SINK", pos, end) >= 0:
-            heads.append((k + i, top, True))
-        i = kinds.find(head, i + len(_min_block(top).kinds))
-    heads.reverse()
-    return end, heads
+    kinds = b""         # the guess from vertex k on
+    while pos < len(text):
+        start, end = pos, pos + BLOCK_VERTICES * 32
+        if end < len(text):
+            end = text.rfind("\n", pos, end) + 1 or end
+        kinds += (text[pos:end].encode("ascii", "replace")
+                  .translate(_KIND_GUESS, _NOT_KIND_GUESS).replace(b"\0\3", b"\0"))
+        pos = end
+        at = 0          # where the next head may start
+        i = kinds.find(head)
+        while i >= 0:
+            top = 2
+            while (len(_min_block(top + 1).kinds) <= BLOCK_VERTICES
+                   and kinds.startswith(_min_block(top + 1).kinds, i)):
+                top += 1
+            wider = _min_block(top + 1).kinds
+            if len(kinds) - i < len(wider) and wider.startswith(kinds[i:]) and (
+                    pos < len(text) or text.find("SINK", start) < 0):
+                break   # for the rest of the text to decide, or cut by read_text
+            yield k + i, top
+            at = i + len(_min_block(top).kinds)
+            i = kinds.find(head, at)
+        at = i if i >= 0 else max(at, len(kinds) - len(head) + 1)
+        k += at
+        kinds = kinds[at:]
 
 
-def _line_start(text: str, p: int, pos: int, end: int) -> int:
-    """The offset of the line of vertex p in text[pos:end], pos being the
-    start of a line, or -1 if no line there starts with p's id."""
+def _line_start(text: str, p: int, pos: int) -> int:
+    """The offset of the first line from offset pos, the start of a line,
+    that starts with vertex p's id, or -1 if no line does."""
     word = f"v{p} "
     if text.startswith(word, pos):
         return pos
-    return text.find("\n" + word, pos, end) + 1 or -1
+    return text.find("\n" + word, pos) + 1 or -1
 
 
-def _text_wires(text: str, pos: int, end: int, p: int, block: _MinBlock):
+def _text_wires(text: str, pos: int, p: int, block: _MinBlock):
     """The wires, as a list, of a stamp of ``block`` at vertex p whose text
     starts at offset pos, read off the lines that first read them
-    (_MinBlock.reads) in text[pos:end]; None where such a line or number
-    is missing.  Only a reading: the caller checks the whole text."""
+    (_MinBlock.reads) no further than the block's lines could reach (each
+    "v{k} AND v{x} v{y}\\n" at most); None where such a line or number is
+    missing.  Only a reading: the caller checks the whole text."""
+    size = len(block.kinds)
+    end = pos + size * (3 * len(str(p + size)) + 10)
     wires = [0] * len(block.first)
     at = pos
     for g, col, s in block.reads:
         if g:       # moving forward; a gate's second read finds its line again
-            at = text.find(f"\nv{p + g} ", at - 1, end) + 1
+            at = text.find(f"\nv{p + g} ", max(at - 1, 0), end) + 1
             if not at:
                 return None
         eol = text.find("\n", at, end)
@@ -1258,92 +1255,63 @@ class _TextReader:
         self.stamps = {}
 
     def read(self, text: str, pos: int) -> None:
-        """Read text from offset pos to its end, which is the end of a line.
+        """Read text from offset pos to its end, which is the end of a line:
+        where one guess of its kinds (_guess_stamps) has a block at the next
+        vertex, the block's lines are read whole (see stamp), and the lines
+        before it in runs (see lines).  Each block's line is found by one
+        forward search; where it is missing, the guess has lost the lines,
+        and the rest is read in runs."""
+        for p, top in _guess_stamps(text, pos, len(self.kinds)):
+            if p < len(self.kinds):
+                continue
+            off = _line_start(text, p, pos)
+            if off < 0:
+                break
+            self.lines(text, pos, off)
+            pos = off
+            if p == len(self.kinds) and self.sink is None:
+                pos = self.stamp(text, pos, p, top) or pos
+        self.lines(text, pos, len(text))
 
-        A window of text, at most one piece and about BLOCK_VERTICES lines,
-        gets a guess of its kinds (_guess_stamps), and where the guess has
-        a stamped block's kinds, the block's lines are read whole as the
-        text of a stamp (see stamp).  The other lines go in runs: one
-        anchored match finds up to BLOCK_VERTICES plain vertex lines, as
-        write_circuit writes them, up to the next guessed block, and they
-        are decoded column by column (see bulk).  A block or run that is
-        declined goes through the line loop, which alone reports errors;
-        so do the lines up to the next plain line, where no plain line
-        starts (a comment, a blank line, other spacing or line breaks, the
-        SINK line; see _other_lines).  After a window with no block's
-        kinds, no window is guessed until the lines read hold a block's
-        kinds, so text without blocks pays for one guess per piece."""
+    def lines(self, text: str, pos: int, end: int) -> None:
+        """Read text[pos:end], whole lines: one anchored match finds up to
+        BLOCK_VERTICES plain vertex lines, as write_circuit writes them,
+        decoded column by column (see bulk).  A run that is declined goes
+        through the line loop, which alone reports errors; so do the lines
+        up to the next plain line, where no plain line starts (a comment, a
+        blank line, other spacing or line breaks, the SINK line)."""
         run = _plain_run(BLOCK_VERTICES).match
         cut = _other_lines(BLOCK_VERTICES).match
-        head = _min_block(2).kinds
-        guessing = True         # until a window has no block
-        heads = []              # the window's guessed blocks, the next last
-        start = seen = pos      # the window: text[start:seen]
-        while pos < len(text):
-            end = len(text)
-            k = len(self.kinds)
-            if self.sink is None and guessing:
-                if pos >= seen:
-                    start = pos
-                    seen, heads = _guess_stamps(text, pos, k)
-                    guessing = bool(heads)
-                while heads and heads[-1][0] < k:
-                    heads.pop()
-                if heads:
-                    p, top, whole = heads[-1]
-                    off = _line_start(text, p, pos, seen)
-                    if off < 0:
-                        heads.pop()
-                        continue
-                    if not whole and off > start:
-                        # cut by the window's end: guess again from it
-                        heads.clear()
-                        seen = off
-                        if off == pos:
-                            continue
-                    elif off == pos:
-                        heads.pop()
-                        if p == k:
-                            pos = self.stamp(text, pos, p, top, seen) or pos
-                        continue
-                    end = off
-                elif guessing:
-                    end = seen
+        while pos < end:
             m = self.sink is None and run(text, pos, end)
             if m:
                 if not self.bulk(m.group()):
                     self.loop(m.group())
                 pos = m.end() + 1       # past the "\n" that ends the run
             else:
-                m = cut(text, pos)
+                m = cut(text, pos, end)
                 self.loop(m.group())
                 pos = m.end()
-            if not guessing and self.kinds.find(head, k) >= 0:
-                guessing = True         # a block was read line by line
-                seen = pos
 
-    def stamp(self, text: str, pos: int, p: int, top: int, end: int) -> int:
-        """Read the lines at pos, up to at most end, as a block stamped at
-        the next vertex p, of the widest width m <= top whose text they
-        begin with: the wires are read off the lines that first read them
-        (_text_wires), and the block is taken only if every wire is
-        before p and the text at pos is the stamp's (_stamp_text); it is
-        added to ``stamps``.  Return the offset past the block, or 0,
-        having read nothing."""
-        for m in range(top, 1, -1):
-            wires = _text_wires(text, pos, end, p, _min_block(m))
-            if not (wires and 0 <= min(wires) and max(wires) < p):
-                continue
-            expected = _stamp_text(m, p, wires)
-            if text.startswith(expected, pos):
-                a, b = _block_columns(m, p, wires)
-                self.kinds += _min_block(m).kinds
-                self.a += a
-                self.b += b
-                self.lineno += len(a)
-                self.stamps[p] = (p, m, array("I", wires))
-                return pos + len(expected)
-        return 0
+    def stamp(self, text: str, pos: int, p: int, m: int) -> int:
+        """Read the lines at pos as a block of width m stamped at the next
+        vertex p, its wires read off the lines that first read them
+        (_text_wires), if every wire is before p and the text at pos is the
+        stamp's (_stamp_text), and add it to ``stamps``.  Return the offset
+        past the block, or 0, having read nothing."""
+        wires = _text_wires(text, pos, p, _min_block(m))
+        if not (wires and 0 <= min(wires) and max(wires) < p):
+            return 0
+        expected = _stamp_text(m, p, wires)
+        if not text.startswith(expected, pos):
+            return 0
+        a, b = _block_columns(m, p, wires)
+        self.kinds += _min_block(m).kinds
+        self.a += a
+        self.b += b
+        self.lineno += len(a)
+        self.stamps[p] = (p, m, array("I", wires))
+        return pos + len(expected)
 
     def bulk(self, block: str) -> bool:
         """Read plain vertex lines (a _plain_run match) column by column if

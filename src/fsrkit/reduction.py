@@ -581,8 +581,8 @@ class Alg1Oracle:
     def lam(self, v: int) -> int:
         return self._lam[v]
 
-    def lam_table(self) -> list:
-        return list(self._lam)
+    def lam_table(self) -> bytes:
+        return bytes(self._lam)
 
     def p0_side(self, c: Cycle) -> bool:
         return c.period != 6 * self.ell
@@ -675,8 +675,8 @@ class Alg2Maps:
     def lam(self, v: int) -> int:
         return self._lam[v]
 
-    def lam_table(self) -> list:
-        return list(self._lam)
+    def lam_table(self) -> bytes:
+        return self._lam
 
 
 def f3_reference_dec(ell: int, f2_tt: TruthTable, maps: Alg2Maps = None):

@@ -332,6 +332,12 @@ def block_lines(m, p, wires):
             if k >= 2 * m]
 
 
+def spelled(m):
+    """A comment's letters that the kind guess (_KIND_GUESS) reads as the
+    width-m template's kinds: D for AND, R for OR, T for NOT."""
+    return "".join(" DRT"[k] for k in C._min_block(m).kinds)
+
+
 @st.composite
 def stamped_texts(draw):
     """(text lines, the line breaks, the pieces, a parse block size, the
@@ -353,7 +359,7 @@ def stamped_texts(draw):
     lines = C.write_circuit(c).splitlines()
     breaks = ["\n"] * len(lines)
     damage = draw(st.sampled_from(["none", "digit", "wire", "drop", "copy",
-                                   "crlf", "comment", "line"]))
+                                   "crlf", "comment", "line", "spell"]))
     p, m, wires = draw(st.sampled_from(c.stamps))
     size = len(C.gadget_min(m).kinds) - 2 * m
     i = draw(st.integers(p, p + size - 1))      # a line of that block
@@ -382,6 +388,9 @@ def stamped_texts(draw):
     elif damage == "line":      # a damaged line anywhere, most after a block
         lines[draw(st.integers(0, len(lines) - 1))] = draw(
             st.sampled_from(DAMAGE))
+    elif damage == "spell":     # a comment the guess reads as a block's head
+        lines.insert(draw(st.integers(0, len(lines))), f"# {spelled(2)}")
+        breaks.append("\n")
     text = "".join(map(str.__add__, lines, breaks))
     cuts = sorted(draw(st.lists(st.integers(1, len(lines) - 1), max_size=2)))
     ends = [len("".join(map(str.__add__, lines[:k], breaks[:k]))) for k in cuts]
@@ -421,6 +430,78 @@ def test_stamped_blocks_read_whole_give_the_line_loop_outcome(case):
         assert C.write_circuit(C.parse_circuit(text)) == text
         if len(pieces) == 1 and block == C.BLOCK_VERTICES:
             assert sum(map(bool, whole)) == len(got[4])
+
+
+def test_head_spelling_comments_cost_one_guess_and_one_missed_line_per_piece(
+        tmp_path):
+    """20,000 comment lines that each spell a block's head, read from a file
+    in pieces: each piece is guessed once, and a head whose line is missing
+    ends its piece's guess, so the read stays linear in the text."""
+    path = write_bytes(tmp_path, "flood.fsr", (
+        "STAGE 1\nFEEDBACK CIRCUIT\nv0 INPUT 0\n" + f"# {spelled(2)}\n" * 20_000
+        + "SINK v0\n").encode())
+    pieces, guesses, misses = [], [], []
+    read, guess, line_start = C._TextReader.read, C._guess_stamps, C._line_start
+
+    def read_piece(rd, text, pos):
+        pieces.append(len(text))
+        read(rd, text, pos)
+
+    def guess_stamps(*args):
+        guesses.append(args[1])
+        return guess(*args)
+
+    def find_line(*args):
+        off = line_start(*args)
+        if off < 0:
+            misses.append(args[1])
+        return off
+
+    with mock.patch.object(C, "_READ_BYTES", 1 << 16), \
+            mock.patch.object(C._TextReader, "read", read_piece), \
+            mock.patch.object(C, "_guess_stamps", guess_stamps), \
+            mock.patch.object(C, "_line_start", find_line), \
+            circuits_read() as circuits:
+        F.parse_fsr(C.read_text(path))
+    assert circuits[0][0].nodes == [(C.IN, 0)]
+    assert len(pieces) > 10
+    assert len(guesses) == len(pieces)
+    assert len(misses) <= len(pieces)
+
+
+def test_a_comment_spelling_a_wide_block_builds_no_wide_template():
+    """The guess widens a head only while the wider template has at most
+    BLOCK_VERTICES gates, so a comment whose letters spell the width-30
+    template's kinds makes no template past width 24 be built."""
+    spell = spelled(30)
+    widths, real = [], C._min_block
+
+    def min_block(m):
+        widths.append(m)
+        return real(m)
+
+    with mock.patch.object(C, "_min_block", min_block):
+        c = C.parse_circuit(f"v0 INPUT 0\n# {spell}\nSINK v0\n")
+    assert c.nodes == [(C.IN, 0)]
+    assert max(widths) == 24 and len(real(24).kinds) > C.BLOCK_VERTICES
+
+
+def test_a_block_s_wires_are_looked_for_within_its_own_lines():
+    """A stamp's wires are read off lines within the reach of the block's
+    own lines, so a block with a missing line costs no search through the
+    rest of the text: here its second line is spelled with a tab, and the
+    block's lines again far past it are not read."""
+    b = C.Builder(4)
+    c = b.build(b.min_word([0, 1], [2, 3])[0])
+    (p, m, wires), = c.stamps
+    lines = C.write_circuit(c).splitlines()
+    pos = len("".join(s + "\n" for s in lines[:p]))
+    block = C._min_block(m)
+    assert C._text_wires("\n".join(lines), pos, p, block) == list(wires)
+    lines[p + 1] = lines[p + 1].replace(" ", "\t", 1)
+    far = [lines[p + 1].replace("\t", " ")] + lines[p + 2:p + len(block.kinds)]
+    text = "\n".join(lines + ["# far"] * 10_000 + far)
+    assert C._text_wires(text, pos, p, block) is None
 
 
 def test_parse_holds_under_40_bytes_per_vertex():
