@@ -452,7 +452,8 @@ def cycle_join_graph(base: Fsr, toggled: Fsr, lam) -> CycleJoinGraph:
     lam = as_bits(lam)
     if len(lam) != n:
         raise ValueError("predicate table has wrong length")
-    # bit u: state 2u is marked, and state 2u + 1
+    # byte u (int.from_bytes puts entry u of the 0/1 bytes there): state 2u
+    # is marked, and state 2u + 1
     even, odd = (int.from_bytes(lam[i::2], "little") for i in (0, 1))
     if even & odd:
         raise ValueError("predicate marks a conjugate state pair")

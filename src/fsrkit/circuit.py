@@ -28,9 +28,8 @@ keeps every lane it makes to the end, unless those lanes would hold more
 than LIVE_LANE_BYTES; then it drops each lane after its last reader and
 so holds only the live frontier.  A stamped block's operand columns have
 one definition, _block_columns, which the readers of its inner vertices
-and the scan that finds blocks in text all use; its text has one form
-per width (_text_form), which the writer writes and against which
-the parser checks a block it reads whole.
+use; its text has one form per width (_text_form), which the writer
+writes and against which the parser checks a block it reads whole.
 """
 
 from __future__ import annotations
@@ -168,28 +167,29 @@ class Circuit:
     the Builder each operand it is given, and the parser each line or block
     of text, so no pass over a whole circuit checks it again.
 
-    ``stamps`` records the minimum blocks of width m >= 2 in the columns:
-    a tuple, in id order, of one (start, m, wires) per stamp, its first
-    id, its width and its 2m wires as an array('I').  A Builder records
-    each block it stamps; a circuit made from tuples or text gets the
-    record _scan_stamps finds in its columns, once, when it is made.  The
-    lane passes take their blocks from the record (_min_blocks).  The
-    columns and the record are read only in this module.
+    ``stamps`` records minimum blocks of width m >= 2 in the columns: a
+    tuple, in id order, of one (start, m, wires) per stamp, its first id,
+    its width and its 2m wires as an array('I').  It holds what the
+    circuit's maker knew: each block a Builder stamped or the parser read
+    whole, and none for a circuit made from tuples.  The parser reads
+    whole blocks of width up to 23, the widest template of at most
+    BLOCK_VERTICES gates; of a wider block it records the width-23
+    prefix, a block in its own right, and reads the rest gate by gate.
+    The lane passes take their blocks from it (_min_blocks).  The columns
+    and the record are read only in this module.
 
-    A recorded block is its record: its kinds are in ``kinds``, but no
-    reader takes its operand entries from ``a`` and ``b``.  Those hold
-    zeros where a Builder stamped the block, and the text's own entries
-    where the circuit was parsed or made from tuples; Builder.splice
-    moves them with every other entry.  The readers that need a block's
-    inner operands (``nodes``, Builder.embed, and a lane pass that runs
-    the block gate by gate) derive them from the record (_block_columns),
-    and the text writer writes the block's lines from the record
-    (_stamp_text); the others read only entries outside the blocks.
+    A recorded block is its record: its kinds are in ``kinds``, and its
+    entries in ``a`` and ``b`` are zeros (moved by Builder.splice) that
+    no reader takes.  The readers that need its inner operands
+    (``nodes``, Builder.embed, and a lane pass that runs it gate by gate)
+    derive them from the record (_block_columns), and the text writer
+    writes its lines from the record (_stamp_text).
     """
 
     __slots__ = ("arity", "kinds", "a", "b", "outputs", "stamps")
 
     def __init__(self, arity: int, nodes, outputs: tuple):
+        """A circuit over vertex tuples, each checked, with no record."""
         if arity < 1:
             raise ValueError("arity must be >= 1")
         kinds, a, b = [], [], []
@@ -214,8 +214,7 @@ class Circuit:
                 raise ValueError(f"unknown vertex kind {op!r}")
             a.append(x)
             b.append(y)
-        kinds, a, b = bytes(kinds), array("I", a), array("I", b)
-        self._set(arity, kinds, a, b, outputs, _scan_stamps(kinds, a, b))
+        self._set(arity, bytes(kinds), array("I", a), array("I", b), outputs, ())
 
     @classmethod
     def _from_columns(cls, arity: int, kinds: bytes, a: array, b: array,
@@ -416,14 +415,10 @@ class Builder:
 
     The integer-minimum block is all fresh gates, so its layout depends
     only on its width m: it is recorded once per m (``_min_block``), and
-    each ``min_word`` of width m >= 2 appends the template's kinds, zero
-    operand entries and a record of the stamp, which is all that
-    describes the copy: its operands are derived from the record where
-    they are read (_block_columns).
-
-    ``stamps`` lists each stamp of width m >= 2 as Circuit.stamps holds
-    it, (start, m, wires).  build() hands the circuit a tuple of it, so no
-    scan looks for the blocks.
+    ``stamps`` lists each stamp ``min_word`` makes of width m >= 2 as
+    Circuit.stamps holds it, (start, m, wires), which is all that
+    describes the copy.  build() hands the circuit a tuple of it as its
+    record.
     """
 
     def __init__(self, arity: int):
@@ -519,8 +514,8 @@ class Builder:
 
         A block of width m >= 2 is its record: min_word appends the
         template's kinds and zero operand entries, and (start, m, wires)
-        to ``stamps``; the readers that need its operands derive them
-        (_block_columns).  At m = 1 the block is one AND gate of the two
+        to ``stamps`` (_add_stamp); the readers that need its operands
+        derive them (_block_columns).  At m = 1 the block is one AND gate of the two
         wires, written as a plain gate, with no record.  The wires must be
         earlier vertices and the block's last id must fit a column entry,
         or nothing is added.
@@ -530,23 +525,16 @@ class Builder:
         if m != len(ys) or m < 1:
             raise ValueError("word widths differ")
         block = _min_block(m)
-        kinds, outs = block.kinds, block.circuit.outputs
         base = len(self.kinds)
         wires = xs + ys
         if not 0 <= min(wires) <= max(wires) < base:
             raise ValueError("a word wire is not a vertex")
-        if base + len(kinds) - 1 > _INDEX_MAX:
+        if base + len(block.kinds) - 1 > _INDEX_MAX:
             raise ValueError(f"vertex ids past {_INDEX_MAX}")
-        self.kinds += kinds
         if m == 1:
-            self.a.append(xs[0])
-            self.b.append(ys[0])
-            return [base]
-        zeros = bytes(len(kinds) * _INDEX_BYTES)
-        self.a.frombytes(zeros)
-        self.b.frombytes(zeros)
-        self.stamps.append((base, m, array("I", wires)))
-        return [base - 2 * m + o for o in outs]     # every output is a gate
+            return [self.AND(xs[0], ys[0], fresh=True)]
+        _add_stamp(self, m, wires)
+        return [base - 2 * m + o for o in block.circuit.outputs]  # all gates
 
     def embed(self, circ: Circuit, input_wires) -> list:
         """Splice another circuit in, feeding its inputs from given wires."""
@@ -613,6 +601,18 @@ def _moved(col: memoryview, step: int) -> bytes:
                                                               _BYTE_ORDER)
 
 
+def _add_stamp(cols, m: int, wires) -> int:
+    """Append the width-m block over ``wires`` to a Builder's or reader's
+    columns: its record, and zero operand entries; return its size."""
+    kinds = _min_block(m).kinds
+    zeros = bytes(len(kinds) * _INDEX_BYTES)
+    cols.stamps.append((len(cols.kinds), m, array("I", wires)))
+    cols.kinds += kinds
+    cols.a.frombytes(zeros)
+    cols.b.frombytes(zeros)
+    return len(kinds)
+
+
 class _MinBlock:
     """The m-bit minimum block, recorded once per width (_min_block).
 
@@ -623,16 +623,16 @@ class _MinBlock:
     ``kinds`` holds the gate kinds and ``inner`` one byte per gate (1
     unless the gate is an output).
 
-    ``first`` gives, per input slot, the (column, gate) of its first
-    reader, where a stamp's wire is read off; ``reads`` lists the same as
-    (gate, column, slot) in gate order, as they lie in a stamp's text.
+    ``reads`` gives, per input slot, its first reader, where a stamp's
+    wire is read off, as (gate, column, slot) in gate order, as they lie
+    in a stamp's text.
     Each column's form in ``forms`` (own, ones, slots, pos) holds it in
     bulk for _block_columns: read as one integer of _INDEX_BITS-bit
     entries, the column of a stamp at ``start`` is ``own + start * ones``
     at the gates that read the block's own slots, and zero at the others,
     the positions ``pos``, whose entries are the ``slots`` of the wires."""
 
-    __slots__ = ("circuit", "kinds", "inner", "first", "reads", "forms")
+    __slots__ = ("circuit", "kinds", "inner", "reads", "forms")
 
     def __init__(self, m: int):
         b = Builder(2 * m)
@@ -676,9 +676,7 @@ class _MinBlock:
             ones = int.from_bytes(ones, _BYTE_ORDER)
             forms.append((int.from_bytes(own, _BYTE_ORDER), ones,
                           itemgetter(*slots), tuple(pos)))
-        self.first = tuple(first[s] for s in range(w))
-        self.reads = tuple(sorted((g, col, s)
-                                  for s, (col, g) in enumerate(self.first)))
+        self.reads = tuple(sorted((g, col, s) for s, (col, g) in first.items()))
         self.forms = tuple(forms)
 
 
@@ -687,58 +685,12 @@ _min_block = lru_cache(maxsize=64)(_MinBlock)
 
 # -- the minimum blocks ----------------------------------------------------
 
-def _scan_stamps(kinds, a: array, b: array, taken=None) -> tuple:
-    """The record (Circuit.stamps) of the minimum blocks of width m >= 2
-    found in the columns.  A candidate starts where the 2-bit template's
-    kinds do, which begin every wider template's, and is widened while the
-    next template's kinds follow; the widest width whose operand columns
-    check out (_stamp_wires) is taken.
-
-    ``taken`` maps p to (p, m, wires) for blocks known to be stamped in
-    the columns, as the text reader reads them whole: where the scan
-    reaches such a p and the next width's kinds do not follow, it takes the
-    block as the check would, without reading its columns, so only the
-    rest of the columns are checked."""
-    head = _min_block(2).kinds
-    found = []
-    p = kinds.find(head)
-    while p >= 0:
-        blk = taken and taken.get(p)
-        if blk and not kinds.startswith(_min_block(blk[1] + 1).kinds, p):
-            found.append(blk)
-            p += len(_min_block(blk[1]).kinds) - 1
-        else:
-            top = 2
-            while kinds.startswith(_min_block(top + 1).kinds, p):
-                top += 1
-            for m in range(top, 1, -1):
-                wires = _stamp_wires(a, b, p, m)
-                if wires is not None:
-                    found.append((p, m, wires))
-                    p += len(_min_block(m).kinds) - 1
-                    break
-        p = kinds.find(head, p + 1)
-    return tuple(found)
-
-
-def _stamp_wires(a: array, b: array, p: int, m: int):
-    """The 2m wires of a stamp of _min_block(m) at vertex p, or None
-    unless they are all before p and the operand columns there are the
-    stamp's over them (_block_columns)."""
-    block = _min_block(m)
-    end = p + len(block.kinds)
-    cols = (a[p:end], b[p:end])
-    wires = array("I", [cols[c][i] for c, i in block.first])
-    if max(wires) >= p or cols != _block_columns(m, p, wires):
-        return None
-    return wires
-
-
 def _block_columns(m: int, p: int, wires) -> tuple:
     """The two operand columns, as arrays, of the width-m block stamped at
     vertex p over ``wires``, as the block's template reads
     (_MinBlock.forms): the own part as the integer ``own + p * ones``,
-    then each read of a wire written in turn."""
+    then each read of a wire written in turn: for _operands, and for a lane
+    pass that runs the block gate by gate."""
     block = _min_block(m)
     size = len(block.kinds) * _INDEX_BYTES
     cols = []
@@ -1089,14 +1041,23 @@ def parse_circuit(text, start: int = 0, first_line: int = 1) -> Circuit:
 
     ``text`` is a str, or an iterable of pieces of one text, each but the
     last ending with "\\n", as read_text yields them; ``start`` is an
-    offset into the first piece, and a str is the one piece.  Each piece
-    is read where it lies (see _TextReader.read), and the columns, the
-    SINK and the line number carry over to the next."""
-    rd = _TextReader(first_line)
-    for piece in as_pieces(text):
-        rd.read(piece, start)
-        start = 0
-        del piece       # free it before the next piece is read
+    offset into the first piece, and a str is the one, final piece.  Each
+    piece is read where it lies (see _TextReader.read), and the columns,
+    the SINK and the line number carry over to the next, as do the lines
+    of a block that its end may cut; lines still carried after the last
+    piece are read then.  The record is the blocks read whole, each of
+    width at most 23, the widest template of at most BLOCK_VERTICES
+    gates: of a wider block, the record holds its width-23 prefix."""
+    rd, final = _TextReader(first_line), isinstance(text, str)
+    try:
+        for piece in as_pieces(text):
+            piece, rd.carry = rd.carry + piece, ""
+            rd.read(piece, start, final)
+            start = 0
+            del piece       # free it before the next piece is read
+    finally:   # past the last piece, or before the next one's read error
+        carry, rd.carry = rd.carry, ""
+        rd.read(carry, 0, True)
     if not rd.kinds:
         raise CircuitParseError("empty circuit", first_line)
     if rd.sink is None:
@@ -1104,8 +1065,7 @@ def parse_circuit(text, start: int = 0, first_line: int = 1) -> Circuit:
     if rd.max_input < 0:
         raise CircuitParseError("circuit has no INPUT vertex", first_line)
     return Circuit._from_columns(rd.max_input + 1, bytes(rd.kinds), rd.a,
-                                rd.b, (rd.sink,),
-                                _scan_stamps(rd.kinds, rd.a, rd.b, rd.stamps))
+                                rd.b, (rd.sink,), tuple(rd.stamps))
 
 
 def as_pieces(text):
@@ -1136,22 +1096,23 @@ def _other_lines(n: int) -> re.Pattern:
                       rf"[^\n]*\n){{0,{n - 1}}}|[^\n]+")
 
 
-def _guess_stamps(text: str, pos: int, k: int):
+def _guess_stamps(text: str, pos: int, k: int, final: bool):
     """Yield (p, top), in text order, for each block that the guessed kinds
     of text[pos:] propose, one code per plain vertex line (_KIND_GUESS):
     entry i is vertex k + i while every line is a plain vertex line.  The
     text is encoded BLOCK_VERTICES * 32 characters at a time, cut after a
     "\\n" where there is one.  A head starts where the 2-bit template's
-    kinds do, vertex p, and is widened as _scan_stamps widens, to top, but
-    never to a template of more than BLOCK_VERTICES gates, so no comment's
-    letters make a wider one be built.  A head whose kinds run into the
-    text's end inside the next width's kinds is proposed only if the last
-    part of the text holds the SINK line: else read_text cut the block,
-    and the scan finds it.  Only a guess: stamp checks the lines."""
+    kinds do, vertex p, and is widened while the next width's kinds
+    follow, to top, but never to a template of more than BLOCK_VERTICES
+    gates, so no comment's letters make a wider one be built.  Unless the
+    text is final, a head whose kinds run into its end inside the next
+    width's, or last kinds that begin a head, are a block the end may
+    cut: the last yield is then (p, 0).  Only a guess: stamp checks the
+    lines."""
     head = _min_block(2).kinds
     kinds = b""         # the guess from vertex k on
     while pos < len(text):
-        start, end = pos, pos + BLOCK_VERTICES * 32
+        end = pos + BLOCK_VERTICES * 32
         if end < len(text):
             end = text.rfind("\n", pos, end) + 1 or end
         kinds += (text[pos:end].encode("ascii", "replace")
@@ -1166,14 +1127,18 @@ def _guess_stamps(text: str, pos: int, k: int):
                 top += 1
             wider = _min_block(top + 1).kinds
             if len(kinds) - i < len(wider) and wider.startswith(kinds[i:]) and (
-                    pos < len(text) or text.find("SINK", start) < 0):
-                break   # for the rest of the text to decide, or cut by read_text
+                    pos < len(text) or not final):
+                break   # for the rest of the text to decide, or cut by its end
             yield k + i, top
             at = i + len(_min_block(top).kinds)
             i = kinds.find(head, at)
         at = i if i >= 0 else max(at, len(kinds) - len(head) + 1)
         k += at
         kinds = kinds[at:]
+    i = next((i for i in range(len(kinds))
+              if head.startswith(kinds[i:i + len(head)])), -1)
+    if i >= 0 and not final:
+        yield k + i, 0
 
 
 def _line_start(text: str, p: int, pos: int) -> int:
@@ -1185,15 +1150,19 @@ def _line_start(text: str, p: int, pos: int) -> int:
     return text.find("\n" + word, pos) + 1 or -1
 
 
+def _reach(p: int, size: int) -> int:
+    """The longest text of ``size`` vertex lines from vertex p, as written."""
+    return size * (3 * len(str(p + size)) + 10)
+
+
 def _text_wires(text: str, pos: int, p: int, block: _MinBlock):
     """The wires, as a list, of a stamp of ``block`` at vertex p whose text
     starts at offset pos, read off the lines that first read them
-    (_MinBlock.reads) no further than the block's lines could reach (each
-    "v{k} AND v{x} v{y}\\n" at most); None where such a line or number is
-    missing.  Only a reading: the caller checks the whole text."""
-    size = len(block.kinds)
-    end = pos + size * (3 * len(str(p + size)) + 10)
-    wires = [0] * len(block.first)
+    (_MinBlock.reads) no further than the block's lines could reach
+    (_reach); None where such a line or number is missing.  Only a
+    reading: the caller checks the whole text."""
+    end = pos + _reach(p, len(block.kinds))
+    wires = [0] * len(block.reads)
     at = pos
     for g, col, s in block.reads:
         if g:       # moving forward; a gate's second read finds its line again
@@ -1242,8 +1211,9 @@ def piece_lines(pieces, lineno: int = 1):
 class _TextReader:
     """The columns read so far from circuit text, with its SINK, the
     number of the next line to read, the largest INPUT index read (-1
-    before the first) and the blocks read whole, each start p mapped to
-    (p, m, wires) (see stamp)."""
+    before the first), the blocks read whole, as Circuit.stamps lists
+    them (see stamp), and ``carry``, the lines of a block that the end of
+    the last piece read may have cut, for the next piece (see read)."""
 
     def __init__(self, lineno: int):
         self.kinds = bytearray()
@@ -1252,16 +1222,20 @@ class _TextReader:
         self.sink = None
         self.lineno = lineno
         self.max_input = -1
-        self.stamps = {}
+        self.stamps = []
+        self.carry = ""
 
-    def read(self, text: str, pos: int) -> None:
+    def read(self, text: str, pos: int, final: bool) -> None:
         """Read text from offset pos to its end, which is the end of a line:
         where one guess of its kinds (_guess_stamps) has a block at the next
         vertex, the block's lines are read whole (see stamp), and the lines
         before it in runs (see lines).  Each block's line is found by one
         forward search; where it is missing, the guess has lost the lines,
-        and the rest is read in runs."""
-        for p, top in _guess_stamps(text, pos, len(self.kinds)):
+        and the rest is read in runs.  Unless the text is final, the lines
+        of a block that its end may cut go to ``carry`` if they fit what a
+        block's lines can reach (_reach at BLOCK_VERTICES gates), and else
+        are read in runs."""
+        for p, top in _guess_stamps(text, pos, len(self.kinds), final):
             if p < len(self.kinds):
                 continue
             off = _line_start(text, p, pos)
@@ -1269,7 +1243,10 @@ class _TextReader:
                 break
             self.lines(text, pos, off)
             pos = off
-            if p == len(self.kinds) and self.sink is None:
+            if not top and len(text) - pos <= _reach(p, BLOCK_VERTICES):
+                self.carry = text[pos:]
+                return
+            if top and p == len(self.kinds) and self.sink is None:
                 pos = self.stamp(text, pos, p, top) or pos
         self.lines(text, pos, len(text))
 
@@ -1297,20 +1274,16 @@ class _TextReader:
         """Read the lines at pos as a block of width m stamped at the next
         vertex p, its wires read off the lines that first read them
         (_text_wires), if every wire is before p and the text at pos is the
-        stamp's (_stamp_text), and add it to ``stamps``.  Return the offset
-        past the block, or 0, having read nothing."""
+        stamp's (_stamp_text), and append it as Builder.min_word does, its
+        record alone (_add_stamp).  Return the offset past the block, or 0,
+        having read nothing."""
         wires = _text_wires(text, pos, p, _min_block(m))
         if not (wires and 0 <= min(wires) and max(wires) < p):
             return 0
         expected = _stamp_text(m, p, wires)
         if not text.startswith(expected, pos):
             return 0
-        a, b = _block_columns(m, p, wires)
-        self.kinds += _min_block(m).kinds
-        self.a += a
-        self.b += b
-        self.lineno += len(a)
-        self.stamps[p] = (p, m, array("I", wires))
+        self.lineno += _add_stamp(self, m, wires)
         return pos + len(expected)
 
     def bulk(self, block: str) -> bool:

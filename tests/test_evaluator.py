@@ -201,12 +201,11 @@ def derived(c) -> tuple:
     return circuit._operands(c)
 
 
-def unrecorded(c):
-    """c's derived columns without the record a Builder gave them: the
-    record is found in the columns, as for parsed text."""
-    a, b = derived(c)
-    return Circuit._from_columns(c.arity, c.kinds, a, b, c.outputs,
-                                 circuit._scan_stamps(c.kinds, a, b))
+def one_sink(c):
+    """c with its first output as its sink, record kept, so it can be
+    written as text."""
+    return Circuit._from_columns(c.arity, c.kinds, c.a, c.b, (c.outputs[0],),
+                                 c.stamps)
 
 
 def block_passes(c):
@@ -237,8 +236,7 @@ def test_comparator_pass_equals_plain_pass(c):
     # and parsed back, and moved up by one vertex as the feedback circuits
     # are: the same blocks, and the same mask (input 0 of the moved one held
     # at 0)
-    one = Circuit._from_columns(r, c.kinds, c.a, c.b, (c.outputs[0],),
-                                c.stamps)
+    one = one_sink(c)
     parsed = parse_circuit(write_circuit(one))
     moved = reduction._wrap_feedback(one, parse_poly(f"x^{r + 1} + 1"))
     assert circuit._min_blocks(parsed) == circuit._min_blocks(one)
@@ -266,24 +264,34 @@ def test_comparator_pass_agrees_on_lanes_of_any_width(c, lane_bits):
 
 @FIXED
 @given(stamped_circuits())
-def test_the_record_is_what_the_scan_finds(c):
-    # one (start, m, wires) per stamp, in id order, the 2m wires an array
+def test_the_record_is_what_the_maker_knew(c):
+    # one (start, m, wires) per stamp the Builder made, in id order, the
+    # 2m wires an array, over zero operand entries
     assert type(c.stamps) is tuple
     assert [p for p, _, _ in c.stamps] == sorted(p for p, _, _ in c.stamps)
-    for _, m, wires in c.stamps:
+    for p, m, wires in c.stamps:
         assert (type(wires), wires.typecode, len(wires)) == (array, "I", 2 * m)
-    assert c.stamps == circuit._scan_stamps(c.kinds, *derived(c))
-    assert circuit._min_blocks(c) == circuit._min_blocks(unrecorded(c))
+        end = p + len(circuit._min_block(m).kinds)
+        assert c.a[p:end].tobytes() == c.b[p:end].tobytes() == bytes(
+            (end - p) * circuit._INDEX_BYTES)
+    # the same vertices as tuples have no record, and run gate by gate to
+    # the same outputs
+    tuples = Circuit(c.arity, c.nodes, c.outputs)
+    assert tuples.stamps == () and circuit._min_blocks(tuples) == []
+    assert (tuples.kinds, *derived(tuples)) == (c.kinds, *derived(c))
+    assert tuples.output_masks() == c.output_masks()
 
 
 @FIXED
 @given(stamped_circuits())
-def test_tuples_and_text_carry_the_builders_record(c):
-    # made from tuples or from text, the same columns get the same record
-    one = Circuit._from_columns(c.arity, c.kinds, c.a, c.b, (c.outputs[0],),
-                                c.stamps)
-    assert Circuit(c.arity, c.nodes, c.outputs).stamps == c.stamps
-    assert parse_circuit(write_circuit(one)).stamps == c.stamps
+def test_text_carries_the_builders_record_and_tuples_none(c):
+    # the text reader reads every stamp whole, so a parsed circuit records
+    # the Builder's blocks over the Builder's column form; a circuit made
+    # from its tuples records none
+    parsed = parse_circuit(write_circuit(one_sink(c)))
+    assert parsed.stamps == c.stamps
+    assert (parsed.kinds, parsed.a, parsed.b) == (c.kinds, c.a, c.b)
+    assert Circuit(parsed.arity, parsed.nodes, parsed.outputs).stamps == ()
 
 
 def test_wrap_feedback_shifts_the_record_of_built_and_parsed_circuits():
@@ -321,7 +329,8 @@ def test_splice_moves_every_id_and_the_record(c, extra):
     assert moved.stamps == tuple(
         (p + extra, m, array("I", [w + extra for w in wires]))
         for p, m, wires in c.stamps)
-    assert moved.stamps == circuit._scan_stamps(moved.kinds, moved_a, moved_b)
+    # the moved circuit's text records the moved blocks, each read whole
+    assert parse_circuit(write_circuit(one_sink(moved))).stamps == moved.stamps
     lanes, full = input_lanes(n + extra), (1 << (1 << (n + extra))) - 1
     assert (moved._pass(lanes, full, free=False)
             == c._pass(lanes[extra:], full, free=False))
@@ -336,14 +345,13 @@ def test_every_reader_of_block_interiors_sees_the_per_entry_columns(c, extra):
     assert derived(c) == (want.a, want.b)
     assert c.nodes == want.nodes
     # text, in pieces of the default size and of 7 lines, and parsed back
-    sink = Circuit._from_columns(c.arity, c.kinds, c.a, c.b,
-                                 (c.outputs[0],), c.stamps)
+    sink = one_sink(c)
     text = write_circuit(sink)
     assert text == write_circuit(by_entry(sink))
     with mock.patch.object(circuit, "BLOCK_VERTICES", 7):
         assert write_circuit(sink) == text
     parsed = parse_circuit(text)
-    assert (parsed.kinds, parsed.a, parsed.b, parsed.stamps) == (
+    assert (parsed.kinds, *derived(parsed), parsed.stamps) == (
         c.kinds, want.a, want.b, c.stamps)
     # embedded into, and spliced over, a fresh builder
     n = c.arity
@@ -372,8 +380,7 @@ def test_the_text_writer_makes_each_block_once_by_its_form(c, piece):
     # recorded block is one piece, made once by its width's text form, no
     # block's operands are derived, and the text is that of the same
     # circuit with every entry stored and no record
-    sink = Circuit._from_columns(c.arity, c.kinds, c.a, c.b,
-                                 (c.outputs[0],), c.stamps)
+    sink = one_sink(c)
     want = write_circuit(by_entry(sink))
     form, made = circuit._stamp_text, []
 
@@ -589,9 +596,12 @@ def test_gadget_min_carries_the_builders_record():
     for m in range(1, 14):
         g = gadget_min(m)
         assert g.stamps == stamp_on_inputs(m).stamps
-        assert g.stamps == Circuit(g.arity, g.nodes, g.outputs).stamps
         assert g.stamps == (((2 * m, m, array("I", range(2 * m))),) if m > 1
                             else ())
+        # its text, with its first output as the sink, records the same
+        # block; its vertex tuples record none
+        assert parse_circuit(write_circuit(one_sink(g))).stamps == g.stamps
+        assert Circuit(g.arity, g.nodes, g.outputs).stamps == ()
 
 
 def test_min_word_refuses_ids_past_the_column_entries():
@@ -682,12 +692,59 @@ def _ell3_circuits() -> dict:
             "dec f3": reduction.alg2_f3_circuit(3, reduction.f2_transform(_and6()))}
 
 
-def test_ell3_records_equal_the_blocks_found_without_them():
+def read_whole(read) -> tuple:
+    """The circuit read() parses, and how many blocks the text reader read
+    whole on the way (_TextReader.stamp's successes)."""
+    real, whole = circuit._TextReader.stamp, []
+
+    def stamp(rd, *args):
+        whole.append(real(rd, *args))
+        return whole[-1]
+
+    with mock.patch.object(circuit._TextReader, "stamp", stamp):
+        c = read()
+    return c, sum(map(bool, whole))
+
+
+def from_file(directory, c):
+    """c's text written to a file in directory, parsed back from the file
+    in read_text's pieces: (the circuit, the blocks read whole)."""
+    path = str(directory / "c.ckt")
+    with open(path, "w") as fh:
+        fh.writelines(circuit.circuit_pieces(c))
+    return read_whole(lambda: parse_circuit(circuit.read_text(path)))
+
+
+def test_ell3_records_equal_the_blocks_found_without_them(tmp_path):
     for name, c in _ell3_circuits().items():
-        recorded = list(c.stamps)
-        assert recorded == circuit._min_blocks(unrecorded(c)), name
-        assert circuit._min_blocks(c) == recorded, name
+        assert circuit._min_blocks(c) == list(c.stamps), name
     assert {m for _, m, _ in _ell3_circuits()["dec f3"].stamps} == {6}
+    # with no record given, the text reader finds the Builder's blocks: the
+    # 17.7 MB irreducibility feedback circuit, read from its file in pieces
+    # of about 1 MiB, records its 646 blocks, each read whole, where a
+    # reader that left the 16 blocks a piece cuts to the line loop read 630
+    f1 = _ell3_circuits()["irr f1"]
+    parsed, whole = from_file(tmp_path, f1)
+    assert parsed.stamps == f1.stamps
+    assert whole == len(f1.stamps) == 646
+    assert circuit._min_blocks(parsed) == list(f1.stamps)
+
+
+def test_stage19_dec_circuits_read_from_their_files_record_every_block(
+        tmp_path):
+    # the ell = 9 indecomposability feedback circuits over and18 and over
+    # contra18 (g AND NOT g, g the AND): 26 width-18 blocks each, all read
+    # whole and recorded as the Builder recorded them
+    b = Builder(18)
+    g = b.and_chain(range(18))
+    and18, contra18 = b.build(g), b.build(b.AND(g, b.NOT(g)))
+    p1 = LfsrFamily.for_ell(9).p1
+    for f0 in (and18, contra18):
+        f1 = reduction._wrap_feedback(
+            reduction.alg2_f3_circuit(9, reduction.f2_transform(f0)), p1)
+        parsed, whole = from_file(tmp_path, f1)
+        assert parsed.stamps == f1.stamps
+        assert whole == len(f1.stamps) == 26
 
 
 def test_parsed_ell3_toggle_circuits_wrap_as_the_built_ones():
@@ -744,6 +801,17 @@ def damaged_texts(m: int, sample, seed: int):
         yield "".join(lines[:k] + [" ".join(toks) + "\n"] + lines[k + 1:]), p, width
 
 
+def line_nodes(text: str) -> list:
+    """The vertex tuples of the lines of circuit text as written, one line
+    at a time; the last line, the SINK line, is left out."""
+    nodes = []
+    for line in text.splitlines()[:-1]:
+        _, op, *ops = line.split()
+        nodes.append(("IN" if op == "INPUT" else op,
+                      *(int(tok.lstrip("v")) for tok in ops)))
+    return nodes
+
+
 @pytest.mark.parametrize("m,sample", [(2, None), (3, 60)],
                          ids=["width-2 every entry", "width-3 sampled"])
 def test_a_single_damaged_entry_leaves_every_record_faithful(m, sample):
@@ -751,14 +819,12 @@ def test_a_single_damaged_entry_leaves_every_record_faithful(m, sample):
         c = parse_circuit(text)
         # the damaged block keeps no record of its width at its start
         assert (p, width) not in [(q, w) for q, w, _ in c.stamps]
-        # every recorded block's stored columns are the ones its record gives
-        for q, w, wires in c.stamps:
-            end = q + len(circuit._min_block(w).kinds)
-            assert (c.a[q:end], c.b[q:end]) == circuit._block_columns(
-                w, q, wires), (text, q)
-        # and both lane policies give the stored entries' truth table
+        # every recorded block's derived columns are the ones its lines
+        # hold: the columns of the text's vertex tuples
+        bare = Circuit(c.arity, line_nodes(text), c.outputs)
+        assert (c.kinds, *derived(c)) == (bare.kinds, bare.a, bare.b), text
+        # and both lane policies give those entries' truth table
         lanes, full = input_lanes(c.arity), (1 << (1 << c.arity)) - 1
-        bare = Circuit._from_columns(c.arity, c.kinds, c.a, c.b, c.outputs, ())
         plain = bare._pass(lanes, full, blocks=())
         assert c._pass(lanes, full, blocks=()) == plain
         assert c.output_masks() == plain, text
@@ -768,36 +834,33 @@ def test_a_single_damaged_entry_leaves_every_record_faithful(m, sample):
 
 def test_built_circuits_are_evaluated_from_their_record():
     circuits = _ell3_circuits()
-    # written text's blocks are all read whole, so its record is the
-    # blocks the reader took, and no columns are scanned
+    # written text's blocks are all read whole, and they are its record
     f1 = circuits["irr f1"]
     text = write_circuit(f1)
-    spy = mock.patch.object(circuit, "_stamp_wires",
-                            side_effect=circuit._stamp_wires)
-    with spy as scan:
-        parsed = parse_circuit(text)
-    assert scan.call_count == 0
-    assert parsed.stamps == f1.stamps
-    # a comment inside one block sends its lines through the line loop;
-    # the scan then finds that block, and only that one, in its columns
+    parsed, whole = read_whole(lambda: parse_circuit(text))
+    assert parsed.stamps == f1.stamps and whole == len(f1.stamps)
+    # a comment inside one block sends its lines through the line loop,
+    # and that block alone is left out of the record
     p, m, _ = f1.stamps[len(f1.stamps) // 2]
     at = text.index(f"\nv{p + 5} ") + 1
-    with spy as scan:
-        commented = parse_circuit(text[:at] + "# inside a block\n" + text[at:])
-    assert [c.args[2:] for c in scan.call_args_list] == [(p, m)]
-    assert commented.stamps == f1.stamps
-    scan = mock.patch.object(circuit, "_stamp_wires",
-                             side_effect=AssertionError("columns scanned"))
-    with scan:
+    commented = parse_circuit(text[:at] + "# inside a block\n" + text[at:])
+    assert commented.stamps == tuple(s for s in f1.stamps if s[0] != p)
+    # the lane passes run each recorded block through the comparator and
+    # derive no block's columns; the commented block runs as plain gates
+    derive = mock.patch.object(circuit, "_block_columns",
+                               side_effect=AssertionError("columns derived"))
+    with derive:
         f3 = circuits["irr f3"].output_masks()
-        f1 = circuits["irr f1"].output_masks()
-        assert parsed.output_masks() == f1
-    assert f3 == unrecorded(circuits["irr f3"]).output_masks()
+        masks = f1.output_masks()
+        assert parsed.output_masks() == masks
+        assert commented.output_masks() == masks
+    assert f3 == parse_circuit(write_circuit(circuits["irr f3"])).output_masks()
 
 
-def test_a_block_cut_by_a_piece_is_left_to_the_scan():
-    # a piece that ends inside a block, as read_text's pieces may: the
-    # block is read at no narrower width, and the scan finds it whole
+def test_a_block_cut_by_a_piece_is_carried_into_the_next():
+    # a piece that ends inside a block, as read_text's pieces may, after
+    # its first line or deep inside: the block's lines are read with the
+    # next piece, and every block is made once, at its width, and recorded
     f1 = _ell3_circuits()["irr f1"]
     text = write_circuit(f1)
     p, m, _ = f1.stamps[len(f1.stamps) // 2]
@@ -810,12 +873,9 @@ def test_a_block_cut_by_a_piece_is_left_to_the_scan():
             made.append(width)
             return form(width, start, wires)
 
-        with mock.patch.object(circuit, "_stamp_text", stamp_text), \
-                mock.patch.object(circuit, "_stamp_wires",
-                                  side_effect=circuit._stamp_wires) as scan:
+        with mock.patch.object(circuit, "_stamp_text", stamp_text):
             parsed = parse_circuit(iter([text[:cut], text[cut:]]))
-        assert made == [m] * (len(f1.stamps) - 1)
-        assert [c.args[2:] for c in scan.call_args_list] == [(p, m)]
+        assert made == [m] * len(f1.stamps)
         assert parsed.stamps == f1.stamps
 
 

@@ -340,9 +340,10 @@ def spelled(m):
 
 @st.composite
 def stamped_texts(draw):
-    """(text lines, the line breaks, the pieces, a parse block size, the
-    kind of damage) for a Builder circuit that mixes plain gates with
-    min_word stamps of widths 2 to 6, damaged inside a block or not."""
+    """(text, the pieces, a parse block size, the kind of damage, the
+    undamaged text in pieces cut before the same lines, the Builder's
+    record) for a Builder circuit that mixes plain gates with min_word
+    stamps of widths 2 to 6, damaged inside a block or not."""
     r = draw(st.integers(1, 4))
     b = C.Builder(r)
     wires = list(range(r))
@@ -357,6 +358,7 @@ def stamped_texts(draw):
         wires += b.min_word(xs, ys)
     c = b.build(draw(st.sampled_from(wires)))
     lines = C.write_circuit(c).splitlines()
+    clean = [s + "\n" for s in lines]
     breaks = ["\n"] * len(lines)
     damage = draw(st.sampled_from(["none", "digit", "wire", "drop", "copy",
                                    "crlf", "comment", "line", "spell"]))
@@ -396,40 +398,44 @@ def stamped_texts(draw):
     ends = [len("".join(map(str.__add__, lines[:k], breaks[:k]))) for k in cuts]
     pieces = [text[lo:hi] for lo, hi in zip([0] + ends, ends + [len(text)])]
     block = draw(st.sampled_from([4, 64, 256, C.BLOCK_VERTICES]))
-    return text, pieces, block, damage
+    cuts = sorted({min(k, len(clean) - 1) for k in cuts})
+    whole = ["".join(clean[lo:hi]) for lo, hi in zip([0] + cuts, cuts + [None])]
+    return text, pieces, block, damage, whole, c.stamps
 
 
-def raw_outcome(read):
-    """The stored columns, outputs and record of the circuit read() gives,
-    or its error's class, text and line number."""
-    try:
-        c = read()
-    except C.CircuitParseError as e:
-        return type(e).__name__, str(e), e.lineno
-    return c.kinds, c.a, c.b, c.outputs, c.stamps
+def prefixes(stamps) -> list:
+    """Each stamp (p, m, wires) and its prefixes at p: the width-w block
+    over the first w wires of each word, for w from 2 to m."""
+    return [(p, w, wires[:w] + wires[m:m + w])
+            for p, m, wires in stamps for w in range(2, m + 1)]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(stamped_texts())
 def test_stamped_blocks_read_whole_give_the_line_loop_outcome(case):
     """Text with stamped blocks, whole or damaged, in one piece or cut
-    inside a block, reads as the line loop reads it; read whole, each
-    undamaged stamp is read as a block's text and written back the same."""
-    text, pieces, block, damage = case
-    real, whole = C._TextReader.stamp, []
+    inside a block, reads as the line loop reads it: the same error, or
+    the same columns as the readers of block interiors see them.  Each
+    recorded block is a Builder's stamp, or its prefix at its start; at
+    the default block size, the undamaged text in the same pieces records
+    exactly the Builder's stamps, and is written back the same."""
+    text, pieces, block, damage, whole, stamps = case
+    parsed = []
 
-    def stamp(rd, *args):
-        whole.append(real(rd, *args))
-        return whole[-1]
+    def parse():
+        parsed.append(C.parse_circuit(iter(pieces)))
+        return parsed[-1]
 
-    with mock.patch.object(C, "BLOCK_VERTICES", block), \
-            mock.patch.object(C._TextReader, "stamp", stamp):
-        got = raw_outcome(lambda: C.parse_circuit(iter(pieces)))
-    assert got == raw_outcome(lambda: reference(text.splitlines()))
-    if damage == "none":
-        assert C.write_circuit(C.parse_circuit(text)) == text
-        if len(pieces) == 1 and block == C.BLOCK_VERTICES:
-            assert sum(map(bool, whole)) == len(got[4])
+    with mock.patch.object(C, "BLOCK_VERTICES", block):
+        got = outcome(parse)
+    assert got == outcome(lambda: reference(text.splitlines()))
+    for c in parsed:
+        assert all(blk in prefixes(stamps) for blk in c.stamps), c.stamps
+        if damage == "none":
+            assert C.write_circuit(c) == text
+    c = C.parse_circuit(iter(whole))
+    assert c.stamps == stamps
+    assert C.write_circuit(c) == "".join(whole)
 
 
 def test_head_spelling_comments_cost_one_guess_and_one_missed_line_per_piece(
@@ -443,9 +449,9 @@ def test_head_spelling_comments_cost_one_guess_and_one_missed_line_per_piece(
     pieces, guesses, misses = [], [], []
     read, guess, line_start = C._TextReader.read, C._guess_stamps, C._line_start
 
-    def read_piece(rd, text, pos):
+    def read_piece(rd, text, pos, final):
         pieces.append(len(text))
-        read(rd, text, pos)
+        return read(rd, text, pos, final)
 
     def guess_stamps(*args):
         guesses.append(args[1])
@@ -484,6 +490,87 @@ def test_a_comment_spelling_a_wide_block_builds_no_wide_template():
         c = C.parse_circuit(f"v0 INPUT 0\n# {spell}\nSINK v0\n")
     assert c.nodes == [(C.IN, 0)]
     assert max(widths) == 24 and len(real(24).kinds) > C.BLOCK_VERTICES
+
+
+def test_a_wide_block_builds_no_wide_template_and_records_its_prefix():
+    """The text of one width-144 min_word (3.1 MB, 137,569 vertices): the
+    guess widens its head only to width 23, the widest template of at most
+    BLOCK_VERTICES gates, and the reader records that prefix of the block
+    and reads the rest in runs.  A reader that built every template up to
+    the block's width and one past it took seconds here."""
+    b = C.Builder(288)
+    c = b.build(b.or_chain(b.min_word(range(144), range(144, 288))))
+    text = C.write_circuit(c)
+    widths, real = [], C._min_block
+
+    def min_block(m):
+        widths.append(m)
+        return real(m)
+
+    with mock.patch.object(C, "_min_block", min_block):
+        back = C.parse_circuit(text)
+    assert max(widths) == 24
+    assert [(p, m) for p, m, _ in back.stamps] == [(288, 23)]
+    assert columns(back) == columns(c)
+    assert C.write_circuit(back) == text
+
+
+def test_a_carried_block_is_held_no_further_than_a_block_reaches(tmp_path):
+    """A width-2 head's first 31 lines, then 2 MB of comment lines that
+    spell no kind, read in 16 KiB pieces: the piece that ends after the
+    head carries the lines from the head on into the next, and so on only
+    while they fit what a block's lines can reach (_reach at
+    BLOCK_VERTICES gates); then they are read in runs.  So no text the
+    reader gets is longer than one read and that bound."""
+    b = C.Builder(4)
+    c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))
+    (p, _, _), = c.stamps
+    lines = C.write_circuit(c).splitlines(keepends=True)
+    comments = ["# 0123456789\n"] * ((2 << 20) // 13)
+    path = write_bytes(tmp_path, "carry.ckt", "".join(
+        lines[:p + 31] + comments + lines[p + 31:]).encode())
+    size, read, texts = 1 << 14, C._TextReader.read, []
+
+    def read_piece(rd, text, pos, final):
+        texts.append(len(text))
+        return read(rd, text, pos, final)
+
+    with mock.patch.object(C, "_READ_BYTES", size), \
+            mock.patch.object(C._TextReader, "read", read_piece):
+        back = C.parse_circuit(C.read_text(path))
+    assert columns(back) == columns(c)
+    assert len(texts) > 100
+    assert max(texts) <= size + C._reach(p, C.BLOCK_VERTICES)
+
+
+def test_a_parse_error_in_a_carried_block_comes_before_bad_utf8(tmp_path):
+    """A damaged line inside a block that a piece's end cuts, and bytes
+    that are not UTF-8 in the next piece: the carried lines are read before
+    the next piece's error is raised, so the parse error of the earlier
+    piece is reported first, as when the block is read with its piece."""
+    b = C.Builder(6)
+    c = b.build(b.or_chain(b.min_word([0, 1, 2], [3, 4, 5])))
+    (p, _, _), = c.stamps
+    lines = C.write_circuit(c).splitlines(keepends=True)
+    k = p + 40          # an AND line, past the width-2 head, given a forward wire
+    assert " AND " in lines[k]
+    lines[k] = lines[k].rsplit(" ", 1)[0] + f" v{k + 9}\n"
+    first = "".join(lines[:p + 45]).encode()
+    path = write_bytes(tmp_path, "bad.ckt", first + b"# \xff\n"
+                       + "".join(lines[p + 45:]).encode())
+    read, carried = C._TextReader.read, []
+
+    def read_piece(rd, text, pos, final):
+        got = read(rd, text, pos, final)
+        carried.append(rd.carry)
+        return got
+
+    with mock.patch.object(C, "_READ_BYTES", len(first)), \
+            mock.patch.object(C._TextReader, "read", read_piece), \
+            pytest.raises(C.CircuitParseError) as info:
+        C.parse_circuit(C.read_text(path))
+    assert str(info.value) == f"line {k + 1}: forward reference to v{k + 9}"
+    assert carried == ["".join(lines[p:p + 45])]
 
 
 def test_a_block_s_wires_are_looked_for_within_its_own_lines():
