@@ -179,11 +179,66 @@ def alg2_f3_semantic(ell: int, f2_tt: TruthTable):
 
 
 @lru_cache(maxsize=None)
-def _p0_orbits(ell: int) -> tuple:
-    """(ids, seeds) of one sweep of the linear register of p0 at ell: each
-    2*ell-bit state's orbit index, and each orbit's least state."""
-    seeds, _, ids = state_cycles(lfsr_of(LfsrFamily.for_ell(ell).p0))
-    return ids, seeds
+def _family_orbits(p: GF2Poly, span: int) -> tuple:
+    """(ids, seeds, bits) of one sweep of the linear register of p, a
+    family polynomial (fsr.orbits): each state's orbit index, each orbit's
+    least state, and the low bits of its states from that seed on.  The
+    toggle tables read a walk of span steps as the whole of its orbit, so
+    a period that does not divide span raises InvariantError."""
+    seeds, bits, ids = state_cycles(lfsr_of(p))
+    if any(span % len(b) for b in bits):
+        raise InvariantError(f"a period of {p} does not divide {span}")
+    return ids, seeds, bits
+
+
+@lru_cache(maxsize=None)
+def _alg1_orbit_marks(ell: int) -> tuple:
+    """(marks, ret_states) for _alg1_f3_table at ell: its f0-free part, as
+    bytes over the (4*ell - 1)-bit windows, and (s, seed window) for each
+    state s whose p2 period divides 3*ell."""
+    ids, seeds, bits = _family_orbits(LfsrFamily.for_ell(ell).p2, 6 * ell)
+    m = 4 * ell
+    ret = [3 * ell % len(b) == 0 for b in bits]
+    # orbits holding a u whose conjugate u ^ 1 is a non-ret orbit's seed
+    flagged = {ids[t ^ 1] for t, r in zip(seeds, ret) if not r}
+    marks = bytearray(1 << (m - 1))
+    for i, t in enumerate(seeds):
+        if ret[i]:
+            continue
+        states = [t]
+        if ret[ids[t ^ 1]] and i not in flagged:
+            # the state ell steps before the seed, read off the orbit's bits
+            b, period = bits[i], len(bits[i])
+            k = -ell % period
+            states.append(sum(b[(k + j) % period] << j for j in range(m)))
+        for s in states:
+            if not ret[ids[s ^ 1]]:
+                marks[s >> 1] = 1
+    return bytes(marks), [(s, seeds[i] >> 1) for s, i in enumerate(ids)
+                          if ret[i]]
+
+
+def _alg1_f3_table(ell: int, f0_tt: TruthTable) -> bytes:
+    """alg1_f3_semantic's table over all (4*ell - 1)-bit windows, from the
+    p2 orbits.
+
+    p2 = p0^2, so every p2 period divides 6*ell and the walks from 2x and
+    2x + 1 are their whole orbits.  Call s ret when its period divides
+    3*ell.  Then f3(x) is 1 exactly when, for some s in {2x, 2x + 1}:
+    (a) s is ret, its orbit's least state, and f0 is 1 on a state of its
+    orbit; or (b) neither 2x nor 2x + 1 is ret, and s is its orbit's least
+    state t, or lies ell steps before t when t ^ 1 is ret and no state u
+    of the orbit has u ^ 1 the least state of a non-ret orbit.  Part (b)
+    does not read f0 and is made once per ell (_alg1_orbit_marks); each
+    table adds the seeds of the ret orbits f0 hits."""
+    marks, ret_states = _alg1_orbit_marks(ell)
+    shift_r = 4 * ell - f0_tt.arity
+    f0b = mask_to_bits(f0_tt.mask, 1 << f0_tt.arity)
+    table = bytearray(marks)
+    for s, x in ret_states:
+        if f0b[s >> shift_r]:
+            table[x] = 1
+    return bytes(table)
 
 
 def _alg2_f3_table(ell: int, f2_tt: TruthTable) -> bytes:
@@ -195,7 +250,7 @@ def _alg2_f3_table(ell: int, f2_tt: TruthTable) -> bytes:
     1 on some state of the orbit.  The map x -> u is a linear bijection of
     the windows, with x_i = x_0 ^ u_1 ^ ... ^ u_i, so the table is 1 at
     the preimages of the hit orbits' seeds and 0 elsewhere."""
-    ids, seeds = _p0_orbits(ell)
+    ids, seeds, _ = _family_orbits(LfsrFamily.for_ell(ell).p0, 3 * ell)
     m2 = 2 * ell
     shift_r = m2 - f2_tt.arity
     hit = bytearray(len(seeds))     # hit[i]: f2 is 1 on a state of orbit i
@@ -369,10 +424,11 @@ class ReductionInstance:
     first time it is read and kept.
 
     fsr and f3_table come from one tabulation of the toggle field, as
-    bytes: window by window off f3_semantic for "irr", and off the p0
-    orbits (_alg2_f3_table) for "dec".  f3_table is that table as a
-    tuple, made when read; a stage above STATE_BOUND has neither (both
-    read None).  f3_circuit is the gate-level toggle field, and
+    bytes, read off the family orbits: the p2 orbits (_alg1_f3_table) for
+    "irr" and the p0 orbits (_alg2_f3_table) for "dec"; f3_semantic,
+    which walks window by window, is not called.  f3_table is that table
+    as a tuple, made when read; a stage above STATE_BOUND has neither
+    (both read None).  f3_circuit is the gate-level toggle field, and
     size_report reads the feedback circuit's size off it; above
     IRR_CIRCUIT_ELL_BOUND the irreducibility form refuses both on each
     read, before any gate is built.  The feedback circuit itself is made
@@ -399,8 +455,7 @@ class ReductionInstance:
         if self.kind == "dec":
             f3_tab = _alg2_f3_table(self.ell, self.f2_table)
         else:
-            f3_tab = bytes(map(self.f3_semantic,
-                               range(1 << (self.stage - 1))))
+            f3_tab = _alg1_f3_table(self.ell, self.f0.truth_table())
         return _toggled_linear(self.poly, f3_tab), f3_tab
 
     @property

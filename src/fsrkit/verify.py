@@ -187,17 +187,27 @@ def sample_circuits(r: int, count: int, seed: int) -> list:
     return out
 
 
+#: the largest sample a suite takes.  sample_circuits holds every circuit
+#: before the first is decided: 10,000 at r = 6 take about 1 s and 7 MB to
+#: make, and biconditional-irr decides them in about 20 s (2-vCPU guest,
+#: CPython 3.11.7)
+MAX_SAMPLE_COUNT = 10_000
+
+
 def population(r: int, count: int, seed: int) -> list:
     """The suites' inputs: every r-input circuit for r <= 2, else a sample.
     r and count are checked before any 2^r work: past 2 *
     EXHAUSTIVE_ELL_BOUND the builders give a stage-19 register the oracles
-    refuse and a stage-36 instance with no register, and a sample slice to
-    a negative count would drop circuits from its end."""
+    refuse and a stage-36 instance with no register, a sample slice to
+    a negative count would drop circuits from its end, and a count past
+    MAX_SAMPLE_COUNT would fill memory before any output."""
     r_max = 2 * reduction.EXHAUSTIVE_ELL_BOUND
     if not 1 <= r <= r_max:
         raise ValueError(f"input count r={r} is outside 1..{r_max}")
     if count < 1:
         raise ValueError(f"circuit count {count} is below 1")
+    if count > MAX_SAMPLE_COUNT:
+        raise ValueError(f"circuit count {count} is above {MAX_SAMPLE_COUNT}")
     return all_small_circuits(r) if r <= 2 else sample_circuits(r, count, seed)
 
 

@@ -25,7 +25,7 @@ KEPT = {
     "gadget_equal": "the size tests read the paper's 6m-gate equality from it",
     "realizable_as_fsr": "the tests' reference form of cycle-set realizability",
     "simulate_cascade": "the oracle that cycle_structure of a product is checked against",
-    "poly_is_irreducible": "ROADMAP item 6 (lfsr.factor) replaces it with a factorization",
+    "poly_is_irreducible": "ROADMAP item 7 (lfsr.factor) replaces it with a factorization",
     "rho": "the paper's representative map, checked against its per-state form",
     "d_set": "the paper's deferred set D, checked against its per-state form",
 }

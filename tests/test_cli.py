@@ -9,7 +9,7 @@ import time
 import pytest
 
 import fsrkit
-from fsrkit import analysis, reduction
+from fsrkit import analysis, reduction, verify
 from fsrkit.cli import main
 from fsrkit.circuit import Builder, Circuit, from_bits, write_circuit
 from fsrkit.fsr import Fsr, InvariantError, fsr_pieces, parse_fsr
@@ -516,3 +516,21 @@ def test_emitted_files_reparse(workdir):
     circ = from_bits([0, 1, 1, 0])
     from fsrkit.circuit import parse_circuit
     assert parse_circuit(write_circuit(circ)).truth_table() == circ.truth_table()
+
+
+@pytest.mark.parametrize("suite", ["biconditional-irr", "biconditional-dec"])
+def test_verify_count_above_the_bound_exit_2(capsys, monkeypatch, suite):
+    # the sample is held whole before the first circuit is decided, so a
+    # count past the bound is refused before any circuit is made
+    def sample(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(verify, "sample_circuits", sample)
+    for count in (verify.MAX_SAMPLE_COUNT + 1, 100_000_000_000):
+        for r in ("2", "6"):
+            assert main(["verify", suite, "--r", r,
+                         "--count", str(count)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"error: circuit count {count} is above "
+                f"{verify.MAX_SAMPLE_COUNT}\n")

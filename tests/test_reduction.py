@@ -513,6 +513,56 @@ def test_alg2_orbit_table_equals_the_semantic_field():
             map(sem, range(1 << (2 * ell)))), (ell, f2)
 
 
+def test_alg1_orbit_table_equals_the_semantic_field():
+    # the irr table read off the p2 orbits is the per-window walk's on all
+    # windows: every one- and two-input table at ell = 1, and at ell = 3
+    # every single witness at r = 6, both constants at r = 3..6 and
+    # sampled r = 3..6 tables, sparse to dense
+    cases = [(1, C.TruthTable(r, mask))
+             for r in (1, 2) for mask in range(1 << (1 << r))]
+    cases += [(3, C.TruthTable(6, 1 << w)) for w in range(64)]
+    rng = random.Random(41)
+    for r in (3, 4, 5, 6):
+        cases += [(3, C.TruthTable(r, 0)),
+                  (3, C.TruthTable(r, (1 << (1 << r)) - 1))]
+        for density in (0.02, 0.1, 0.5, 0.9):
+            bits = [int(rng.random() < density) for _ in range(1 << r)]
+            cases.append((3, C.TruthTable.from_bits(bits)))
+    for ell, f0_tt in cases:
+        sem = R.alg1_f3_semantic(ell, f0_tt)
+        assert R._alg1_f3_table(ell, f0_tt) == bytes(
+            map(sem, range(1 << (4 * ell - 1)))), (ell, f0_tt)
+
+
+def test_family_orbits_refuse_a_period_that_does_not_divide_the_span():
+    # the tables read a span-step walk as its whole orbit; p2 at ell = 1
+    # has periods 1, 3 and 6, so a span of 3 is refused, also under -O
+    p2 = L.LfsrFamily.for_ell(1).p2
+    with pytest.raises(F.InvariantError, match="does not divide 3"):
+        R._family_orbits(p2, 3)
+    assert sorted({len(b) for b in R._family_orbits(p2, 6)[2]}) == [1, 3, 6]
+
+
+@pytest.mark.parametrize("build", [R.build_irreducibility_fsr,
+                                   R.build_indecomposability_fsr])
+@pytest.mark.parametrize("r", [2, 6])
+def test_tables_are_not_walked_window_by_window(build, r):
+    # both toggle tables come from the family orbits: reading the register
+    # and its table calls the semantic field on no window
+    inst = build(C.from_bits([int(i % 3 == 1) for i in range(1 << r)]))
+    calls = [0]
+    sem = inst.f3_semantic
+
+    def counted(x):
+        calls[0] += 1
+        return sem(x)
+
+    inst.f3_semantic = counted
+    assert inst.fsr is not None and inst.f3_table is not None
+    assert calls[0] == 0
+    assert inst.f3_table == tuple(map(sem, range(1 << (inst.stage - 1))))
+
+
 @pytest.mark.parametrize("ell,maps_ell", [(3, 1), (1, 3)])
 def test_alg2_reference_refuses_maps_of_another_ell(ell, maps_ell):
     f2 = R.f2_table(C.TruthTable.from_bits([0, 1, 1, 0]))
