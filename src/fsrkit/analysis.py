@@ -120,8 +120,7 @@ def _top_colouring(ids, k: int, half: int):
             parent[i], parity[i], i, q = j, q, parent[i], q ^ parity[i]
         return j, p
 
-    view = memoryview(ids)
-    for a, b in zip(view[:half], view[half:]):
+    for a, b in zip(ids[:half], ids[half:]):
         if a == b:
             return None
         (ra, pa), (rb, pb) = find(a), find(b)
@@ -156,7 +155,7 @@ def _top_subfsrs(orbits, ids, m: int):
     cycles = [Cycle(b) for b in orbits]
     first = min(range(len(cycles)),
                 key=lambda i: (-cycles[i].period, cycles[i].bits))
-    top = bytes(map(colour.__getitem__, memoryview(ids)[half:]))
+    top = bytes(map(colour.__getitem__, ids[half:]))
     for taken in (colour[first], colour[first] ^ 1):
         yield SubFsr(stage=m,
                      cycles=frozenset(c for c, x in zip(cycles, colour)

@@ -116,8 +116,8 @@ class TruthTable:
             raise IndexError(j)
         return (self.mask >> j) & 1
 
-    def bits(self) -> list:
-        return list(mask_to_bits(self.mask, 1 << self.arity))
+    def bits(self) -> bytes:
+        return mask_to_bits(self.mask, 1 << self.arity)
 
     def __eq__(self, other):
         if not isinstance(other, TruthTable):
@@ -128,7 +128,7 @@ class TruthTable:
         return hash((self.arity, self.mask))
 
     def __repr__(self):
-        return f"TruthTable.from_bits({self.bits()})"
+        return f"TruthTable.from_bits({list(self.bits())})"
 
 
 def input_lanes(r: int) -> list:
@@ -876,7 +876,7 @@ def from_truth_table(t: TruthTable) -> Circuit:
     r = t.arity
     b = Builder(r)
     terms = []
-    for v in compress(range(1 << r), mask_to_bits(t.mask, 1 << r)):
+    for v in compress(range(1 << r), t.bits()):
         lits = [(i if (v >> i) & 1 else b.NOT(i)) for i in range(r)]
         terms.append(b.and_chain(lits))
     if not terms:

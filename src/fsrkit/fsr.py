@@ -14,8 +14,8 @@ Every orbit walk in the package goes through `orbits`, which splits a
 permutation of range(n) into its orbits and keeps, per orbit, its least
 state and the low bit of each of its states in turn (the orbit's output
 cycle), and per state the index of its orbit.  `state_cycles` is that
-walk over a nonsingular register's state map; the proof-side maps of both
-reductions read their orbits from it.
+walk over a nonsingular register's state map, kept on the register, which
+the oracles and the proof-side maps of both reductions read.
 """
 
 from __future__ import annotations
@@ -185,10 +185,11 @@ class Fsr:
     checked here; a register text's feedback circuit is tabulated when it
     is read (parse_fsr).  No stage above STATE_BOUND has a table, so none
     has a register: it is refused here before 2^stage is computed.
-    Nothing here mutates a register after construction.
+    Nothing here changes a stage or table after construction; the walk
+    state_cycles keeps is the one slot written later; == and hash ignore it.
     """
 
-    __slots__ = ("stage", "table")
+    __slots__ = ("stage", "table", "_orbits")
 
     def __init__(self, stage: int, table):
         if stage < 1:
@@ -271,10 +272,7 @@ def orbits(succ, n: int) -> tuple:
     return seeds, bits, ids
 
 
-def state_cycles(f: Fsr) -> tuple:
-    """`orbits` over a nonsingular register's state map: (seeds, bits, ids).
-    Each orbit's states are exactly the stage-windows of its cycle, and
-    seeds[i] is the least of them."""
+def _register_orbits(f: Fsr) -> tuple:
     if not is_nonsingular(f):
         raise ValueError("singular register has no cycle partition")
     tbl = f.table
@@ -282,9 +280,22 @@ def state_cycles(f: Fsr) -> tuple:
     return orbits(lambda s: (s >> 1) | (tbl[s] << top), 1 << f.stage)
 
 
+def state_cycles(f: Fsr) -> tuple:
+    """`orbits` over a nonsingular register's state map, kept on f by the
+    first call and returned by every later one: seeds and bits as tuples,
+    ids as a read-only memoryview.  Each orbit's states are exactly the
+    stage-windows of its cycle, and seeds[i] is the least of them."""
+    if not hasattr(f, "_orbits"):
+        seeds, bits, ids = _register_orbits(f)
+        f._orbits = tuple(seeds), tuple(bits), memoryview(ids).toreadonly()
+    return f._orbits
+
+
 def cycle_structure(f: Fsr) -> CycleStructure:
-    """Partition all 2^n states of a nonsingular register into cycles."""
-    return CycleStructure(map(Cycle, state_cycles(f)[1]))
+    """Partition all 2^n states of a nonsingular register into cycles, by
+    the walk state_cycles kept on f, or else by one that is not kept."""
+    bits = (getattr(f, "_orbits", None) or _register_orbits(f))[1]
+    return CycleStructure(map(Cycle, bits))
 
 
 # ---------------------------------------------------------------------------

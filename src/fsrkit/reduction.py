@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 
-from .bitvec import mask_to_bits, prefix_xor
+from .bitvec import prefix_xor
 from .circuit import STATE_BOUND, Builder, Circuit, TruthTable
 from .fsr import (Cycle, CycleStructure, Fsr, InvariantError, is_nonsingular,
                   state_cycles)
@@ -118,7 +118,7 @@ def alg1_f3_semantic(ell: int, f0_tt: TruthTable):
     span = 6 * ell
     half = 3 * ell
     L = linear_step(LfsrFamily.for_ell(ell).p2)
-    f0b = mask_to_bits(f0_tt.mask, 1 << r)
+    f0b = f0_tt.bits()
 
     def orbit_flag(s):
         # the c/d test for the conjugate of chain state s
@@ -162,14 +162,11 @@ def alg2_f3_semantic(ell: int, f2_tt: TruthTable):
     m2 = 2 * ell
     shift_r = m2 - r
     span = 3 * ell
-    f2b = mask_to_bits(f2_tt.mask, 1 << r)
+    f2b = f2_tt.bits()
     low = (1 << (m2 - 1)) - 1
-    L = None    # the p0 step (linear_step), made at the first call
+    L = linear_step(LfsrFamily.for_ell(ell).p0)
 
     def f3(x: int) -> int:
-        nonlocal L
-        if L is None:
-            L = linear_step(LfsrFamily.for_ell(ell).p0)
         u = ((x >> (m2 - 1)) ^ (x >> (ell - 1)) ^ x) & 1
         u |= ((x ^ (x >> 1)) & low) << 1
         c = _walk(L, u, span)[1:]
@@ -233,7 +230,7 @@ def _alg1_f3_table(ell: int, f0_tt: TruthTable) -> bytes:
     table adds the seeds of the ret orbits f0 hits."""
     marks, ret_states = _alg1_orbit_marks(ell)
     shift_r = 4 * ell - f0_tt.arity
-    f0b = mask_to_bits(f0_tt.mask, 1 << f0_tt.arity)
+    f0b = f0_tt.bits()
     table = bytearray(marks)
     for s, x in ret_states:
         if f0b[s >> shift_r]:
@@ -254,7 +251,7 @@ def _alg2_f3_table(ell: int, f2_tt: TruthTable) -> bytes:
     m2 = 2 * ell
     shift_r = m2 - f2_tt.arity
     hit = bytearray(len(seeds))     # hit[i]: f2 is 1 on a state of orbit i
-    f2b = mask_to_bits(f2_tt.mask, 1 << f2_tt.arity)
+    f2b = f2_tt.bits()
     for w in compress(range(len(f2b)), f2b):
         for i in ids[w << shift_r:(w + 1) << shift_r]:
             hit[i] = 1
@@ -419,14 +416,14 @@ class SizeReport:
 
 @dataclass
 class ReductionInstance:
-    """One instance: its circuit, ell, family polynomial (whose degree is
-    the stage) and semantic toggle field, with each further part made the
-    first time it is read and kept.
+    """One instance of a kind, "irr" or "dec", over its circuit f0: r, k,
+    ell, the family polynomial poly (p2 or p1) and its degree, the stage,
+    are worked out here, and every further part when first read, and kept.
 
     fsr and f3_table come from one tabulation of the toggle field, as
     bytes, read off the family orbits: the p2 orbits (_alg1_f3_table) for
     "irr" and the p0 orbits (_alg2_f3_table) for "dec"; f3_semantic,
-    which walks window by window, is not called.  f3_table is that table
+    which walks window by window, is not made.  f3_table is that table
     as a tuple, made when read; a stage above STATE_BOUND has neither
     (both read None).  f3_circuit is the gate-level toggle field, and
     size_report reads the feedback circuit's size off it; above
@@ -435,18 +432,28 @@ class ReductionInstance:
     anew on each feedback_circuit() call.
     """
 
-    kind: str             # "irr" or "dec"
+    kind: str
     f0: Circuit
-    r: int
-    k: int
-    ell: int
-    poly: GF2Poly         # the family polynomial: p2 for "irr", p1 for "dec"
-    f3_semantic: object   # int -> bit
-    f2_table: TruthTable | None = None
 
-    @property
-    def stage(self) -> int:
-        return self.poly.degree
+    def __post_init__(self):
+        self.r = self.f0.arity
+        self.k, self.ell = ell_for(self.r)
+        fam = LfsrFamily.for_ell(self.ell)
+        # an unknown kind raises KeyError
+        self.poly = {"irr": fam.p2, "dec": fam.p1}[self.kind]
+        self.stage = self.poly.degree
+
+    @cached_property
+    def f2_table(self) -> TruthTable | None:
+        """The normalized table of f0 (f2_table) for "dec"; None for "irr"."""
+        return f2_table(self.f0.truth_table()) if self.kind == "dec" else None
+
+    @cached_property
+    def f3_semantic(self):
+        """The semantic toggle field, int -> bit (alg1's or alg2's)."""
+        if self.kind == "irr":
+            return alg1_f3_semantic(self.ell, self.f0.truth_table())
+        return alg2_f3_semantic(self.ell, self.f2_table)
 
     @cached_property
     def _toggled(self) -> tuple:
@@ -529,28 +536,16 @@ def _toggled_linear(p: GF2Poly, f3_tab: bytes) -> Fsr:
 
 def build_irreducibility_fsr(f0: Circuit) -> ReductionInstance:
     """The 4*ell-stage instance whose register is irreducible iff f0 is
-    satisfiable.  Only the semantic toggle field is made here; the
-    register, its table, the circuits and the size report are made when
-    first read (ReductionInstance)."""
-    k, ell = ell_for(f0.arity)
-    return ReductionInstance(
-        kind="irr", f0=f0, r=f0.arity, k=k, ell=ell,
-        poly=LfsrFamily.for_ell(ell).p2,
-        f3_semantic=alg1_f3_semantic(ell, f0.truth_table()))
+    satisfiable; its parts are made when first read (ReductionInstance)."""
+    return ReductionInstance("irr", f0)
 
 
 def build_indecomposability_fsr(f0: Circuit) -> ReductionInstance:
     """The (2*ell+1)-stage instance whose register is indecomposable iff
     f0 is satisfiable; on unsatisfiable inputs the register is exactly
-    the linear register of (x+1) * (x^(2*ell) + x^ell + 1).  Only the
-    normalized table f2_table and the semantic toggle field are made
-    here; the rest is made when first read (ReductionInstance)."""
-    k, ell = ell_for(f0.arity)
-    f2t = f2_table(f0.truth_table())
-    return ReductionInstance(
-        kind="dec", f0=f0, r=f0.arity, k=k, ell=ell,
-        poly=LfsrFamily.for_ell(ell).p1,
-        f3_semantic=alg2_f3_semantic(ell, f2t), f2_table=f2t)
+    the linear register of (x+1) * (x^(2*ell) + x^ell + 1).  Its parts are
+    made when first read (ReductionInstance)."""
+    return ReductionInstance("dec", f0)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +647,7 @@ def f3_reference_irr(ell: int, f0: Circuit, oracle: Alg1Oracle = None):
         raise ValueError("oracle built for a different ell")
     r = f0.arity
     m = 4 * ell
-    f0b = mask_to_bits(f0.truth_table().mask, 1 << r)
+    f0b = f0.truth_table().bits()
     shift_r = m - r
     cid_of = oracle._cycle_id
     rho = oracle._rho
@@ -689,8 +684,8 @@ class Alg2Maps:
 
     Like Alg1Oracle it makes each family register once and sweeps it at
     most once with state_cycles: the p0 sweep's orbit seeds, marked in a
-    bytearray, give lam, held as bytes, and the p1 sweep's orbit index of
-    each state is made when f3_reference_dec first reads it.  A stage
+    bytearray, give lam, held as bytes, and base is swept when
+    f3_reference_dec or a join graph first reads its orbits.  A stage
     above STATE_BOUND is refused, so ell = 9 (stage 19) is the largest
     built.
     """
@@ -716,11 +711,6 @@ class Alg2Maps:
             not (v ^ v >> ell ^ v >> 2 * ell) & 1
             and seed[(v ^ v >> 1) & mask] for v in range(1 << self.stage))
 
-    @cached_property
-    def _p1_id(self):
-        """Each state's p1 orbit index; only f3_reference_dec reads it."""
-        return state_cycles(self.base)[2]
-
     def pi_int(self, v: int) -> int:
         return (v ^ (v >> 1)) & self._pi_mask
 
@@ -742,10 +732,10 @@ def f3_reference_dec(ell: int, f2_tt: TruthTable, maps: Alg2Maps = None):
     if maps.ell != ell:
         raise ValueError("maps built for a different ell")
     m2 = 2 * ell
-    f2b = mask_to_bits(f2_tt.mask, 1 << f2_tt.arity)
+    f2b = f2_tt.bits()
     shift_r = m2 - f2_tt.arity
     mask = maps._pi_mask
-    ids = maps._p1_id
+    ids = state_cycles(maps.base)[2]
     hit = bytearray(len(ids))   # hit[i]: f2 is 1 at pi of a state of orbit i
     for v, i in enumerate(ids):
         if f2b[((v ^ v >> 1) & mask) >> shift_r]:

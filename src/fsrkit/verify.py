@@ -196,11 +196,11 @@ MAX_SAMPLE_COUNT = 10_000
 
 def population(r: int, count: int, seed: int) -> list:
     """The suites' inputs: every r-input circuit for r <= 2, else a sample.
-    r and count are checked before any 2^r work: past 2 *
-    EXHAUSTIVE_ELL_BOUND the builders give a stage-19 register the oracles
-    refuse and a stage-36 instance with no register, a sample slice to
-    a negative count would drop circuits from its end, and a count past
-    MAX_SAMPLE_COUNT would fill memory before any output."""
+    r and count are checked before any 2^r work: past 2 * EXHAUSTIVE_ELL_BOUND
+    the irr form has stage 36 and no register and sample_circuits, one AND
+    chain per witness, does not fit r = 18; a negative count would drop
+    circuits from the sample's end, and a count past MAX_SAMPLE_COUNT would
+    fill memory before any output."""
     r_max = 2 * reduction.EXHAUSTIVE_ELL_BOUND
     if not 1 <= r <= r_max:
         raise ValueError(f"input count r={r} is outside 1..{r_max}")

@@ -13,8 +13,8 @@ def test_evaluate_basic_gates():
     b = C.Builder(2)
     c = b.build(b.AND(0, 1))
     # input vector j has input i at bit i: (x0, x1) = 00, 10, 01, 11
-    assert c.truth_table().bits() == [0, 0, 0, 1]
-    assert C.gadget_xor().truth_table().bits() == [0, 1, 1, 0]
+    assert c.truth_table().bits() == bytes([0, 0, 0, 1])
+    assert C.gadget_xor().truth_table().bits() == bytes([0, 1, 1, 0])
 
 
 def test_evaluate_min2_on_integers_one_and_two():
@@ -126,14 +126,14 @@ def test_sat_bound():
 
 
 def test_truth_table_round_trip():
-    assert C.from_bits([0, 1]).truth_table().bits() == [0, 1]
-    assert C.from_bits([0, 0, 0, 0]).truth_table().bits() == [0, 0, 0, 0]
-    assert C.from_bits([0, 1, 1, 0]).truth_table().bits() == [0, 1, 1, 0]
+    assert C.from_bits([0, 1]).truth_table().bits() == bytes([0, 1])
+    assert C.from_bits([0, 0, 0, 0]).truth_table().bits() == bytes([0, 0, 0, 0])
+    assert C.from_bits([0, 1, 1, 0]).truth_table().bits() == bytes([0, 1, 1, 0])
     rng = random.Random(11)
     for r in range(1, 7):
         for _ in range(8):
             bits = [rng.randint(0, 1) for _ in range(1 << r)]
-            assert C.from_bits(bits).truth_table().bits() == bits
+            assert C.from_bits(bits).truth_table().bits() == bytes(bits)
 
 
 def test_builder_sharing_and_fresh():
@@ -171,7 +171,7 @@ def test_text_format_round_trip():
 def test_text_format_comments_and_errors():
     good = "# a comment\nv0 INPUT 0\nv1 NOT v0\nSINK v1\n"
     c = C.parse_circuit(good)
-    assert c.truth_table().bits() == [1, 0]
+    assert c.truth_table().bits() == bytes([1, 0])
 
     with pytest.raises(C.CircuitParseError) as e:
         C.parse_circuit("v0 INPUT 0\nv1 AND v0 v3\nSINK v1\n")

@@ -249,7 +249,7 @@ def test_state_cycles_indexes_the_register_orbits():
         n = rng.randint(1, 9)
         f = random_nonsingular(rng, n)
         seeds, bits, ids = F.state_cycles(f)
-        assert (seeds, bits, ids) == F.orbits(f.step_int, 1 << n)
+        assert (list(seeds), list(bits), ids) == F.orbits(f.step_int, 1 << n)
         assert len(ids) == 1 << n
         held = [[] for _ in seeds]
         for s, i in enumerate(ids):

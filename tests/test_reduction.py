@@ -1,12 +1,14 @@
 import functools
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsrkit import analysis as A
 from fsrkit import circuit as C
+from fsrkit import cli
 from fsrkit import fsr as F
 from fsrkit import lfsr as L
 from fsrkit import reduction as R
@@ -31,12 +33,12 @@ def test_ell_for():
 
 def test_f2_table_cases():
     # constant-0 input stays constant-0
-    assert R.f2_table(C.TruthTable.from_bits([0, 0])).bits() == [0, 0]
+    assert R.f2_table(C.TruthTable.from_bits([0, 0])).bits() == bytes([0, 0])
     # constant-1: zero input pinned to 0, all-ones stays 1
-    assert R.f2_table(C.TruthTable.from_bits([1, 1])).bits() == [0, 1]
+    assert R.f2_table(C.TruthTable.from_bits([1, 1])).bits() == bytes([0, 1])
     # negation: witness at the zero input moves to the all-ones input
-    assert R.f2_table(C.TruthTable.from_bits([1, 0])).bits() == [0, 1]
-    assert R.f2_table(C.TruthTable.from_bits([0, 1])).bits() == [0, 1]
+    assert R.f2_table(C.TruthTable.from_bits([1, 0])).bits() == bytes([0, 1])
+    assert R.f2_table(C.TruthTable.from_bits([0, 1])).bits() == bytes([0, 1])
 
 
 def test_f2_preserves_satisfiability():
@@ -72,6 +74,12 @@ def test_alg1_instance_shape():
     assert inst.stage == 4 and inst.ell == 1 and inst.k == 0
     assert F.is_nonsingular(inst.fsr)
     assert A.is_irreducible(inst.fsr)
+    # an instance is its kind and its circuit: the semantic field and the
+    # normalized table are made only when read
+    assert inst == R.ReductionInstance("irr", inst.f0)
+    assert "f3_semantic" not in vars(inst) and inst.f2_table is None
+    with pytest.raises(KeyError):
+        R.ReductionInstance("xor", inst.f0)
 
 
 def test_alg1_unsat_contains_base_subregister():
@@ -570,31 +578,85 @@ def test_alg2_reference_refuses_maps_of_another_ell(ell, maps_ell):
         R.f3_reference_dec(ell, f2, R.Alg2Maps(maps_ell))
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The register of each fsr.orbits walk that state_cycles or
+    cycle_structure makes, in order, read off the caller's frame; the
+    registers are held, so no id is reused."""
+    walked = []
+    orbits = F.orbits
+
+    def counting(succ, n):
+        f = sys._getframe(1).f_locals["f"]
+        assert isinstance(f, F.Fsr) and n == 1 << f.stage
+        walked.append(f)
+        return orbits(succ, n)
+
+    monkeypatch.setattr(F, "orbits", counting)
+    return walked
+
+
+def walked_twice(walked) -> list:
+    return [f for i, f in enumerate(walked)
+            if any(g is f for g in walked[:i])]
+
+
 @pytest.mark.parametrize("ell", [1, 3])
-def test_proof_side_makes_one_register_per_polynomial(ell, monkeypatch):
-    # Alg2Maps makes the p0 and p1 registers once each and keeps the p1
-    # one as base, sweeping p1 only when f3_reference_dec first reads its
-    # orbits; Alg1Oracle keeps the p2 register it sweeps
-    made, swept = [], []
-    init, sweep = F.Fsr.__init__, R.state_cycles
-
-    def counting_init(self, *args, **kwargs):
-        made.append(args)
-        init(self, *args, **kwargs)
-
-    def counting_sweep(f):
-        swept.append(f.stage)
-        return sweep(f)
-
-    monkeypatch.setattr(F.Fsr, "__init__", counting_init)
-    monkeypatch.setattr(R, "state_cycles", counting_sweep)
-    maps = R.Alg2Maps(ell)
-    assert len(made) == 2 and swept == [2 * ell]
-    f2 = R.f2_table(C.TruthTable.from_bits([0, 1, 1, 0]))
-    for _ in range(2):
-        R.f3_reference_dec(ell, f2, maps)
-    assert swept == [2 * ell, 2 * ell + 1]
+def test_each_register_is_walked_at_most_once(ell, walks, tmp_path, capsys):
+    # cycle_structure reads a kept walk but keeps none of its own, and the
+    # walk state_cycles keeps is read-only
     fam = L.LfsrFamily.for_ell(ell)
+    f = L.lfsr_of(fam.p1)
+    listing = F.cycle_structure(f)
+    assert len(walks) == 1
+    seeds, bits, ids = F.state_cycles(f)     # walks again: nothing was kept
+    assert len(walks) == 2
+    assert F.cycle_structure(f) == listing and F.state_cycles(f)[1] is bits
+    assert len(walks) == 2
+    assert type(seeds) is type(bits) is tuple
+    with pytest.raises(TypeError):
+        ids[0] = 1
+    assert f == L.lfsr_of(fam.p1) and hash(f) == hash((f.stage, f.table))
+
+    # every reader of a register object after its first walk reads the
+    # walk state_cycles kept on it: per CLI command and per suite, no
+    # register is walked twice
+    r = 2 * ell
+    f0 = C.from_bits([int(i == 1) for i in range(1 << r)])
+    irr, dec = tmp_path / "irr.fsr", tmp_path / "dec.fsr"
+    for path, build in ((irr, R.build_irreducibility_fsr),
+                        (dec, R.build_indecomposability_fsr)):
+        path.write_text("".join(F.fsr_pieces(build(f0).fsr)))
+    irr, dec = str(irr), str(dec)
+    commands = [["analyze", mode, irr]
+                for mode in ("irreducible", "cycles", "subfsr")]
+    commands += [["analyze", "decompose", dec, "--strategy", "guided"],
+                 ["graph", irr, f"p2@{ell}"], ["graph", dec, f"p1@{ell}"],
+                 ["verify", "lemma11", "--ell", str(ell)]]
+    per_command = []
+    for argv in commands:
+        del walks[:]
+        assert cli.main(argv) in (0, 1), argv
+        assert walked_twice(walks) == [], argv
+        per_command.append(len(walks))
+    capsys.readouterr()
+    # one register per analyze; the graphs walk the oracle's p2, or the
+    # p0 and p1 of the maps, and nothing more
+    assert per_command[:6] == [1, 1, 1, 1, 1, 2]
+
+    # the library path of a dec instance: the reference field and the
+    # join graph read one walk of the maps' base, the guided search and
+    # the join identity one walk of the register
+    del walks[:]
+    maps = R.Alg2Maps(ell)
+    inst = R.build_indecomposability_fsr(f0)
+    R.f3_reference_dec(ell, inst.f2_table, maps)
+    graph = A.cycle_join_graph(maps.base, inst.fsr, maps.lam_table())
+    assert graph.verify_join_identity()
+    assert not A.is_decomposable(inst.fsr, "guided").decomposable
+    assert walked_twice(walks) == []
+    assert any(g is maps.base for g in walks)
+    assert any(g is inst.fsr for g in walks)
     assert maps.base == L.lfsr_of(fam.p1)
     assert R.Alg1Oracle(ell).base == L.lfsr_of(fam.p2)
 
