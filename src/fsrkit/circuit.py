@@ -38,9 +38,9 @@ import json
 import re
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, islice
 from operator import getitem, itemgetter, lt
 
 from .bitvec import bits_to_mask, mask_to_bits
@@ -581,12 +581,200 @@ class Builder:
                         for p, m, wires in circ.stamps]
         return [o + by for o in circ.outputs]
 
+    def section(self, make) -> "Section":
+        """Run make(self), which adds gates and returns a list of wires,
+        and return its Section: the record of what it added, to be added
+        again to other builders that start as this one did (graft)."""
+        prefix = self._copy()
+        wires = list(make(self))
+        return Section(self, prefix, wires)
+
+    def graft(self, sec: "Section") -> list:
+        """Add the gates of ``sec`` as its maker (Builder.section) would
+        add them here, and return the ids of the wires it returned: the
+        columns, the record of stamps and the table end as they would.  The
+        builder must start with the section's prefix (Section.builder);
+        later vertices, made since, may follow it.
+
+        Only a candidate (Section) can equal a gate made since the prefix.
+        Each is looked up in the table in turn; a hit drops it, and its
+        readers read the hit.  Every other vertex moves up by the count of
+        vertices made since the prefix, less the candidates dropped before
+        it: the section's ids move by one big-integer add per run between
+        drops, into a table from which every operand and wire is read at
+        once.  The stamps keep zero operand entries.  ValueError, before
+        anything is added, unless the builder starts with the prefix's
+        columns and no moved id passes _INDEX_MAX."""
+        pre = sec.prefix
+        start = len(pre.kinds)
+        by = len(self.kinds) - start
+        if (by < 0 or self.kinds[:start] != pre.kinds
+                or self.a[:start] != pre.a or self.b[:start] != pre.b):
+            raise ValueError("a grafted section's prefix must start the "
+                             "builder")
+        if len(self.kinds) + sec.size - 1 > _INDEX_MAX:
+            raise ValueError(f"vertex ids past {_INDEX_MAX}")
+        cache = self._cache
+        cur = list(range(start))    # new ids: the prefix's, then candidates'
+        dropped = []
+        step = by
+        for i, g, op, x, y in zip(*sec.candidates):
+            hit = cache.get((op, cur[x], cur[y]))
+            if hit is None:
+                cur.append(g + step)
+            else:
+                cur.append(hit)
+                dropped.append((i, g, hit))
+                step -= 1
+        ids = memoryview(sec.ids)
+        table = array("I", range(start))
+        lo, step = 0, by
+        for _, g, _ in dropped:
+            hi = bisect_left(ids, g, lo)
+            table.frombytes(_moved(ids[lo:hi], step * _ones(hi - lo)))
+            lo, step = hi, step - 1
+        table.frombytes(_moved(ids[lo:], step * _ones(len(ids) - lo)))
+        keep = bytearray(b"\1") * len(sec.ops)
+        for i, g, hit in dropped:
+            table[start + bisect_left(ids, g)] = hit
+            keep[i] = 0
+        vals = array("I", sec.read(table.tolist()))
+        n = len(keep)
+        ops = bytes(compress(sec.ops, keep))
+        pos, xa, xb = (array("I", compress(vals[j * n:(j + 1) * n], keep))
+                       for j in range(3))
+        kept = [0, *accumulate(keep)]
+        # the kinds, in runs of kept plain gates and stamps' templates, and
+        # the stamps' record; the stamps keep zero operand entries
+        pieces, i, w, q = [], 0, 3 * n, len(self.kinds)
+        for j, m in zip(sec.ends, sec.widths):
+            j = kept[j]
+            pieces.append(ops[i:j])
+            q += j - i
+            i = j
+            block = _min_block(m).kinds
+            pieces.append(block)
+            self.stamps.append((q, m, vals[w:w + 2 * m]))
+            q += len(block)
+            w += 2 * m
+        pieces.append(ops[i:])
+        self.kinds += b"".join(pieces)
+        a, b = self.a, self.b
+        zeros = bytes(_INDEX_BYTES * (len(self.kinds) - len(a)))
+        a.frombytes(zeros)
+        b.frombytes(zeros)
+        del zeros
+        for q, x, y in zip(pos, xa, xb):
+            a[q] = x
+            b[q] = y
+        cache.update(compress(zip(zip(ops, xa, xb), pos),
+                              compress(sec.keyed, keep)))
+        return vals[w:].tolist()
+
+    def _copy(self) -> "Builder":
+        """A new Builder holding this one's columns, stamps and table."""
+        c = Builder.__new__(Builder)
+        c.arity = self.arity
+        c.kinds, c.a, c.b = self.kinds[:], self.a[:], self.b[:]
+        c.stamps = list(self.stamps)
+        c._cache = dict(self._cache)
+        return c
+
     def build(self, outputs) -> Circuit:
         if isinstance(outputs, int):
             outputs = (outputs,)
         return Circuit._from_columns(self.arity, bytes(self.kinds), self.a[:],
                                     self.b[:], tuple(outputs),
                                     tuple(self.stamps))
+
+
+class Section:
+    """The record of the gates that a maker added to a Builder
+    (Builder.section), over ``prefix``, a copy of the builder as the maker
+    found it.  Builder.graft adds the gates again to a builder that starts
+    with the prefix; ``builder`` makes one.
+
+    It keeps no operand column.  ``ops`` holds the kinds of the plain
+    gates in id order, and ``keyed`` one byte each, 1 when the gate went
+    into the table (it is not fresh).  ``widths`` lists the stamps' widths
+    in id order; the plain gates before the i-th stamp end at index
+    ends[i] of ``ops``, and the last run ends the section.
+    ``read`` takes, out of graft's table of new ids, each plain gate's id,
+    each a operand, each b operand, each stamp's wires and each wire the
+    maker returned, in that order, as a tuple: an id in the prefix is its
+    own slot of the table, and the section's ``ids`` that may be read, its
+    plain gates and its stamps' outputs in id order, take the slots after
+    it.
+
+    A candidate is a plain gate in the table whose operands are each in
+    the prefix or an earlier candidate: only a candidate can equal a gate
+    made after the prefix.  ``candidates`` holds five arrays, one entry per
+    candidate in id order: its index in ``ops``, its id, its kind, and
+    the slots of its operands in graft's list of the prefix's and the
+    earlier candidates' new ids.
+    ``size`` is the number of vertices the maker added.
+    """
+
+    __slots__ = ("prefix", "size", "ops", "keyed", "ends", "widths", "ids",
+                 "read", "candidates")
+
+    def __init__(self, made: Builder, prefix: Builder, wires: list):
+        # the arrays kept are made before the map of slots, so that none
+        # of them holds that map's freed memory in place
+        start = len(prefix.kinds)
+        kinds, a, b = made.kinds, made.a, made.b
+        stamps = made.stamps[len(prefix.stamps):]
+        self.prefix = prefix
+        self.size = len(kinds) - start
+        self.widths = array("I", [m for _, m, _ in stamps])
+        # each width's outputs, as offsets from a stamp's start, in order
+        outs = {m: sorted(o - 2 * m for o in _min_block(m).circuit.outputs)
+                for m in set(self.widths)}
+        gates = array("I")
+        self.ends = ends = array("I")
+        self.ids = ids = array("I")
+        end = start
+        for p, m, _ in stamps:      # from the stamp list, not a column scan
+            gates.extend(range(end, p))
+            ends.append(len(gates))
+            ids.extend(range(end, p))
+            ids.extend(map(p.__add__, outs[m]))
+            end = p + len(_min_block(m).kinds)
+        gates.extend(range(end, len(kinds)))
+        ids.extend(range(end, len(kinds)))
+        keyed = set(islice(made._cache.values(), len(prefix._cache), None))
+        self.ops = ops = bytes(map(kinds.__getitem__, gates))
+        self.keyed = bytes([g in keyed for g in gates])
+        n = len(gates)
+        reads = array("I", gates)
+        reads.extend(map(a.__getitem__, gates))
+        reads.extend(map(b.__getitem__, gates))
+        cands, found = {}, []
+        for i, (g, op, x, y, k) in enumerate(zip(gates, ops, reads[n:2 * n],
+                                                 reads[2 * n:], self.keyed)):
+            if k and (x < start or x in cands) and (y < start or y in cands):
+                cands[g] = start + len(cands)
+                found.append((i, g, op, cands.get(x, x), cands.get(y, y)))
+        self.candidates = tuple(array("I", col) for col in zip(*found))
+        for _, _, w in stamps:
+            reads += w
+        reads.fromlist(wires)
+        # one int object per slot, which the getter's entries share
+        slots = list(range(start + len(ids)))
+        slot = dict(zip(chain(range(start), ids), slots))
+        try:
+            reads = list(map(slot.__getitem__, reads))
+        except KeyError:
+            raise ValueError("a section's gates and wires may read only the "
+                             "prefix, its gates and its stamps' outputs"
+                             ) from None
+        self.read = (itemgetter(*reads) if len(reads) > 1
+                     else lambda table: tuple(map(table.__getitem__, reads)))
+
+    def builder(self) -> Builder:
+        """A new Builder holding the prefix: the columns, stamps and table
+        the maker found."""
+        return self.prefix._copy()
 
 
 def _ones(n: int) -> int:

@@ -280,23 +280,100 @@ def _min_tree(b: Builder, words: list) -> list:
 def alg1_f3_circuit(ell: int, f0: Circuit) -> Circuit:
     """Gate-level irreducibility toggle field; one f0 instance per chain
     step.  Above IRR_CIRCUIT_ELL_BOUND it is refused before any gate is
-    built."""
+    built.
+
+    It is made in four parts on one Builder (_alg1_made): the prefix (the
+    constants and the walks from 2x and 2x + 1), the 12*ell copies of f0,
+    the section (the orbit flags with their minimum blocks, and the chain
+    tests) and the tail (the three cases and their OR).  The prefix and
+    the section do not read f0, so once a second circuit is built at an
+    ell they are recorded (_Alg1Parts): each circuit from then on starts
+    from a copy of the prefix, and its section is grafted in after f0's
+    copies (Builder.graft), which leaves the columns, the record of
+    stamps and the table that making the section there leaves."""
     if ell > IRR_CIRCUIT_ELL_BOUND:
         raise ValueError(
             f"an irreducibility circuit at ell={ell} (stage {4 * ell}) is "
             f"past the bound ell <= {IRR_CIRCUIT_ELL_BOUND} "
             f"(stage {4 * IRR_CIRCUIT_ELL_BOUND})")
-    r = f0.arity
-    m = 4 * ell
-    span = 6 * ell
-    half = 3 * ell
-    b = Builder(m - 1)
+    b, out = _alg1_parts(ell).make(f0)
+    return b.build(out)
+
+
+class _Alg1Parts:
+    """The parts of alg1_f3_circuit at one ell that do not read f0
+    (_alg1_parts keeps the last ell's).  The first circuit is made part by
+    part; the second records the prefix and the section (_alg1_record),
+    which that circuit and every later one graft: a record made for one
+    circuit would only add to its cost."""
+
+    __slots__ = ("ell", "made", "record")
+
+    def __init__(self, ell: int):
+        self.ell = ell
+        self.made = False
+        self.record = None
+
+    def make(self, f0: Circuit) -> tuple:
+        """(builder, sink) of alg1_f3_circuit over f0."""
+        if self.record is None:
+            if not self.made:
+                self.made = True
+                return _alg1_made(self.ell, f0)
+            self.record = _alg1_record(self.ell)
+        return _alg1_grafted(self.record, f0)
+
+
+_alg1_parts = lru_cache(maxsize=1)(_Alg1Parts)
+
+
+def _alg1_made(ell: int, f0: Circuit) -> tuple:
+    """(builder, sink) of alg1_f3_circuit, each part made in turn on one
+    Builder."""
+    b = Builder(4 * ell - 1)
+    us, vs = _alg1_prefix(b, ell)
+    hits = _alg1_embeds(b, f0, us, vs)
+    return b, _alg1_tail(b, _alg1_section(b, ell, us, vs), *hits)
+
+
+def _alg1_record(ell: int) -> tuple:
+    """(us, vs, section): the prefix's walks and the Section of
+    alg1_f3_circuit at ell."""
+    b = Builder(4 * ell - 1)
+    us, vs = _alg1_prefix(b, ell)
+    return us, vs, b.section(lambda b: _alg1_section(b, ell, us, vs))
+
+
+def _alg1_grafted(record: tuple, f0: Circuit) -> tuple:
+    """(builder, sink) of alg1_f3_circuit from a record (_alg1_record):
+    f0's copies and the tail are made here."""
+    us, vs, section = record
+    b = section.builder()
+    hits = _alg1_embeds(b, f0, us, vs)
+    return b, _alg1_tail(b, b.graft(section), *hits)
+
+
+def _alg1_prefix(b: Builder, ell: int) -> list:
+    """The constants, then the walks [us, vs] from 2x and 2x + 1 over the
+    6*ell steps of the chain, on a new Builder(4*ell - 1)."""
     x = b.inputs()
     zero = b.const0()
     one = b.const1()
-    us, vs = _gate_walks(b, [[zero] + x, [one] + x], 2 * ell, span)
-    a_wires = [b.embed(f0, us[i][m - r:])[0] for i in range(1, span + 1)]
-    b_wires = [b.embed(f0, vs[i][m - r:])[0] for i in range(1, span + 1)]
+    return _gate_walks(b, [[zero] + x, [one] + x], 2 * ell, 6 * ell)
+
+
+def _alg1_embeds(b: Builder, f0: Circuit, us: list, vs: list) -> tuple:
+    """(a_wires, b_wires): f0 on the top r wires of each chain state."""
+    r = f0.arity
+    return ([b.embed(f0, w[-r:])[0] for w in us[1:]],
+            [b.embed(f0, w[-r:])[0] for w in vs[1:]])
+
+
+def _alg1_section(b: Builder, ell: int, us: list, vs: list) -> list:
+    """The part of alg1_f3_circuit between f0's copies and the cases, which
+    does not read f0: [u_ret, v_ret, u_at_min, v_at_min, qu, qv]."""
+    span = 6 * ell
+    half = 3 * ell
 
     def orbit_flag(state):
         w = [b.NOT(state[0])] + state[1:]
@@ -320,15 +397,20 @@ def alg1_f3_circuit(ell: int, f0: Circuit) -> Circuit:
 
     qu = qflag(us, u_min, cs)
     qv = qflag(vs, v_min, ds)
-    u_ret = b.equal(us[0], us[half])
-    v_ret = b.equal(vs[0], vs[half])
-    u_at_min = b.equal(us[span], u_min)
-    v_at_min = b.equal(vs[span], v_min)
+    return [b.equal(us[0], us[half]), b.equal(vs[0], vs[half]),
+            b.equal(us[span], u_min), b.equal(vs[span], v_min), qu, qv]
+
+
+def _alg1_tail(b: Builder, section: list, a_wires: list,
+               b_wires: list) -> int:
+    """The three cases over the section's wires and f0's copies, and
+    their OR: the sink."""
+    u_ret, v_ret, u_at_min, v_at_min, qu, qv = section
     case1 = b.and_chain([u_ret, u_at_min, b.or_chain(a_wires)])
     case2 = b.and_chain([v_ret, v_at_min, b.or_chain(b_wires)])
     case3 = b.and_chain([b.NOT(u_ret), b.NOT(v_ret),
                          b.or_chain([u_at_min, v_at_min, qu, qv])])
-    return b.build(b.or_chain([case1, case2, case3]))
+    return b.or_chain([case1, case2, case3])
 
 
 def alg2_f3_circuit(ell: int, f2c: Circuit) -> Circuit:

@@ -452,6 +452,92 @@ def test_stamp_text_is_the_lines_written_one_by_one(site):
     assert circuit._stamp_text(*site) == line_by_line(*site)
 
 
+# a gate program: (op, i, j, fresh) steps, i and j picking wires made so
+# far (modulo their count); "MIN" stamps a width-2 or width-3 block over
+# 2m picked wires.  Few wires and small picks make equal gates likely
+STEPS = st.lists(st.tuples(st.sampled_from(["AND", "OR", "NOT", "MIN"]),
+                           st.integers(0, 11), st.integers(0, 11),
+                           st.booleans()), max_size=12)
+
+
+def run(b, program, wires):
+    """The wires program makes on b over ``wires`` and those it makes."""
+    wires, made = list(wires), []
+    for op, i, j, fresh in program:
+        if op == "MIN":
+            m = 2 + i % 2
+            picks = [wires[(i + k * (j + 1)) % len(wires)]
+                     for k in range(2 * m)]
+            out = b.min_word(picks[:m], picks[m:])
+        elif op == "NOT":
+            out = [b.NOT(wires[i % len(wires)], fresh)]
+        else:
+            out = [getattr(b, op)(wires[i % len(wires)],
+                                  wires[j % len(wires)], fresh)]
+        wires += out
+        made += out
+    return made
+
+
+@FIXED
+@given(st.integers(1, 4), STEPS, STEPS, STEPS)
+# later gates equal to a section gate, and to one over a dropped gate
+@example(2, [], [("NOT", 0, 0, False), ("AND", 2, 0, False)],
+         [("NOT", 0, 0, False), ("AND", 2, 0, False), ("OR", 3, 1, False),
+          ("MIN", 0, 1, False)])
+# the first of two equal gates fresh in the later gates, and the section
+# made of its own wires after a drop
+@example(3, [("AND", 0, 1, False)],
+         [("OR", 3, 2, True), ("NOT", 3, 0, False)],
+         [("NOT", 3, 0, False), ("MIN", 1, 2, False), ("OR", 4, 5, False),
+          ("NOT", 6, 0, True), ("AND", 3, 6, False)])
+def test_a_graft_leaves_what_making_its_section_there_leaves(r, prefix,
+                                                             later, section):
+    # one builder makes the prefix, later gates over it, then the section
+    # over the prefix; graft makes the section once over the prefix alone
+    # and adds it after the later gates of a copy of the prefix
+    one = Builder(r)
+    base = one.inputs() + run(one, prefix, one.inputs())
+    run(one, later, base)
+    wires = run(one, section, base)
+    b = Builder(r)
+    base = b.inputs() + run(b, prefix, b.inputs())
+    record = b.section(lambda b: run(b, section, base))
+    grafted = record.builder()
+    run(grafted, later, base)
+    out = grafted.graft(record)
+    assert (grafted.kinds, grafted.a, grafted.b, grafted.stamps,
+            grafted._cache, out) == (one.kinds, one.a, one.b, one.stamps,
+                                     one._cache, wires)
+
+
+def test_graft_and_section_refuse_before_adding_anything():
+    b = Builder(3)
+    b.NOT(0)
+    record = b.section(lambda b: [b.AND(0, 3)])
+    other = Builder(3)
+    other.OR(0, 1)              # does not start with the prefix, NOT(0)
+    with pytest.raises(ValueError):
+        other.graft(record)
+    assert (other.kinds, other.a, other.b, other.stamps) == (
+        bytearray([0, 0, 0, 2]), array("I", [0, 1, 2, 0]),
+        array("I", [0, 1, 2, 1]), [])
+    with mock.patch.object(circuit, "_INDEX_MAX", 3):   # the AND's id is 4
+        grafted = record.builder()
+        with pytest.raises(ValueError):
+            grafted.graft(record)
+        assert len(grafted.kinds) == len(grafted.a) == len(grafted.b) == 4
+    with mock.patch.object(circuit, "_INDEX_MAX", 4):
+        assert record.builder().graft(record) == [4]
+
+    def inner(b):
+        first = len(b.kinds)    # a width-2 block's first gate is inner
+        b.min_word([0, 1], [2, 3])
+        return [b.NOT(first)]
+    with pytest.raises(ValueError):
+        Builder(4).section(inner)
+
+
 def test_splice_refuses_before_adding_anything():
     b = Builder(4)
     c = b.build(b.OR(*b.min_word([0, 1], [2, 3])))

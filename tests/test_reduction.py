@@ -224,19 +224,94 @@ def test_each_instance_part_is_made_once_when_first_read(monkeypatch, kind,
     assert calls == ["_toggled_linear", circuit_builder]
 
 
+def graft_inputs():
+    """(ell, f0) pairs: sampled circuits at r = 1..6, both constants, a
+    bare input as the sink and NOT of an input, at each ell that reads r
+    wires, and the ell = 3 inputs whose copies of f0 share 7 and 0 gates
+    with the section."""
+    pairs = []
+    for ell in (1, 2, 3):
+        for r in range(1, min(4 * ell - 1, 6) + 1):
+            b = C.Builder(r)
+            pairs += [(ell, b.build(b.const0())), (ell, b.build(b.const1())),
+                      (ell, b.build(r - 1)), (ell, b.build(b.NOT(r - 1)))]
+            pairs += [(ell, f) for f in verify.sample_circuits(r, 4, 7)]
+    shared = verify.sample_circuits(5, 20, 41)
+    return pairs + [(3, shared[0]), (3, shared[1])]
+
+
+def test_the_grafted_irreducibility_circuit_equals_one_builder():
+    # a record of the prefix and section, grafted after f0's copies,
+    # leaves what making every part in turn on one Builder leaves: the
+    # columns, the record of stamps, the table and the sink
+    dropped = []
+    records = {ell: R._alg1_record(ell) for ell in (1, 2, 3)}
+    for ell, f0 in graft_inputs():
+        one, sink = R._alg1_made(ell, f0)
+        us, vs, section = records[ell]
+        b = section.builder()
+        hits = R._alg1_embeds(b, f0, us, vs)
+        made = len(b.kinds)
+        wires = b.graft(section)
+        dropped.append(section.size - (len(b.kinds) - made))
+        out = R._alg1_tail(b, wires, *hits)
+        assert (b.kinds, b.a, b.b, b.stamps, b._cache, out) == (
+            one.kinds, one.a, one.b, one.stamps, one._cache, sink)
+    assert dropped[-2:] == [7, 0]
+
+
+def test_the_parts_are_recorded_at_the_second_circuit_of_an_ell(
+        monkeypatch):
+    # one circuit at an ell is made part by part; the second records the
+    # prefix and section, and it and the later ones graft them; a build at
+    # another ell starts over
+    calls = []
+
+    def spy(name):
+        real = getattr(R, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(R, name, counted)
+
+    def made(f0):
+        b, sink = R._alg1_made(1, f0)
+        return C.write_circuit(b.build(sink))
+
+    for name in ("_alg1_made", "_alg1_record", "_alg1_grafted"):
+        spy(name)
+    R._alg1_parts.cache_clear()
+    fs = verify.sample_circuits(2, 4, 5)
+    texts = [C.write_circuit(R.alg1_f3_circuit(1, f)) for f in fs]
+    R.alg1_f3_circuit(3, fs[0])
+    R.alg1_f3_circuit(1, fs[0])
+    assert calls == ["_alg1_made", "_alg1_record", "_alg1_grafted",
+                     "_alg1_grafted", "_alg1_grafted", "_alg1_made",
+                     "_alg1_made"]
+    assert texts == [made(f) for f in fs]
+
+
 def test_ell3_circuits_are_written_as_pinned():
-    # the text of four ell = 3 circuits over the CI memory-smoke input, as
+    # the text of four ell = 3 circuits over the CI memory-smoke input, and
+    # of the irr toggle circuits over an input whose copies of f0 share 7
+    # gates with the section, one that shares none, and const0 at r = 5, as
     # digests: a change to how the Builder lays out vertices (ids, kinds or
     # operands) changes them
     f0 = verify.sample_circuits(6, 32, 302)[0]
     f3 = R.alg1_f3_circuit(3, f0)
     dec = R.alg2_f3_circuit(3, R.f2_transform(f0))
     family = L.LfsrFamily.for_ell(3)
+    shared = verify.sample_circuits(5, 20, 41)
+    b = C.Builder(5)
     circuits = {
         "irr f3": f3,
         "irr f1": R._wrap_feedback(f3, family.p2),
         "dec f3": dec,
         "dec f1": R._wrap_feedback(dec, family.p1),
+        "irr f3 shares 7": R.alg1_f3_circuit(3, shared[0]),
+        "irr f3 shares 0": R.alg1_f3_circuit(3, shared[1]),
+        "irr f3 const0": R.alg1_f3_circuit(3, b.build(b.const0())),
     }
     digests = {name: hashlib.sha256(C.write_circuit(c).encode()).hexdigest()
                for name, c in circuits.items()}
@@ -245,8 +320,17 @@ def test_ell3_circuits_are_written_as_pinned():
         "irr f1": "110ecb60645f296e3f33ba2abff5f69f0a0f7d30e6c4bb97386ff1d6caea521b",
         "dec f3": "025a5236ab720676ecc26f798aac12b336768264549f9b0908a836f4d24af838",
         "dec f1": "e0969be0b7bb446b13731b1371ab992b37091acb47641744326a4b1391ef617f",
+        "irr f3 shares 7": "7bab3f0377a02ac8e399eec10497e8c727af0f52a5b331c3e886d489b08868c0",
+        "irr f3 shares 0": "31c71aec892e89794020106dfc11affa36ddc16238a245489378fca356e3dffd",
+        "irr f3 const0": "4a43fc407222cc8d858c65aee0c3986205c5fde6cc5ecf02e27b258d120a83a5",
     }
     assert circuits["dec f1"].size == 2782
+    # after builds at two ells, the parts of the last alone are kept
+    R.alg1_f3_circuit(1, C.from_bits([0, 1]))
+    kept = R._alg1_parts.cache_info()
+    R._alg1_parts(1)
+    assert kept.currsize == 1
+    assert R._alg1_parts.cache_info().misses == kept.misses
 
 
 def test_stage19_dec_circuits_are_written_as_pinned():
